@@ -161,10 +161,10 @@ def bench_codec_roundtrips(smoke: bool = False) -> Dict[str, Dict[str, float]]:
 def bench_manager_loop(smoke: bool = False) -> Dict[str, object]:
     """Manager-loop cost: one default-config interpreted simulation.
 
-    Times the orchestrator core (timing + residency subsystems plus the
-    interpreting machine) on a fixed workload, reporting blocks and
-    cycles simulated per wall-clock second — the number that makes a
-    manager-loop regression visible PR-over-PR in BENCH_core.json.
+    Times a whole interpreting run (the machine, then the replay kernel
+    over the trace it executed) on a fixed workload, reporting blocks
+    and cycles simulated per wall-clock second — the number that makes
+    a manager-loop regression visible PR-over-PR in BENCH_core.json.
     """
     from ..core.manager import CodeCompressionManager
 
@@ -296,69 +296,24 @@ def bench_chaos_overhead(smoke: bool = False) -> Dict[str, object]:
 
 
 def bench_trace_overhead(smoke: bool = False) -> Dict[str, object]:
-    """Cost of the span-tracing hooks: < 2% dormant, bounded armed.
+    """Cost of arming span tracing: bounded armed overhead.
 
-    Three interleaved timings of the same partition sweep: **bare**
-    (the :class:`~repro.core.timing.TimingModel` hook-bearing methods
-    temporarily replaced with hook-free copies — what the code would
-    cost if the tracing hooks did not exist), **off** (the shipped
-    code, hooks dormant on ``NULL_TRACER`` — the default every user
-    runs), and **armed** (a live :class:`~repro.obs.SpanTracer` via
-    :func:`~repro.obs.tracing_scope`).  The dormant overhead is the
-    headline guard — observability must be free when off; the armed
-    overhead is loosely bounded so a pathological tracer regression
-    still fails the run.
+    Two interleaved timings of the same partition sweep: **off** (the
+    default every user runs: the replay kernel's tracer hooks are
+    skipped on ``NULL_TRACER``) and **armed** (a live
+    :class:`~repro.obs.SpanTracer` via
+    :func:`~repro.obs.tracing_scope`).  The armed overhead is loosely
+    bounded so a pathological tracer regression fails the run.
     """
     from ..api.executor import run_partition
-    from ..core.timing import TimingModel
     from ..obs.tracer import TraceSink, tracing_scope
 
     workload = get_workload("composite")
     configs = _sweep_configs()[:3]
     repeats = 3 if smoke else 5
-
-    def bare_stall(self, cycles, *, count_stall=True,
-                   kind="decompress"):
-        self.now += cycles
-        self.counters.stall_cycles += cycles
-        if count_stall:
-            self.counters.stalls += 1
-
-    def bare_schedule_decompression(self, unit_id, latency):
-        job = self.decompress_worker.schedule(
-            self.now, unit_id, latency
-        )
-        self.counters.background_decompress_cycles += job.latency
-        return job
-
-    def bare_cancel_decompression(self, unit_id):
-        self.decompress_worker.cancel(unit_id, self.now)
-
-    def bare_schedule_patches(self, unit_id, cycles):
-        self.compress_worker.schedule(self.now, unit_id, cycles)
-        self.compress_worker.retire_completed(self.now)
-
-    bare_methods = {
-        "stall": bare_stall,
-        "schedule_decompression": bare_schedule_decompression,
-        "cancel_decompression": bare_cancel_decompression,
-        "schedule_patches": bare_schedule_patches,
-    }
-    originals = {
-        name: getattr(TimingModel, name) for name in bare_methods
-    }
-    bare_s = off_s = armed_s = float("inf")
+    off_s = armed_s = float("inf")
     sink = TraceSink(keep_spans=False)
     for _ in range(repeats):
-        try:
-            for name, method in bare_methods.items():
-                setattr(TimingModel, name, method)
-            started = time.perf_counter()
-            run_partition(workload, configs, "machine", True, None)
-            bare_s = min(bare_s, time.perf_counter() - started)
-        finally:
-            for name, method in originals.items():
-                setattr(TimingModel, name, method)
         started = time.perf_counter()
         run_partition(workload, configs, "machine", True, None)
         off_s = min(off_s, time.perf_counter() - started)
@@ -366,33 +321,29 @@ def bench_trace_overhead(smoke: bool = False) -> Dict[str, object]:
         with tracing_scope(sink):
             run_partition(workload, configs, "machine", True, None)
         armed_s = min(armed_s, time.perf_counter() - started)
-    disabled = (off_s - bare_s) / bare_s if bare_s else 0.0
-    armed = (armed_s - bare_s) / bare_s if bare_s else 0.0
     return {
         "cells": len(configs),
-        "bare_s": bare_s,
         "off_s": off_s,
         "armed_s": armed_s,
-        "disabled_overhead": disabled,
-        "armed_overhead": armed,
+        "armed_overhead": (armed_s - off_s) / off_s if off_s else 0.0,
     }
 
 
 def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
-    """Trace-replay kernel vs. interpreting the same cell.
+    """Trace replay vs. interpreting the same cell.
 
     Records one block trace of the ``composite`` workload, then times
     replaying it through :func:`~repro.runtime.trace_sim.simulate_trace`
-    (which runs inside the replay kernel's envelope —
-    :mod:`repro.core.replay`) against interpreting the identical
-    configuration from scratch, for three cells: on-demand k=4 (the
-    top-level fields, on the batched path), pre-decompress-all
-    (``pre_all``) and a memory budget tight enough to evict
-    (``budget``), both on the stepped path.  Every replay must match its
-    interpreted run exactly and must have run on its kernel path
-    (``path_ok``), and every speedup carries a regression floor (see
-    :data:`_BUDGETS`), so a kernel slowdown — or a silent fall-off from
-    the kernel back to the layered per-block loop — fails the run.
+    against a machine run of the identical configuration from scratch
+    (which interprets the program, then replays its own trace through
+    the same kernel, :mod:`repro.core.replay`), for three cells:
+    on-demand k=4 (the top-level fields, on the batched path),
+    pre-decompress-all (``pre_all``) and a memory budget tight enough
+    to evict (``budget``), both on the stepped path.  Every replay must
+    match its interpreted run exactly and must have run on its kernel
+    path (``path_ok``), and every speedup carries a regression floor
+    (see :data:`_BUDGETS`), so a kernel slowdown — or a fall-off from
+    the batched path to the stepped one — fails the run.
     """
     from ..core.manager import CodeCompressionManager
     from ..runtime.trace_sim import PreparedTrace, simulate_trace
@@ -626,10 +577,7 @@ _EXACT: Dict[str, Tuple[str, ...]] = {
 #: under ``--repeat`` — and summarised as its ``within_budget`` flag.
 _BUDGETS: Dict[str, Tuple[Tuple[str, str, float], ...]] = {
     "chaos_overhead": (("overhead", "<", 0.02),),
-    "trace_overhead": (
-        ("disabled_overhead", "<", 0.02),
-        ("armed_overhead", "<", 0.5),
-    ),
+    "trace_overhead": (("armed_overhead", "<", 0.5),),
     "trace_replay_batched": (
         ("speedup", ">=", 5.0),
         ("pre_all.speedup", ">=", 5.0),
@@ -842,13 +790,11 @@ def render_report(report: Dict[str, object]) -> str:
     tracing = report.get("trace_overhead")
     if tracing:
         lines.append(
-            f"trace hook overhead ({tracing['cells']} cells): "
-            f"{tracing['bare_s'] * 1000:.1f} ms bare vs "
-            f"{tracing['off_s'] * 1000:.1f} ms dormant "
-            f"({tracing['disabled_overhead'] * 100:+.2f}%) vs "
+            f"tracing overhead ({tracing['cells']} cells): "
+            f"{tracing['off_s'] * 1000:.1f} ms off vs "
             f"{tracing['armed_s'] * 1000:.1f} ms armed "
             f"({tracing['armed_overhead'] * 100:+.2f}%) "
-            f"(budget < 2% dormant: {tracing['within_budget']})"
+            f"(budget < 50% armed: {tracing['within_budget']})"
         )
     pipeline = report.get("bench_pipeline")
     if pipeline:

@@ -15,10 +15,11 @@ Engines live in the :data:`ENGINES` registry; two are built in:
   CFG is built once and the block trace is recorded *once* under the
   uncompressed baseline config (``decompression="none"``), then **every**
   grid cell replays it through
-  :func:`~repro.runtime.trace_sim.simulate_trace` — replays inside the
-  batched kernel's envelope (:mod:`repro.core.replay`) fast-forward whole
-  resident runs in bulk.  The recording itself is not a grid cell; its
-  result is discarded (only the trace and the oracle validation survive,
+  :func:`~repro.runtime.trace_sim.simulate_trace` — the replay kernel
+  (:mod:`repro.core.replay`) that also runs every interpreted cell, with
+  whole resident runs fast-forwarded in bulk where its batched path
+  applies.  The recording itself is not a grid cell; its result is
+  discarded (only its prepared trace and the oracle validation survive,
   cached per CFG so repeated sweeps over the same workload objects never
   re-record).  Compressed payloads are shared across cells via the
   :func:`~repro.memory.image.compression_artifacts` cache, so identical
@@ -30,16 +31,15 @@ Engines live in the :data:`ENGINES` registry; two are built in:
   Replayed cells reuse the recording's oracle validation (replay does
   not model register state).  If the trace overflows the recording cap,
   the sweep emits a structured ``repro.log.kv`` fallback event and
-  interprets every cell of that workload; a cell whose replay raises is
-  re-interpreted alone, announced by a ``sweep.replay_fallback`` event.
-  Every result records which path computed it
+  interprets every cell of that workload; a cell whose replay raises
+  becomes an error row naming the exception, as on the machine engine.
+  Every result records which kernel path computed it
   (``SimulationResult.replay_path``).
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -48,7 +48,7 @@ from ..cfg.builder import ProgramCFG, build_cfg, build_cfg_cached
 from ..core.config import SimulationConfig
 from ..core import manager as _manager_mod
 from ..core.manager import CodeCompressionManager
-from ..faults.runtime import CellTimeoutError, FaultError, cell_guard
+from ..faults.runtime import cell_guard
 from ..isa.program import Program
 from ..log import kv
 from ..obs.spans import span
@@ -334,10 +334,9 @@ def _recorded_trace(
         and result.counters.blocks_executed == len(trace) \
         and len(trace) < cap
     if complete:
-        prepared = PreparedTrace(graph, trace)
-        shards = os.environ.get("REPRO_REPLAY_SHARDS")
-        if shards:
-            prepared.shard_processes = max(1, int(shards))
+        # The recording's own replay already prepared the trace, unless
+        # it was long enough to be interpreted in segments.
+        prepared = manager.prepared or PreparedTrace(graph, trace)
         entry = (prepared, validation, None)
     else:
         reason = (
@@ -368,8 +367,9 @@ def _trace_sweep_workload(
     The block trace is recorded once (cached per CFG, see
     :func:`_recorded_trace`) and every cell replays it.  Falls back to
     interpreting the whole row — with a parseable ``repro.log.kv``
-    event — when the trace was truncated by the recording cap, and to
-    interpreting individual cells whose replay raises.
+    event — when the trace was truncated by the recording cap.  A cell
+    whose replay raises becomes an error row (the retry layer may
+    re-run it).
     """
     runs: List[SweepRun] = []
     try:
@@ -398,27 +398,10 @@ def _trace_sweep_workload(
             ):
                 replayed = simulate_trace(graph, prepared, effective,
                                           max_blocks=max_blocks)
-        except (FaultError, CellTimeoutError) as exc:
-            # An injected fault or a blown deadline is a cell
-            # failure, not a replay shortcoming: report it as an
-            # error row (the retry layer may recover it) instead
-            # of paying for an interpreting fallback.
-            runs.append(_failed_run(workload, effective, exc))
-            continue
         except Exception as exc:
-            # Replay failed for this cell: fall back to the
-            # interpreting path (which captures its own errors), and
-            # say so — a silent fallback only shows as a slowdown.
-            _log.warning(kv(
-                "sweep.replay_fallback",
-                workload=workload.name,
-                label=effective.strategy_name,
-                exception=type(exc).__name__,
-            ))
-            runs.append(
-                run_one_safe(workload, effective, cfg=graph,
-                             max_blocks=max_blocks)
-            )
+            # Interpreting the cell would run the same kernel again
+            # and fail the same way: report the error row directly.
+            runs.append(_failed_run(workload, effective, exc))
             continue
         runs.append(
             SweepRun(workload=workload.name, config=effective,

@@ -3,26 +3,32 @@
 :class:`CodeCompressionManager` ties everything together the way Figure 4
 of the paper draws it:
 
-* the **execution thread** (the :class:`~repro.runtime.machine.Machine`)
-  runs basic blocks;
-* the **decompression thread** (a
-  :class:`~repro.runtime.threads.BackgroundWorker`) materialises
-  decompressed copies ahead of the execution thread according to the
-  configured pre-decompression policy;
-* the **compression thread** (another worker) trails behind, deleting
-  decompressed copies the k-edge policy expires and patching the branches
-  recorded in the remember sets.
+* the **execution thread** runs basic blocks — either the
+  :class:`~repro.runtime.machine.Machine` interprets them (the
+  ``machine`` engine) or a recorded trace supplies them (a
+  :class:`~repro.runtime.trace_sim.TraceMachine`, the ``trace`` engine);
+* the **decompression thread** materialises decompressed copies ahead of
+  the execution thread according to the configured pre-decompression
+  policy;
+* the **compression thread** trails behind, deleting decompressed copies
+  the k-edge policy expires and patching the branches recorded in the
+  remember sets.
 
-The manager itself is a thin orchestrator over three composable
-subsystems:
+The manager itself is a thin orchestrator.  :meth:`~CodeCompressionManager.run`
+obtains the run's block trace — by interpreting the program, or from the
+prepared trace it was given — and hands it to the replay kernel
+(:mod:`repro.core.replay`), the one per-block implementation of the
+runtime: faults, patches, k-edge recompression, both background
+workers, budget eviction, events and tracing.  The kernel works on three
+composable state holders:
 
-* :class:`~repro.core.timing.TimingModel` — the cycle clock, the two
-  background workers, and the single charging site for every stall;
+* :class:`~repro.core.timing.TimingModel` — the cycle clock and the two
+  background workers' tallies;
 * :class:`~repro.core.residency.ResidencySubsystem` — the code image,
-  unit geometry, ready clock, remember sets, budget eviction, and the
-  footprint timeline;
+  unit geometry, ready clock, remember sets, budget and the footprint
+  timeline;
 * the configured :class:`~repro.memory.hierarchy.MemoryHierarchy` —
-  per-level traffic and latency charged inside the residency layer.
+  per-level traffic and latency priced into the unit geometry.
 
 Faults follow Section 5's scheme exactly: fetching a block with no
 decompressed copy raises the memory-protection exception; the handler
@@ -34,15 +40,21 @@ decompression) — that is Figure 5's steps (5)-(6).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Set
 
 from ..cfg.builder import ProgramCFG
 from ..cfg.profile import EdgeProfile
 from ..obs.tracer import Tracer, current_tracer
-from ..runtime.events import EventKind, EventLog
+from ..runtime.events import EventLog
 from ..runtime.machine import Machine
 from ..runtime.metrics import Counters, SimulationResult
+from ..runtime.trace_sim import (
+    PreparedTrace,
+    ReplayPlan,
+    TraceMachine,
+    step_costs,
+)
 from ..strategies.base import (
     STRATEGIES,
     CompressionPolicy,
@@ -53,7 +65,7 @@ from ..strategies.ondemand import OnDemandDecompression
 from ..strategies.predecompress import PreDecompressAll, PreDecompressSingle
 from ..strategies.predictor import make_predictor
 from .config import SimulationConfig
-from .replay import record_path, try_batched_replay, try_stepped_replay
+from .replay import try_batched_replay, try_stepped_replay
 from .residency import ResidencySubsystem
 from .timing import TimingModel
 
@@ -61,6 +73,12 @@ from .timing import TimingModel
 #: millions of entries; metrics never need more than this).  Runs that
 #: hit the cap are flagged via ``SimulationResult.trace_truncated``.
 _TRACE_CAP = 2_000_000
+
+#: Steps per segment of an interpreting run's block trace.  The
+#: interpreter hands the kernel its trace a segment at a time, so a run
+#: holds one segment's per-step arrays however long it runs.
+#: Module-level so tests can shrink it.
+_SEGMENT = 1 << 16
 
 
 class CodeCompressionManager:
@@ -108,12 +126,8 @@ class CodeCompressionManager:
         )
 
         # ---- the composable core -----------------------------------
-        self.timing = TimingModel(
-            self.config, self.counters, self.tracer
-        )
-        self.residency = ResidencySubsystem(
-            cfg, self.config, self.timing, self.counters, self.log
-        )
+        self.timing = TimingModel(self.config)
+        self.residency = ResidencySubsystem(cfg, self.config, self.tracer)
 
         # ---- policies ----------------------------------------------
         # Policy instances may be injected for ablations (E12); the
@@ -153,25 +167,19 @@ class CodeCompressionManager:
             )
         self.decompression.bind(self)
 
-        # Residency notifies the compression policy when copies appear
-        # and disappear, without knowing the policy layer exists.
-        self.residency.on_unit_decompressed = (
-            self.compression.on_unit_decompressed
-        )
-        self.residency.on_unit_released = (
-            self.compression.on_unit_released
-        )
-
-        # ---- run-loop state ----------------------------------------
-        self._pending_predictions: Deque[Tuple[int, int]] = deque()
-        self._blocks_entered = 0
+        # ---- run state ----------------------------------------------
+        #: The run's block trace as the replay plans the kernel pulls in
+        #: order, set by :meth:`run`.
+        self.plans: Iterator[ReplayPlan] = iter(())
+        #: The whole trace, prepared: the trace machine's, or an
+        #: interpreting run's when it fits in one segment (None for a
+        #: longer one).
+        self.prepared: Optional[PreparedTrace] = None
         self.block_trace: List[int] = []
         self.trace_truncated = False
-        self._current_block: Optional[int] = None
-        #: Which path ran the blocks (``batched``, ``stepped``,
-        #: ``layered`` or ``interpreted``) and the envelope condition
-        #: that declined the batched path, set by :meth:`run` (see
-        #: :func:`repro.core.replay.record_path`).
+        #: Which kernel path ran the blocks (``batched`` or ``stepped``)
+        #: and the condition that declined the batched path, set by
+        #: :meth:`run` (see :mod:`repro.core.replay`).
         self.replay_path: Optional[str] = None
         self.replay_declined: Optional[str] = None
 
@@ -288,92 +296,6 @@ class CodeCompressionManager:
         return self.residency.unit_decompress_latency(unit_id)
 
     # ==================================================================
-    # Fault handling (the Section 5 exception handler)
-    # ==================================================================
-
-    def _protected_units(self) -> Set[int]:
-        if self._current_block is None:
-            return set()
-        return {self.unit_of(self._current_block)}
-
-    def _ensure_executable(
-        self, block_id: int, came_from: Optional[int]
-    ) -> None:
-        """Make ``block_id`` runnable, charging faults/stalls as needed.
-
-        Implements the Section 5 exception handler plus the
-        pre-decompression wait:
-
-        * not resident  -> full fault: handler + synchronous decompression;
-        * resident but decompression still in flight -> stall for the
-          remainder;
-        * resident and ready but the incoming branch still targets the
-          compressed area -> patch fault (handler + patch only).
-        """
-        residency = self.residency
-        timing = self.timing
-        if residency.image is None:
-            return
-        unit_id = residency.unit_of(block_id)
-        # A branch site can only be patched if the block holding the branch
-        # still has a decompressed copy; otherwise the transfer goes via
-        # the compressed-area address and faults (re-patched next time).
-        site = None
-        if came_from is not None and residency.is_unit_resident(
-            residency.unit_of(came_from)
-        ):
-            site = residency.site_for(came_from)
-
-        if not residency.is_unit_resident(unit_id):
-            # Full memory-protection fault (Figure 5 steps 2, 4, 9).
-            self.counters.faults += 1
-            self.log.emit(timing.now, EventKind.FAULT, block_id)
-            residency.enforce_budget(
-                unit_id,
-                protected=self._protected_units()
-                | ({residency.unit_of(came_from)}
-                   if came_from is not None else set()),
-            )
-            residency.materialise_unit(unit_id)
-            residency.sample_footprint()
-            stall = (
-                self.config.fault_cycles
-                + residency.unit_fill_cycles(unit_id)
-            )
-            timing.stall(stall)
-            residency.mark_ready(unit_id, timing.now)
-            self.log.emit(timing.now, EventKind.DECOMPRESS_DONE, unit_id,
-                          stall)
-            if site is not None:
-                residency.remember.add_reference(block_id, site)
-                self.counters.patches += 1
-                self.log.emit(timing.now, EventKind.PATCH, block_id)
-            return
-
-        waited = timing.wait_until(residency.ready_at(unit_id))
-        if waited:
-            # Pre-decompression still in flight: we waited it out.
-            self.log.emit(timing.now, EventKind.STALL, block_id, waited)
-        timing.retire_decompressions()
-
-        arrived_unpatched = came_from is not None and (
-            site is None
-            or not residency.remember.points_to(site, block_id)
-        )
-        if arrived_unpatched:
-            # Patch fault: the copy exists but the branch that got us here
-            # still aims at the compressed area (Figure 5 steps 5-6).
-            self.counters.faults += 1
-            timing.stall(
-                self.config.fault_cycles, count_stall=False,
-                kind="patch",
-            )
-            if site is not None:
-                residency.remember.add_reference(block_id, site)
-                self.counters.patches += 1
-            self.log.emit(timing.now, EventKind.PATCH, block_id)
-
-    # ==================================================================
     # Main loop
     # ==================================================================
 
@@ -383,59 +305,83 @@ class CodeCompressionManager:
         Returns the :class:`~repro.runtime.metrics.SimulationResult` with
         all cycle and memory metrics filled in.
         """
-        entry = self.cfg.entry
-        residency = self.residency
-        timing = self.timing
-        residency.sample_footprint()
-
-        # Pre-decompression may warm blocks before execution starts.
-        if residency.image is not None and self.decompression.uses_thread:
-            for block_id in self.decompression.on_program_start(
-                entry.block_id
-            ):
-                residency.schedule_predecompression(
-                    block_id, protected=self._protected_units()
-                )
-
-        self._ensure_executable(entry.block_id, came_from=None)
-        current = entry
-        self.profile.record_entry(entry.block_id)
-
-        # Trace replays inside the replay kernel's envelope skip the
-        # per-block loop entirely (batched where windows apply, else
-        # stepped); everything else runs it unchanged.
-        if max_blocks is not None:
-            record_path(self, "max_blocks")
-        elif try_batched_replay(self) or try_stepped_replay(self):
-            return self._finish_run()
-
-        while True:
-            self._on_block_enter(current.block_id)
-            outcome = self.machine.run_block(current)
-            timing.advance_execution(outcome.cycles)
-            timing.retire_decompressions()
-
-            if outcome.next_block_id is None:
-                break
-            if max_blocks is not None and self._blocks_entered >= max_blocks:
-                break
-
-            next_id = outcome.next_block_id
-            self._on_edge(current.block_id, next_id)
-            self._ensure_executable(next_id, came_from=current.block_id)
-            current = self.cfg.block(next_id)
-
+        if isinstance(self.machine, TraceMachine):
+            prepared = self.machine.prepared
+            if max_blocks is not None:
+                prepared = prepared.prefix(max(max_blocks, 1))
+            self.prepared = prepared
+            self._record(prepared.trace)
+            self.plans = iter((prepared.plan(
+                self.config.granularity, self.residency._unit_of
+            ),))
+        else:
+            plans = self._interpret(max_blocks)
+            # Interpret the first segment (for most runs the whole
+            # trace) before the kernel starts, so the kernel's time
+            # excludes interpretation; later ones run as it pulls them.
+            self.plans = chain((next(plans),), plans)
+        # The replay kernel runs the whole trace: batched where window
+        # fast-forward applies, else one block at a time.
+        if not try_batched_replay(self):
+            try_stepped_replay(self)
         return self._finish_run()
 
+    def _interpret(self, max_blocks: Optional[int]) -> Iterator[ReplayPlan]:
+        """Interpret the program, yielding its block trace as replay plans.
+
+        Compression is transparent to program semantics, so the block
+        sequence does not depend on the configuration: the machine runs
+        ahead, the kernel replays what it executed.  The trace comes in
+        segments of at most :data:`_SEGMENT` steps, each interpreted
+        when the kernel asks for it, so a run's memory stays bounded
+        however long it runs; a trace that fits in one segment becomes
+        :attr:`prepared`.  Stops after ``max_blocks`` entered blocks
+        when given.
+        """
+        cfg = self.cfg
+        unit_of = self.residency._unit_of
+        run_block = self.machine.run_block
+        blocks = cfg.blocks
+        block = cfg.entry
+        segment = [block.block_id]
+        entered = 1
+        while True:
+            next_id = run_block(block).next_block_id
+            if next_id is None or (
+                max_blocks is not None and entered >= max_blocks
+            ):
+                break
+            if len(segment) == _SEGMENT:
+                self._record(segment)
+                yield ReplayPlan(cfg, segment, *step_costs(cfg, segment),
+                                 unit_of)
+                segment = []
+            segment.append(next_id)
+            entered += 1
+            block = blocks[next_id]
+        self._record(segment)
+        if entered == len(segment):
+            self.prepared = PreparedTrace(cfg, segment)
+            yield self.prepared.plan(self.config.granularity, unit_of)
+        else:
+            yield ReplayPlan(cfg, segment, *step_costs(cfg, segment),
+                             unit_of)
+
+    def _record(self, steps: List[int]) -> None:
+        """Append ``steps`` to the recorded block trace (``record_trace``),
+        up to :data:`_TRACE_CAP`."""
+        if not self.config.record_trace:
+            return
+        room = _TRACE_CAP - len(self.block_trace)
+        if len(steps) > room:
+            self.trace_truncated = True
+            steps = steps[:room]
+        self.block_trace.extend(steps)
+
     def _finish_run(self) -> SimulationResult:
-        """Settle end-of-run accounting and assemble the result."""
+        """Assemble the result of the replayed run."""
         residency = self.residency
         timing = self.timing
-        # Account contention: background busy cycles partially steal the
-        # execution thread when configured.
-        timing.finalize()
-        residency.sample_footprint()
-
         registers = self.machine.registers
         result = SimulationResult(
             program=self.cfg.name,
@@ -473,79 +419,3 @@ class CodeCompressionManager:
             # untraced runs stay byte-identical.
             result.phases = self.tracer.phases()
         return result
-
-    # ------------------------------------------------------------------
-    # Loop steps
-    # ------------------------------------------------------------------
-
-    def _on_block_enter(self, block_id: int) -> None:
-        residency = self.residency
-        unit_id = residency.unit_of(block_id)
-        self.counters.blocks_executed += 1
-        self._blocks_entered += 1
-        if self.config.record_trace:
-            if len(self.block_trace) < _TRACE_CAP:
-                self.block_trace.append(block_id)
-            else:
-                self.trace_truncated = True
-        self.log.emit(self.timing.now, EventKind.BLOCK_ENTER, block_id)
-
-        residency.mark_used(unit_id)
-        self.compression.on_unit_enter(unit_id)
-        if residency.image is None:
-            residency.charge_uncompressed_entry(block_id)
-
-        # Prediction accuracy: did a pending pre-decompress-single guess
-        # come true within its window?
-        if self._pending_predictions:
-            matched = None
-            for index, (predicted, expires) in enumerate(
-                self._pending_predictions
-            ):
-                if predicted == block_id:
-                    matched = index
-                    break
-            if matched is not None:
-                self.counters.correct_predictions += 1
-                del self._pending_predictions[matched]
-            while (
-                self._pending_predictions
-                and self._pending_predictions[0][1] <= self._blocks_entered
-            ):
-                self._pending_predictions.popleft()
-
-    def _on_edge(self, src_block: int, dst_block: int) -> None:
-        residency = self.residency
-        self._current_block = src_block
-        self.profile.record_edge(src_block, dst_block)
-        self.decompression.on_edge(src_block, dst_block)
-
-        if residency.image is None:
-            return
-
-        src_unit = residency.unit_of(src_block)
-        dst_unit = residency.unit_of(dst_block)
-
-        # Compression side: tick the k-edge counters, expire units.
-        for expired in self.compression.on_edge(src_unit, dst_unit):
-            assert expired != dst_unit, (
-                "compression policy tried to release the destination unit"
-            )
-            if residency.is_unit_resident(expired):
-                residency.release_unit(expired, EventKind.RECOMPRESS)
-
-        # Decompression side: let the policy request pre-decompressions.
-        if self.decompression.uses_thread:
-            targets = self.decompression.on_block_exit(src_block)
-            choice = getattr(self.decompression, "last_choice", None)
-            if choice is not None:
-                self.counters.predictions += 1
-                self._pending_predictions.append(
-                    (choice,
-                     self._blocks_entered + self.config.k_decompress + 1)
-                )
-                self.log.emit(self.timing.now, EventKind.PREDICT, choice)
-            for block_id in targets:
-                residency.schedule_predecompression(
-                    block_id, protected=self._protected_units()
-                )

@@ -1,51 +1,60 @@
-"""The flattened trace-replay kernel.
+"""The replay kernel: the runtime's one per-block state machine.
 
-Replaying a recorded block trace through the layered
-manager/timing/residency stack costs ~80 Python calls per block even
-though the per-step work is a handful of integer/dict operations: tick
-the k-edge counters, check the destination unit's residency, charge
-cycles, and occasionally materialise or release a unit.  For sweep
-replays — thousands of blocks times dozens of grid cells — that call
-overhead dominates the whole experiment pipeline.
-
-This module flattens the replay into a single loop over the
-:class:`~repro.runtime.trace_sim.ReplayPlan` arrays with all hot state
-in locals.  The one per-block step covers every strategy family the
-paper studies: on-demand faults, pre-decompress-all and
-pre-decompress-single (the decompression worker's FIFO, with the
-policy's own ``on_edge``/``on_block_exit``/``last_choice`` hooks and the
-prediction-accuracy bookkeeping), memory budgets (victims chosen by the
+Every run ends up here.  The manager hands over the run's block trace —
+the one an interpreting run just executed, or a recorded trace the
+trace engine replays — as :class:`~repro.runtime.trace_sim.ReplayPlan`
+objects (flat per-step arrays): one for a trace replay, one per segment
+for an interpreting run, which interprets each segment as the kernel
+reaches it.  The kernel runs the paper's runtime over the whole trace
+in a single loop with all hot state in locals: the prologue (first
+footprint sample, program-start prefetches, the entry fetch), then per
+block the entry, the k-edge tick, pre-decompression requests and the
+next block's fetch — full faults, patch faults and waits for in-flight
+pre-decompressions — and finally the end-of-run contention charge.  It
+covers every strategy family the paper studies: on-demand faults,
+pre-decompress-all and pre-decompress-single (the decompression
+worker's FIFO, with the policy's own ``on_edge``/``on_block_exit``/
+``last_choice`` hooks and the prediction-accuracy bookkeeping), memory
+budgets (victims chosen by the
 :class:`~repro.strategies.budget.MemoryBudget` itself, over its own
-recency dicts), and the event log.
+recency dicts), the event log and span tracing.  Policies the kernel
+does not know (injected ablation policies, plug-in strategies) are
+driven through their generic
+:class:`~repro.strategies.base.CompressionPolicy` and
+:class:`~repro.strategies.base.DecompressionPolicy` hooks.
 
 The manager tries two entry points in turn.  :func:`try_batched_replay`
-takes on-demand replays without a budget or an event log
-(:func:`window_envelope`) and adds a window fast-forward: the plan
-pre-aggregates fixed 32-step windows (cycle/step sums, distinct edges,
-per-unit k-edge counter deltas), and whenever the current residency and
-remember-set state proves the window cannot fault, release, or patch,
-the whole window is charged in O(resident units) operations instead of
-32 per-block iterations.  :func:`try_stepped_replay` takes the other
-trace replays and runs the same loop one block at a time.
+takes on-demand runs without a budget, an event log or a policy it
+does not know (:func:`window_envelope`) and adds a window
+fast-forward: the plan pre-aggregates fixed 32-step windows (cycle/step
+sums, distinct edges, per-unit k-edge counter deltas), and whenever the
+current residency and remember-set state proves the window cannot
+fault, release, or patch, the whole window is charged in O(resident
+units) operations instead of 32 per-block iterations.
+:func:`try_stepped_replay` takes every other run and runs the same loop
+one block at a time.
 
-Exactness is the contract: the kernel replicates the per-block path's
-operation order bit for bit (fault charging, footprint sample points,
-remember-set mutations, both workers' FIFO arithmetic, event order) and
-settles shared subsystem state on exit via the ``absorb_*`` hooks on the
-timing model, the background workers, and the code image.  The
-trace/machine equivalence suite pins this.  Anything outside the
-envelope (:func:`replay_envelope`) runs on the layered per-block loop
-unchanged; the manager records which path ran and why.
+Trace replays on the paper's unbounded separate-area image track the
+decompressed area's footprint arithmetically and settle the allocator
+once at the end (:meth:`~repro.memory.image.SeparateAreaImage.absorb_replay`).
+Interpreting runs, the in-place image and bounded areas drive the live
+allocator block by block instead, so its layout (holes, address space,
+relocations) is the real one.
+
+Exactness is the contract: ``tests/oracle/`` keeps a frozen copy of the
+layered per-block loop this kernel replaced, and the differential
+suites pin kernel == oracle cell by cell — metrics, events, tracer
+spans and allocator state.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..memory.image import SeparateAreaImage
-from ..obs.tracer import NULL_TRACER
 from ..runtime.events import EventKind
-from ..runtime.trace_sim import TraceMachine
+from ..runtime.trace_sim import TraceMachine, entry_charges
 from ..strategies.base import DecompressionPolicy
 from ..strategies.kedge import KEdgeCompression, NeverRecompress
 from ..strategies.ondemand import OnDemandDecompression
@@ -54,10 +63,11 @@ from ..strategies.predecompress import PreDecompressAll, PreDecompressSingle
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .manager import CodeCompressionManager
 
-#: Policies whose hooks the kernel can call as-is: they read only their
-#: own state, the static CFG and the live residency map.  Other
-#: (plug-in or injected) policies may read manager state the kernel
-#: only settles on exit, so they run on the layered path.
+#: Built-in policies the kernel handles directly: k-edge counters are
+#: ticked in place and the decompression policies read only their own
+#: state, the static CFG and the live residency map.  Any other policy
+#: is driven through its generic hooks, and the manager's edge profile
+#: is then kept live for it to read.
 _DECOMPRESSION_POLICIES = (
     OnDemandDecompression, PreDecompressAll, PreDecompressSingle,
 )
@@ -74,245 +84,295 @@ _EVICT = EventKind.EVICT
 _PREDICT = EventKind.PREDICT
 
 
-def replay_envelope(manager: "CodeCompressionManager") -> Optional[str]:
-    """The first condition that keeps ``manager``'s run off the kernel.
-
-    Returns None when the kernel can replay the run, else the
-    name of the first failing condition: ``machine`` (an interpreting
-    run, not a trace replay), ``resumed`` (the trace was already
-    partly consumed), ``record_trace``, ``tracer`` (an armed span
-    tracer), ``policy`` (a compression or decompression policy the
-    kernel does not know), ``budget`` (uncompressed mode only),
-    ``image`` (the in-place scheme) or ``allocator`` (a bounded
-    decompressed area).  Runs given ``max_blocks`` are declined by the
-    manager itself.
-    """
-    machine = manager.machine
-    if type(machine) is not TraceMachine:
-        return "machine"
-    if machine.position != 0 or machine.halted:
-        return "resumed"
-    if manager.config.record_trace:
-        return "record_trace"
-    tracer = manager.tracer
-    if tracer is not NULL_TRACER and tracer.enabled:
-        return "tracer"
-    if type(manager.decompression) not in _DECOMPRESSION_POLICIES \
-            or type(manager.compression) not in _COMPRESSION_POLICIES:
-        return "policy"
-    residency = manager.residency
-    image = residency.image
-    if image is None:
-        return "budget" if residency.budget is not None else None
-    # Compressed mode: only the paper's separate-area scheme with an
-    # unbounded decompressed area (allocation can never fail, and the
-    # footprint is a pure sum of aligned block sizes).
-    if type(image) is not SeparateAreaImage:
-        return "image"
-    if image.allocator.capacity is not None:
-        return "allocator"
-    return None
-
-
 def window_envelope(manager: "CodeCompressionManager") -> Optional[str]:
-    """The first condition that keeps a kernel replay off the window
-    fast-forward: ``predecompress`` (the policy queues background
-    decompressions), ``budget`` (a memory budget) or ``events`` (an
-    event log).  None when :func:`try_batched_replay` can take it."""
+    """The first condition that keeps a run off the window fast-forward:
+    ``predecompress`` (the policy queues background decompressions),
+    ``budget`` (a memory budget), ``events`` (an event log) or
+    ``policy`` (a compression or decompression policy whose per-step
+    hooks the windows would skip).  None when :func:`try_batched_replay`
+    can take it."""
     if manager.decompression.uses_thread:
         return "predecompress"
     if manager.residency.budget is not None:
         return "budget"
     if manager.log.enabled:
         return "events"
+    if _generic(manager):
+        return "policy"
     return None
 
 
-def record_path(
-    manager: "CodeCompressionManager", declined: Optional[str]
-) -> None:
-    """Record on ``manager`` which path runs its blocks, and why.
-
-    ``replay_path`` is ``"batched"`` (the kernel with window
-    fast-forward), ``"layered"`` (a trace replay on the per-block loop)
-    or ``"interpreted"`` (the interpreting machine);
-    ``replay_declined`` names the envelope condition that ruled the
-    batched path out (None when it ran).  :func:`try_stepped_replay`
-    then marks the runs it takes ``"stepped"``.  Both fields are
-    provenance only and never reach results' serialised forms.
-    """
-    if declined is None:
-        path = "batched"
-    elif type(manager.machine) is TraceMachine:
-        path = "layered"
-    else:
-        path = "interpreted"
-    manager.replay_path = path
-    manager.replay_declined = declined
-
-
 def try_batched_replay(manager: "CodeCompressionManager") -> bool:
-    """Replay the manager's entire trace with window fast-forward.
+    """Replay the manager's whole trace with window fast-forward.
 
-    Returns True when the whole trace was consumed (the machine is
-    halted and every subsystem holds exactly the state the per-block
-    loop would have produced); False when the run is outside the
-    kernel's envelope or the window envelope — the caller then tries
-    :func:`try_stepped_replay`.  Either way the path taken is recorded
-    (:func:`record_path`).
-
-    Must be called from :meth:`CodeCompressionManager.run` right after
-    the entry block was ensured executable and before the first
-    ``_on_block_enter``.
+    Returns True when the trace was replayed; False when the run is
+    outside :func:`window_envelope` — the caller then runs
+    :func:`try_stepped_replay`.  Either way ``manager.replay_declined``
+    records the condition (None when this path ran).
     """
-    declined = replay_envelope(manager) or window_envelope(manager)
-    record_path(manager, declined)
+    declined = window_envelope(manager)
+    manager.replay_declined = declined
     if declined is not None:
         return False
+    manager.replay_path = "batched"
     _replay(manager, windowed=True)
     return True
 
 
 def try_stepped_replay(manager: "CodeCompressionManager") -> bool:
-    """Replay the manager's entire trace one block at a time on the
-    kernel's per-block step: pre-decompression, budgets and event logs.
-
-    Returns False, leaving the run to the layered loop, when the run is
-    outside :func:`replay_envelope`.  Called, like
-    :func:`try_batched_replay`, before the first ``_on_block_enter``,
-    once the batched path has declined; ``replay_declined`` keeps the
-    window condition that declined it.
-    """
-    if replay_envelope(manager) is not None:
-        return False
+    """Replay the manager's whole trace one block at a time: every run
+    the batched path declines.  Always takes the run (returns True);
+    ``replay_declined`` keeps the condition that declined the batched
+    path."""
     manager.replay_path = "stepped"
     _replay(manager, windowed=False)
     return True
 
 
+def _generic(manager) -> bool:
+    """True when a policy is not one the kernel knows: its generic hooks
+    then run every step, and the manager's edge profile (part of the
+    policies' ManagerView) is recorded live instead of in bulk."""
+    return type(manager.compression) not in _COMPRESSION_POLICIES \
+        or type(manager.decompression) not in _DECOMPRESSION_POLICIES
+
+
+def _edge_hook(policy: DecompressionPolicy):
+    """``policy.on_edge`` when its class overrides the no-op default."""
+    if type(policy).on_edge is DecompressionPolicy.on_edge:
+        return None
+    return policy.on_edge
+
+
+class _Plans:
+    """The run's replay plans, pulled in order, and the run-wide
+    aggregates the kernel charges in bulk.
+
+    A trace replay is one plan; a long interpreting run is one plan per
+    segment, interpreted as the kernel pulls it.  The aggregates merge
+    the plans' own plus each edge across a segment boundary, in
+    first-occurrence order: what one plan over the whole trace holds.
+    """
+
+    __slots__ = ("_source", "first", "_last", "steps", "total_cycles",
+                 "edges", "visits", "entered")
+
+    def __init__(self, source) -> None:
+        self._source = source
+        self.first: Optional[int] = None
+        self._last: Optional[int] = None
+        self.steps = 0
+        self.total_cycles = 0
+        #: (src, dst) -> traversal count.
+        self.edges = {}
+        #: block id -> entry count.
+        self.visits = {}
+        #: Distinct entered units (keys).
+        self.entered = {}
+
+    def pull(self):
+        """The next plan, or None once the trace is exhausted."""
+        plan = next(self._source, None)
+        if plan is None:
+            return None
+        trace = plan.trace
+        edges = self.edges
+        if self._last is None:
+            self.first = trace[0]
+        else:
+            edge = (self._last, trace[0])
+            edges[edge] = edges.get(edge, 0) + 1
+        self._last = trace[-1]
+        for edge, count in plan.edge_items:
+            edges[edge] = edges.get(edge, 0) + count
+        visits = self.visits
+        for block_id, count in plan.block_visits.items():
+            visits[block_id] = visits.get(block_id, 0) + count
+        self.entered.update(dict.fromkeys(plan.entered_units))
+        self.steps += len(trace)
+        self.total_cycles += plan.total_cycles
+        return plan
+
+
 def _replay(manager, windowed: bool) -> None:
-    prepared = manager.machine.prepared
-    if manager.residency.image is None:
-        _replay_uncompressed(manager, prepared)
-    else:
-        _replay_compressed(manager, prepared, windowed)
-
-
-def _replay_uncompressed(manager, prepared) -> None:
-    """Uncompressed baseline (``decompression="none"``): no image, no
-    faults, no releases — the whole replay reduces to aggregate sums."""
     residency = manager.residency
-    config = manager.config
-    plan = prepared.plan(config.granularity, residency._unit_of)
-    trace = plan.trace
-    n = len(trace)
-    read_bytes, read_cycles = prepared.entry_charges(
-        config.hierarchy, residency.hierarchy
-    )
-    visits = plan.block_visits
-    bytes_total = 0
-    stall_total = 0
-    for block_id, count in visits.items():
-        bytes_total += read_bytes[block_id] * count
-        stall_total += read_cycles[block_id] * count
-
     timing = manager.timing
-    log = manager.log
-    if log.enabled:
-        # Each entry is logged before its target read and execution.
-        now = timing.now
-        cycles = plan.cycles
-        for pos, block_id in enumerate(trace):
-            log.emit(now, _BLOCK_ENTER, block_id)
-            now += read_cycles[block_id] + cycles[pos]
+    plans = _Plans(manager.plans)
+    tracer = manager.tracer if manager.tracer.enabled else None
+    generic = _generic(manager)
+    residency.footprint.record(timing.now, residency.footprint_bytes())
+    if residency.image is None:
+        now = _replay_uncompressed(manager, plans, tracer, generic)
+    else:
+        now = _replay_compressed(manager, plans, tracer, generic, windowed)
+    if not generic:
+        profile = manager.profile
+        profile.record_entry(plans.first)
+        for (src, dst), count in plans.edges.items():
+            profile.record_edge(src, dst, count)
 
+    # ---- end of run: settle the clock ----------------------------
     counters = manager.counters
-    counters.blocks_executed += n
-    counters.target_memory_bytes += bytes_total
-    counters.target_memory_accesses += n
+    dworker = timing.decompress_worker
+    cworker = timing.compress_worker
+    timing.execution_cycles += plans.total_cycles
+    # Contention models a shared single-issue core: a configured
+    # fraction of every busy background cycle is charged to the
+    # execution thread, as one final stall-cycle block.
+    contention = dworker.contention_cycles() + cworker.contention_cycles()
+    if contention:
+        if tracer is not None:
+            tracer.stall(now, contention, "contention", False)
+        now += contention
+        counters.stall_cycles += contention
+    counters.background_compress_cycles = cworker.busy_cycles
+    timing.now = now
+    residency.footprint.record(now, residency.footprint_bytes())
 
-    used_since = residency._used_since_decompress
+
+def _replay_uncompressed(manager, plans, tracer, generic: bool) -> int:
+    """Uncompressed baseline (``decompression="none"``): no image, no
+    faults, no releases.  Every entry streams the block from the target
+    memory; the replay reduces to aggregate sums unless something needs
+    each step (events, tracing, a budget's recency, generic policies).
+    Returns the final clock."""
+    residency = manager.residency
+    prepared = manager.prepared
+    if prepared is not None:
+        read_bytes, read_cycles = prepared.entry_charges(
+            manager.config.hierarchy, residency.hierarchy
+        )
+    else:
+        read_bytes, read_cycles = entry_charges(
+            manager.cfg, residency.hierarchy
+        )
     compression = manager.compression
     kcount = (
         compression._counters
         if type(compression) is KEdgeCompression else None
     )
-    for unit_id in plan.entered_units:
+    on_enter = (
+        compression.on_unit_enter
+        if type(compression) not in _COMPRESSION_POLICIES else None
+    )
+    observe = _edge_hook(manager.decompression)
+    log = manager.log
+    emit = log.emit if log.enabled else None
+    budget = residency.budget
+    now = manager.timing.now
+    stepped = emit is not None or tracer is not None \
+        or budget is not None or generic or observe is not None
+    if stepped:
+        profile = manager.profile
+        if budget is not None:
+            last_use = budget._last_use
+            bclock = budget._clock
+        prev = None
+        plan = plans.pull()
+        if generic:
+            profile.record_entry(plan.trace[0])
+        while plan is not None:
+            usteps = plan.unit_steps
+            cycles = plan.cycles
+            for pos, block_id in enumerate(plan.trace):
+                if prev is not None:
+                    # The edge from the previous block (possibly across
+                    # a segment boundary).
+                    if generic:
+                        profile.record_edge(prev, block_id)
+                    if observe is not None:
+                        observe(prev, block_id)
+                prev = block_id
+                unit = usteps[pos]
+                if emit is not None:
+                    emit(now, _BLOCK_ENTER, block_id)
+                if budget is not None:
+                    bclock += 1
+                    last_use[unit] = bclock
+                if on_enter is not None:
+                    on_enter(unit)
+                stall = read_cycles[block_id]
+                if stall:
+                    if tracer is not None:
+                        tracer.stall(now, stall, "mem", False)
+                    now += stall
+                now += cycles[pos]
+            plan = plans.pull()
+        if budget is not None:
+            budget._clock = bclock
+    else:
+        while plans.pull() is not None:
+            pass
+
+    bytes_total = 0
+    stall_total = 0
+    for block_id, count in plans.visits.items():
+        bytes_total += read_bytes[block_id] * count
+        stall_total += read_cycles[block_id] * count
+    if not stepped:
+        now += plans.total_cycles + stall_total
+    counters = manager.counters
+    counters.blocks_executed += plans.steps
+    counters.target_memory_bytes += bytes_total
+    counters.target_memory_accesses += plans.steps
+    counters.stall_cycles += stall_total
+
+    used_since = residency._used_since_decompress
+    for unit_id in plans.entered:
         used_since[unit_id] = True
         if kcount is not None:
             # No unit is ever resident, so the edge loop never
             # increments: every entered unit ends reset at zero.
             kcount[unit_id] = 0
-
-    profile = manager.profile
-    for (src, dst), count in plan.edge_items:
-        profile.record_edge(src, dst, count)
-
-    timing.absorb_replay(
-        timing.now + plan.total_cycles + stall_total,
-        plan.total_cycles,
-        stall_total,
-        0,
-    )
-    machine = manager.machine
-    machine.steps += plan.total_instructions
-    machine.position = n
-    machine.halted = True
-    manager._blocks_entered += n
-    if n >= 2:
-        manager._current_block = trace[n - 2]
+    return now
 
 
-def _queue(worker) -> dict:
-    """``worker``'s outstanding jobs as the kernel's mutable FIFO:
-    ``unit -> [latency, scheduled_at, started_at, completes_at, seq]``
-    in FIFO order (the rows :meth:`BackgroundWorker.absorb_jobs`
-    takes back, minus the unit)."""
-    return {
-        job.block_id: [job.latency, job.scheduled_at, job.started_at,
-                       job.completes_at, job.seq]
-        for job in worker.pending_jobs()
-    }
-
-
-def _replay_compressed(manager, prepared, windowed: bool) -> None:
-    """Compressed separate-area image: the full fault/prefetch/
-    release/eviction/patch state machine, flattened.  ``windowed``
-    (inside :func:`window_envelope` only) enables the window
-    fast-forward."""
+def _replay_compressed(manager, plans, tracer, generic: bool,
+                       windowed: bool) -> int:
+    """Compressed image: the full fault/prefetch/release/eviction/patch
+    state machine, flattened.  ``windowed`` (inside
+    :func:`window_envelope` only) enables the window fast-forward.
+    Returns the final clock."""
     residency = manager.residency
     timing = manager.timing
     config = manager.config
     image = residency.image
-    plan = prepared.plan(config.granularity, residency._unit_of)
+    plan = plans.pull()
     trace = plan.trace
     usteps = plan.unit_steps
     cycles = plan.cycles
     sites = plan.sites
     n = len(trace)
+    # Steps of the run before the current plan's first.
+    base = 0
     geometry = residency.replay_geometry()
     unit_of = residency._unit_of
+    # Trace replays on the paper's unbounded separate area track the
+    # footprint arithmetically; everything else drives the allocator.
+    arithmetic = type(manager.machine) is TraceMachine \
+        and type(image) is SeparateAreaImage \
+        and image.allocator.capacity is None
 
     compression = manager.compression
+    kcount = k = None
+    on_enter = on_expire = on_decompressed = on_released = None
     if type(compression) is KEdgeCompression:
         k = compression.k
         kcount = compression._counters
-    else:
-        k = None
-        kcount = None
+    elif type(compression) is not NeverRecompress:
+        on_enter = compression.on_unit_enter
+        on_expire = compression.on_edge
+        on_decompressed = compression.on_unit_decompressed
+        on_released = compression.on_unit_released
+    profile = manager.profile if generic else None
 
     # Pre-decompression: the policy's own hooks pick the targets.
     decompression = manager.decompression
     pre = decompression.uses_thread
     on_exit = decompression.on_block_exit
-    on_edge = (
-        decompression.on_edge
-        if type(decompression).on_edge is not DecompressionPolicy.on_edge
-        else None
-    )
+    observe = _edge_hook(decompression)
     predicting = pre and hasattr(decompression, "last_choice")
-    pending_preds = manager._pending_predictions
-    entered0 = manager._blocks_entered
+    pending_preds = deque()
     k_dec = config.k_decompress
     max_backlog = config.max_prefetch_backlog
 
@@ -330,7 +390,8 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
     log = manager.log
     emit = log.emit if log.enabled else None
     # Per-entry work beyond the residency flags and k-edge reset.
-    extras = emit is not None or budget is not None or predicting
+    extras = emit is not None or budget is not None or predicting \
+        or on_enter is not None
 
     # Window fast-forward: on-demand replays without budget or events.
     windows = plan.windows if windowed else ()
@@ -358,18 +419,17 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
         for unit_id, geo in geometry.items()
     }
 
-    # Both workers' FIFO arithmetic, simulated locally under the exact
-    # schedule/retire/cancel rules of BackgroundWorker, starting from
-    # whatever the run queued before the kernel took over.
+    # Both workers' FIFOs: ``unit -> [latency, scheduled_at, started_at,
+    # completes_at]`` in FIFO order.  A job scheduled at ``t`` starts
+    # when its worker is free; cancelling refunds unperformed work and
+    # re-chains the jobs queued behind it.
     dworker = timing.decompress_worker
-    d_pending = _queue(dworker)
+    d_pending = {}
     d_free = dworker.free_at
-    d_seq = dworker._seq
     d_busy = d_done = d_cancelled = 0
     cworker = timing.compress_worker
-    w_pending = _queue(cworker)
+    w_pending = {}
     w_free = cworker.free_at
-    w_seq = cworker._seq
     w_busy = w_done = 0
 
     now = timing.now
@@ -389,15 +449,21 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
     tmem_accesses = 0
     img_dec = 0
     img_rel = 0
-    ec = {}
 
     def materialise(unit, now):
-        """ResidencySubsystem.materialise_unit plus its footprint
-        sample; returns the unit's geometry."""
+        """Give ``unit`` a decompressed copy and sample the footprint;
+        returns the unit's geometry."""
         nonlocal tmem_bytes, tmem_accesses, decompressions, img_dec
         nonlocal used, bclock
         geo = geometry[unit]
-        if not decoded[unit]:
+        if not arithmetic:
+            for rb in geo[4]:
+                image.decompress(rb)
+                # Materialise the actual bytes: an undecodable payload
+                # must fail on the executed path.  The shared memo
+                # bounds this to one decode per block per artifact set.
+                image.block_data(rb)
+        elif not decoded[unit]:
             for rb in geo[4]:
                 image.block_data(rb)
             decoded[unit] = True
@@ -406,14 +472,18 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
         decompressions += 1
         img_dec += geo[3]
         used_since[unit] = False
+        if tracer is not None:
+            tracer.fill(now, unit, geo[1])
         if kcount is not None:
             kcount[unit] = 0
+        elif on_decompressed is not None:
+            on_decompressed(unit)
         if resident_since is not None:
             bclock += 1
             resident_since[unit] = bclock
             last_use.setdefault(unit, bclock)
         used += geo[0]
-        value = base_size + used
+        value = base_size + used if arithmetic else image.footprint_bytes
         if fp and fp[-1][0] == now:
             fp[-1] = (now, value)
         else:
@@ -421,14 +491,16 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
         return geo
 
     def release(unit, reason, now):
-        """ResidencySubsystem.release_unit: drop the copy, cancel its
-        prefetch (refund + re-chain), patch back its remember sets on
-        the compression worker, and sample the footprint."""
+        """Drop ``unit``'s copy: cancel its prefetch (refund + re-chain),
+        patch back its remember sets on the compression worker, and
+        sample the footprint."""
         nonlocal d_free, d_busy, d_cancelled, w_free, w_busy, w_done
-        nonlocal w_seq, patches, recompressions, wasted, used, img_rel
+        nonlocal patches, recompressions, wasted, used, img_rel
         del ready[unit]
         job = d_pending.pop(unit, None) if d_pending else None
         if job is not None:
+            if tracer is not None:
+                tracer.worker_cancel(now, "decompression", unit)
             d_cancelled += 1
             d_busy -= job[0] if job[2] >= now else max(0, job[3] - now)
             cursor = now
@@ -441,6 +513,10 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
                     cursor = other[3] = other[2] + other[0]
             d_free = cursor
         geo = geometry[unit]
+        if not arithmetic:
+            for rb in geo[4]:
+                if image.is_resident(rb):
+                    image.release(rb)
         released = 0
         for rb in geo[4]:
             tset = by_target.pop(rb, None)
@@ -457,13 +533,17 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
         recompressions += 1
         if not used_since.pop(unit, True):
             wasted += 1
+        # Patching runs on the compression worker.  A unit whose patch
+        # job is still queued keeps that job.
         if unit not in w_pending:
             latency = patch_cycles * released
             started = w_free if w_free > now else now
             w_free = started + latency
             w_busy += latency
-            w_pending[unit] = [latency, now, started, w_free, w_seq]
-            w_seq += 1
+            w_pending[unit] = [latency, now, started, w_free]
+            if tracer is not None:
+                tracer.worker_job("compression", unit, now, started,
+                                  w_free)
         if w_free <= now:
             # Nothing cancels patch jobs, so the last one finishes
             # last: all of them are done.
@@ -474,14 +554,18 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
             for uu in done:
                 del w_pending[uu]
             w_done += len(done)
+        if tracer is not None:
+            tracer.release(now, unit, reason.name.lower(), released)
         if kcount is not None:
             kcount.pop(unit, None)
+        elif on_released is not None:
+            on_released(unit)
         if resident_since is not None:
             resident_since.pop(unit, None)
         if emit is not None:
             emit(now, reason, unit, released)
         used -= geo[0]
-        value = base_size + used
+        value = base_size + used if arithmetic else image.footprint_bytes
         if fp and fp[-1][0] == now:
             fp[-1] = (now, value)
         else:
@@ -489,17 +573,84 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
         img_rel += geo[3]
 
     def evict(unit, protected, now):
-        """ResidencySubsystem.enforce_budget (BudgetError propagates)."""
+        """Release budget victims so ``unit`` fits (BudgetError
+        propagates); ``protected`` units are never chosen."""
         nonlocal evictions
         for victim in select_victims(
             needed_bytes=size_of(unit),
-            current_footprint=base_size + used,
+            current_footprint=(
+                base_size + used if arithmetic else image.footprint_bytes
+            ),
             resident=ready.keys(),
             protected=protected,
             size_of=size_of,
         ):
             release(victim, _EVICT, now)
             evictions += 1
+
+    def prefetch(targets, protected, now):
+        """Queue each target's unit on the decompression worker, shedding
+        requests past the backlog limit (a shed block faults on demand
+        if reached).  ``protected`` is the running block's unit, or
+        None before the first block."""
+        nonlocal d_free, d_busy, background, dropped
+        for target in targets:
+            tu = unit_of[target]
+            if tu in ready:
+                continue
+            if len(d_pending) >= max_backlog:
+                dropped += 1
+                continue
+            if budget is not None:
+                evict(tu, {tu} if protected is None else {protected, tu},
+                      now)
+            latency = materialise(tu, now)[1]
+            started = d_free if d_free > now else now
+            d_free = started + latency
+            d_busy += latency
+            d_pending[tu] = [latency, now, started, d_free]
+            background += latency
+            if tracer is not None:
+                tracer.worker_job("decompression", tu, now, started,
+                                  d_free)
+            # The ready clock keeps the schedule-time completion even if
+            # a cancellation later re-chains the job.
+            ready[tu] = d_free
+            if emit is not None:
+                emit(now, _DECOMPRESS_START, tu)
+
+    # ---- prologue: program-start prefetches, then the entry fetch ----
+    if pre:
+        prefetch(decompression.on_program_start(trace[0]), None, now)
+    u = usteps[0]
+    if u not in ready:
+        # A full fault; no branch led here, so nothing is patched.
+        faults += 1
+        if emit is not None:
+            emit(now, _FAULT, trace[0])
+        if budget is not None:
+            evict(u, {u}, now)
+        stall = fault_cycles + materialise(u, now)[1]
+        if tracer is not None:
+            tracer.stall(now, stall, "decompress", True)
+        now += stall
+        stall_cycles += stall
+        stalls += 1
+        ready[u] = now
+        if emit is not None:
+            emit(now, _DECOMPRESS_DONE, u, stall)
+    elif pre and ready[u] > now:
+        # Its program-start prefetch is still in flight.
+        waited = ready[u] - now
+        if tracer is not None:
+            tracer.stall(now, waited, "decompress", True)
+        now += waited
+        stall_cycles += waited
+        stalls += 1
+        if emit is not None:
+            emit(now, _STALL, trace[0], waited)
+    if profile is not None:
+        profile.record_entry(trace[0])
 
     pos = 0
     while True:
@@ -547,8 +698,6 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
                             kcount[ru] = tails[ru]
                         else:
                             kcount[ru] += width - dstc.get(ru, 0)
-                for edge, count in win[4]:
-                    ec[edge] = ec.get(edge, 0) + count
                 pos += width
                 wi += 1
 
@@ -561,6 +710,8 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
             if last_use is not None:
                 bclock += 1
                 last_use[u] = bclock
+            if on_enter is not None:
+                on_enter(u)
             if pending_preds:
                 # Did a pending prediction come true within its window?
                 for index, (predicted, _expires) in enumerate(
@@ -570,7 +721,7 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
                         correct += 1
                         del pending_preds[index]
                         break
-                entered = entered0 + pos + 1
+                entered = base + pos + 1
                 while pending_preds and pending_preds[0][1] <= entered:
                     pending_preds.popleft()
         used_since[u] = True
@@ -591,11 +742,25 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
                     del d_pending[uu]
                 d_done += len(done)
         if pos == n:
-            break
+            # Move on to the next segment, if any (a long interpreting
+            # run interprets it now).
+            plan = plans.pull()
+            if plan is None:
+                break
+            base += n
+            trace = plan.trace
+            usteps = plan.unit_steps
+            cycles = plan.cycles
+            n = len(trace)
+            windows = plan.windows if windowed else ()
+            nwin = len(windows)
+            pos = 0
         nb = trace[pos]
         nu = usteps[pos]
-        edge = (b, nb)
-        ec[edge] = ec.get(edge, 0) + 1
+        if profile is not None:
+            profile.record_edge(b, nb)
+        if observe is not None:
+            observe(b, nb)
 
         # ---- k-edge tick: every resident unit but the destination
         if kcount is not None:
@@ -615,41 +780,29 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
                     expired.sort()
                 for ru in expired:
                     release(ru, _RECOMPRESS, now)
+        elif on_expire is not None:
+            for ru in on_expire(u, nu):
+                assert ru != nu, (
+                    "compression policy tried to release the "
+                    "destination unit"
+                )
+                if ru in ready:
+                    release(ru, _RECOMPRESS, now)
 
         # ---- pre-decompression requests ---------------------------
         if pre:
-            if on_edge is not None:
-                on_edge(b, nb)
             targets = on_exit(b)
             if predicting:
                 choice = decompression.last_choice
                 if choice is not None:
                     predictions += 1
-                    pending_preds.append((choice, entered0 + pos + k_dec + 1))
+                    pending_preds.append(
+                        (choice, base + pos + k_dec + 1)
+                    )
                     if emit is not None:
                         emit(now, _PREDICT, choice)
-            for target in targets:
-                tu = unit_of[target]
-                if tu in ready:
-                    continue
-                if len(d_pending) >= max_backlog:
-                    # Shed: the block faults on demand if reached.
-                    dropped += 1
-                    continue
-                if budget is not None:
-                    evict(tu, {u, tu}, now)
-                latency = materialise(tu, now)[1]
-                started = d_free if d_free > now else now
-                d_free = started + latency
-                d_busy += latency
-                d_pending[tu] = [latency, now, started, d_free, d_seq]
-                d_seq += 1
-                background += latency
-                # The ready clock keeps the schedule-time completion
-                # even if a cancellation later re-chains the job.
-                ready[tu] = d_free
-                if emit is not None:
-                    emit(now, _DECOMPRESS_START, tu)
+            if targets:
+                prefetch(targets, u, now)
 
         # ---- ensure the next block is executable ----------------
         if nu not in ready:
@@ -660,6 +813,8 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
             if budget is not None:
                 evict(nu, {u, nu}, now)
             stall = fault_cycles + materialise(nu, now)[1]
+            if tracer is not None:
+                tracer.stall(now, stall, "decompress", True)
             now += stall
             stall_cycles += stall
             stalls += 1
@@ -671,6 +826,8 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
                 waited = ready[nu] - now
                 if waited > 0:
                     # Its pre-decompression is still in flight.
+                    if tracer is not None:
+                        tracer.stall(now, waited, "decompress", True)
                     now += waited
                     stall_cycles += waited
                     stalls += 1
@@ -681,6 +838,8 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
             # Patch fault: copy exists, branch still aims at the
             # compressed area.
             faults += 1
+            if tracer is not None:
+                tracer.stall(now, fault_cycles, "patch", False)
             now += fault_cycles
             stall_cycles += fault_cycles
             if u not in ready:
@@ -708,7 +867,7 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
 
     # ---- settle shared state ------------------------------------
     counters = manager.counters
-    counters.blocks_executed += n
+    counters.blocks_executed += plans.steps
     counters.faults += faults
     counters.decompressions += decompressions
     counters.recompressions += recompressions
@@ -721,28 +880,20 @@ def _replay_compressed(manager, prepared, windowed: bool) -> None:
     counters.background_decompress_cycles += background
     counters.target_memory_bytes += tmem_bytes
     counters.target_memory_accesses += tmem_accesses
-    timing.absorb_replay(now, plan.total_cycles, stall_cycles, stalls)
-    dworker.absorb_jobs(
-        d_free, d_busy, d_done, d_cancelled,
-        [(uu, *job) for uu, job in d_pending.items()], d_seq,
-    )
-    cworker.absorb_jobs(
-        w_free, w_busy, w_done, 0,
-        [(uu, *job) for uu, job in w_pending.items()], w_seq,
-    )
+    counters.stall_cycles += stall_cycles
+    counters.stalls += stalls
+    dworker.free_at = d_free
+    dworker.busy_cycles += d_busy
+    dworker.jobs_completed += d_done
+    dworker.jobs_cancelled += d_cancelled
+    cworker.free_at = w_free
+    cworker.busy_cycles += w_busy
+    cworker.jobs_completed += w_done
     if budget is not None:
         budget._clock = bclock
-    resident_blocks = []
-    for unit_id in ready:
-        resident_blocks.extend(geometry[unit_id][4])
-    image.absorb_replay(sorted(resident_blocks), img_dec, img_rel)
-    profile = manager.profile
-    for (src, dst), count in ec.items():
-        profile.record_edge(src, dst, count)
-    machine = manager.machine
-    machine.steps += plan.total_instructions
-    machine.position = n
-    machine.halted = True
-    manager._blocks_entered += n
-    if n >= 2:
-        manager._current_block = trace[n - 2]
+    if arithmetic:
+        resident_blocks = []
+        for unit_id in ready:
+            resident_blocks.extend(geometry[unit_id][4])
+        image.absorb_replay(sorted(resident_blocks), img_dec, img_rel)
+    return now

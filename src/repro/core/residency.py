@@ -1,7 +1,6 @@
 """The residency subsystem: what is decompressed, where, and for whom.
 
-:class:`ResidencySubsystem` owns everything about decompressed copies
-that the manager god-object used to keep inline:
+:class:`ResidencySubsystem` owns the state of decompressed copies:
 
 * the code **image** (separate-area or in-place) plus the shared
   compression artifacts;
@@ -9,12 +8,15 @@ that the manager god-object used to keep inline:
   sizes, decompression latencies, and fill costs;
 * the **ready clock** (``unit -> completion cycle``) that says when an
   in-flight pre-decompression becomes usable;
-* the **remember sets** and the per-block branch-site cache that drive
-  Section 5's patching;
-* the optional **memory budget** and its eviction mechanics;
+* the **remember sets** that drive Section 5's patching;
+* the optional **memory budget**;
 * the **footprint timeline** (the paper's memory-space metric).
 
-Materialisation traffic and fill latency are charged through the
+The replay kernel (:mod:`repro.core.replay`) is the one place that
+changes this state: it materialises and releases units, patches remember
+sets, evicts under the budget and samples the footprint.
+
+Fill latency and materialisation traffic are priced through the
 configured :class:`~repro.memory.hierarchy.MemoryHierarchy`: each block
 read streams its burst-rounded compressed payload out of the target
 memory, and non-flat targets add bus-transfer cycles on top of the
@@ -36,7 +38,7 @@ geometry queries through the existing
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..cfg.builder import ProgramCFG
 from ..compress.codec import get_codec
@@ -47,46 +49,31 @@ from ..memory.image import (
     SeparateAreaImage,
     compression_artifacts,
 )
-from ..memory.remember_set import BranchSite, RememberSets
+from ..memory.remember_set import RememberSets
+from ..obs.tracer import NULL_TRACER, Tracer
 from ..selection.assignment import (
     assignment_artifacts,
     build_assignment,
     unit_map,
 )
-from ..runtime.events import EventKind, EventLog
-from ..runtime.metrics import Counters, FootprintTimeline
+from ..runtime.metrics import FootprintTimeline
 from ..strategies.budget import MemoryBudget
 from .config import SimulationConfig
-from .timing import TimingModel
 
 
 class ResidencySubsystem:
-    """Owns residency state and mechanics for one simulation run.
-
-    ``on_unit_decompressed`` / ``on_unit_released`` are notification
-    hooks the manager points at the compression policy, so the policy
-    layer stays decoupled from the mechanics layer.
-    """
+    """Owns residency state for one simulation run."""
 
     def __init__(
         self,
         cfg: ProgramCFG,
         config: SimulationConfig,
-        timing: TimingModel,
-        counters: Counters,
-        log: EventLog,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.cfg = cfg
         self.config = config
-        self.timing = timing
-        self.counters = counters
-        self.log = log
         self.hierarchy: MemoryHierarchy = get_hierarchy(config.hierarchy)
         self.footprint = FootprintTimeline()
-
-        # Policy notification hooks (set by the orchestrator).
-        self.on_unit_decompressed: Optional[Callable[[int], None]] = None
-        self.on_unit_released: Optional[Callable[[int], None]] = None
 
         # ---- compression units -------------------------------------
         unit_of, unit_blocks = unit_map(cfg, config.granularity)
@@ -125,8 +112,8 @@ class ResidencySubsystem:
                 )
             # Observability: let the image report actual codec decode
             # dispatches (plaintext-memo misses) to an armed tracer.
-            if timing.tracer.enabled:
-                self.image.tracer = timing.tracer
+            if tracer.enabled:
+                self.image.tracer = tracer
 
         self.budget: Optional[MemoryBudget] = None
         if config.memory_budget is not None:
@@ -137,11 +124,10 @@ class ResidencySubsystem:
         # ---- residency bookkeeping ---------------------------------
         self.remember = RememberSets()
         # Unit geometry is immutable; sizes/latencies memoize on first
-        # use.  A block's terminator branch site never changes either.
+        # use.
         self._unit_size_cache: Dict[int, int] = {}
         self._unit_latency_cache: Dict[int, int] = {}
         self._unit_fill_cache: Dict[int, int] = {}
-        self._site_cache: Dict[int, BranchSite] = {}
         self._ready_at: Dict[int, int] = {}  # unit -> completion cycle
         self._used_since_decompress: Dict[int, bool] = {}
 
@@ -220,7 +206,7 @@ class ResidencySubsystem:
         return cycles
 
     def replay_geometry(self) -> Dict[int, tuple]:
-        """Per-unit geometry/timing table for the batched replay kernel.
+        """Per-unit geometry/timing table for the replay kernel.
 
         ``unit -> (alloc_bytes, fill_cycles, read_bytes, block_count,
         blocks_sorted)`` where ``alloc_bytes`` is the allocator-aligned
@@ -259,30 +245,6 @@ class ResidencySubsystem:
             artifacts.unit_timing[key] = table
         return table
 
-    def site_for(self, block_id: int) -> BranchSite:
-        """The (memoized) terminator branch site of ``block_id``."""
-        site = self._site_cache.get(block_id)
-        if site is None:
-            terminator_index = len(self.cfg.block(block_id)) - 1
-            site = BranchSite(block_id, terminator_index)
-            self._site_cache[block_id] = site
-        return site
-
-    def ready_at(self, unit_id: int) -> int:
-        """Completion cycle of ``unit_id``'s (pre-)decompression."""
-        return self._ready_at.get(unit_id, 0)
-
-    def mark_ready(self, unit_id: int, cycle: int) -> None:
-        """Record that ``unit_id`` is usable from ``cycle`` on."""
-        self._ready_at[unit_id] = cycle
-
-    def mark_used(self, unit_id: int) -> None:
-        """A block of ``unit_id`` executed (for wasted-work accounting
-        and budget recency)."""
-        self._used_since_decompress[unit_id] = True
-        if self.budget is not None:
-            self.budget.on_unit_enter(unit_id)
-
     # ==================================================================
     # Footprint
     # ==================================================================
@@ -292,145 +254,3 @@ class ResidencySubsystem:
         if self.image is None:
             return self.cfg.total_size_bytes()
         return self.image.footprint_bytes
-
-    def sample_footprint(self) -> None:
-        """Record the current footprint on the timeline."""
-        self.footprint.record(self.timing.now, self.footprint_bytes())
-
-    # ==================================================================
-    # Traffic accounting
-    # ==================================================================
-
-    def charge_uncompressed_entry(self, block_id: int) -> None:
-        """Uncompressed system: every entry streams the block's full
-        bytes from the target memory (Section 2 traffic model).
-
-        Non-flat targets also charge their transfer latency here, so
-        the uncompressed baseline pays for its target reads the same
-        way materialisation does (zero under ``flat``).
-        """
-        nbytes = self.cfg.block(block_id).size_bytes
-        self.counters.target_memory_bytes += (
-            self.hierarchy.target_read_bytes(nbytes)
-        )
-        self.counters.target_memory_accesses += 1
-        cycles = self.hierarchy.target_read_cycles(nbytes)
-        if cycles:
-            self.timing.stall(cycles, count_stall=False, kind="mem")
-
-    # ==================================================================
-    # Materialisation / release mechanics
-    # ==================================================================
-
-    def materialise_unit(self, unit_id: int) -> None:
-        """Allocate and mark every block of ``unit_id`` decompressed."""
-        assert self.image is not None
-        for block_id in sorted(self._unit_blocks[unit_id]):
-            self.image.decompress(block_id)
-            # Materialise the actual bytes (discarding them): an
-            # undecodable payload must fail on the executed path, not
-            # only under verify_block.  The shared memo bounds the cost
-            # to one decode per block per (cfg, codec) — repeated
-            # faults, and other sweep cells, never re-run the codec.
-            self.image.block_data(block_id)
-            # Section 2 traffic model: materialisation streams the
-            # compressed payload out of the target memory, in that
-            # level's burst-rounded transactions (one access per block).
-            self.counters.target_memory_bytes += (
-                self.hierarchy.target_read_bytes(
-                    self.image.block(block_id).compressed_size
-                )
-            )
-            self.counters.target_memory_accesses += 1
-        self.counters.decompressions += 1
-        self._used_since_decompress[unit_id] = False
-        if self.timing.tracer.enabled:
-            self.timing.tracer.fill(
-                self.timing.now, unit_id,
-                self.unit_fill_cycles(unit_id),
-            )
-        if self.on_unit_decompressed is not None:
-            self.on_unit_decompressed(unit_id)
-        if self.budget is not None:
-            self.budget.on_unit_decompressed(unit_id)
-
-    def release_unit(self, unit_id: int, reason: EventKind) -> None:
-        """Delete ``unit_id``'s decompressed copy (Section 5: cheap —
-        drop the copy, patch the remembered branches).
-
-        An in-flight pre-decompression job for the unit is cancelled
-        with its unperformed work refunded, and the wasted-work counter
-        is settled exactly once (the used-flag is popped, so a unit can
-        never be counted wasted twice).
-        """
-        assert self.image is not None
-        self._ready_at.pop(unit_id, None)
-        self.timing.cancel_decompression(unit_id)
-        patches = 0
-        for block_id in sorted(self._unit_blocks[unit_id]):
-            if self.image.is_resident(block_id):
-                self.image.release(block_id)
-            patches += len(self.remember.drop_target(block_id))
-            self.remember.drop_sites_in_block(block_id)
-        self.counters.patches += patches
-        self.counters.recompressions += 1
-        if not self._used_since_decompress.pop(unit_id, True):
-            self.counters.wasted_decompressions += 1
-        # Patching runs on the background compression thread.
-        self.timing.schedule_patches(
-            unit_id, self.config.patch_cycles * patches
-        )
-        if self.timing.tracer.enabled:
-            self.timing.tracer.release(
-                self.timing.now, unit_id, reason.name.lower(), patches
-            )
-        if self.on_unit_released is not None:
-            self.on_unit_released(unit_id)
-        if self.budget is not None:
-            self.budget.on_unit_released(unit_id)
-        self.log.emit(self.timing.now, reason, unit_id, patches)
-        self.sample_footprint()
-
-    def enforce_budget(self, unit_id: int, protected: Set[int]) -> None:
-        """Evict units (LRU or configured policy) so ``unit_id`` fits."""
-        if self.budget is None or self.image is None:
-            return
-        victims = self.budget.select_victims(
-            needed_bytes=self.unit_uncompressed_size(unit_id),
-            current_footprint=self.image.footprint_bytes,
-            resident=self.resident_units(),
-            protected=protected | {unit_id},
-            size_of=self.unit_uncompressed_size,
-        )
-        for victim in victims:
-            self.release_unit(victim, EventKind.EVICT)
-            self.counters.evictions += 1
-
-    def schedule_predecompression(
-        self, block_id: int, protected: Set[int]
-    ) -> None:
-        """Queue ``block_id``'s unit on the decompression thread.
-
-        Requests are shed when the thread's backlog is full — the block
-        simply stays compressed and, if actually reached, faults on
-        demand.
-        """
-        unit_id = self.unit_of(block_id)
-        if self.is_unit_resident(unit_id):
-            return
-        if (
-            self.timing.decompression_backlog()
-            >= self.config.max_prefetch_backlog
-        ):
-            self.counters.dropped_prefetches += 1
-            return
-        self.enforce_budget(unit_id, protected=protected)
-        self.materialise_unit(unit_id)
-        job = self.timing.schedule_decompression(
-            unit_id, self.unit_fill_cycles(unit_id)
-        )
-        self._ready_at[unit_id] = job.completes_at
-        self.log.emit(
-            self.timing.now, EventKind.DECOMPRESS_START, unit_id
-        )
-        self.sample_footprint()

@@ -1,11 +1,6 @@
-"""Memory system: images, allocator, remember sets, fragmentation metrics."""
+"""Memory system: images, allocator, remember sets, hierarchy presets."""
 
 from .allocator import AllocationError, FreeHole, FreeListAllocator
-from .fragmentation import (
-    FragmentationReport,
-    FragmentationTimeline,
-    snapshot,
-)
 from .hierarchy import (
     HIERARCHIES,
     MemoryHierarchy,
@@ -40,8 +35,6 @@ __all__ = [
     "CompressionArtifacts",
     "compression_artifacts",
     "set_artifact_provider",
-    "FragmentationReport",
-    "FragmentationTimeline",
     "FreeHole",
     "FreeListAllocator",
     "HIERARCHIES",
@@ -54,5 +47,4 @@ __all__ = [
     "available_hierarchies",
     "get_hierarchy",
     "register_hierarchy",
-    "snapshot",
 ]

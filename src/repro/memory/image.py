@@ -535,24 +535,17 @@ class SeparateAreaImage(CodeImage):
         decompressed_blocks: int,
         released_blocks: int,
     ) -> None:
-        """Bring storage state in line after a batched trace replay.
+        """Bring storage state in line after an arithmetic trace replay.
 
-        The batched kernel (:mod:`repro.core.replay`) tracks residency
-        and footprint arithmetically instead of allocating per block;
-        this settles the final state: blocks resident before the kernel
-        ran (the entry unit, materialised by the pre-kernel fault) but
-        since released give up their allocations, every block in
-        ``resident_blocks`` gets a live one, and the decompress/release
-        tallies absorb the kernel's per-block counts.  Footprint
-        (``used_bytes``) ends up exactly where the per-block path would
-        have left it; transient allocator details a replay never
-        observes (hole layout, peak, extent) may differ.
+        On a trace replay the kernel (:mod:`repro.core.replay`) tracks
+        residency and footprint arithmetically instead of allocating
+        per block; this settles the final state: every block in
+        ``resident_blocks`` gets a live allocation, and the
+        decompress/release tallies absorb the kernel's per-block counts.
+        Footprint (``used_bytes``) ends up exactly where per-block
+        allocation would have left it; transient allocator details a
+        replay never observes (hole layout, peak, extent) may differ.
         """
-        keep = set(resident_blocks)
-        for block in self.blocks:
-            if block.is_resident and block.block_id not in keep:
-                self.allocator.free(block.resident_addr)
-                block.resident_addr = None
         for block_id in resident_blocks:
             block = self.blocks[block_id]
             if not block.is_resident:

@@ -30,10 +30,11 @@ class RememberSets:
     """Tracks, per target block, the branch sites currently patched to its
     decompressed copy.
 
-    The runtime calls :meth:`add_reference` whenever the exception handler
-    "updates the target address of the branch instruction" (Figure 5 steps
-    4 and 6), and :meth:`drop_target` when a decompressed copy is deleted
-    (step 9), which returns the sites that must be patched back.
+    The replay kernel (:mod:`repro.core.replay`) records a site whenever
+    the exception handler "updates the target address of the branch
+    instruction" (Figure 5 steps 4 and 6) and drops a target's set when
+    its decompressed copy is deleted (step 9), patching those sites back;
+    each patch and patch-back is counted in :attr:`total_patches`.
 
     Invariant kept for the property tests: a branch site appears in at most
     one target's remember set — a branch instruction holds one address.
@@ -43,45 +44,6 @@ class RememberSets:
         self._by_target: Dict[int, Set[BranchSite]] = {}
         self._site_target: Dict[BranchSite, int] = {}
         self.total_patches = 0
-
-    def add_reference(self, target_block: int, site: BranchSite) -> None:
-        """Record that ``site`` now jumps to ``target_block``'s copy."""
-        previous = self._site_target.get(site)
-        if previous == target_block:
-            return
-        if previous is not None:
-            self._by_target[previous].discard(site)
-        self._by_target.setdefault(target_block, set()).add(site)
-        self._site_target[site] = target_block
-        self.total_patches += 1
-
-    def drop_target(self, target_block: int) -> List[BranchSite]:
-        """Remove ``target_block``'s set; returns the sites needing
-        patch-back (each patch-back is counted in :attr:`total_patches`)."""
-        sites = sorted(
-            self._by_target.pop(target_block, set()),
-            key=lambda s: (s.block_id, s.instr_index),
-        )
-        for site in sites:
-            del self._site_target[site]
-        self.total_patches += len(sites)
-        return sites
-
-    def drop_sites_in_block(self, block_id: int) -> int:
-        """Forget all sites *located in* ``block_id`` (its decompressed copy
-        is going away, so the branches it contained no longer exist).
-
-        Returns the number of sites removed; these need no patching — the
-        memory holding them is freed.
-        """
-        removed = 0
-        for site in [
-            s for s in self._site_target if s.block_id == block_id
-        ]:
-            target = self._site_target.pop(site)
-            self._by_target[target].discard(site)
-            removed += 1
-        return removed
 
     def references_to(self, target_block: int) -> Set[BranchSite]:
         """Sites currently pointing at ``target_block``'s copy."""

@@ -3,12 +3,12 @@
 Three layers, all opt-in and all provably inert when unused:
 
 * **Cycle-domain span tracing** (:mod:`repro.obs.tracer`): an opt-in
-  :class:`Tracer` receives structured events from the single
-  stall-charging site in :class:`~repro.core.timing.TimingModel`, the
-  background-worker schedule/cancel sites, residency eviction/fill, and
+  :class:`Tracer` receives structured events from the replay kernel
+  (:mod:`repro.core.replay`) — its stall charges, background-worker
+  jobs and cancellations, unit fills, releases and evictions — and from
   per-block codec decode dispatch.  The default is :data:`NULL_TRACER`
-  (``enabled`` is False); every hook is a single attribute check, and
-  the per-block hot path has no hook at all.  Arm it per run with
+  (``enabled`` is False); every hook is a single check, and the
+  per-block hot path has no hook at all.  Arm it per run with
   ``CodeCompressionManager(..., tracer=SpanTracer())`` or ambiently for
   a whole sweep with :func:`tracing_scope`.
 * **Wall-clock span recording** (:mod:`repro.obs.spans`): the

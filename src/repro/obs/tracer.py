@@ -1,11 +1,13 @@
 """Cycle-domain span tracing for the simulator core.
 
 The tracer is a null object by default: :data:`NULL_TRACER` has
-``enabled = False`` and every hook site in the core guards with a single
-attribute check (``if tracer.enabled:``), so the disabled path adds one
-predictable branch at *rare* event sites only (faults, waits, worker
-scheduling, evictions, decodes) and nothing at all to the per-block hot
-loop — ``bench_trace_overhead`` pins this below 2%.
+``enabled = False``.  The replay kernel (:mod:`repro.core.replay`)
+checks that once per run and keeps an armed tracer in a local (None
+otherwise), so an untraced run pays one predictable branch at *rare*
+event sites only (faults, waits, worker scheduling, evictions) and
+nothing at all in the per-block hot path; the image's decode dispatch
+checks ``tracer.enabled`` on plaintext-memo misses.
+``bench_trace_overhead`` bounds what arming a tracer costs.
 
 Arming is out-of-band on purpose.  A tracer must never ride on
 :class:`~repro.core.config.SimulationConfig`: configs are fingerprinted
@@ -22,8 +24,7 @@ The ambient scope is process-global, mirroring
 ``ParallelExecutor`` worker *processes* (their runs simply stay
 untraced — results are identical by construction).
 
-Stall kinds map one-to-one onto the call sites of the single charging
-site :meth:`~repro.core.timing.TimingModel.stall`:
+Stall kinds map one-to-one onto the replay kernel's stall charges:
 
 ``decompress``
     full fault handler + synchronous fill, and waiting out an in-flight
@@ -49,8 +50,8 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-#: The stall taxonomy; one entry per distinct call site of
-#: ``TimingModel.stall``.
+#: The stall taxonomy; one entry per kind of stall the replay kernel
+#: charges.
 STALL_KINDS = ("decompress", "patch", "mem", "contention")
 
 
@@ -78,7 +79,8 @@ class Tracer:
         started_at: int,
         completes_at: int,
     ) -> None:
-        """A background job was queued on ``worker``."""
+        """A new background job was queued on ``worker`` (a request
+        for a unit whose job is still queued adds none)."""
 
     def worker_cancel(self, at: int, worker: str, unit_id: int) -> None:
         """A pending background job was cancelled (work refunded)."""

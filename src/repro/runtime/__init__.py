@@ -3,7 +3,7 @@
 from .events import Event, EventKind, EventLog
 from .machine import BlockOutcome, Machine, MachineError
 from .metrics import Counters, FootprintTimeline, SimulationResult
-from .threads import BackgroundWorker, Job
+from .threads import BackgroundWorker
 from .trace_sim import PreparedTrace, TraceMachine, simulate_trace
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "FootprintTimeline",
-    "Job",
     "Machine",
     "MachineError",
     "PreparedTrace",

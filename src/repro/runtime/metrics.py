@@ -181,11 +181,11 @@ class SimulationResult:
     #: diagnostics only: excluded from :meth:`summary` and from every
     #: serialised form, so traced and untraced runs stay byte-identical.
     phases: Optional[Dict[str, int]] = None
-    #: Which path computed the run — ``"batched"`` (the replay kernel
-    #: with window fast-forward), ``"stepped"`` (the kernel one block at
-    #: a time), ``"layered"`` (a trace replay on the per-block loop) or
-    #: ``"interpreted"`` — and the envelope condition that declined the
-    #: batched path (see :mod:`repro.core.replay`).
+    #: Which replay-kernel path computed the run — ``"batched"`` (with
+    #: window fast-forward) or ``"stepped"`` (one block at a time) — and
+    #: the condition that declined the batched path (see
+    #: :mod:`repro.core.replay`); ``engine`` says whether the trace was
+    #: interpreted or replayed.
     #: Provenance only, like ``phases``: never serialised or compared.
     replay_path: Optional[str] = field(default=None, compare=False)
     replay_declined: Optional[str] = field(default=None, compare=False)

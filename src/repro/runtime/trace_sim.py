@@ -4,10 +4,11 @@ Interpreting every instruction is the gold standard (results are
 self-validating) but costs most of the simulation time.  For large
 parameter sweeps the compression machinery only needs the *block
 sequence* and per-block cycle costs — exactly what a recorded trace
-provides.  :class:`TraceMachine` replays a trace through the standard
-:class:`~repro.core.manager.CodeCompressionManager`, producing identical
-compression behaviour (faults, stalls, footprint) at a fraction of the
-cost.
+provides.  :class:`TraceMachine` hands a trace to the standard
+:class:`~repro.core.manager.CodeCompressionManager`, whose replay kernel
+runs it exactly as it runs an interpreted run's own trace, producing
+identical compression behaviour (faults, stalls, footprint) at a
+fraction of the cost.
 
 Typical use::
 
@@ -26,17 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg.builder import ProgramCFG
 from ..memory.remember_set import BranchSite
-from .machine import BlockOutcome, MachineError
 
 #: Steps covered by one fast-forward window of a :class:`ReplayPlan`.
 #: Must be a power of two (the batched kernel tests window alignment
 #: with a bitmask).
 WINDOW_SIZE = 32
-
-#: Minimum number of windows before :class:`PreparedTrace` shards the
-#: window precompute across processes (below this the fork overhead
-#: dwarfs the work).  Module-level so tests can lower it.
-_SHARD_MIN_WINDOWS = 4096
 
 
 def _build_window(
@@ -119,45 +114,38 @@ def _build_window(
     )
 
 
-def _build_window_range(args) -> List[Tuple]:
-    """Worker for the sharded window precompute (fork-friendly)."""
-    trace, unit_steps, cycles, instructions, width, first, last = args
-    return [
-        _build_window(trace, unit_steps, cycles, instructions, wi * width,
-                      width)
-        for wi in range(first, last)
-    ]
-
-
 class ReplayPlan:
     """Precomputed per-step arrays + window aggregates for one
     (trace, unit granularity) pair.
 
     Built once per :class:`PreparedTrace` per granularity and shared by
-    every grid cell that replays the trace — the batched kernel
-    (:mod:`repro.core.replay`) walks these flat lists instead of calling
-    through the layered manager/timing/residency stack per block.
+    every grid cell that replays the trace — the replay kernel
+    (:mod:`repro.core.replay`) walks these flat lists — or once per
+    segment of a long interpreting run, whose trace reaches the kernel
+    a segment at a time.  The window aggregates are built on first use:
+    only the batched path reads them.
     """
 
     __slots__ = (
         "trace", "cycles", "instructions", "unit_steps", "sites",
-        "window_size", "windows", "total_cycles", "total_instructions",
+        "window_size", "_windows", "total_cycles", "total_instructions",
         "edge_items", "block_visits", "entered_units",
     )
 
     def __init__(
         self,
         cfg: ProgramCFG,
-        trace: Sequence[int],
-        cycles: Sequence[int],
-        instructions: Sequence[int],
+        trace: List[int],
+        cycles: List[int],
+        instructions: List[int],
         unit_of: Dict[int, int],
-        processes: Optional[int] = None,
     ) -> None:
-        self.trace = list(trace)
-        self.cycles = list(cycles)
-        self.instructions = list(instructions)
-        self.unit_steps = [unit_of[block_id] for block_id in self.trace]
+        # The per-step lists are shared with the caller (a prepared
+        # trace's own): a plan adds only what depends on the granularity.
+        self.trace = trace
+        self.cycles = cycles
+        self.instructions = instructions
+        self.unit_steps = [unit_of[block_id] for block_id in trace]
         # Terminator branch sites by block id (value-equal to the ones
         # the residency layer memoizes, so remember-set lookups match).
         self.sites = [
@@ -165,7 +153,7 @@ class ReplayPlan:
             for block in cfg.blocks
         ]
         self.window_size = WINDOW_SIZE
-        self.windows = self._build_windows(processes)
+        self._windows: Optional[List[Tuple]] = None
         # Trace-wide aggregates (the batched kernel charges these in one
         # operation each instead of summing per step).
         self.total_cycles = sum(self.cycles)
@@ -188,68 +176,70 @@ class ReplayPlan:
         #: Distinct units the trace enters, in first-entry order.
         self.entered_units = tuple(entered)
 
-    def _build_windows(
-        self, processes: Optional[int]
-    ) -> List[Tuple]:
-        width = self.window_size
-        n = len(self.trace)
-        count = (n - 1 - width) // width + 1 if n - 1 >= width else 0
-        if count <= 0:
-            return []
-        if processes and processes > 1 and count >= _SHARD_MIN_WINDOWS:
-            built = self._build_windows_sharded(count, processes)
-            if built is not None:
-                return built
-        return [
-            _build_window(self.trace, self.unit_steps, self.cycles,
-                          self.instructions, wi * width, width)
-            for wi in range(count)
-        ]
+    @property
+    def windows(self) -> List[Tuple]:
+        """The fast-forward windows (see :func:`_build_window`): one per
+        full ``window_size`` steps that has a successor step."""
+        if self._windows is None:
+            width = self.window_size
+            count = (len(self.trace) - 1) // width
+            self._windows = [
+                _build_window(self.trace, self.unit_steps, self.cycles,
+                              self.instructions, wi * width, width)
+                for wi in range(count)
+            ]
+        return self._windows
 
-    def _build_windows_sharded(
-        self, count: int, processes: int
-    ) -> Optional[List[Tuple]]:
-        """Shard the window precompute over a fork pool (opt-in).
 
-        Returns None when multiprocessing is unavailable so the caller
-        falls back to the serial build; the output is identical either
-        way (windows are pure functions of their step range).
-        """
-        try:
-            import multiprocessing
+def step_costs(
+    cfg: ProgramCFG, trace: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Flat per-step (cycles, instructions) arrays for ``trace``: each
+    step costs its block's static cycles and instruction count, exactly
+    what the interpreter charges for executing it."""
+    blocks = cfg.blocks
+    return (
+        [blocks[block_id].cycle_cost for block_id in trace],
+        [len(blocks[block_id].instructions) for block_id in trace],
+    )
 
-            context = multiprocessing.get_context("fork")
-        except (ImportError, ValueError):
-            return None
-        shards = min(processes, count)
-        bounds = [
-            (count * i // shards, count * (i + 1) // shards)
-            for i in range(shards)
-        ]
-        args = [
-            (self.trace, self.unit_steps, self.cycles, self.instructions,
-             self.window_size, first, last)
-            for first, last in bounds
-        ]
-        try:
-            with context.Pool(shards) as pool:
-                parts = pool.map(_build_window_range, args)
-        except OSError:
-            return None
-        windows: List[Tuple] = []
-        for part in parts:
-            windows.extend(part)
-        return windows
+
+def entry_charges(cfg: ProgramCFG, hierarchy) -> Tuple[List[int], List[int]]:
+    """Per-block (target read bytes, read cycles) lists for the
+    uncompressed entry charge under ``hierarchy``."""
+    nbytes = [block.size_bytes for block in cfg.blocks]
+    return (
+        [hierarchy.target_read_bytes(b) for b in nbytes],
+        [hierarchy.target_read_cycles(b) for b in nbytes],
+    )
+
+
+def _validate(cfg: ProgramCFG, trace: Sequence[int]) -> None:
+    """Reject traces no execution of ``cfg`` could have produced."""
+    if not trace:
+        raise ValueError("trace must contain at least one block")
+    if trace[0] != cfg.entry_id:
+        raise ValueError(
+            f"trace must start at the entry block "
+            f"B{cfg.entry_id}, got B{trace[0]}"
+        )
+    for src, dst in zip(trace, trace[1:]):
+        if not cfg.has_edge(src, dst):
+            raise ValueError(
+                f"trace contains impossible transition "
+                f"B{src} -> B{dst}"
+            )
 
 
 class PreparedTrace:
-    """A validated trace with its per-step outcomes precomputed.
+    """A validated trace with its per-step costs precomputed.
 
     Sweeps replay the same trace through many configurations; validating
-    edges and building :class:`~repro.runtime.machine.BlockOutcome`
-    objects once — instead of once per grid cell — removes the dominant
-    per-cell replay setup cost.  Outcomes are frozen dataclasses, so
-    sharing them across :class:`TraceMachine` instances is safe.
+    edges and building the per-step cost arrays and replay plans once —
+    instead of once per grid cell — removes the dominant per-cell replay
+    setup cost.  An interpreting run produces one of these for its own
+    replay, and the trace engine replays that same object in every grid
+    cell.
 
     The prepared trace refers to its CFG weakly: caches keyed (weakly)
     on the CFG can hold its prepared traces without keeping the graph
@@ -270,47 +260,18 @@ class PreparedTrace:
                 "silently simulate a shorter run; re-record with a "
                 "higher cap or use the interpreting engine"
             )
-        if not trace:
-            raise ValueError("trace must contain at least one block")
-        if trace[0] != cfg.entry_id:
-            raise ValueError(
-                f"trace must start at the entry block "
-                f"B{cfg.entry_id}, got B{trace[0]}"
-            )
-        for src, dst in zip(trace, trace[1:]):
-            if not cfg.has_edge(src, dst):
-                raise ValueError(
-                    f"trace contains impossible transition "
-                    f"B{src} -> B{dst}"
-                )
+        _validate(cfg, trace)
         self._cfg = weakref.ref(cfg)
-        self.trace = list(trace)
-        last = len(trace) - 1
-        self.outcomes: List[BlockOutcome] = []
-        for position, block_id in enumerate(self.trace):
-            block = cfg.block(block_id)
-            self.outcomes.append(
-                BlockOutcome(
-                    block_id,
-                    self.trace[position + 1] if position < last else None,
-                    block.cycle_cost,
-                    len(block.instructions),
-                )
-            )
-        # Flat per-step cost arrays for the batched replay kernel.
-        self.cycles: List[int] = [o.cycles for o in self.outcomes]
-        self.instructions: List[int] = [
-            o.instructions for o in self.outcomes
-        ]
+        # A list is adopted, not copied (an interpreting run hands over
+        # its freshly built trace); nothing mutates it afterwards.
+        self.trace = trace if type(trace) is list else list(trace)
+        self.cycles, self.instructions = step_costs(cfg, self.trace)
         #: granularity -> ReplayPlan (unit maps are pure functions of
         #: (cfg, granularity), so one plan serves every grid cell).
         self._plans: Dict[str, ReplayPlan] = {}
         #: hierarchy name -> per-block (read_bytes, read_cycles) for the
         #: uncompressed-mode entry charge.
         self._entry_charges: Dict[str, Tuple[List[int], List[int]]] = {}
-        #: Opt-in process count for the sharded window precompute
-        #: (set by the sweep layer for very large traces).
-        self.shard_processes: Optional[int] = None
 
     @property
     def cfg(self) -> Optional[ProgramCFG]:
@@ -329,7 +290,7 @@ class PreparedTrace:
         if plan is None:
             plan = ReplayPlan(
                 self.cfg, self.trace, self.cycles, self.instructions,
-                unit_of, processes=self.shard_processes,
+                unit_of,
             )
             self._plans[granularity] = plan
         return plan
@@ -341,13 +302,16 @@ class PreparedTrace:
         uncompressed entry charge, cached per hierarchy preset."""
         charges = self._entry_charges.get(hierarchy_name)
         if charges is None:
-            nbytes = [block.size_bytes for block in self.cfg.blocks]
-            charges = (
-                [hierarchy.target_read_bytes(b) for b in nbytes],
-                [hierarchy.target_read_cycles(b) for b in nbytes],
-            )
+            charges = entry_charges(self.cfg, hierarchy)
             self._entry_charges[hierarchy_name] = charges
         return charges
+
+    def prefix(self, length: int) -> "PreparedTrace":
+        """The first ``length`` steps (``self`` when that is all of
+        them): a run bounded by ``max_blocks`` replays this prefix."""
+        if length >= len(self.trace):
+            return self
+        return PreparedTrace(self.cfg, self.trace[:length])
 
     @classmethod
     def from_result(cls, cfg: ProgramCFG, result) -> "PreparedTrace":
@@ -366,8 +330,9 @@ class PreparedTrace:
 
 class TraceMachine:
     """Drop-in replacement for :class:`~repro.runtime.machine.Machine`
-    that replays a prerecorded block trace.
+    that supplies a prerecorded block trace instead of interpreting.
 
+    The manager replays :attr:`prepared` through the replay kernel.
     Register/memory state is not modelled: ``registers`` is ``None``, so
     a replayed run's :class:`SimulationResult.registers` is explicitly
     absent instead of presenting zeroed garbage as real machine state.
@@ -390,32 +355,10 @@ class TraceMachine:
         elif trace.cfg is not cfg:
             raise ValueError("prepared trace belongs to a different CFG")
         self.cfg = cfg
-        #: The validated trace product, exposed so the batched replay
-        #: kernel can reuse its precomputed per-step arrays and windows.
+        #: The validated trace product the replay kernel runs.
         self.prepared = trace
         self.trace = trace.trace
-        self._outcomes = trace.outcomes
-        self.position = 0
         self.registers: Optional[List[int]] = None
-        self.halted = False
-        self.steps = 0
-
-    def run_block(self, block) -> BlockOutcome:
-        """Replay one step of the trace."""
-        if self.halted:
-            raise MachineError("trace machine is halted")
-        position = self.position
-        outcome = self._outcomes[position]
-        if block.block_id != outcome.block_id:
-            raise MachineError(
-                f"trace divergence: asked to run B{block.block_id}, "
-                f"trace position {position} expects B{outcome.block_id}"
-            )
-        self.steps += outcome.instructions
-        self.position = position + 1
-        if outcome.next_block_id is None:
-            self.halted = True
-        return outcome
 
 
 def simulate_trace(

@@ -46,28 +46,12 @@ class MemoryBudget:
             )
         self.limit_bytes = limit_bytes
         self.policy = policy
+        # Recency state, kept by the replay kernel (repro.core.replay):
+        # one clock tick per unit entry and per decompression; a unit's
+        # last entry and its residency start, in clock ticks.
         self._last_use: Dict[int, int] = {}
         self._resident_since: Dict[int, int] = {}
         self._clock = 0
-
-    # ------------------------------------------------------------------
-    # Bookkeeping driven by the simulator
-    # ------------------------------------------------------------------
-
-    def on_unit_enter(self, unit_id: int) -> None:
-        """A block of ``unit_id`` was executed (refreshes recency)."""
-        self._clock += 1
-        self._last_use[unit_id] = self._clock
-
-    def on_unit_decompressed(self, unit_id: int) -> None:
-        """``unit_id`` became resident."""
-        self._clock += 1
-        self._resident_since[unit_id] = self._clock
-        self._last_use.setdefault(unit_id, self._clock)
-
-    def on_unit_released(self, unit_id: int) -> None:
-        """``unit_id`` lost residency."""
-        self._resident_since.pop(unit_id, None)
 
     # ------------------------------------------------------------------
     # Victim selection

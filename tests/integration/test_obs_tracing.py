@@ -13,7 +13,10 @@ import os
 import pytest
 
 from repro import api
-from repro.obs import STALL_KINDS, TraceSink, tracing_scope
+from repro.cfg import build_cfg
+from repro.core.manager import CodeCompressionManager
+from repro.obs import STALL_KINDS, SpanTracer, TraceSink, tracing_scope
+from repro.workloads import get_workload
 
 WORKLOADS = ("fib", "gcd")
 
@@ -133,3 +136,41 @@ class TestPhaseBreakdownCorrectness:
         """``phases`` rides on the result object, never its summary."""
         result, _ = api.run_traced("fib", CONFIGS[0])
         assert "phases" not in result.summary()
+
+
+class TestWorkerEventCounts:
+    """The tracer records what the background workers did: one job span
+    per job actually queued, one cancel per job actually cancelled."""
+
+    def _traced(self, **fields):
+        cfg = build_cfg(get_workload("composite").program)
+        tracer = SpanTracer("composite")
+        manager = CodeCompressionManager(
+            cfg,
+            api.SimulationConfig(trace_events=False, record_trace=False,
+                                 **fields),
+            tracer=tracer,
+        )
+        manager.run()
+        return manager, tracer
+
+    @pytest.mark.parametrize("fields", [
+        dict(decompression="ondemand", k_compress=1),
+        dict(decompression="pre-single", k_compress=1, k_decompress=4),
+    ], ids=["ondemand", "pre-single"])
+    def test_cancels_are_real_cancellations(self, fields):
+        manager, tracer = self._traced(**fields)
+        # Every release used to count as a cancel, pending job or not.
+        assert tracer.counts["releases"] > tracer.counts["cancels"]
+        assert tracer.counts["cancels"] == \
+            manager.decompress_worker.jobs_cancelled
+
+    def test_a_still_queued_patch_job_is_recorded_once(self):
+        # Slow patching keeps patch jobs queued while their unit is
+        # released again; the worker keeps the queued job, and the
+        # tracer must not record its (identical) span a second time.
+        _, tracer = self._traced(decompression="pre-single", k_compress=1,
+                                 k_decompress=4, patch_cycles=400)
+        spans = tracer.worker_spans
+        assert len(spans) == tracer.counts["jobs"]
+        assert len(set(spans)) == len(spans)

@@ -5,8 +5,8 @@ a flat codec, whichever execution path computes the cell:
 
 * the interpreting **machine** engine,
 * the **trace** engine's batched replay kernel, and
-* the trace engine with the replay kernel forced off (the layered
-  per-block loop)
+* the trace engine with every replay run on the frozen layered
+  per-block loop (``tests/oracle``)
 
 must all produce byte-identical ``canonical_json`` for a grid of
 pipelines x suite workloads (the result meta's ``engine`` label is
@@ -17,14 +17,17 @@ policy included — the fingerprint expands pipeline specs structurally,
 so both spellings of one pipeline share a single cache entry.
 """
 
+import importlib
 import json
 
 import pytest
 
+from oracle import layered as oracle
 from repro import api
 from repro.core import SimulationConfig
 from repro.workloads import get_workload
-import repro.core.manager as manager_module
+
+sweep_module = importlib.import_module("repro.analysis.sweep")
 
 _FAST = dict(trace_events=False, record_trace=False)
 
@@ -58,12 +61,16 @@ class TestEngineEquivalence:
     def test_machine_trace_replay_identical(self, name, monkeypatch):
         machine = api.run_grid([name], _configs(), engine="machine")
         trace = api.run_grid([name], _configs(), engine="trace")
-        for entry in ("try_batched_replay", "try_stepped_replay"):
-            monkeypatch.setattr(manager_module, entry, lambda m: False)
-        unbatched = api.run_grid([name], _configs(), engine="trace")
+        monkeypatch.setattr(sweep_module, "simulate_trace",
+                            oracle.simulate_trace)
+        layered = api.run_grid([name], _configs(), engine="trace")
         assert not machine.failures()
+        assert {run.result.replay_path for run in trace.runs} == \
+            {"batched"}
+        assert {run.result.replay_path for run in layered.runs} == \
+            {"layered"}
         assert _canonical(machine) == _canonical(trace), name
-        assert _canonical(trace) == _canonical(unbatched), name
+        assert _canonical(trace) == _canonical(layered), name
 
     def test_pipeline_search_machine_equals_trace(self):
         workload = get_workload("cold_paths")

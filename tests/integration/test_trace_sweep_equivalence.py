@@ -9,16 +9,24 @@ These tests pin that contract on the kernel suite, including the E12
 policy-injection path.
 """
 
+import importlib
+
 import pytest
 
 import repro.core.manager as manager_module
+from oracle.layered import LayeredManager, image_state, tracer_state
 from repro import api
 from repro.analysis import sweep
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
+from repro.obs.tracer import SpanTracer
 from repro.runtime import PreparedTrace, TraceMachine, simulate_trace
-from repro.strategies import RecencyWindowCompression
+from repro.strategies import (
+    STRATEGIES,
+    OnDemandDecompression,
+    RecencyWindowCompression,
+)
 from repro.strategies.predictor import available_predictors
 from repro.workloads import get_workload
 
@@ -105,7 +113,7 @@ class TestSweepEngineEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The kernel's widened envelope: pre-decompression, budgets, events
+# The replay kernel against the frozen layered loop (tests/oracle)
 # ----------------------------------------------------------------------
 
 #: Workloads for the per-cell differential grid (``modular`` has real
@@ -190,12 +198,19 @@ def _tight_budget(cfg, config):
     return residency.image.compressed_image_size + 3 * largest, len(units)
 
 
-def _run(cfg, config, prepared=None):
-    """Interpret (no ``prepared``) or replay one cell; (manager, result)."""
-    manager = CodeCompressionManager(cfg, config)
+def _run(cfg, config, prepared=None, **kwargs):
+    """Interpret (no ``prepared``) or replay one cell on the kernel;
+    (manager, result)."""
+    manager = CodeCompressionManager(cfg, config, **kwargs)
     if prepared is not None:
         manager.machine = TraceMachine(cfg, prepared)
     return manager, manager.run()
+
+
+def _oracle(cfg, config, prepared=None, max_blocks=None, **kwargs):
+    """The same cell on the frozen layered loop; (manager, result)."""
+    oracle = LayeredManager(cfg, config, trace=prepared, **kwargs)
+    return oracle, oracle.run(max_blocks=max_blocks)
 
 
 def _without(monkeypatch, *entries):
@@ -205,14 +220,13 @@ def _without(monkeypatch, *entries):
 
 
 class TestKernelEnvelopeEquivalence:
-    """machine == replay kernel == forced layered per-block loop, per
-    cell, and the kernel provably ran."""
+    """machine == replay kernel == frozen layered loop, per cell, and the
+    kernel provably ran."""
 
     @pytest.mark.parametrize("name", _KERNEL_WORKLOADS)
     @pytest.mark.parametrize("fields", _KERNEL_CELLS)
-    def test_cell_identical_on_every_path(
-        self, kernel_traces, name, fields, monkeypatch
-    ):
+    def test_cell_identical_on_every_path(self, kernel_traces, name,
+                                          fields):
         cfg, prepared, profile = kernel_traces[name]
         fields = dict(fields, record_trace=False)
         fields.setdefault("trace_events", False)
@@ -228,26 +242,28 @@ class TestKernelEnvelopeEquivalence:
 
         machine, interpreted = _run(cfg, config)
         kernel, stepped = _run(cfg, config, prepared)
-        _without(monkeypatch, "try_batched_replay", "try_stepped_replay")
-        per_block, layered = _run(cfg, config, prepared)
-        monkeypatch.undo()
+        oracle, layered = _oracle(cfg, config)
 
         context = f"{name}/{config.strategy_name}"
-        assert kernel.replay_path == "stepped", \
-            f"{context}: kernel declined ({kernel.replay_declined})"
-        assert kernel.replay_declined in (
-            "predecompress", "budget", "events"
-        ), context
-        assert interpreted.replay_path == "interpreted"
-        _assert_results_equal(interpreted, stepped, context)
-        _assert_results_equal(stepped, layered, context)
+        for run in (machine, kernel):
+            assert run.replay_path == "stepped", \
+                f"{context}: kernel declined ({run.replay_declined})"
+            assert run.replay_declined in (
+                "predecompress", "budget", "events"
+            ), context
+        assert (interpreted.engine, stepped.engine) == ("machine", "trace")
+        _assert_results_equal(layered, interpreted, context)
+        _assert_results_equal(layered, stepped, context)
+        # An interpreting run drives the live allocator block by block.
+        assert image_state(machine.image) == image_state(oracle.image), \
+            context
         if budgeted and units > 3:
             # (A one-function program has nothing to evict.)
             assert stepped.counters.evictions > 0, context
         if config.trace_events:
             assert kernel.log.events, context
-            assert kernel.log.events == per_block.log.events, context
-            assert kernel.log.events == machine.log.events, context
+            assert kernel.log.events == oracle.log.events, context
+            assert machine.log.events == oracle.log.events, context
 
     @pytest.mark.parametrize("name", _KERNEL_WORKLOADS)
     @pytest.mark.parametrize("k_compress", [1, 4, None])
@@ -260,9 +276,11 @@ class TestKernelEnvelopeEquivalence:
         _without(monkeypatch, "try_batched_replay")
         _, stepped = _run(cfg, config, prepared)
         monkeypatch.undo()
+        _, layered = _oracle(cfg, config, prepared)
         assert (batched.replay_path, stepped.replay_path) == \
             ("batched", "stepped")
         _assert_results_equal(batched, stepped, config.strategy_name)
+        _assert_results_equal(layered, batched, config.strategy_name)
 
     def test_trace_engine_sweep_runs_every_cell_on_the_kernel(self):
         # The sweep layer end to end: pre-decompression, a budget and
@@ -286,3 +304,331 @@ class TestKernelEnvelopeEquivalence:
             assert t_run.result.replay_path == "stepped"
         assert [run.result.replay_declined for run in trace.runs] == \
             ["predecompress", "predecompress", "budget", "events"]
+
+
+# ----------------------------------------------------------------------
+# Runs the layered loop used to take: tracing, injected and plug-in
+# policies, the in-place image, record_trace, max_blocks
+# ----------------------------------------------------------------------
+
+
+class _Lookahead(OnDemandDecompression):
+    """A plug-in pre-decompression strategy: warm the entry's successors,
+    then at every exit the successor the live edge profile has taken
+    most often.  It reads the manager's profile and residency through
+    the ManagerView, and observes every edge."""
+
+    uses_thread = True
+
+    def __init__(self):
+        self.edges = 0
+
+    def on_program_start(self, entry_block):
+        return sorted(self.view.cfg.successors(entry_block))
+
+    def on_block_exit(self, block_id):
+        choice = self.view.profile.most_likely_successor(
+            self.view.cfg, block_id
+        )
+        if choice is None or self.view.is_unit_resident(
+            self.view.unit_of(choice)
+        ):
+            return []
+        return [choice]
+
+    def on_edge(self, src_block, dst_block):
+        self.edges += 1
+
+
+@pytest.fixture(scope="module")
+def lookahead_strategy():
+    """Register :class:`_Lookahead` as ``test-lookahead`` for the module."""
+    STRATEGIES.register("test-lookahead")(_Lookahead)
+    yield
+    STRATEGIES.remove("test-lookahead")
+
+#: One cell per run kind the kernel took over, with the kernel path
+#: (and declined condition) it must take.  ``window`` injects a fresh
+#: RecencyWindowCompression of that size into every run, ``tracer``
+#: arms a SpanTracer, ``max_blocks`` bounds the run.
+_TAKEOVER_CELLS = [
+    _cell("tracer-ondemand", path=("batched", None), tracer=True,
+          k_compress=1),
+    _cell("tracer-pre-single-slow-patches",
+          path=("stepped", "predecompress"), tracer=True,
+          decompression="pre-single", k_compress=1, k_decompress=4,
+          patch_cycles=400),
+    _cell("tracer-pre-all-budget-contention",
+          path=("stepped", "predecompress"), tracer=True,
+          decompression="pre-all", k_compress=2, k_decompress=2,
+          memory_budget="tight", contention=0.25),
+    _cell("tracer-uncompressed-spm", path=("batched", None), tracer=True,
+          decompression="none", hierarchy="spm-front"),
+    _cell("window-ondemand", path=("stepped", "policy"), window=4,
+          k_compress=1),
+    _cell("window-pre-single", path=("stepped", "predecompress"),
+          window=2, decompression="pre-single", k_compress=1,
+          k_decompress=2),
+    _cell("plugin", path=("stepped", "predecompress"), tracer=True,
+          decompression="test-lookahead", k_compress=2),
+    _cell("inplace-ondemand", path=("batched", None),
+          image_scheme="inplace", k_compress=2),
+    _cell("inplace-pre-all-events", path=("stepped", "predecompress"),
+          image_scheme="inplace", decompression="pre-all", k_compress=1,
+          k_decompress=2, trace_events=True),
+    _cell("record-trace", path=("batched", None), record_trace=True,
+          k_compress=4),
+    _cell("max-blocks", path=("batched", None), max_blocks=100,
+          k_compress=2),
+    _cell("max-blocks-pre-single", path=("stepped", "predecompress"),
+          max_blocks=100, decompression="pre-single", k_compress=2,
+          k_decompress=2),
+    _cell("uncompressed-budget", path=("stepped", "budget"),
+          decompression="none", memory_budget=4000),
+    _cell("uncompressed-budget-events", path=("stepped", "budget"),
+          decompression="none", memory_budget=4000, trace_events=True),
+]
+
+
+def _takeover_runs(cfg, prepared, fields):
+    """One cell four ways — interpreted and replayed, on the kernel and
+    on the oracle.  Each run gets fresh policies, a fresh tracer when
+    armed, and a cold plaintext memo (so decode spans match)."""
+    fields = dict(fields)
+    fields.pop("path")
+    window = fields.pop("window", None)
+    traced = fields.pop("tracer", False)
+    max_blocks = fields.pop("max_blocks", None)
+    fields.setdefault("trace_events", False)
+    fields.setdefault("record_trace", False)
+    budgeted = fields.get("memory_budget") == "tight"
+    if budgeted:
+        fields["memory_budget"] = None
+    config = SimulationConfig(**fields)
+    if budgeted:
+        config = config.replace(
+            memory_budget=_tight_budget(cfg, config)[0]
+        )
+    runs = {}
+    for name, factory in (("machine", CodeCompressionManager),
+                          ("oracle", LayeredManager)):
+        for replayed in (False, True):
+            kwargs = {}
+            if window is not None:
+                kwargs["compression_policy"] = \
+                    RecencyWindowCompression(window)
+            if traced:
+                kwargs["tracer"] = SpanTracer(cfg.name)
+            if factory is LayeredManager and replayed:
+                kwargs["trace"] = prepared
+            manager = factory(cfg, config, **kwargs)
+            if factory is CodeCompressionManager and replayed:
+                manager.machine = TraceMachine(cfg, prepared)
+            if manager.residency.artifacts is not None:
+                manager.residency.artifacts.plaintext.clear()
+            result = manager.run(max_blocks=max_blocks)
+            key = f"{name}-{'trace' if replayed else 'interp'}"
+            runs[key] = (manager, result)
+    return config, runs
+
+
+class TestKernelTakeoverEquivalence:
+    """The runs the layered loop used to take now run on the kernel —
+    interpreting and replaying — and match the frozen oracle exactly:
+    results, events, tracer spans, budget recency and allocator state."""
+
+    @pytest.mark.parametrize("name", _KERNEL_WORKLOADS)
+    @pytest.mark.parametrize("fields", _TAKEOVER_CELLS)
+    def test_cell_identical_to_the_oracle(self, kernel_traces, name,
+                                          fields, lookahead_strategy):
+        cfg, prepared, _ = kernel_traces[name]
+        config, runs = _takeover_runs(cfg, prepared, fields)
+        context = f"{name}/{config.strategy_name}"
+        reference, expected = runs["oracle-interp"]
+        assert expected.replay_path == "layered"
+
+        for key in ("machine-interp", "machine-trace", "oracle-trace"):
+            manager, result = runs[key]
+            where = f"{context} [{key}]"
+            if key.startswith("machine"):
+                assert (result.replay_path, result.replay_declined) == \
+                    fields["path"], where
+            _assert_results_equal(expected, result, where)
+            assert result.block_trace == expected.block_trace, where
+            assert result.trace_truncated == expected.trace_truncated, \
+                where
+            assert manager.log.events == reference.log.events, where
+            if manager.tracer.enabled:
+                assert tracer_state(manager.tracer) == \
+                    tracer_state(reference.tracer), where
+            if config.memory_budget is not None:
+                budget, oracle_budget = manager.budget, reference.budget
+                assert (budget._clock, budget._last_use,
+                        budget._resident_since) == \
+                    (oracle_budget._clock, oracle_budget._last_use,
+                     oracle_budget._resident_since), where
+            if key == "machine-interp":
+                assert result.registers == expected.registers, where
+            if manager.image is not None and (
+                key != "machine-trace" or config.image_scheme == "inplace"
+            ):
+                # Every run but an arithmetic trace replay drives the
+                # live image block by block.
+                assert image_state(manager.image) == \
+                    image_state(reference.image), where
+                assert (manager.image.allocator.hole_count,
+                        manager.image.address_space_bytes) == \
+                    (reference.image.allocator.hole_count,
+                     reference.image.address_space_bytes), where
+
+        if config.record_trace:
+            assert len(expected.block_trace) == \
+                expected.counters.blocks_executed > 0
+        if fields.get("max_blocks") is not None:
+            assert expected.counters.blocks_executed == \
+                fields["max_blocks"]
+        if fields.get("tracer"):
+            assert sum(expected.phases.values()) == expected.total_cycles
+        if fields.get("window") is not None:
+            assert expected.counters.recompressions > 0, context
+        if config.image_scheme == "inplace":
+            assert reference.image.relocations > 0, context
+        if config.decompression == "test-lookahead":
+            for key in ("machine-interp", "machine-trace"):
+                manager = runs[key][0]
+                assert manager.decompression.edges == \
+                    reference.decompression.edges > 0
+
+
+# ----------------------------------------------------------------------
+# Long interpreting runs: the trace reaches the kernel in segments
+# ----------------------------------------------------------------------
+
+#: Segment lengths: shorter than a window (no window fits), and three
+#: windows plus one step (below the max-blocks cells' 100).
+_SEGMENTS = (7, 97)
+
+#: The takeover cells plus window fast-forward (k=16, k=inf), the
+#: predictor, budget and event paths, and generic hooks without an
+#: image.
+_SEGMENTED_CELLS = _TAKEOVER_CELLS + [
+    _cell("ondemand-k16", path=("batched", None), k_compress=16),
+    _cell("ondemand-kinf", path=("batched", None), k_compress=None),
+    _cell("uncompressed-window", path=("stepped", "policy"),
+          decompression="none", window=4),
+    _cell("pre-single-events", path=("stepped", "predecompress"),
+          decompression="pre-single", k_compress=1, k_decompress=4,
+          trace_events=True),
+    _cell("pre-all-budget-events", path=("stepped", "predecompress"),
+          decompression="pre-all", k_compress=None, k_decompress=2,
+          memory_budget="tight", eviction="fifo", trace_events=True),
+    _cell("ondemand-budget", path=("stepped", "budget"),
+          k_compress=4, memory_budget="tight", tracer=True),
+    _cell("uncompressed", path=("batched", None), decompression="none"),
+]
+
+
+def _profile_state(profile):
+    return (list(profile.edge_counts.items()),
+            list(profile.block_counts.items()))
+
+
+class TestSegmentedInterpretation:
+    """An interpreting run longer than one segment hands the kernel its
+    trace a segment at a time — bounded memory — and still matches the
+    frozen oracle exactly."""
+
+    @pytest.mark.parametrize("segment", _SEGMENTS)
+    @pytest.mark.parametrize("name", _KERNEL_WORKLOADS)
+    @pytest.mark.parametrize("fields", _SEGMENTED_CELLS)
+    def test_cell_identical_to_the_oracle(self, kernel_traces, name,
+                                          fields, segment, monkeypatch,
+                                          lookahead_strategy):
+        cfg, prepared, _ = kernel_traces[name]
+        lengths = []
+
+        class _Spy(manager_module.ReplayPlan):
+            __slots__ = ()
+
+            def __init__(self, cfg, trace, *rest):
+                lengths.append(len(trace))
+                super().__init__(cfg, trace, *rest)
+
+        monkeypatch.setattr(manager_module, "_SEGMENT", segment)
+        monkeypatch.setattr(manager_module, "ReplayPlan", _Spy)
+        config, runs = _takeover_runs(cfg, prepared, fields)
+        context = f"{name}/{config.strategy_name}/segment={segment}"
+        reference, expected = runs["oracle-interp"]
+        manager, result = runs["machine-interp"]
+
+        steps = expected.counters.blocks_executed
+        assert manager.prepared is None, context
+        assert sum(lengths) == steps and max(lengths) == segment, context
+        assert (result.replay_path, result.replay_declined) == \
+            fields["path"], context
+        _assert_results_equal(expected, result, context)
+        assert result.registers == expected.registers, context
+        assert (result.block_trace, result.trace_truncated) == \
+            (expected.block_trace, expected.trace_truncated), context
+        assert manager.log.events == reference.log.events, context
+        assert _profile_state(manager.profile) == \
+            _profile_state(reference.profile), context
+        if manager.tracer.enabled:
+            assert tracer_state(manager.tracer) == \
+                tracer_state(reference.tracer), context
+        if config.memory_budget is not None:
+            budget, oracle_budget = manager.budget, reference.budget
+            assert (budget._clock, budget._last_use,
+                    budget._resident_since) == \
+                (oracle_budget._clock, oracle_budget._last_use,
+                 oracle_budget._resident_since), context
+        if manager.image is not None:
+            assert image_state(manager.image) == \
+                image_state(reference.image), context
+        if config.decompression == "test-lookahead":
+            assert manager.decompression.edges == \
+                reference.decompression.edges > 0
+
+    @pytest.mark.parametrize("k_compress", [4, 16, None])
+    def test_window_fast_forward_in_segments(self, k_compress,
+                                             monkeypatch):
+        # composite is the suite kernel whose windows fast-forward
+        # (cold_paths and modular barely do): segment by segment too.
+        monkeypatch.setattr(manager_module, "_SEGMENT", 97)
+        cfg = build_cfg(get_workload("composite").program)
+        config = SimulationConfig(k_compress=k_compress, **_FAST)
+        manager, result = _run(cfg, config)
+        oracle, expected = _oracle(cfg, config)
+        assert (manager.prepared, result.replay_path) == (None, "batched")
+        _assert_results_equal(expected, result, config.strategy_name)
+        assert _profile_state(manager.profile) == \
+            _profile_state(oracle.profile)
+        assert image_state(manager.image) == image_state(oracle.image)
+
+    def test_short_run_is_prepared_whole(self, kernel_traces):
+        cfg, prepared, _ = kernel_traces["cold_paths"]
+        manager, result = _run(cfg, SimulationConfig(**_FAST))
+        assert manager.prepared.trace == prepared.trace
+        assert result.counters.blocks_executed == len(prepared.trace)
+
+    def test_trace_engine_replays_a_segmented_recording(self, monkeypatch):
+        # A recording longer than one segment is prepared from its
+        # recorded block trace; every cell still matches the machine.
+        sweep_module = importlib.import_module("repro.analysis.sweep")
+        prepared = []
+
+        def spy(cfg, trace):
+            prepared.append(len(trace))
+            return PreparedTrace(cfg, trace)
+
+        monkeypatch.setattr(manager_module, "_SEGMENT", 50)
+        monkeypatch.setattr(sweep_module, "PreparedTrace", spy)
+        workload = get_workload("composite")
+        machine = sweep([workload], _CONFIGS, engine="machine")
+        trace = sweep([workload], _CONFIGS, engine="trace")
+        assert prepared == [4817]
+        for m_run, t_run in zip(machine.runs, trace.runs):
+            assert t_run.result.engine == "trace"
+            _assert_results_equal(
+                m_run.result, t_run.result, t_run.config.strategy_name
+            )

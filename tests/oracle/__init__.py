@@ -1,0 +1,10 @@
+"""Frozen differential oracles for the simulator's fast paths.
+
+:mod:`oracle.layered` pins the layered per-block runtime loop — the
+manager's fault handler and edge hooks over the residency, timing and
+background-worker mechanics — that the replay kernel
+(:mod:`repro.core.replay`) replaced, the way
+:mod:`repro.compress.reference` pins the seed Huffman codec.  It is an
+independent second implementation kept only for the differential
+suites; nothing under ``src/`` imports it.
+"""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracle import layered as oracle
 from repro import api
 from repro.core import SimulationConfig
 from repro.strategies.budget import BudgetError, MemoryBudget
@@ -19,7 +20,10 @@ SIZES = {1: 100, 2: 50, 3: 200, 4: 75}
 
 
 def _budget(policy: str) -> MemoryBudget:
-    return MemoryBudget(limit_bytes=1000, policy=policy)
+    """A budget whose recency state the test drives through the frozen
+    layered oracle's per-call hooks (the replay kernel updates the same
+    dicts inline)."""
+    return oracle.MemoryBudget(limit_bytes=1000, policy=policy)
 
 
 class TestConstruction:

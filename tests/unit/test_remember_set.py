@@ -1,6 +1,12 @@
-"""Unit tests for remember sets (branch-patch tracking, paper Section 5)."""
+"""Unit tests for remember sets (branch-patch tracking, paper Section 5).
 
-from repro.memory import BranchSite, RememberSets
+The queries and the invariant check are the production ones; the
+per-call mutators live on the frozen layered oracle (``tests/oracle``),
+since the replay kernel patches the sets' dicts inline.
+"""
+
+from oracle.layered import RememberSets
+from repro.memory import BranchSite
 
 
 class TestRememberSets:

@@ -1,23 +1,21 @@
-"""Unit tests for the replay kernel's envelopes and provenance,
-the background-worker settle hook, and the trace engine's caches and
-fallback events."""
+"""Unit tests for the replay kernel's entry points and provenance,
+the oracle worker's settle hook, and the trace engine's caches and
+error rows."""
 
 import dataclasses
 import gc
 import importlib
-import logging
 
 import pytest
 
+from oracle.layered import BackgroundWorker
 from repro import api
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
-from repro.log import parse_kv
 from repro.memory.allocator import FreeListAllocator
 from repro.obs.tracer import SpanTracer
 from repro.runtime import PreparedTrace, TraceMachine, simulate_trace
-from repro.runtime.threads import BackgroundWorker
 from repro.store.records import run_to_record
 from repro.strategies import RecencyWindowCompression
 from repro.workloads import get_workload
@@ -73,63 +71,78 @@ class TestEnvelope:
         assert (result.replay_path, result.replay_declined) == \
             ("stepped", declined)
 
-    def test_interpreting_run_is_recorded_as_such(self, recorded):
+    def test_interpreting_runs_replay_on_the_kernel(self, recorded):
         cfg, _ = recorded
-        result = CodeCompressionManager(
+        batched = CodeCompressionManager(
             cfg, SimulationConfig(**_FAST)
         ).run()
-        assert (result.replay_path, result.replay_declined) == \
-            ("interpreted", "machine")
+        stepped = CodeCompressionManager(
+            cfg, SimulationConfig(decompression="pre-all", **_FAST)
+        ).run()
+        assert (batched.engine, batched.replay_path,
+                batched.replay_declined) == ("machine", "batched", None)
+        assert (stepped.engine, stepped.replay_path,
+                stepped.replay_declined) == \
+            ("machine", "stepped", "predecompress")
 
-    def test_record_trace_declines(self, recorded):
+    @pytest.mark.parametrize("fields", [
+        dict(record_trace=True),
+        dict(image_scheme="inplace"),
+        dict(decompression="none", record_trace=True),
+    ])
+    def test_former_layered_cases_take_the_batched_path(
+        self, recorded, fields
+    ):
         cfg, prepared = recorded
-        manager = _replay(cfg, prepared, SimulationConfig(
-            trace_events=False, record_trace=True))
-        result = manager.run()
+        config = SimulationConfig(**{**_FAST, **fields})
+        result = simulate_trace(cfg, prepared, config)
         assert (result.replay_path, result.replay_declined) == \
-            ("layered", "record_trace")
+            ("batched", None)
 
-    def test_armed_tracer_declines(self, recorded):
+    def test_armed_tracer_takes_the_batched_path(self, recorded):
         cfg, prepared = recorded
         result = simulate_trace(cfg, prepared, SimulationConfig(**_FAST),
                                 tracer=SpanTracer(cfg.name))
-        assert result.replay_declined == "tracer"
+        assert (result.replay_path, result.replay_declined) == \
+            ("batched", None)
 
-    def test_injected_compression_policy_declines(self, recorded):
+    def test_injected_compression_policy_steps(self, recorded):
         cfg, prepared = recorded
         result = simulate_trace(
             cfg, prepared, SimulationConfig(**_FAST),
             compression_policy=RecencyWindowCompression(4),
         )
-        assert result.replay_declined == "policy"
+        assert (result.replay_path, result.replay_declined) == \
+            ("stepped", "policy")
 
-    def test_inplace_image_declines(self, recorded):
-        cfg, prepared = recorded
-        result = simulate_trace(cfg, prepared, SimulationConfig(
-            image_scheme="inplace", **_FAST))
-        assert result.replay_declined == "image"
-
-    def test_bounded_allocator_declines(self, recorded):
+    def test_bounded_allocator_takes_the_batched_path(self, recorded):
         cfg, prepared = recorded
         manager = _replay(cfg, prepared, SimulationConfig(**_FAST))
         image = manager.residency.image
         image.allocator = FreeListAllocator(
             base=image.allocator.base, capacity=1 << 20, alignment=4
         )
-        assert manager.run().replay_declined == "allocator"
+        result = manager.run()
+        assert (result.replay_path, result.replay_declined) == \
+            ("batched", None)
+        # The bounded area is driven live, block by block.
+        assert image.allocator.allocation_count == \
+            result.counters.decompressions
 
-    def test_uncompressed_budget_declines(self, recorded):
+    def test_uncompressed_budget_steps(self, recorded):
         cfg, prepared = recorded
         result = simulate_trace(cfg, prepared, SimulationConfig(
             decompression="none", memory_budget=4000, **_FAST))
-        assert result.replay_declined == "budget"
+        assert (result.replay_path, result.replay_declined) == \
+            ("stepped", "budget")
 
-    def test_max_blocks_declines(self, recorded):
+    def test_max_blocks_replays_a_prefix(self, recorded):
         cfg, prepared = recorded
         result = simulate_trace(cfg, prepared, SimulationConfig(**_FAST),
                                 max_blocks=10)
         assert (result.replay_path, result.replay_declined) == \
-            ("layered", "max_blocks")
+            ("batched", None)
+        assert result.counters.blocks_executed == 10
 
 
 class TestProvenanceStaysOutOfResults:
@@ -138,20 +151,23 @@ class TestProvenanceStaysOutOfResults:
         machine = api.run_grid(["fsm"], configs, engine="machine")
         trace = api.run_grid(["fsm"], configs, engine="trace")
         assert trace.runs[0].result.replay_path == "stepped"
-        assert machine.runs[0].result.replay_path == "interpreted"
+        assert machine.runs[0].result.replay_path == "stepped"
         # Only the engine label in the meta may tell the two apart.
         assert machine.canonical_json().replace('"machine"', '"trace"') \
             == trace.canonical_json()
         assert "replay_path" not in trace.canonical_json()
         result = trace.runs[0].result
-        assert dataclasses.replace(result, replay_path="layered",
-                                   replay_declined="tracer") == result
+        assert dataclasses.replace(result, replay_path="batched",
+                                   replay_declined="policy") == result
         record = run_to_record(trace.runs[0], "0" * 64)
         assert "replay_path" not in record["result"]
         assert "replay_declined" not in record["result"]
 
 
 class TestAbsorbJobs:
+    """The oracle worker's bulk settle (a frozen copy of the hook the
+    layered loop and the kernel once reconciled through)."""
+
     def test_replaces_the_queue_and_settles_tallies(self):
         worker = BackgroundWorker("decompression")
         worker.schedule(0, 1, 10)
@@ -202,27 +218,20 @@ class TestTraceCache:
         assert prepared.cfg is None
 
 
-class TestReplayFallbackEvent:
-    def test_failed_replay_is_announced(self, monkeypatch, caplog):
+class TestReplayErrorRow:
+    def test_failed_replay_becomes_an_error_row(self, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("injected")
 
         monkeypatch.setattr(sweep_module, "simulate_trace", broken)
         config = SimulationConfig(decompression="ondemand", k_compress=1,
                                   **_FAST)
-        with caplog.at_level(logging.WARNING, logger="repro.sweep"):
-            result = sweep_module.sweep([get_workload("fib")], [config],
-                                        engine="trace")
-        events = [
-            parse_kv(record.getMessage()) for record in caplog.records
-            if "sweep.replay_fallback" in record.getMessage()
-        ]
-        assert events == [{
-            "event": "sweep.replay_fallback",
-            "workload": "fib",
-            "label": config.strategy_name,
-            "exception": "KeyError",
-        }]
-        # The cell itself was re-interpreted and still completed.
-        assert result.runs[0].ok
-        assert result.runs[0].result.replay_path == "interpreted"
+        result = sweep_module.sweep([get_workload("fib")], [config],
+                                    engine="trace")
+        [run] = result.runs
+        # Re-interpreting would only run the same kernel again: the cell
+        # fails loudly, naming the exception.
+        assert not run.ok
+        assert run.error == "KeyError: 'injected'"
+        assert run.validation == ["cell raised KeyError: 'injected'"]
+        assert result.errors() == [run]

@@ -1,17 +1,20 @@
-"""Unit tests for the ResidencySubsystem.
+"""Unit tests for residency: unit geometry, and the release mechanics.
 
 Focus: budget eviction racing an in-flight pre-decompression.  An
 evicted unit whose background decompression job is still pending must be
 cancelled cleanly (unperformed work refunded, queue re-chained) and must
 settle ``wasted_decompressions`` exactly once — never twice, however the
-release happens.
+release happens.  The per-call mechanics are pinned on the frozen
+layered oracle (``tests/oracle``); the replay kernel is held to that
+oracle cell by cell in ``tests/integration/test_trace_sweep_equivalence.py``.
 """
 
 import pytest
 
+from oracle.layered import ResidencySubsystem, TimingModel
 from repro.cfg import build_cfg
-from repro.core import SimulationConfig, TimingModel
-from repro.core.residency import ResidencySubsystem
+from repro.core import SimulationConfig
+from repro.core import residency as production
 from repro.isa import assemble
 from repro.runtime import EventKind
 from repro.runtime.events import EventLog
@@ -144,11 +147,17 @@ class TestEvictionVsInFlightPredecompression:
         assert timing.decompress_worker.backlog() == 1
 
 
+def _geometry(cfg, **config_kwargs):
+    return production.ResidencySubsystem(cfg, SimulationConfig(
+        decompression="ondemand", **config_kwargs, **_FAST,
+    ))
+
+
 class TestResidencyGeometry:
     def test_fill_cycles_equal_decompress_latency_under_flat(
         self, straight_cfg
     ):
-        residency, _, _ = _subsystem(straight_cfg)
+        residency = _geometry(straight_cfg)
         for unit in (0, 1, 2):
             assert residency.unit_fill_cycles(unit) == \
                 residency.unit_decompress_latency(unit)
@@ -156,9 +165,7 @@ class TestResidencyGeometry:
     def test_fill_cycles_add_bus_cost_under_spm_front(
         self, straight_cfg
     ):
-        residency, _, _ = _subsystem(
-            straight_cfg, hierarchy="spm-front"
-        )
+        residency = _geometry(straight_cfg, hierarchy="spm-front")
         for unit in (0, 1, 2):
             assert residency.unit_fill_cycles(unit) > \
                 residency.unit_decompress_latency(unit)

@@ -1,9 +1,14 @@
-"""Unit tests for events, metrics, and background-thread timelines."""
+"""Unit tests for events, metrics, and background-thread timelines.
+
+The FIFO queue arithmetic is pinned on the frozen layered oracle's
+worker (``tests/oracle``); the production worker only keeps the tallies
+the replay kernel leaves behind.
+"""
 
 import pytest
 
+from oracle.layered import BackgroundWorker
 from repro.runtime import (
-    BackgroundWorker,
     Counters,
     EventKind,
     EventLog,

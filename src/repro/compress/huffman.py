@@ -35,6 +35,9 @@ _TAG_RAW = 0
 _TAG_SINGLE = 1
 _TAG_HUFFMAN = 2
 
+#: Format tag -> offset of the payload's 4-byte declared output length.
+_DECLARED_LENGTH = {_TAG_RAW: 1, _TAG_SINGLE: 2, _TAG_HUFFMAN: 1}
+
 
 def byte_frequencies(chunks: Iterable[bytes]) -> Counter:
     """Tally byte values across ``chunks`` into a :class:`Counter`.
@@ -317,6 +320,25 @@ class HuffmanCodec(Codec):
         if len(payload) >= len(data) + 5:
             return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
         return payload
+
+    def decompress_block(self, payload: bytes, length: int) -> bytes:
+        """Decode a code-image payload of a block known to be ``length``
+        bytes long.
+
+        The payload is the :meth:`compress` format.  Its declared length
+        (the raw length, the single-symbol count or the original
+        length) must equal ``length``; a payload declaring anything
+        else raises :class:`CodecError` before any output is allocated.
+        """
+        offset = _DECLARED_LENGTH.get(payload[0]) if payload else None
+        if offset is not None and len(payload) >= offset + 4:
+            declared = int.from_bytes(payload[offset : offset + 4], "big")
+            if declared != length:
+                raise CodecError(
+                    f"huffman payload declares {declared} bytes, the "
+                    f"block holds {length}"
+                )
+        return self.decompress(payload)
 
     def decompress(self, payload: bytes) -> bytes:
         if not payload:

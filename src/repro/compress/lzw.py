@@ -23,6 +23,10 @@ _TAG_LZW = 1
 _INITIAL_WIDTH = 9
 _MAX_WIDTH = 16
 
+#: The 256 single-byte entries every dictionary starts from (in code
+#: order); each block's encoder and decoder copies its own table.
+_SEED_CODES: Dict[bytes, int] = {bytes((i,)): i for i in range(256)}
+
 
 @register_codec("lzw")
 class LZWCodec(Codec):
@@ -37,7 +41,7 @@ class LZWCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         if not data:
             return bytes((_TAG_RAW, 0, 0, 0, 0))
-        table: Dict[bytes, int] = {bytes((i,)): i for i in range(256)}
+        table = dict(_SEED_CODES)
         next_code = 256
         width = _INITIAL_WIDTH
         writer = BitWriter()
@@ -83,7 +87,7 @@ class LZWCodec(Codec):
         if original_length == 0:
             return b""
 
-        table: List[bytes] = [bytes((i,)) for i in range(256)]
+        table = list(_SEED_CODES)
         width = _INITIAL_WIDTH
         reader = BitReader(body)
         out = bytearray()

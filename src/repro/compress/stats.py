@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 from ..cfg.basic_block import BasicBlock
-from ..isa.encoding import encode_program
 from .codec import Codec, compress_for_image, get_codec
 
 
@@ -81,8 +80,9 @@ class ImageCompressionStats:
 
 
 def block_bytes(block: BasicBlock) -> bytes:
-    """Encode a basic block's instructions into their binary image."""
-    return encode_program(block.instructions)
+    """Encode a basic block's instructions into their binary image
+    (memoized on the block, see :attr:`BasicBlock.encoded`)."""
+    return block.encoded
 
 
 def measure_block(block: BasicBlock, codec: Codec) -> BlockCompressionStats:

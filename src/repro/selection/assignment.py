@@ -50,9 +50,13 @@ from typing import (
 )
 
 from ..cfg.builder import ProgramCFG
-from ..cfg.loops import natural_loops
 from ..cfg.profile import EdgeProfile
-from ..compress.codec import CodecError, get_codec, resolve_codec_spec
+from ..compress.codec import (
+    CodecCosts,
+    CodecError,
+    get_codec,
+    resolve_codec_spec,
+)
 from ..memory.image import (
     CompressionArtifacts,
     artifact_cache,
@@ -185,7 +189,10 @@ class AssignmentContext:
 
     Payload sizes come from the shared per-(CFG, codec) artifact memo,
     so asking for a codec's sizes trains/compresses at most once per
-    process — and not at all when a sweep already built them.
+    process — and not at all when a sweep already built them.  Each
+    codec name's per-unit payload table, model overhead and cost model
+    are resolved on first use and kept for the context's lifetime, so
+    a policy may query them as often as it likes.
     """
 
     def __init__(
@@ -214,7 +221,10 @@ class AssignmentContext:
         self.profiled = profile is not None and any(
             profile.block_counts.values()
         )
-        self._payload_cache: Dict[str, List[int]] = {}
+        # codec name -> {unit id: payload bytes}, model bytes, costs.
+        self._unit_payloads: Dict[str, Dict[int, int]] = {}
+        self._overheads: Dict[str, int] = {}
+        self._costs: Dict[str, CodecCosts] = {}
 
     def _hotness_by_block(
         self, profile: Optional[EdgeProfile]
@@ -226,52 +236,54 @@ class AssignmentContext:
                 block.block_id: profile.block_count(block.block_id)
                 for block in self.cfg.blocks
             }
-        depth: Dict[int, int] = {
-            block.block_id: 0 for block in self.cfg.blocks
-        }
-        for loop in natural_loops(self.cfg):
-            for block_id in loop.body:
-                depth[block_id] = min(
-                    depth[block_id] + 1, _LOOP_DEPTH_CAP
-                )
         return {
-            block_id: _LOOP_WEIGHT ** d if d else 0
-            for block_id, d in depth.items()
+            block_id: _LOOP_WEIGHT ** min(loops, _LOOP_DEPTH_CAP)
+            if loops else 0
+            for block_id, loops in enumerate(self.cfg.loop_counts())
         }
 
     # -- sizes and costs ----------------------------------------------
 
-    def _payload_sizes(self, codec_name: str) -> List[int]:
-        sizes = self._payload_cache.get(codec_name)
-        if sizes is None:
-            artifacts = compression_artifacts(self.cfg, codec_name)
-            sizes = [len(p) for p in artifacts.payloads]
-            self._payload_cache[codec_name] = sizes
-        return sizes
+    def _payload_table(self, codec_name: str) -> Dict[int, int]:
+        """Unit id -> compressed bytes under ``codec_name``."""
+        table = self._unit_payloads.get(codec_name)
+        if table is None:
+            payloads = compression_artifacts(self.cfg, codec_name).payloads
+            table = {
+                unit.unit_id: sum(len(payloads[b]) for b in unit.blocks)
+                for unit in self.units
+            }
+            self._unit_payloads[codec_name] = table
+        return table
 
     def unit_payload_size(self, unit_id: int, codec_name: str) -> int:
         """Compressed bytes of ``unit_id`` under ``codec_name``."""
-        sizes = self._payload_sizes(codec_name)
-        return sum(sizes[b] for b in self._unit_blocks[unit_id])
+        return self._payload_table(codec_name)[unit_id]
 
     def model_overhead(self, codec_name: str) -> int:
         """The codec's shared-model bytes, charged once per image."""
-        artifacts = compression_artifacts(self.cfg, codec_name)
-        return int(getattr(artifacts.codec, "model_overhead_bytes", 0))
+        overhead = self._overheads.get(codec_name)
+        if overhead is None:
+            codec = compression_artifacts(self.cfg, codec_name).codec
+            overhead = int(getattr(codec, "model_overhead_bytes", 0))
+            self._overheads[codec_name] = overhead
+        return overhead
 
     def decompress_latency(self, codec_name: str, nbytes: int) -> int:
         """Modelled cycles to decompress ``nbytes`` with the codec."""
-        return get_codec(codec_name).costs.decompress_latency(nbytes)
+        costs = self._costs.get(codec_name)
+        if costs is None:
+            costs = self._costs[codec_name] = get_codec(codec_name).costs
+        return costs.decompress_latency(nbytes)
 
     def image_size(self, unit_codecs: Mapping[int, str]) -> int:
         """Exact compressed-image bytes of a candidate assignment:
         payloads plus one model overhead per distinct codec used."""
         total = sum(
-            self.unit_payload_size(unit.unit_id,
-                                   unit_codecs[unit.unit_id])
+            self._payload_table(unit_codecs[unit.unit_id])[unit.unit_id]
             for unit in self.units
         )
-        for codec_name in sorted(set(unit_codecs.values())):
+        for codec_name in set(unit_codecs.values()):
             total += self.model_overhead(codec_name)
         return total
 
@@ -371,7 +383,11 @@ def build_assignment(
         profile=config.profile,
     )
     unit_codecs = dict(policy.assign(context))
-    _, unit_blocks = unit_map(cfg, config.granularity)
+    unit_blocks = context._unit_blocks
+    # Flat names pass through; pipeline specs canonicalize so the digest
+    # (and the artifact memo keys) never see two spellings of one
+    # pipeline.  Each distinct name is resolved once.
+    canonical: Dict[str, str] = {}
     for unit_id in unit_blocks:
         codec_name = unit_codecs.get(unit_id)
         if codec_name is None:
@@ -379,16 +395,15 @@ def build_assignment(
                 f"assignment policy '{config.assignment}' left unit "
                 f"{unit_id} unassigned"
             )
-        try:
-            # Flat names pass through; pipeline specs canonicalize so
-            # the digest (and the artifact memo keys) never see two
-            # spellings of one pipeline.
-            unit_codecs[unit_id] = resolve_codec_spec(codec_name)
-        except CodecError:
-            raise AssignmentError(
-                f"assignment policy '{config.assignment}' chose "
-                f"unknown codec '{codec_name}' for unit {unit_id}"
-            ) from None
+        if codec_name not in canonical:
+            try:
+                canonical[codec_name] = resolve_codec_spec(codec_name)
+            except CodecError:
+                raise AssignmentError(
+                    f"assignment policy '{config.assignment}' chose "
+                    f"unknown codec '{codec_name}' for unit {unit_id}"
+                ) from None
+        unit_codecs[unit_id] = canonical[codec_name]
     block_codecs = {
         block_id: unit_codecs[unit_id]
         for unit_id, blocks in unit_blocks.items()

@@ -10,14 +10,16 @@ explores that space per compression unit under the same machinery the
    uncompressed, the first *N* pipelines of the curated candidate pool
    (:data:`~repro.compress.pipeline.CANDIDATE_PIPELINES`)}, ties
    broken by predicted decompression latency and then spec string, so
-   the result is deterministic.
+   the result is deterministic.  Each unit's options are ranked by
+   that key once; the floor is the first entry of the ranking.
 2. **Model-overhead pruning** — a shared-model pipeline used by only a
    few units can cost more in model bytes than its payloads save.
    Candidates whose total payload benefit (vs. the units' next-best
    choice) is smaller than their model overhead are dropped, worst
    first, until the selection is stable — the exact accounting
    :meth:`~repro.selection.assignment.AssignmentContext.image_size`
-   charges.
+   charges.  Re-flooring a smaller pool re-reads the rankings: a unit
+   takes the first ranked option still in the pool.
 3. **Hot upgrades** — the bytes the floor saved relative to the
    uniform base-codec image are spent keeping the hottest units
    uncompressed (value = predicted synchronous decompression cycles
@@ -31,7 +33,7 @@ Spec forms: ``"pipeline-search"`` (whole pool) or
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..compress.codec import resolve_codec_spec
 from ..compress.pipeline import CANDIDATE_PIPELINES
@@ -67,10 +69,9 @@ class PipelineSearchAssignment(AssignmentPolicy):
 
     def assign(self, context: AssignmentContext) -> Dict[int, str]:
         base = context.base_codec
-        options: List[str] = []
-        for name in (base, UNCOMPRESSED, *self.candidate_specs):
-            if name not in options:
-                options.append(name)
+        options = tuple(
+            dict.fromkeys((base, UNCOMPRESSED, *self.candidate_specs))
+        )
 
         def payload_size(unit: UnitStats, name: str) -> int:
             if name == UNCOMPRESSED:
@@ -82,36 +83,40 @@ class PipelineSearchAssignment(AssignmentPolicy):
                 return 0
             return context.decompress_latency(name, nbytes)
 
-        def best_for(unit: UnitStats, allowed: Sequence[str]) -> str:
-            return min(
-                allowed,
+        # Each unit's options, ranked once.  The key ends in the unique
+        # option name, so it is a total order: the best option of any
+        # allowed pool is the first allowed entry of the ranking.
+        rankings = {
+            unit.unit_id: sorted(
+                options,
                 key=lambda name: (
                     payload_size(unit, name),
                     latency(name, unit.size_bytes),
                     name,
                 ),
             )
-
-        allowed = list(options)
-        out = {
-            unit.unit_id: best_for(unit, allowed)
             for unit in context.units
         }
-        out = self._prune_models(context, allowed, out, best_for)
+
+        def floor(allowed: FrozenSet[str]) -> Dict[int, str]:
+            return {
+                unit_id: next(n for n in ranking if n in allowed)
+                for unit_id, ranking in rankings.items()
+            }
+
+        allowed = frozenset(options)
+        out = self._prune_models(context, allowed, floor(allowed), floor)
         # Safeguard: the floor must never lose to the plain
         # base-vs-uncompressed floor (the knapsack policy's floor),
         # whatever the greedy pruning above settled on — this keeps
         # the mixed image provably within the uniform budget.
-        base_floor = {
-            unit.unit_id: best_for(unit, (base, UNCOMPRESSED))
-            for unit in context.units
-        }
+        base_floor = floor(frozenset((base, UNCOMPRESSED)))
         if context.image_size(out) > context.image_size(base_floor):
             out = base_floor
         return self._upgrade_hot(context, out, payload_size, latency)
 
     @staticmethod
-    def _prune_models(context, allowed, out, best_for):
+    def _prune_models(context, allowed, out, floor):
         """Drop candidates whose model overhead exceeds their benefit.
 
         Uses the exact whole-image accounting
@@ -121,20 +126,14 @@ class PipelineSearchAssignment(AssignmentPolicy):
         removal that shrinks the image most (ties broken by name).
         Terminates because the pool only shrinks.
         """
-        def refloor(pool):
-            return {
-                unit.unit_id: best_for(unit, pool)
-                for unit in context.units
-            }
-
         while True:
             current_size = context.image_size(out)
-            best: "Tuple[int, str, dict, list] | None" = None
+            best: "Tuple[int, str, dict, frozenset] | None" = None
             for name in sorted(set(out.values())):
                 if name == UNCOMPRESSED:
                     continue
-                rest = [n for n in allowed if n != name]
-                trial = refloor(rest)
+                rest = allowed - {name}
+                trial = floor(rest)
                 size = context.image_size(trial)
                 if size < current_size and (
                     best is None or (size, name) < (best[0], best[1])

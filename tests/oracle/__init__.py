@@ -7,4 +7,9 @@ background-worker mechanics — that the replay kernel
 :mod:`repro.compress.reference` pins the seed Huffman codec.  It is an
 independent second implementation kept only for the differential
 suites; nothing under ``src/`` imports it.
+
+:mod:`oracle.selection` pins codec selection as it ran before each
+program's inputs were computed once: the assignment context's per-call
+cost lookups and the ``pipeline-search`` floor and pruning rounds that
+re-score every unit against every option.
 """

@@ -1,7 +1,11 @@
 """Unit tests for the ``repro bench`` gates: how ``--repeat`` samples
 merge, and how failing gates are named."""
 
-from repro.analysis.bench import failed_gates, merge_section
+from repro.analysis.bench import (
+    bench_selection_search,
+    failed_gates,
+    merge_section,
+)
 
 
 def _chaos(overhead):
@@ -69,3 +73,24 @@ class TestMergeSection:
         section = merge_section("manager_loop", [{"seconds": 1.0}])
         assert "within_budget" not in section
         assert failed_gates("manager_loop", section) == []
+
+
+class TestSelectionSearch:
+    def test_lookups_gate_is_named(self):
+        section = merge_section(
+            "selection_search",
+            [{"assign_s": 0.01, "codec_lookups": 8,
+              "lookups_bounded": True},
+             {"assign_s": 0.01, "codec_lookups": 2654,
+              "lookups_bounded": False}],
+        )
+        assert failed_gates("selection_search", section) == [
+            "selection_search.lookups_bounded = False"
+        ]
+
+    def test_warm_search_resolves_each_option_once(self):
+        section = bench_selection_search(smoke=True)
+        assert section["lookups_bounded"] is True
+        for name in ("cold_paths", "generated"):
+            assert 0 < section[name]["codec_lookups"] <= section["options"]
+        assert failed_gates("selection_search", section) == []

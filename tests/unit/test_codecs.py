@@ -125,6 +125,44 @@ class TestCorruptionHandling:
                 get_codec(name).decompress(b"")
 
 
+class TestHuffmanSizedDecode:
+    """The code-image decode checks each payload's declared length
+    against the block size it already knows, before allocating."""
+
+    def test_single_symbol_count_bounded_by_block_size(self):
+        # Tag 1 declaring 1 MiB of one symbol, stored for a 64-byte
+        # block: the flat decode would materialise all of it.
+        payload = bytes((1, 0x07)) + (1 << 20).to_bytes(4, "big")
+        with pytest.raises(CodecError, match="declares 1048576 bytes"):
+            decompress_for_image(get_codec("huffman"), payload, 64)
+
+    def test_raw_length_must_match_block_size(self):
+        payload = bytes((0,)) + (3).to_bytes(4, "big") + b"abc"
+        with pytest.raises(CodecError, match="declares 3 bytes"):
+            decompress_for_image(get_codec("huffman"), payload, 8)
+
+    def test_coded_length_must_match_block_size(self):
+        codec = get_codec("huffman")
+        data = b"abcd" * 100
+        payload = codec.compress(data)
+        assert payload[0] == 2
+        with pytest.raises(CodecError, match="declares 400 bytes"):
+            decompress_for_image(codec, payload, len(data) - 1)
+
+    @pytest.mark.parametrize("data", SAMPLES)
+    def test_matching_sizes_decode(self, data):
+        codec = get_codec("huffman")
+        payload = compress_for_image(codec, data)
+        assert payload == codec.compress(data)
+        assert decompress_for_image(codec, payload, len(data)) == data
+
+    def test_truncated_headers_stay_typed(self):
+        codec = get_codec("huffman")
+        for payload in (b"", b"\x00\x00", b"\x01\x07\x00", b"\x02\x00"):
+            with pytest.raises(CodecError):
+                decompress_for_image(codec, payload, 4)
+
+
 class TestSharedModelCodecs:
     def test_training_improves_cross_block_compression(self):
         blocks = [

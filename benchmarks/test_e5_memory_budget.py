@@ -57,7 +57,7 @@ def run_experiment(workloads):
         cfg = build_cfg(workload.program)
         image_size = CodeCompressionManager(
             cfg, SimulationConfig(trace_events=False)
-        ).image.compressed_image_size
+        ).residency.image.compressed_image_size
         evictions, overheads = [], []
         for slack in _slacks(cfg):
             budget = image_size + slack
@@ -83,7 +83,7 @@ def run_policy_comparison(workload):
     cfg = build_cfg(workload.program)
     image_size = CodeCompressionManager(
         cfg, SimulationConfig(trace_events=False)
-    ).image.compressed_image_size
+    ).residency.image.compressed_image_size
     table = Table(
         "E5b: eviction policy comparison (second-tightest budget)",
         ["policy", "evictions", "overhead"],
@@ -115,7 +115,7 @@ def test_e5_memory_budget(small_suite, benchmark):
     cfg = build_cfg(small_suite[0].program)
     image_size = CodeCompressionManager(
         cfg, SimulationConfig(trace_events=False)
-    ).image.compressed_image_size
+    ).residency.image.compressed_image_size
     benchmark.pedantic(
         lambda: _run(small_suite[0], cfg, image_size + 300),
         rounds=1, iterations=1,

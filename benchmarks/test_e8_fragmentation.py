@@ -49,7 +49,7 @@ def run_experiment(workloads):
         for scheme in ("separate", "inplace"):
             manager, result = _run(cfg, scheme)
             assert workload.validate(manager.machine) == []
-            image = manager.image
+            image = manager.residency.image
             relocations = getattr(image, "relocations", 0)
             compactions = getattr(image, "compactions", 0)
             table.add_row(

@@ -62,13 +62,14 @@ def test_e9_figure5(benchmark):
     ]
     assert recompressed == [b0]
 
+    image = manager.residency.image
     lines = [
         "Figure 5 scenario event trace "
         "(access pattern B0, B1, B0, B1, B3; k=2):",
         manager.log.render(),
         "",
-        f"final footprint: {manager.image.footprint_bytes} B "
-        f"(compressed image {manager.image.compressed_image_size} B)",
+        f"final footprint: {image.footprint_bytes} B "
+        f"(compressed image {image.compressed_image_size} B)",
     ]
     record_experiment("e9_figure5", "\n".join(lines))
 

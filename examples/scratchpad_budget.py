@@ -27,7 +27,7 @@ def main() -> None:
     probe = CodeCompressionManager(
         cfg, SimulationConfig(trace_events=False)
     )
-    compressed = probe.image.compressed_image_size
+    compressed = probe.residency.image.compressed_image_size
     uncompressed = cfg.total_size_bytes()
     print(
         f"'{workload.name}': {uncompressed} B of code, compresses to "

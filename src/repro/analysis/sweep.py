@@ -12,9 +12,10 @@ Engines live in the :data:`ENGINES` registry; two are built in:
 * ``engine="machine"`` interprets every instruction of every grid cell —
   the gold standard, and the default.
 * ``engine="trace"`` is the shared-artifact fast path: per workload, the
-  CFG is built once and the block trace is recorded *once* under the
-  uncompressed baseline config (``decompression="none"``), then **every**
-  grid cell replays it through
+  CFG is built once and the block trace is recorded *once* per distinct
+  (``data_words``, ``max_steps``) pair of its cells under the
+  uncompressed baseline config (``decompression="none"``), then every
+  grid cell replays its pair's recording through
   :func:`~repro.runtime.trace_sim.simulate_trace` — the replay kernel
   (:mod:`repro.core.replay`) that also runs every interpreted cell, with
   whole resident runs fast-forwarded in bulk where its batched path
@@ -31,7 +32,8 @@ Engines live in the :data:`ENGINES` registry; two are built in:
   Replayed cells reuse the recording's oracle validation (replay does
   not model register state).  If the trace overflows the recording cap,
   the sweep emits a structured ``repro.log.kv`` fallback event and
-  interprets every cell of that workload; a cell whose replay raises
+  interprets the cells that share that recording, as it does when the
+  recording raises; a cell whose replay raises
   becomes an error row naming the exception, as on the machine engine.
   Every result records which kernel path computed it
   (``SimulationResult.replay_path``).
@@ -364,30 +366,37 @@ def _trace_sweep_workload(
 ) -> List[SweepRun]:
     """One workload's grid row under the trace engine.
 
-    The block trace is recorded once (cached per CFG, see
-    :func:`_recorded_trace`) and every cell replays it.  Falls back to
-    interpreting the whole row — with a parseable ``repro.log.kv``
-    event — when the trace was truncated by the recording cap.  A cell
+    The block trace depends on the program and on each cell's
+    ``data_words`` and ``max_steps``: every distinct pair is recorded at
+    most once (cached per CFG, see :func:`_recorded_trace`) and each
+    cell replays its own pair's recording.  A cell whose recording was
+    truncated by the recording cap — announced with a parseable
+    ``repro.log.kv`` event — or raised is interpreted instead.  A cell
     whose replay raises becomes an error row (the retry layer may
     re-run it).
     """
     runs: List[SweepRun] = []
-    try:
-        prepared, validation, _reason = _recorded_trace(
-            workload, graph, configs[0], max_blocks
-        )
-    except Exception:
-        # The recording itself raised (broken workload, undecodable
-        # program): interpret every cell — each captures its own error.
-        prepared, validation = None, None
-    if prepared is None:
-        return [
-            run_one_safe(workload, effective_config(config, fast),
-                         cfg=graph, max_blocks=max_blocks)
-            for config in configs
-        ]
+    # (data_words, max_steps) -> (PreparedTrace | None, validation)
+    recordings: Dict[tuple, tuple] = {}
     for config in configs:
         effective = effective_config(config, fast)
+        pair = (effective.data_words, effective.max_steps)
+        if pair not in recordings:
+            try:
+                prepared, validation, _reason = _recorded_trace(
+                    workload, graph, effective, max_blocks
+                )
+            except Exception:
+                # The recording itself raised (broken workload, a run
+                # past max_steps or out of data memory): interpret the
+                # cell, which captures its own error.
+                prepared, validation = None, None
+            recordings[pair] = (prepared, validation)
+        prepared, validation = recordings[pair]
+        if prepared is None:
+            runs.append(run_one_safe(workload, effective, cfg=graph,
+                                     max_blocks=max_blocks))
+            continue
         try:
             with cell_guard(
                 workload.name, effective.strategy_name

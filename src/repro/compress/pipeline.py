@@ -109,16 +109,6 @@ class PipelineSpec:
         }
 
 
-def is_pipeline_spec(name: Any) -> bool:
-    """True when ``name`` is written as a pipeline spec (compact form
-    with ``|`` separators, a JSON object string, or a dict)."""
-    if isinstance(name, dict):
-        return True
-    return isinstance(name, str) and (
-        "|" in name or name.lstrip().startswith("{")
-    )
-
-
 def _parse_layer(token: Any) -> Tuple[str, Tuple[int, ...]]:
     """One layer segment -> validated ``(kind, params)``."""
     if isinstance(token, dict):

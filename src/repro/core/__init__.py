@@ -14,7 +14,6 @@ from .config import (
 )
 from .manager import CodeCompressionManager
 from .residency import ResidencySubsystem
-from .timing import TimingModel
 from ..runtime.metrics import SimulationResult
 
 
@@ -44,6 +43,5 @@ __all__ = [
     "ResidencySubsystem",
     "SimulationConfig",
     "SimulationResult",
-    "TimingModel",
     "simulate",
 ]

@@ -6,7 +6,8 @@ of the paper draws it:
 * the **execution thread** runs basic blocks — either the
   :class:`~repro.runtime.machine.Machine` interprets them (the
   ``machine`` engine) or a recorded trace supplies them (a
-  :class:`~repro.runtime.trace_sim.TraceMachine`, the ``trace`` engine);
+  :class:`~repro.runtime.trace_sim.PreparedTrace` passed as ``trace``,
+  the ``trace`` engine);
 * the **decompression thread** materialises decompressed copies ahead of
   the execution thread according to the configured pre-decompression
   policy;
@@ -19,11 +20,10 @@ obtains the run's block trace — by interpreting the program, or from the
 prepared trace it was given — and hands it to the replay kernel
 (:mod:`repro.core.replay`), the one per-block implementation of the
 runtime: faults, patches, k-edge recompression, both background
-workers, budget eviction, events and tracing.  The kernel works on three
-composable state holders:
+workers, budget eviction, events and tracing.  The kernel advances the
+manager's cycle clock (``now``), leaves both background workers'
+tallies on the manager, and works on two composable state holders:
 
-* :class:`~repro.core.timing.TimingModel` — the cycle clock and the two
-  background workers' tallies;
 * :class:`~repro.core.residency.ResidencySubsystem` — the code image,
   unit geometry, ready clock, remember sets, budget and the footprint
   timeline;
@@ -49,12 +49,8 @@ from ..obs.tracer import Tracer, current_tracer
 from ..runtime.events import EventLog
 from ..runtime.machine import Machine
 from ..runtime.metrics import Counters, SimulationResult
-from ..runtime.trace_sim import (
-    PreparedTrace,
-    ReplayPlan,
-    TraceMachine,
-    step_costs,
-)
+from ..runtime.threads import BackgroundWorker
+from ..runtime.trace_sim import PreparedTrace, ReplayPlan, step_cycles
 from ..strategies.base import (
     STRATEGIES,
     CompressionPolicy,
@@ -67,7 +63,6 @@ from ..strategies.predictor import make_predictor
 from .config import SimulationConfig
 from .replay import try_batched_replay, try_stepped_replay
 from .residency import ResidencySubsystem
-from .timing import TimingModel
 
 #: Cap on the stored block trace (the full trace of a long run can be
 #: millions of entries; metrics never need more than this).  Runs that
@@ -92,6 +87,11 @@ class CodeCompressionManager:
             k_compress=4, k_decompress=2,
         )).run()
         print(result.render())
+
+    Pass ``trace`` (a :class:`~repro.runtime.trace_sim.PreparedTrace`
+    of ``cfg``) to replay a recorded trace instead of interpreting the
+    program: no :class:`~repro.runtime.machine.Machine` is built
+    (``machine`` is None) and the result's ``engine`` is ``"trace"``.
     """
 
     def __init__(
@@ -101,16 +101,29 @@ class CodeCompressionManager:
         compression_policy: Optional[CompressionPolicy] = None,
         decompression_policy: Optional[DecompressionPolicy] = None,
         tracer: Optional[Tracer] = None,
+        trace: Optional[PreparedTrace] = None,
     ) -> None:
         self.cfg = cfg
         self.config = config or SimulationConfig()
         self._compression_override = compression_policy
         self._decompression_override = decompression_policy
-        self.machine = Machine(
-            cfg,
-            data_words=self.config.data_words,
-            max_steps=self.config.max_steps,
-        )
+        #: The whole trace, prepared: the one given, or an interpreting
+        #: run's when it fits in one segment (None for a longer one).
+        self.prepared: Optional[PreparedTrace] = trace
+        if trace is None:
+            self.engine = "machine"
+            self.machine: Optional[Machine] = Machine(
+                cfg,
+                data_words=self.config.data_words,
+                max_steps=self.config.max_steps,
+            )
+        else:
+            if trace.cfg is not cfg:
+                raise ValueError(
+                    "prepared trace belongs to a different CFG"
+                )
+            self.engine = "trace"
+            self.machine = None
         self.log = EventLog(enabled=self.config.trace_events)
         self.counters = Counters()
         self.profile = EdgeProfile()  # online access pattern, always kept
@@ -125,8 +138,18 @@ class CodeCompressionManager:
             tracer if tracer is not None else current_tracer(cfg.name)
         )
 
-        # ---- the composable core -----------------------------------
-        self.timing = TimingModel(self.config)
+        # ---- the three threads' clock (Figure 4) ---------------------
+        # One cycle clock shared by the execution thread and the two
+        # background workers; the replay kernel advances it and leaves
+        # the workers' tallies here.
+        self.now = 0
+        self.execution_cycles = 0
+        self.decompress_worker = BackgroundWorker(
+            "decompression", contention=self.config.contention
+        )
+        self.compress_worker = BackgroundWorker(
+            "compression", contention=self.config.contention
+        )
         self.residency = ResidencySubsystem(cfg, self.config, self.tracer)
 
         # ---- policies ----------------------------------------------
@@ -171,10 +194,6 @@ class CodeCompressionManager:
         #: The run's block trace as the replay plans the kernel pulls in
         #: order, set by :meth:`run`.
         self.plans: Iterator[ReplayPlan] = iter(())
-        #: The whole trace, prepared: the trace machine's, or an
-        #: interpreting run's when it fits in one segment (None for a
-        #: longer one).
-        self.prepared: Optional[PreparedTrace] = None
         self.block_trace: List[int] = []
         self.trace_truncated = False
         #: Which kernel path ran the blocks (``batched`` or ``stepped``)
@@ -182,59 +201,6 @@ class CodeCompressionManager:
         #: :meth:`run` (see :mod:`repro.core.replay`).
         self.replay_path: Optional[str] = None
         self.replay_declined: Optional[str] = None
-
-    # ==================================================================
-    # Subsystem views (back-compat attribute surface)
-    # ==================================================================
-
-    @property
-    def now(self) -> int:
-        """The global cycle clock (owned by the timing model)."""
-        return self.timing.now
-
-    @property
-    def execution_cycles(self) -> int:
-        """Pure compute cycles (owned by the timing model)."""
-        return self.timing.execution_cycles
-
-    @property
-    def image(self):
-        """The code image (owned by the residency subsystem)."""
-        return self.residency.image
-
-    @property
-    def codec(self):
-        """The (possibly trained) codec instance."""
-        return self.residency.codec
-
-    @property
-    def budget(self):
-        """The optional memory budget (owned by residency)."""
-        return self.residency.budget
-
-    @property
-    def remember(self):
-        """The remember sets (owned by residency)."""
-        return self.residency.remember
-
-    @property
-    def footprint(self):
-        """The footprint timeline (owned by residency)."""
-        return self.residency.footprint
-
-    @property
-    def decompress_worker(self):
-        """The background decompression thread (owned by timing)."""
-        return self.timing.decompress_worker
-
-    @property
-    def compress_worker(self):
-        """The background compression thread (owned by timing)."""
-        return self.timing.compress_worker
-
-    @property
-    def _artifacts(self):
-        return self.residency.artifacts
 
     # ==================================================================
     # Artifact export
@@ -288,13 +254,6 @@ class CodeCompressionManager:
         """True when ``unit_id`` is decompressed or being decompressed."""
         return self.residency.is_unit_resident(unit_id)
 
-    def unit_uncompressed_size(self, unit_id: int) -> int:
-        """Uncompressed bytes of all blocks in ``unit_id``."""
-        return self.residency.unit_uncompressed_size(unit_id)
-
-    def _unit_decompress_latency(self, unit_id: int) -> int:
-        return self.residency.unit_decompress_latency(unit_id)
-
     # ==================================================================
     # Main loop
     # ==================================================================
@@ -305,11 +264,12 @@ class CodeCompressionManager:
         Returns the :class:`~repro.runtime.metrics.SimulationResult` with
         all cycle and memory metrics filled in.
         """
-        if isinstance(self.machine, TraceMachine):
-            prepared = self.machine.prepared
+        if self.engine == "trace":
+            prepared = self.prepared
             if max_blocks is not None:
-                prepared = prepared.prefix(max(max_blocks, 1))
-            self.prepared = prepared
+                prepared = self.prepared = prepared.prefix(
+                    max(max_blocks, 1)
+                )
             self._record(prepared.trace)
             self.plans = iter((prepared.plan(
                 self.config.granularity, self.residency._unit_of
@@ -353,7 +313,7 @@ class CodeCompressionManager:
                 break
             if len(segment) == _SEGMENT:
                 self._record(segment)
-                yield ReplayPlan(cfg, segment, *step_costs(cfg, segment),
+                yield ReplayPlan(segment, step_cycles(cfg, segment),
                                  unit_of)
                 segment = []
             segment.append(next_id)
@@ -364,8 +324,7 @@ class CodeCompressionManager:
             self.prepared = PreparedTrace(cfg, segment)
             yield self.prepared.plan(self.config.granularity, unit_of)
         else:
-            yield ReplayPlan(cfg, segment, *step_costs(cfg, segment),
-                             unit_of)
+            yield ReplayPlan(segment, step_cycles(cfg, segment), unit_of)
 
     def _record(self, steps: List[int]) -> None:
         """Append ``steps`` to the recorded block trace (``record_trace``),
@@ -381,8 +340,6 @@ class CodeCompressionManager:
     def _finish_run(self) -> SimulationResult:
         """Assemble the result of the replayed run."""
         residency = self.residency
-        timing = self.timing
-        registers = self.machine.registers
         result = SimulationResult(
             program=self.cfg.name,
             strategy=self.config.strategy_name,
@@ -393,8 +350,8 @@ class CodeCompressionManager:
                 if self.config.decompression in ("pre-all", "pre-single")
                 else None
             ),
-            total_cycles=timing.now,
-            execution_cycles=timing.execution_cycles,
+            total_cycles=self.now,
+            execution_cycles=self.execution_cycles,
             counters=self.counters,
             footprint=residency.footprint,
             uncompressed_size=self.cfg.total_size_bytes(),
@@ -403,17 +360,18 @@ class CodeCompressionManager:
                 if residency.image is not None
                 else self.cfg.total_size_bytes()
             ),
-            registers=list(registers) if registers is not None else None,
+            registers=(
+                list(self.machine.registers)
+                if self.engine == "machine" else None
+            ),
             block_trace=self.block_trace,
             trace_truncated=self.trace_truncated,
-            engine=getattr(self.machine, "engine_name", "machine"),
+            engine=self.engine,
             replay_path=self.replay_path,
             replay_declined=self.replay_declined,
         )
         if self.tracer.enabled:
-            self.tracer.close(
-                timing.execution_cycles, timing.now
-            )
+            self.tracer.close(self.execution_cycles, self.now)
             # The phase breakdown rides on the live result only; it is
             # excluded from summary()/serialisation so traced and
             # untraced runs stay byte-identical.

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..memory.image import SeparateAreaImage
 from ..runtime.events import EventKind
-from ..runtime.trace_sim import TraceMachine, entry_charges
+from ..runtime.trace_sim import entry_charges
 from ..strategies.base import DecompressionPolicy
 from ..strategies.kedge import KEdgeCompression, NeverRecompress
 from ..strategies.ondemand import OnDemandDecompression
@@ -196,11 +196,10 @@ class _Plans:
 
 def _replay(manager, windowed: bool) -> None:
     residency = manager.residency
-    timing = manager.timing
     plans = _Plans(manager.plans)
     tracer = manager.tracer if manager.tracer.enabled else None
     generic = _generic(manager)
-    residency.footprint.record(timing.now, residency.footprint_bytes())
+    residency.footprint.record(manager.now, residency.footprint_bytes())
     if residency.image is None:
         now = _replay_uncompressed(manager, plans, tracer, generic)
     else:
@@ -213,9 +212,9 @@ def _replay(manager, windowed: bool) -> None:
 
     # ---- end of run: settle the clock ----------------------------
     counters = manager.counters
-    dworker = timing.decompress_worker
-    cworker = timing.compress_worker
-    timing.execution_cycles += plans.total_cycles
+    dworker = manager.decompress_worker
+    cworker = manager.compress_worker
+    manager.execution_cycles += plans.total_cycles
     # Contention models a shared single-issue core: a configured
     # fraction of every busy background cycle is charged to the
     # execution thread, as one final stall-cycle block.
@@ -226,7 +225,7 @@ def _replay(manager, windowed: bool) -> None:
         now += contention
         counters.stall_cycles += contention
     counters.background_compress_cycles = cworker.busy_cycles
-    timing.now = now
+    manager.now = now
     residency.footprint.record(now, residency.footprint_bytes())
 
 
@@ -259,7 +258,7 @@ def _replay_uncompressed(manager, plans, tracer, generic: bool) -> int:
     log = manager.log
     emit = log.emit if log.enabled else None
     budget = residency.budget
-    now = manager.timing.now
+    now = manager.now
     stepped = emit is not None or tracer is not None \
         or budget is not None or generic or observe is not None
     if stepped:
@@ -334,14 +333,12 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     :func:`window_envelope` only) enables the window fast-forward.
     Returns the final clock."""
     residency = manager.residency
-    timing = manager.timing
     config = manager.config
     image = residency.image
     plan = plans.pull()
     trace = plan.trace
     usteps = plan.unit_steps
     cycles = plan.cycles
-    sites = plan.sites
     n = len(trace)
     # Steps of the run before the current plan's first.
     base = 0
@@ -349,7 +346,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     unit_of = residency._unit_of
     # Trace replays on the paper's unbounded separate area track the
     # footprint arithmetically; everything else drives the allocator.
-    arithmetic = type(manager.machine) is TraceMachine \
+    arithmetic = manager.engine == "trace" \
         and type(image) is SeparateAreaImage \
         and image.allocator.capacity is None
 
@@ -402,6 +399,8 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
 
     ready = residency._ready_at
     used_since = residency._used_since_decompress
+    # Remember sets, keyed by block id: a block's branch site is its
+    # terminator.
     remember = residency.remember
     site_target = remember._site_target
     by_target = remember._by_target
@@ -423,16 +422,16 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     # completes_at]`` in FIFO order.  A job scheduled at ``t`` starts
     # when its worker is free; cancelling refunds unperformed work and
     # re-chains the jobs queued behind it.
-    dworker = timing.decompress_worker
+    dworker = manager.decompress_worker
     d_pending = {}
     d_free = dworker.free_at
     d_busy = d_done = d_cancelled = 0
-    cworker = timing.compress_worker
+    cworker = manager.compress_worker
     w_pending = {}
     w_free = cworker.free_at
     w_busy = w_done = 0
 
-    now = timing.now
+    now = manager.now
     stall_cycles = 0
     stalls = 0
     faults = 0
@@ -524,10 +523,9 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 for s in tset:
                     del site_target[s]
                 released += len(tset)
-            rb_site = sites[rb]
-            tt = site_target.pop(rb_site, None)
+            tt = site_target.pop(rb, None)
             if tt is not None:
-                by_target[tt].discard(rb_site)
+                by_target[tt].discard(rb)
         remember.total_patches += released
         patches += released
         recompressions += 1
@@ -659,21 +657,21 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             wi = pos >> wshift
             while wi < nwin:
                 win = windows[wi]
-                wunits = win[2]
+                wunits = win[1]
                 ok = True
                 for uu in wunits:
                     if uu not in ready:
                         ok = False
                         break
                 if ok:
-                    for (es, ed), _count in win[4]:
-                        if site_target.get(sites[es]) != ed:
+                    for (es, ed), _count in win[3]:
+                        if site_target.get(es) != ed:
                             ok = False
                             break
                 if ok and k is not None:
-                    heads = win[6]
-                    maxgaps = win[7]
-                    dstc = win[5]
+                    heads = win[5]
+                    maxgaps = win[6]
+                    dstc = win[4]
                     for ru in ready:
                         if ru in heads:
                             if (
@@ -688,11 +686,11 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 if not ok:
                     break
                 now += win[0]
-                for uu in win[3]:
+                for uu in win[2]:
                     used_since[uu] = True
                 if k is not None:
-                    tails = win[8]
-                    dstc = win[5]
+                    tails = win[7]
+                    dstc = win[4]
                     for ru in ready:
                         if ru in tails:
                             kcount[ru] = tails[ru]
@@ -833,7 +831,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                     stalls += 1
                     if emit is not None:
                         emit(now, _STALL, nb, waited)
-            if u in ready and site_target.get(sites[b]) == nb:
+            if u in ready and site_target.get(b) == nb:
                 continue
             # Patch fault: copy exists, branch still aims at the
             # compressed area.
@@ -848,18 +846,18 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                     emit(now, _PATCH, nb)
                 continue
         if u in ready:
-            # The branch site that got us here gets patched.
-            site = sites[b]
-            previous = site_target.get(site)
+            # The branch site that got us here (``b``'s terminator)
+            # gets patched.
+            previous = site_target.get(b)
             if previous != nb:
                 if previous is not None:
-                    by_target[previous].discard(site)
+                    by_target[previous].discard(b)
                 referrers = by_target.get(nb)
                 if referrers is None:
-                    by_target[nb] = {site}
+                    by_target[nb] = {b}
                 else:
-                    referrers.add(site)
-                site_target[site] = nb
+                    referrers.add(b)
+                site_target[b] = nb
                 remember.total_patches += 1
             patches += 1
             if emit is not None:

@@ -22,14 +22,13 @@ from .image import (
     compression_artifacts,
     set_artifact_provider,
 )
-from .remember_set import BranchSite, RememberSets
+from .remember_set import RememberSets
 
 __all__ = [
     "AllocationError",
     "ArtifactCache",
     "artifact_cache",
     "BlockImage",
-    "BranchSite",
     "CodeImage",
     "CompressedCodeFault",
     "CompressionArtifacts",

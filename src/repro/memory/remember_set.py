@@ -9,26 +9,15 @@ re-decompresses).
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Set
-
-
-class BranchSite(NamedTuple):
-    """A branch instruction location: (block id, instruction index within
-    that block's decompressed copy).
-
-    Immutable and hashable; a named tuple rather than a frozen dataclass
-    because sites key the remember-set dicts on every fault, patch and
-    release, and the tuple's C-level hash and equality are several times
-    cheaper than the dataclass's generated Python ones.
-    """
-
-    block_id: int
-    instr_index: int
+from typing import Dict, List, Set
 
 
 class RememberSets:
     """Tracks, per target block, the branch sites currently patched to its
     decompressed copy.
+
+    Every block leaves through its terminator, so a branch site is named
+    by the id of the block it ends: the sets hold source block ids.
 
     The replay kernel (:mod:`repro.core.replay`) records a site whenever
     the exception handler "updates the target address of the branch
@@ -41,19 +30,19 @@ class RememberSets:
     """
 
     def __init__(self) -> None:
-        self._by_target: Dict[int, Set[BranchSite]] = {}
-        self._site_target: Dict[BranchSite, int] = {}
+        self._by_target: Dict[int, Set[int]] = {}
+        self._site_target: Dict[int, int] = {}
         self.total_patches = 0
 
-    def references_to(self, target_block: int) -> Set[BranchSite]:
+    def references_to(self, target_block: int) -> Set[int]:
         """Sites currently pointing at ``target_block``'s copy."""
         return set(self._by_target.get(target_block, set()))
 
-    def target_of(self, site: BranchSite) -> int:
+    def target_of(self, site: int) -> int:
         """Block the given site currently points to (KeyError if unknown)."""
         return self._site_target[site]
 
-    def points_to(self, site: BranchSite, target_block: int) -> bool:
+    def points_to(self, site: int, target_block: int) -> bool:
         """True if ``site`` is currently patched to ``target_block``."""
         return self._site_target.get(site) == target_block
 

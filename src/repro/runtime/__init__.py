@@ -4,7 +4,7 @@ from .events import Event, EventKind, EventLog
 from .machine import BlockOutcome, Machine, MachineError
 from .metrics import Counters, FootprintTimeline, SimulationResult
 from .threads import BackgroundWorker
-from .trace_sim import PreparedTrace, TraceMachine, simulate_trace
+from .trace_sim import PreparedTrace, simulate_trace
 
 __all__ = [
     "BackgroundWorker",
@@ -18,6 +18,5 @@ __all__ = [
     "MachineError",
     "PreparedTrace",
     "SimulationResult",
-    "TraceMachine",
     "simulate_trace",
 ]

@@ -56,9 +56,6 @@ class Machine:
     kernels deterministically.
     """
 
-    #: Engine tag carried into :class:`SimulationResult.engine`.
-    engine_name = "machine"
-
     def __init__(
         self,
         cfg: ProgramCFG,

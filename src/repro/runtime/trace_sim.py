@@ -4,11 +4,11 @@ Interpreting every instruction is the gold standard (results are
 self-validating) but costs most of the simulation time.  For large
 parameter sweeps the compression machinery only needs the *block
 sequence* and per-block cycle costs — exactly what a recorded trace
-provides.  :class:`TraceMachine` hands a trace to the standard
-:class:`~repro.core.manager.CodeCompressionManager`, whose replay kernel
-runs it exactly as it runs an interpreted run's own trace, producing
-identical compression behaviour (faults, stalls, footprint) at a
-fraction of the cost.
+provides.  :func:`simulate_trace` hands a :class:`PreparedTrace` to the
+standard :class:`~repro.core.manager.CodeCompressionManager`
+(``trace=``), whose replay kernel runs it exactly as it runs an
+interpreted run's own trace, producing identical compression behaviour
+(faults, stalls, footprint) at a fraction of the cost.
 
 Typical use::
 
@@ -26,7 +26,6 @@ import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg.builder import ProgramCFG
-from ..memory.remember_set import BranchSite
 
 #: Steps covered by one fast-forward window of a :class:`ReplayPlan`.
 #: Must be a power of two (the batched kernel tests window alignment
@@ -38,7 +37,6 @@ def _build_window(
     trace: Sequence[int],
     unit_steps: Sequence[int],
     cycles: Sequence[int],
-    instructions: Sequence[int],
     start: int,
     width: int,
 ) -> Tuple:
@@ -50,8 +48,8 @@ def _build_window(
     batched kernel needs to (a) decide the unit set cannot change across
     the window and (b) apply the whole window's bookkeeping in bulk:
 
-    ``(cycle_sum, instr_sum, window_units, entered_units, edge_items,
-    dst_counts, heads, maxgaps, tails)``
+    ``(cycle_sum, window_units, entered_units, edge_items, dst_counts,
+    heads, maxgaps, tails)``
 
     * ``window_units`` — units of ``trace[start .. start+width]``
       (including the final ensure target); all must be resident.
@@ -66,14 +64,12 @@ def _build_window(
     """
     end = start + width
     cyc = 0
-    ins = 0
     edge_items: Dict[Tuple[int, int], int] = {}
     dst_counts: Dict[int, int] = {}
     entered: Dict[int, None] = {}
     units: Dict[int, None] = {}
     for i in range(start, end):
         cyc += cycles[i]
-        ins += instructions[i]
         units[unit_steps[i]] = None
         entered[unit_steps[i]] = None
         edge = (trace[i], trace[i + 1])
@@ -103,7 +99,6 @@ def _build_window(
         tails[unit] = current or 0
     return (
         cyc,
-        ins,
         tuple(units),
         tuple(entered),
         tuple(edge_items.items()),
@@ -127,37 +122,26 @@ class ReplayPlan:
     """
 
     __slots__ = (
-        "trace", "cycles", "instructions", "unit_steps", "sites",
-        "window_size", "_windows", "total_cycles", "total_instructions",
-        "edge_items", "block_visits", "entered_units",
+        "trace", "cycles", "unit_steps", "window_size", "_windows",
+        "total_cycles", "edge_items", "block_visits", "entered_units",
     )
 
     def __init__(
         self,
-        cfg: ProgramCFG,
         trace: List[int],
         cycles: List[int],
-        instructions: List[int],
         unit_of: Dict[int, int],
     ) -> None:
         # The per-step lists are shared with the caller (a prepared
         # trace's own): a plan adds only what depends on the granularity.
         self.trace = trace
         self.cycles = cycles
-        self.instructions = instructions
         self.unit_steps = [unit_of[block_id] for block_id in trace]
-        # Terminator branch sites by block id (value-equal to the ones
-        # the residency layer memoizes, so remember-set lookups match).
-        self.sites = [
-            BranchSite(block.block_id, len(block) - 1)
-            for block in cfg.blocks
-        ]
         self.window_size = WINDOW_SIZE
         self._windows: Optional[List[Tuple]] = None
         # Trace-wide aggregates (the batched kernel charges these in one
         # operation each instead of summing per step).
         self.total_cycles = sum(self.cycles)
-        self.total_instructions = sum(self.instructions)
         edge_items: Dict[Tuple[int, int], int] = {}
         for src, dst in zip(self.trace, self.trace[1:]):
             edge = (src, dst)
@@ -185,23 +169,18 @@ class ReplayPlan:
             count = (len(self.trace) - 1) // width
             self._windows = [
                 _build_window(self.trace, self.unit_steps, self.cycles,
-                              self.instructions, wi * width, width)
+                              wi * width, width)
                 for wi in range(count)
             ]
         return self._windows
 
 
-def step_costs(
-    cfg: ProgramCFG, trace: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Flat per-step (cycles, instructions) arrays for ``trace``: each
-    step costs its block's static cycles and instruction count, exactly
-    what the interpreter charges for executing it."""
+def step_cycles(cfg: ProgramCFG, trace: Sequence[int]) -> List[int]:
+    """Flat per-step cycle array for ``trace``: each step costs its
+    block's static cycles, exactly what the interpreter charges for
+    executing it."""
     blocks = cfg.blocks
-    return (
-        [blocks[block_id].cycle_cost for block_id in trace],
-        [len(blocks[block_id].instructions) for block_id in trace],
-    )
+    return [blocks[block_id].cycle_cost for block_id in trace]
 
 
 def entry_charges(cfg: ProgramCFG, hierarchy) -> Tuple[List[int], List[int]]:
@@ -244,7 +223,7 @@ class PreparedTrace:
     The prepared trace refers to its CFG weakly: caches keyed (weakly)
     on the CFG can hold its prepared traces without keeping the graph
     alive, so they drop out together.  Replaying needs the live CFG
-    anyway (:class:`TraceMachine` takes it explicitly).
+    anyway (the manager takes it explicitly).
     """
 
     def __init__(
@@ -265,7 +244,7 @@ class PreparedTrace:
         # A list is adopted, not copied (an interpreting run hands over
         # its freshly built trace); nothing mutates it afterwards.
         self.trace = trace if type(trace) is list else list(trace)
-        self.cycles, self.instructions = step_costs(cfg, self.trace)
+        self.cycles = step_cycles(cfg, self.trace)
         #: granularity -> ReplayPlan (unit maps are pure functions of
         #: (cfg, granularity), so one plan serves every grid cell).
         self._plans: Dict[str, ReplayPlan] = {}
@@ -288,10 +267,7 @@ class PreparedTrace:
         """
         plan = self._plans.get(granularity)
         if plan is None:
-            plan = ReplayPlan(
-                self.cfg, self.trace, self.cycles, self.instructions,
-                unit_of,
-            )
+            plan = ReplayPlan(self.trace, self.cycles, unit_of)
             self._plans[granularity] = plan
         return plan
 
@@ -328,39 +304,6 @@ class PreparedTrace:
         )
 
 
-class TraceMachine:
-    """Drop-in replacement for :class:`~repro.runtime.machine.Machine`
-    that supplies a prerecorded block trace instead of interpreting.
-
-    The manager replays :attr:`prepared` through the replay kernel.
-    Register/memory state is not modelled: ``registers`` is ``None``, so
-    a replayed run's :class:`SimulationResult.registers` is explicitly
-    absent instead of presenting zeroed garbage as real machine state.
-    Cycle costs come from each block's static instruction costs, which is
-    exactly what the interpreting machine charges.  Accepts either a raw
-    block-id sequence or a :class:`PreparedTrace` (which skips the
-    per-instance validation).
-    """
-
-    #: Engine tag carried into :class:`SimulationResult.engine`.
-    engine_name = "trace"
-
-    def __init__(
-        self,
-        cfg: ProgramCFG,
-        trace: Union[PreparedTrace, Sequence[int]],
-    ) -> None:
-        if not isinstance(trace, PreparedTrace):
-            trace = PreparedTrace(cfg, trace)
-        elif trace.cfg is not cfg:
-            raise ValueError("prepared trace belongs to a different CFG")
-        self.cfg = cfg
-        #: The validated trace product the replay kernel runs.
-        self.prepared = trace
-        self.trace = trace.trace
-        self.registers: Optional[List[int]] = None
-
-
 def simulate_trace(
     cfg: ProgramCFG,
     trace: Union[PreparedTrace, Sequence[int]],
@@ -374,7 +317,8 @@ def simulate_trace(
 
     Returns the same :class:`~repro.runtime.metrics.SimulationResult` a
     full simulation would, except ``registers`` is ``None`` (replay does
-    not model register state) and ``engine`` is tagged ``"trace"``.
+    not model register state, so none is presented as real machine
+    state) and ``engine`` is tagged ``"trace"``.
     ``compression_policy``/``decompression_policy`` are optional policy
     instances forwarded to the manager (for ablations such as E12 that
     inject non-config policies into a trace replay).  Pass a
@@ -385,12 +329,14 @@ def simulate_trace(
     """
     from ..core.manager import CodeCompressionManager
 
+    if not isinstance(trace, PreparedTrace):
+        trace = PreparedTrace(cfg, trace)
     manager = CodeCompressionManager(
         cfg,
         config,
         compression_policy=compression_policy,
         decompression_policy=decompression_policy,
         tracer=tracer,
+        trace=trace,
     )
-    manager.machine = TraceMachine(cfg, trace)
     return manager.run(max_blocks=max_blocks)

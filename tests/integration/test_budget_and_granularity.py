@@ -32,7 +32,7 @@ class TestMemoryBudget:
         cfg = build_cfg(workload.program)
         image_size = CodeCompressionManager(
             cfg, SimulationConfig(**_FAST)
-        ).image.compressed_image_size
+        ).residency.image.compressed_image_size
         budget = image_size + 120
         _, result = self._run("dijkstra", budget)
         assert result.peak_footprint <= budget
@@ -51,7 +51,7 @@ class TestMemoryBudget:
         cfg = build_cfg(workload.program)
         image_size = CodeCompressionManager(
             cfg, SimulationConfig(**_FAST)
-        ).image.compressed_image_size
+        ).residency.image.compressed_image_size
         evictions = []
         for slack in (400, 160, 80):
             _, result = self._run("dijkstra", image_size + slack)
@@ -63,7 +63,7 @@ class TestMemoryBudget:
         cfg = build_cfg(workload.program)
         image_size = CodeCompressionManager(
             cfg, SimulationConfig(**_FAST)
-        ).image.compressed_image_size
+        ).residency.image.compressed_image_size
         overheads = []
         for slack in (500, 120, 60):
             _, result = self._run("fsm", image_size + slack)
@@ -153,16 +153,17 @@ class TestInPlaceScheme:
 
     def test_inplace_relocates_blocks(self):
         manager, _ = self._run("inplace")
-        assert manager.image.relocations > 0
+        assert manager.residency.image.relocations > 0
 
     def test_separate_scheme_never_relocates(self):
         """Section 5's design point: compressed block locations are
         fixed."""
         manager, _ = self._run("separate")
+        residency = manager.residency
         addresses_before = [
-            b.compressed_addr for b in manager.image.blocks
+            b.compressed_addr for b in residency.image.blocks
         ]
-        fresh = type(manager.image)(manager.cfg, manager.codec)
+        fresh = type(residency.image)(manager.cfg, residency.codec)
         assert addresses_before == [
             b.compressed_addr for b in fresh.blocks
         ]
@@ -172,6 +173,6 @@ class TestInPlaceScheme:
         inplace_manager, _ = self._run("inplace")
         # the in-place scheme churns its single area; the separate scheme
         # reuses same-size holes in the decompressed area
-        assert inplace_manager.image.relocations > 0
-        assert separate_manager.image.allocator.hole_count <= \
-            inplace_manager.image.allocator.hole_count + 4
+        assert inplace_manager.residency.image.relocations > 0
+        assert separate_manager.residency.image.allocator.hole_count <= \
+            inplace_manager.residency.image.allocator.hole_count + 4

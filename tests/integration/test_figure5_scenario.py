@@ -114,9 +114,9 @@ class TestFigure5:
 
     def test_footprint_returns_toward_minimum(self, manager):
         # after B0' is deleted, footprint = compressed + B1' + B3'
-        assert manager.image is not None
-        final = manager.footprint.samples[-1][1]
-        minimum = manager.image.compressed_image_size
+        assert manager.residency.image is not None
+        final = manager.residency.footprint.samples[-1][1]
+        minimum = manager.residency.image.compressed_image_size
         assert final < minimum + manager.cfg.total_size_bytes()
         assert final > minimum  # B1/B3 copies still resident
 
@@ -128,7 +128,7 @@ class TestFigure5:
     def test_compressed_area_addresses_never_move(self, manager):
         """Section 5: 'the locations of the compressed blocks do not
         change during execution'."""
-        image = manager.image
-        fresh = type(image)(manager.cfg, manager.codec)
+        image = manager.residency.image
+        fresh = type(image)(manager.cfg, manager.residency.codec)
         assert [b.compressed_addr for b in image.blocks] == \
             [b.compressed_addr for b in fresh.blocks]

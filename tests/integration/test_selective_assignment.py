@@ -141,7 +141,7 @@ class TestPerUnitLatency:
         )
         assignment = build_assignment(cfg, config)
         manager, result = api.run_instrumented(cfg, config)
-        image = manager.image
+        image = manager.residency.image
         per_codec = {
             name: compression_artifacts(cfg, name)
             for name in assignment.codec_names()
@@ -176,7 +176,7 @@ class TestPerUnitLatency:
                 profile=profile,
             ),
         )
-        image = manager.image
+        image = manager.residency.image
         assert all(
             image.verify_block(b.block_id) for b in cfg.blocks
         )

@@ -150,7 +150,7 @@ class TestMemoryAccounting:
                              **_FAST),
         )
         result = manager.run()
-        minimum = manager.image.compressed_image_size
+        minimum = manager.residency.image.compressed_image_size
         assert all(
             footprint >= minimum
             for _, footprint in result.footprint.samples
@@ -168,8 +168,8 @@ class TestMemoryAccounting:
         touched = {
             manager.unit_of(block) for block in set(result.block_trace)
         }
-        expected = manager.image.compressed_image_size + sum(
-            manager.unit_uncompressed_size(unit) for unit in touched
+        expected = manager.residency.image.compressed_image_size + sum(
+            manager.residency.unit_uncompressed_size(unit) for unit in touched
         )
         assert result.footprint.samples[-1][1] == expected
 

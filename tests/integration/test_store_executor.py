@@ -317,8 +317,8 @@ class TestArtifactReuse:
         key = manager.export_artifacts(store)
         assert key is not None
         assert store.get_artifact_bundle(
-            "shared-dict", manager._artifacts.block_data
-        ) == manager._artifacts.payloads
+            "shared-dict", manager.residency.artifacts.block_data
+        ) == manager.residency.artifacts.payloads
 
     def test_uncompressed_manager_exports_nothing(self, tmp_path):
         from repro.cfg import build_cfg

@@ -21,7 +21,7 @@ from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
 from repro.obs.tracer import SpanTracer
-from repro.runtime import PreparedTrace, TraceMachine, simulate_trace
+from repro.runtime import PreparedTrace, simulate_trace
 from repro.strategies import (
     STRATEGIES,
     OnDemandDecompression,
@@ -77,6 +77,61 @@ class TestSweepEngineEquivalence:
                 f"{name}/{m_run.config.strategy_name}",
             )
             assert t_run.ok == m_run.ok
+
+    @pytest.mark.parametrize("name, fields", [
+        ("fib", dict(max_steps=50)),
+        ("quicksort", dict(data_words=16)),
+    ])
+    def test_each_cell_replays_its_own_recording(self, name, fields,
+                                                 monkeypatch):
+        # The block trace depends on each cell's data_words and
+        # max_steps: a cell whose own values make the program fail must
+        # fail on the trace engine too, not replay the first cell's
+        # recording.  Each distinct pair is recorded once, failed
+        # recordings included.
+        sweep_module = importlib.import_module("repro.analysis.sweep")
+        recorded = []
+        recorded_trace = sweep_module._recorded_trace
+
+        def counting(workload, graph, template, max_blocks):
+            recorded.append((template.data_words, template.max_steps))
+            return recorded_trace(workload, graph, template, max_blocks)
+
+        monkeypatch.setattr(sweep_module, "_recorded_trace", counting)
+        workload = get_workload(name)
+        configs = [SimulationConfig(**_FAST),
+                   SimulationConfig(**fields, **_FAST),
+                   SimulationConfig(k_compress=None, **fields, **_FAST)]
+        machine = sweep([workload], configs, engine="machine")
+        trace = sweep([workload], configs, engine="trace")
+        assert [run.ok for run in machine.runs] == [True, False, False]
+        assert machine.runs[1].error.startswith("MachineError")
+        for index, (m_run, t_run) in enumerate(
+            zip(machine.runs, trace.runs)
+        ):
+            context = f"{name} cell {index}"
+            assert (t_run.ok, t_run.error) == (m_run.ok, m_run.error), \
+                context
+            _assert_results_equal(m_run.result, t_run.result, context)
+        assert trace.runs[0].result.engine == "trace"
+        assert len(recorded) == len(set(recorded)) == 2
+
+    def test_replays_build_no_machine(self, monkeypatch):
+        # Only the recordings interpret: one Machine per workload, none
+        # per replayed cell.
+        built = []
+        machine_class = manager_module.Machine
+
+        def counting_machine(cfg, *args, **kwargs):
+            built.append(cfg.name)
+            return machine_class(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(manager_module, "Machine", counting_machine)
+        workloads = [get_workload("fib"), get_workload("gcd")]
+        result = sweep(workloads, _CONFIGS, engine="trace")
+        assert [run.result.engine for run in result.runs] == \
+            ["trace"] * 2 * len(_CONFIGS)
+        assert sorted(built) == ["fib", "gcd"]
 
     def test_trace_engine_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown sweep engine"):
@@ -201,9 +256,7 @@ def _tight_budget(cfg, config):
 def _run(cfg, config, prepared=None, **kwargs):
     """Interpret (no ``prepared``) or replay one cell on the kernel;
     (manager, result)."""
-    manager = CodeCompressionManager(cfg, config, **kwargs)
-    if prepared is not None:
-        manager.machine = TraceMachine(cfg, prepared)
+    manager = CodeCompressionManager(cfg, config, trace=prepared, **kwargs)
     return manager, manager.run()
 
 
@@ -255,8 +308,8 @@ class TestKernelEnvelopeEquivalence:
         _assert_results_equal(layered, interpreted, context)
         _assert_results_equal(layered, stepped, context)
         # An interpreting run drives the live allocator block by block.
-        assert image_state(machine.image) == image_state(oracle.image), \
-            context
+        assert image_state(machine.residency.image) == \
+            image_state(oracle.residency.image), context
         if budgeted and units > 3:
             # (A one-function program has nothing to evict.)
             assert stepped.counters.evictions > 0, context
@@ -419,11 +472,9 @@ def _takeover_runs(cfg, prepared, fields):
                     RecencyWindowCompression(window)
             if traced:
                 kwargs["tracer"] = SpanTracer(cfg.name)
-            if factory is LayeredManager and replayed:
+            if replayed:
                 kwargs["trace"] = prepared
             manager = factory(cfg, config, **kwargs)
-            if factory is CodeCompressionManager and replayed:
-                manager.machine = TraceMachine(cfg, prepared)
             if manager.residency.artifacts is not None:
                 manager.residency.artifacts.plaintext.clear()
             result = manager.run(max_blocks=max_blocks)
@@ -462,24 +513,25 @@ class TestKernelTakeoverEquivalence:
                 assert tracer_state(manager.tracer) == \
                     tracer_state(reference.tracer), where
             if config.memory_budget is not None:
-                budget, oracle_budget = manager.budget, reference.budget
+                budget = manager.residency.budget
+                oracle_budget = reference.residency.budget
                 assert (budget._clock, budget._last_use,
                         budget._resident_since) == \
                     (oracle_budget._clock, oracle_budget._last_use,
                      oracle_budget._resident_since), where
             if key == "machine-interp":
                 assert result.registers == expected.registers, where
-            if manager.image is not None and (
+            if manager.residency.image is not None and (
                 key != "machine-trace" or config.image_scheme == "inplace"
             ):
                 # Every run but an arithmetic trace replay drives the
                 # live image block by block.
-                assert image_state(manager.image) == \
-                    image_state(reference.image), where
-                assert (manager.image.allocator.hole_count,
-                        manager.image.address_space_bytes) == \
-                    (reference.image.allocator.hole_count,
-                     reference.image.address_space_bytes), where
+                assert image_state(manager.residency.image) == \
+                    image_state(reference.residency.image), where
+                assert (manager.residency.image.allocator.hole_count,
+                        manager.residency.image.address_space_bytes) == \
+                    (reference.residency.image.allocator.hole_count,
+                     reference.residency.image.address_space_bytes), where
 
         if config.record_trace:
             assert len(expected.block_trace) == \
@@ -492,7 +544,7 @@ class TestKernelTakeoverEquivalence:
         if fields.get("window") is not None:
             assert expected.counters.recompressions > 0, context
         if config.image_scheme == "inplace":
-            assert reference.image.relocations > 0, context
+            assert reference.residency.image.relocations > 0, context
         if config.decompression == "test-lookahead":
             for key in ("machine-interp", "machine-trace"):
                 manager = runs[key][0]
@@ -577,14 +629,15 @@ class TestSegmentedInterpretation:
             assert tracer_state(manager.tracer) == \
                 tracer_state(reference.tracer), context
         if config.memory_budget is not None:
-            budget, oracle_budget = manager.budget, reference.budget
+            budget = manager.residency.budget
+            oracle_budget = reference.residency.budget
             assert (budget._clock, budget._last_use,
                     budget._resident_since) == \
                 (oracle_budget._clock, oracle_budget._last_use,
                  oracle_budget._resident_since), context
-        if manager.image is not None:
-            assert image_state(manager.image) == \
-                image_state(reference.image), context
+        if manager.residency.image is not None:
+            assert image_state(manager.residency.image) == \
+                image_state(reference.residency.image), context
         if config.decompression == "test-lookahead":
             assert manager.decompression.edges == \
                 reference.decompression.edges > 0
@@ -603,7 +656,8 @@ class TestSegmentedInterpretation:
         _assert_results_equal(expected, result, config.strategy_name)
         assert _profile_state(manager.profile) == \
             _profile_state(oracle.profile)
-        assert image_state(manager.image) == image_state(oracle.image)
+        assert image_state(manager.residency.image) == \
+            image_state(oracle.residency.image)
 
     def test_short_run_is_prepared_whole(self, kernel_traces):
         cfg, prepared, _ = kernel_traces["cold_paths"]

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import repro.core.manager as manager_module
 from repro.core.manager import CodeCompressionManager
 from repro.core.residency import ResidencySubsystem as _Residency
-from repro.memory.remember_set import BranchSite
 from repro.memory.remember_set import RememberSets as _RememberSets
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.events import EventKind
@@ -209,6 +208,14 @@ class BackgroundWorker:
 # ----------------------------------------------------------------------
 # Remember-set mutators and budget recency hooks
 # ----------------------------------------------------------------------
+
+
+class BranchSite(NamedTuple):
+    """A branch instruction location: (block id, instruction index within
+    that block's decompressed copy)."""
+
+    block_id: int
+    instr_index: int
 
 
 class RememberSets(_RememberSets):
@@ -550,8 +557,6 @@ class TraceStepper:
     """Steps a :class:`~repro.runtime.trace_sim.PreparedTrace` one block
     at a time, in place of the interpreting machine."""
 
-    engine_name = "trace"
-
     def __init__(self, cfg, prepared) -> None:
         self.cfg = cfg
         self.trace = prepared.trace
@@ -606,6 +611,7 @@ class LayeredManager(CodeCompressionManager):
             compression_policy=compression_policy,
             decompression_policy=decompression_policy,
             tracer=tracer,
+            trace=trace,
         )
         self.timing = TimingModel(self.config, self.counters, self.tracer)
         self.residency = ResidencySubsystem(
@@ -740,6 +746,10 @@ class LayeredManager(CodeCompressionManager):
 
         timing.finalize()
         residency.sample_footprint()
+        self.now = timing.now
+        self.execution_cycles = timing.execution_cycles
+        self.decompress_worker = timing.decompress_worker
+        self.compress_worker = timing.compress_worker
         return self._finish_run()
 
     def _on_block_enter(self, block_id: int) -> None:

@@ -61,7 +61,7 @@ class TestSystemInvariants:
         assert result.execution_cycles == base.execution_cycles
 
         # (c) footprint bounds
-        floor = manager.image.compressed_image_size
+        floor = manager.residency.image.compressed_image_size
         ceiling = floor + cfg.total_size_bytes()
         for _, footprint in result.footprint.samples:
             assert floor <= footprint <= ceiling
@@ -93,7 +93,7 @@ class TestSystemInvariants:
                              **_FAST),
         )
         manager.run()
-        assert manager.remember.validate() == []
+        assert manager.residency.remember.validate() == []
 
     @given(gen=_GENERATOR_CONFIGS)
     @settings(max_examples=10, deadline=None)

@@ -141,7 +141,7 @@ class TestEndToEnd:
             cfg, SimulationConfig(trace_events=False)
         )
         largest = max(block.size_bytes for block in cfg.blocks)
-        budget = probe.image.compressed_image_size + 2 * largest + 64
+        budget = probe.residency.image.compressed_image_size + 2 * largest + 64
         run = api.run_cell(
             workload,
             SimulationConfig(

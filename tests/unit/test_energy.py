@@ -52,10 +52,10 @@ class TestTrafficCounters:
         result = manager.run()
         # never recompress: each touched block materialised exactly once
         touched_payload = sum(
-            manager.image.block(block_id).compressed_size
+            manager.residency.image.block(block_id).compressed_size
             for block_id in {
                 b for b in range(len(composite_cfg.blocks))
-                if manager.image.is_resident(b)
+                if manager.residency.image.is_resident(b)
             }
         )
         assert result.counters.target_memory_bytes == touched_payload

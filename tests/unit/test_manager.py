@@ -49,7 +49,7 @@ class TestFaultAccounting:
         result = manager.run()
         # every block faults exactly once; stalls = 3 * (50 + latency_i)
         expected = sum(
-            50 + manager._unit_decompress_latency(manager.unit_of(b))
+            50 + manager.residency.unit_decompress_latency(manager.unit_of(b))
             for b in range(3)
         )
         assert result.counters.stall_cycles == expected
@@ -63,7 +63,7 @@ class TestFaultAccounting:
         )
         result = manager.run()
         expected = sum(
-            manager._unit_decompress_latency(manager.unit_of(b))
+            manager.residency.unit_decompress_latency(manager.unit_of(b))
             for b in range(3)
         )
         assert result.counters.stall_cycles == expected
@@ -183,7 +183,7 @@ class TestManagerView:
         manager = CodeCompressionManager(
             straight_cfg, SimulationConfig(**_FAST)
         )
-        assert manager.unit_uncompressed_size(0) == \
+        assert manager.residency.unit_uncompressed_size(0) == \
             straight_cfg.block(0).size_bytes
 
 

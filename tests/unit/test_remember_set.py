@@ -5,8 +5,7 @@ per-call mutators live on the frozen layered oracle (``tests/oracle``),
 since the replay kernel patches the sets' dicts inline.
 """
 
-from oracle.layered import RememberSets
-from repro.memory import BranchSite
+from oracle.layered import BranchSite, RememberSets
 
 
 class TestRememberSets:

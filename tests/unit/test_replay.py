@@ -15,7 +15,7 @@ from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
 from repro.memory.allocator import FreeListAllocator
 from repro.obs.tracer import SpanTracer
-from repro.runtime import PreparedTrace, TraceMachine, simulate_trace
+from repro.runtime import PreparedTrace, simulate_trace
 from repro.store.records import run_to_record
 from repro.strategies import RecencyWindowCompression
 from repro.workloads import get_workload
@@ -37,9 +37,7 @@ def recorded():
 
 
 def _replay(cfg, prepared, config, **kwargs):
-    manager = CodeCompressionManager(cfg, config, **kwargs)
-    manager.machine = TraceMachine(cfg, prepared)
-    return manager
+    return CodeCompressionManager(cfg, config, trace=prepared, **kwargs)
 
 
 class TestEnvelope:

@@ -5,7 +5,7 @@ import pytest
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
-from repro.runtime import PreparedTrace, TraceMachine, simulate_trace
+from repro.runtime import PreparedTrace, simulate_trace
 from repro.workloads import get_workload
 
 _FAST = dict(trace_events=False, record_trace=False)
@@ -23,42 +23,41 @@ def traced_workload():
     return cfg, base.block_trace
 
 
-class TestTraceMachine:
+class TestPreparedTrace:
     def test_replays_trace(self, loop_cfg):
         trace = [loop_cfg.entry_id]
         trace.append(loop_cfg.successors(trace[-1])[0])
-        machine = TraceMachine(loop_cfg, trace)
-        assert machine.trace == trace
-        assert machine.prepared.trace == trace
-        result = simulate_trace(loop_cfg, machine.prepared,
+        prepared = PreparedTrace(loop_cfg, trace)
+        assert prepared.trace == trace
+        result = simulate_trace(loop_cfg, prepared,
                                 SimulationConfig(**_FAST))
         assert result.counters.blocks_executed == 2
         assert result.engine == "trace"
 
     def test_rejects_empty_trace(self, loop_cfg):
         with pytest.raises(ValueError, match="at least one"):
-            TraceMachine(loop_cfg, [])
+            PreparedTrace(loop_cfg, [])
 
     def test_rejects_wrong_entry(self, loop_cfg):
         exit_id = loop_cfg.exit_ids[0]
         with pytest.raises(ValueError, match="entry"):
-            TraceMachine(loop_cfg, [exit_id])
+            PreparedTrace(loop_cfg, [exit_id])
 
     def test_rejects_impossible_transition(self, loop_cfg):
         exit_id = loop_cfg.exit_ids[0]
         with pytest.raises(ValueError, match="impossible"):
-            TraceMachine(loop_cfg, [loop_cfg.entry_id, exit_id])
+            PreparedTrace(loop_cfg, [loop_cfg.entry_id, exit_id])
+        # simulate_trace prepares (and so validates) a raw sequence.
+        with pytest.raises(ValueError, match="impossible"):
+            simulate_trace(loop_cfg, [loop_cfg.entry_id, exit_id],
+                           SimulationConfig(**_FAST))
 
     def test_cycle_costs_match_static_block_costs(self, loop_cfg):
         trace = [loop_cfg.entry_id]
         trace.append(loop_cfg.successors(trace[-1])[0])
-        prepared = TraceMachine(loop_cfg, trace).prepared
+        prepared = PreparedTrace(loop_cfg, trace)
         assert prepared.cycles == [
             loop_cfg.block(block_id).cycle_cost for block_id in trace
-        ]
-        assert prepared.instructions == [
-            len(loop_cfg.block(block_id).instructions)
-            for block_id in trace
         ]
 
     def test_plans_share_the_prepared_lists(self, loop_cfg):
@@ -70,17 +69,42 @@ class TestTraceMachine:
         plan = prepared.plan("block", {b.block_id: b.block_id
                                        for b in loop_cfg.blocks})
         assert prepared.trace is trace
-        assert (plan.trace, plan.cycles, plan.instructions) == \
-            (trace, prepared.cycles, prepared.instructions)
+        assert (plan.trace, plan.cycles) == (trace, prepared.cycles)
         assert plan.trace is trace and plan.cycles is prepared.cycles
 
     def test_prefix_shares_the_costs(self, loop_cfg):
         trace = [loop_cfg.entry_id]
         trace.append(loop_cfg.successors(trace[-1])[0])
-        prepared = TraceMachine(loop_cfg, trace).prepared
+        prepared = PreparedTrace(loop_cfg, trace)
         assert prepared.prefix(5) is prepared
         head = prepared.prefix(1)
         assert (head.trace, head.cycles) == (trace[:1], prepared.cycles[:1])
+
+
+class TestManagerTrace:
+    """A manager given ``trace=`` replays it and builds no machine."""
+
+    def test_only_interpreting_runs_build_a_machine(self, loop_cfg):
+        interpreting = CodeCompressionManager(loop_cfg,
+                                              SimulationConfig(**_FAST))
+        assert interpreting.engine == "machine"
+        assert interpreting.machine is not None
+        trace = [loop_cfg.entry_id]
+        trace.append(loop_cfg.successors(trace[-1])[0])
+        manager = CodeCompressionManager(
+            loop_cfg, SimulationConfig(**_FAST),
+            trace=PreparedTrace(loop_cfg, trace),
+        )
+        assert (manager.machine, manager.engine) == (None, "trace")
+        result = manager.run()
+        assert (result.engine, result.registers) == ("trace", None)
+        assert result.counters.blocks_executed == 2
+
+    def test_rejects_another_cfgs_trace(self, loop_cfg, traced_workload):
+        cfg, trace = traced_workload
+        with pytest.raises(ValueError, match="different CFG"):
+            CodeCompressionManager(loop_cfg, SimulationConfig(**_FAST),
+                                   trace=PreparedTrace(cfg, trace))
 
 
 class TestEquivalence:

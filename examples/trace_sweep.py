@@ -1,10 +1,11 @@
 """Fast design-space exploration with the declarative experiment API.
 
 One :class:`repro.api.ExperimentSpec` describes the whole design space
-(strategies x k values); the trace engine interprets each workload once
-and replays the recorded block trace through every other configuration —
-the compression metrics are bit-identical to full simulation, but the
-sweep runs much faster because instructions are not re-interpreted.
+(strategies x k values); the sweep interprets each workload once and
+replays the recorded block trace through every configuration — the
+compression metrics are bit-identical to simulating each cell alone,
+but the sweep runs much faster because instructions are not
+re-interpreted.
 Finishes with an ASCII footprint timeline of the chosen operating point
 and the Section 2 energy numbers.
 
@@ -40,8 +41,8 @@ def main() -> None:
         engine="trace",
     )
 
-    # 2. Execute it: the first cell records the block trace, the other
-    #    cells replay it.
+    # 2. Execute it: the workload's block trace is recorded once and
+    #    every cell replays it.
     result = api.run_experiment(spec)
     elapsed = result.meta["timing"]["elapsed_s"]
     print(f"{len(result.runs)} configurations via the trace engine in "

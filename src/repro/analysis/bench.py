@@ -8,10 +8,10 @@ so, that the fast paths are *exact*:
   is additionally timed against the frozen seed implementation
   (:mod:`repro.compress.reference`) and the payloads are checked
   byte-for-byte.
-* **E1 k-edge sweep** — the same (workload x k) grid run through the
-  interpreting engine and the trace-replay engine
-  (:func:`repro.analysis.sweep.sweep` with ``engine="trace"``), with
-  every cell's metrics compared.
+* **E1 k-edge sweep** — a (workload x k) grid run through
+  :func:`repro.analysis.sweep.sweep` (one recording per program, every
+  cell replayed) against every cell of it run alone, each interpreting
+  its program, with every cell's metrics compared.
 
 Results are written as ``BENCH_core.json`` (at the invoking directory's
 root by default) so the performance trajectory is tracked PR-over-PR.
@@ -40,7 +40,7 @@ from ..compress.reference import (
 from ..compress.stats import block_bytes
 from ..core.config import SimulationConfig
 from ..workloads import generate_sized_program, get_workload
-from .sweep import sweep
+from .sweep import SweepRun, effective_config, run_one, sweep
 
 #: Codecs timed by the round-trip benchmark (self-contained formats).
 BENCH_CODECS = ("huffman", "lzw", "lz77", "rle", "dictionary",
@@ -59,7 +59,7 @@ _SMOKE_BUFFER_BYTES = 4_000
 _SWEEP_WORKLOADS = ("composite", "cold_paths", "dijkstra", "adpcm")
 _SWEEP_K_VALUES = (1, 2, 4, 8, 16, 32, None)
 
-#: Metrics every (machine, trace) cell pair must agree on exactly.
+#: Metrics every (cell alone, swept cell) pair must agree on exactly.
 _COMPARED_METRICS = (
     "total_cycles", "execution_cycles", "average_footprint",
     "peak_footprint", "compressed_size", "uncompressed_size",
@@ -211,43 +211,54 @@ def _metrics_equal(left, right) -> bool:
     )
 
 
-def _results_equal(machine_runs, trace_runs) -> bool:
-    """Cell-by-cell metric equality between the two sweep engines."""
-    if len(machine_runs) != len(trace_runs):
+def _results_equal(left_runs, right_runs) -> bool:
+    """Cell-by-cell metric equality between two runs of one grid."""
+    if len(left_runs) != len(right_runs):
         return False
     return all(
         _metrics_equal(left.result, right.result)
-        for left, right in zip(machine_runs, trace_runs)
+        for left, right in zip(left_runs, right_runs)
     )
 
 
 def bench_e1_sweep(smoke: bool = False) -> Dict[str, object]:
-    """E1 k-edge sweep: interpreting engine vs. trace-replay engine."""
-    workloads = [
-        get_workload(name)
-        for name in _SWEEP_WORKLOADS[: 1 if smoke else None]
-    ]
-    configs = _sweep_configs()
+    """E1 k-edge sweep: every cell run alone vs. one sweep of the grid.
+
+    The per-cell baseline interprets the program in every cell (what
+    the default engine cost before sweeps recorded once).  The cold
+    sweep runs on fresh workload objects, so its recording, CFG and
+    compression artifacts fall inside the timed run; the warm sweep
+    reuses the recording and only replays.
+    """
+    names = _SWEEP_WORKLOADS[: 1 if smoke else None]
+    workloads = [get_workload(name) for name in names]
+    configs = [effective_config(config) for config in _sweep_configs()]
     if smoke:
         configs = configs[:3]
     repeats = 1 if smoke else 2
 
-    machine_result = sweep(workloads, configs, engine="machine")
-    trace_result = sweep(workloads, configs, engine="trace")
-    metrics_equal = _results_equal(machine_result.runs, trace_result.runs)
+    def per_cell() -> List[SweepRun]:
+        return [run_one(workload, config)
+                for workload in workloads for config in configs]
 
-    machine_s = _time(
-        lambda: sweep(workloads, configs, engine="machine"), repeats
+    metrics_equal = _results_equal(
+        per_cell(), sweep(workloads, configs).runs
     )
-    trace_s = _time(
-        lambda: sweep(workloads, configs, engine="trace"), repeats
-    )
+    per_cell_s = _time(per_cell, repeats)
+    warm_s = _time(lambda: sweep(workloads, configs), repeats)
+    cold_s = float("inf")
+    for _ in range(repeats):
+        fresh = [get_workload(name) for name in names]
+        started = time.perf_counter()
+        sweep(fresh, configs)
+        cold_s = min(cold_s, time.perf_counter() - started)
     return {
-        "workloads": [w.name for w in workloads],
+        "workloads": list(names),
         "cells": len(configs) * len(workloads),
-        "machine_s": machine_s,
-        "trace_s": trace_s,
-        "speedup": machine_s / trace_s if trace_s else float("inf"),
+        "per_cell_s": per_cell_s,
+        "cold_s": cold_s,
+        "warm_s": warm_s,
+        "speedup": per_cell_s / cold_s if cold_s else float("inf"),
         "metrics_equal": metrics_equal,
     }
 
@@ -261,12 +272,13 @@ def bench_chaos_overhead(smoke: bool = False) -> Dict[str, object]:
     fires).  The guard keeps the robustness layer honest: chaos
     machinery must cost nothing when chaos is off.  Interleaved
     best-of-``repeats`` timing cancels drift between the two paths.
+    Each timed run gets a fresh workload object, so it records its
+    program instead of replaying a cached recording.
     """
     from ..api.executor import run_partition
     from ..faults.plan import FAULTS_ENV
     from ..faults.retry import RetryPolicy
 
-    workload = get_workload("composite")
     configs = _sweep_configs()[:3]
     policy = RetryPolicy(attempts=3, timeout=60.0)
     repeats = 3 if smoke else 5
@@ -276,9 +288,11 @@ def bench_chaos_overhead(smoke: bool = False) -> Dict[str, object]:
     try:
         plain = armed = float("inf")
         for _ in range(repeats):
+            workload = get_workload("composite")
             started = time.perf_counter()
             run_partition(workload, configs, "machine", True, None)
             plain = min(plain, time.perf_counter() - started)
+            workload = get_workload("composite")
             started = time.perf_counter()
             run_partition(workload, configs, "machine", True, None,
                           policy)
@@ -303,20 +317,23 @@ def bench_trace_overhead(smoke: bool = False) -> Dict[str, object]:
     skipped on ``NULL_TRACER``) and **armed** (a live
     :class:`~repro.obs.SpanTracer` via
     :func:`~repro.obs.tracing_scope`).  The armed overhead is loosely
-    bounded so a pathological tracer regression fails the run.
+    bounded so a pathological tracer regression fails the run.  Each
+    timed run gets a fresh workload object, so it records its program
+    instead of replaying a cached recording.
     """
     from ..api.executor import run_partition
     from ..obs.tracer import TraceSink, tracing_scope
 
-    workload = get_workload("composite")
     configs = _sweep_configs()[:3]
     repeats = 3 if smoke else 5
     off_s = armed_s = float("inf")
     sink = TraceSink(keep_spans=False)
     for _ in range(repeats):
+        workload = get_workload("composite")
         started = time.perf_counter()
         run_partition(workload, configs, "machine", True, None)
         off_s = min(off_s, time.perf_counter() - started)
+        workload = get_workload("composite")
         started = time.perf_counter()
         with tracing_scope(sink):
             run_partition(workload, configs, "machine", True, None)
@@ -802,9 +819,10 @@ def render_report(report: Dict[str, object]) -> str:
         lines.append(
             f"E1 sweep ({', '.join(e1['workloads'])}; "
             f"{e1['cells']} cells): "
-            f"machine {e1['machine_s'] * 1000:.0f} ms vs trace "
-            f"{e1['trace_s'] * 1000:.0f} ms -> {e1['speedup']:.2f}x "
-            f"(metrics equal: {e1['metrics_equal']})"
+            f"cells alone {e1['per_cell_s'] * 1000:.0f} ms vs sweep "
+            f"{e1['cold_s'] * 1000:.0f} ms cold "
+            f"({e1['warm_s'] * 1000:.0f} ms warm) -> "
+            f"{e1['speedup']:.2f}x (metrics equal: {e1['metrics_equal']})"
         )
     replay = report.get("trace_replay_batched")
     if replay:

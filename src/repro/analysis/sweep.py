@@ -7,40 +7,44 @@ output is stable across machines; parallelism lives a layer up, in the
 :mod:`repro.api.executor` process pool, which dispatches whole-workload
 partitions through this module.
 
-Engines live in the :data:`ENGINES` registry; two are built in:
+The paper's runtime decides only *when* a block is decompressed and
+recompressed, never which blocks the program runs, so one recorded
+block sequence per program serves every cell of a grid row.  Both
+registered engine names, ``"machine"`` (the default) and ``"trace"``,
+run that one computation: per workload, the CFG is built once and the
+block trace is recorded *once* per distinct (``data_words``,
+``max_steps``) pair of its cells under the uncompressed baseline config
+(``decompression="none"``), then every grid cell replays its pair's
+recording through :func:`~repro.runtime.trace_sim.simulate_trace` — the
+replay kernel (:mod:`repro.core.replay`), with whole resident runs
+fast-forwarded in bulk where its batched path applies.  The recording
+itself is not a grid cell; its result is discarded (only its prepared
+trace, final registers and oracle validation survive, cached per CFG so
+repeated sweeps over the same workload objects never re-record).
+Compressed payloads are shared across cells via the
+:func:`~repro.memory.image.compression_artifacts` cache, so identical
+block bytes are never recompressed.
+``tests/integration/test_trace_sweep_equivalence.py`` holds every
+swept cell to the same cell run alone and to the frozen layered oracle.
 
-* ``engine="machine"`` interprets every instruction of every grid cell —
-  the gold standard, and the default.
-* ``engine="trace"`` is the shared-artifact fast path: per workload, the
-  CFG is built once and the block trace is recorded *once* per distinct
-  (``data_words``, ``max_steps``) pair of its cells under the
-  uncompressed baseline config (``decompression="none"``), then every
-  grid cell replays its pair's recording through
-  :func:`~repro.runtime.trace_sim.simulate_trace` — the replay kernel
-  (:mod:`repro.core.replay`) that also runs every interpreted cell, with
-  whole resident runs fast-forwarded in bulk where its batched path
-  applies.  The recording itself is not a grid cell; its result is
-  discarded (only its prepared trace and the oracle validation survive,
-  cached per CFG so repeated sweeps over the same workload objects never
-  re-record).  Compressed payloads are shared across cells via the
-  :func:`~repro.memory.image.compression_artifacts` cache, so identical
-  block bytes are never recompressed.  Compression policy is transparent
-  to program semantics (the differential-oracle integration tests enforce
-  this), so the recorded block sequence is valid for every configuration
-  and the resulting metrics are identical to machine-driven metrics —
-  asserted by ``tests/integration/test_trace_sweep_equivalence.py``.
-  Replayed cells reuse the recording's oracle validation (replay does
-  not model register state).  If the trace overflows the recording cap,
-  the sweep emits a structured ``repro.log.kv`` fallback event and
-  interprets the cells that share that recording, as it does when the
-  recording raises; a cell whose replay raises
-  becomes an error row naming the exception, as on the machine engine.
-  Every result records which kernel path computed it
-  (``SimulationResult.replay_path``).
+The engine name decides only how a replayed result is labelled: under
+``"machine"`` it carries ``engine="machine"`` and the recording's final
+registers (machine state does not depend on the compression config),
+under ``"trace"`` it carries ``engine="trace"`` and no registers.
+Every replayed cell reuses the recording's oracle validation.  Injected
+faults and per-cell deadlines (:func:`~repro.faults.runtime.cell_guard`)
+wrap each cell's replay only; the recording runs outside them.
+
+If the trace overflows the recording cap, the sweep emits a structured
+``repro.log.kv`` fallback event and interprets the cells that share
+that recording, as it does when the recording raises; a cell whose
+replay raises becomes an error row naming the exception.  Every result
+records which kernel path computed it (``SimulationResult.replay_path``).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import weakref
 from dataclasses import dataclass, field
@@ -238,8 +242,9 @@ def sweep(
     ``fast=True`` disables event/trace recording (the counters and
     footprint timeline are unaffected).  CFGs are built once per workload
     and shared across configs.  ``engine`` names a registered sweep
-    engine — ``"machine"`` interprets every cell, ``"trace"`` is the
-    trace-replay fast path (see the module docstring for the contract).
+    engine; ``"machine"`` and ``"trace"`` both record each program once
+    and replay every cell, and differ only in the ``engine`` and
+    ``registers`` their results carry (see the module docstring).
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -256,31 +261,14 @@ def sweep(
     return out
 
 
-@ENGINES.register("machine")
-def _machine_sweep_workload(
-    workload: Workload,
-    graph: ProgramCFG,
-    configs: Sequence[SimulationConfig],
-    fast: bool,
-    max_blocks: Optional[int],
-) -> List[SweepRun]:
-    """One workload's grid row, interpreting every instruction of every
-    cell — the gold standard.  A raising cell becomes an error run; the
-    rest of the grid still completes."""
-    return [
-        run_one_safe(workload, effective_config(config, fast),
-                     cfg=graph, max_blocks=max_blocks)
-        for config in configs
-    ]
-
-
-#: Per-CFG recorded-trace cache for the trace engine:
-#: ``graph -> {(max_blocks, data_words, max_steps):
-#: (PreparedTrace | None, validation, reason)}``.  ``PreparedTrace`` is
-#: None for a negative entry (the recording hit the cap or came back
-#: incomplete) with ``reason`` saying why; positive entries carry the
-#: prepared trace and the recording's oracle validation.  Keyed weakly
-#: on the :class:`ProgramCFG` so dead graphs evict their traces (a
+#: Per-CFG recorded-trace cache of the sweep row:
+#: ``graph -> {(max_blocks, data_words, max_steps, cap):
+#: (PreparedTrace | None, validation, reason, registers)}``.
+#: ``PreparedTrace`` is None for a negative entry (the recording hit the
+#: cap or came back incomplete) with ``reason`` saying why; positive
+#: entries carry the prepared trace, the recording's oracle validation
+#: and its final machine registers.  Keyed weakly on the
+#: :class:`ProgramCFG` so dead graphs evict their traces (a
 #: :class:`PreparedTrace` refers to its CFG weakly, so no value keeps
 #: its own key alive).
 _trace_cache: "weakref.WeakKeyDictionary[ProgramCFG, Dict[tuple, tuple]]" \
@@ -331,6 +319,7 @@ def _recorded_trace(
         manager = CodeCompressionManager(graph, recording)
         result = manager.run(max_blocks=max_blocks)
     validation = workload.validate(manager.machine)
+    registers = list(manager.machine.registers)
     trace = result.block_trace
     complete = trace and not result.trace_truncated \
         and result.counters.blocks_executed == len(trace) \
@@ -339,7 +328,7 @@ def _recorded_trace(
         # The recording's own replay already prepared the trace, unless
         # it was long enough to be interpreted in segments.
         prepared = manager.prepared or PreparedTrace(graph, trace)
-        entry = (prepared, validation, None)
+        entry = (prepared, validation, None, registers)
     else:
         reason = (
             "truncated" if result.trace_truncated
@@ -351,52 +340,53 @@ def _recorded_trace(
             cap=cap,
             reason=reason,
         ))
-        entry = (None, validation, reason)
+        entry = (None, validation, reason, registers)
     per_graph[key] = entry
     return entry
 
 
-@ENGINES.register("trace")
-def _trace_sweep_workload(
+def _sweep_workload(
     workload: Workload,
     graph: ProgramCFG,
     configs: Sequence[SimulationConfig],
     fast: bool,
     max_blocks: Optional[int],
+    engine: str,
 ) -> List[SweepRun]:
-    """One workload's grid row under the trace engine.
+    """One workload's grid row, under either engine name.
 
     The block trace depends on the program and on each cell's
     ``data_words`` and ``max_steps``: every distinct pair is recorded at
     most once (cached per CFG, see :func:`_recorded_trace`) and each
-    cell replays its own pair's recording.  A cell whose recording was
-    truncated by the recording cap — announced with a parseable
-    ``repro.log.kv`` event — or raised is interpreted instead.  A cell
-    whose replay raises becomes an error row (the retry layer may
-    re-run it).
+    cell replays its own pair's recording under ``cell_guard``.  A cell
+    whose recording was truncated by the recording cap — announced with
+    a parseable ``repro.log.kv`` event — or raised is interpreted
+    instead.  A cell whose replay raises becomes an error row (the
+    retry layer may re-run it).
     """
     runs: List[SweepRun] = []
-    # (data_words, max_steps) -> (PreparedTrace | None, validation)
-    recordings: Dict[tuple, tuple] = {}
+    # (data_words, max_steps) -> _recorded_trace entry, or None when
+    # the recording raised.
+    recordings: Dict[tuple, Optional[tuple]] = {}
     for config in configs:
         effective = effective_config(config, fast)
         pair = (effective.data_words, effective.max_steps)
         if pair not in recordings:
             try:
-                prepared, validation, _reason = _recorded_trace(
+                recordings[pair] = _recorded_trace(
                     workload, graph, effective, max_blocks
                 )
             except Exception:
                 # The recording itself raised (broken workload, a run
                 # past max_steps or out of data memory): interpret the
                 # cell, which captures its own error.
-                prepared, validation = None, None
-            recordings[pair] = (prepared, validation)
-        prepared, validation = recordings[pair]
-        if prepared is None:
+                recordings[pair] = None
+        entry = recordings[pair]
+        if entry is None or entry[0] is None:
             runs.append(run_one_safe(workload, effective, cfg=graph,
                                      max_blocks=max_blocks))
             continue
+        prepared, validation, _reason, registers = entry
         try:
             with cell_guard(
                 workload.name, effective.strategy_name
@@ -412,11 +402,19 @@ def _trace_sweep_workload(
             # and fail the same way: report the error row directly.
             runs.append(_failed_run(workload, effective, exc))
             continue
+        if engine == "machine":
+            replayed.engine = "machine"
+            replayed.registers = list(registers)
         runs.append(
             SweepRun(workload=workload.name, config=effective,
                      result=replayed, validation=list(validation))
         )
     return runs
+
+
+# Both names run the same row; the name only labels its results.
+ENGINES.add("machine", functools.partial(_sweep_workload, engine="machine"))
+ENGINES.add("trace", functools.partial(_sweep_workload, engine="trace"))
 
 
 def geometric_mean(values: Iterable[float]) -> float:

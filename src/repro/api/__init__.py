@@ -40,8 +40,14 @@ from __future__ import annotations
 import time
 from typing import Any, List, Optional, Sequence, Union
 
-from ..analysis.sweep import ENGINES, SweepRun, available_engines, run_one
-from ..cfg.builder import ProgramCFG, build_cfg
+from ..analysis.sweep import (
+    ENGINES,
+    SweepRun,
+    _recorded_trace,
+    available_engines,
+    run_one,
+)
+from ..cfg.builder import ProgramCFG, build_cfg, build_cfg_cached
 from ..core.config import SimulationConfig
 from ..core.manager import CodeCompressionManager
 from ..faults import FaultPlan, FaultRule, RetryPolicy, install_plan
@@ -228,7 +234,6 @@ def run_traced(
     workload: Union[str, Workload, ProgramCFG],
     config: Optional[SimulationConfig] = None,
     max_blocks: Optional[int] = None,
-    engine: str = "machine",
 ):
     """Run one cell with cycle-domain span tracing armed.
 
@@ -237,15 +242,12 @@ def run_traced(
     ``result.phases`` filled in) plus the
     :class:`~repro.obs.SpanTracer` holding the raw spans — feed it to
     :func:`repro.obs.chrome_trace` for a Perfetto-loadable file, or
-    just read ``tracer.phases()``.  ``engine="trace"`` first records a
-    block trace interpreted-uncompressed, then traces the replay — the
-    same two-step the sweep trace engine performs.
+    just read ``tracer.phases()``.
 
     Tracing never changes the result: the returned metrics are
     byte-identical to an untraced run of the same cell.
     """
     from ..obs.tracer import SpanTracer
-    from ..runtime.trace_sim import PreparedTrace, simulate_trace
 
     if isinstance(workload, ProgramCFG):
         cfg = workload
@@ -258,28 +260,8 @@ def run_traced(
         cfg = build_cfg(workload.program)
         name = workload.name
     tracer = SpanTracer(name)
-    if engine == "trace":
-        recording = CodeCompressionManager(
-            cfg,
-            SimulationConfig(
-                decompression="none", codec="null",
-                trace_events=False, record_trace=True,
-            ),
-        ).run(max_blocks=max_blocks)
-        prepared = PreparedTrace.from_result(cfg, recording)
-        result = simulate_trace(
-            cfg, prepared, config, max_blocks=max_blocks,
-            tracer=tracer,
-        )
-    elif engine == "machine":
-        manager = CodeCompressionManager(cfg, config, tracer=tracer)
-        result = manager.run(max_blocks=max_blocks)
-    else:
-        raise ValueError(
-            f"unknown engine '{engine}'; run_traced supports "
-            f"'machine' and 'trace'"
-        )
-    return result, tracer
+    manager = CodeCompressionManager(cfg, config, tracer=tracer)
+    return manager.run(max_blocks=max_blocks), tracer
 
 
 def profile_workload(
@@ -288,28 +270,25 @@ def profile_workload(
 ):
     """Record an offline edge profile for a workload.
 
-    Runs the workload once, uncompressed and interpreted (the cheapest
-    faithful run), and folds the recorded block trace into an
-    :class:`~repro.cfg.profile.EdgeProfile` — the input the
-    profile-guided codec-assignment policies
-    (:mod:`repro.selection`) and the "static-profile" predictor expect
-    in ``SimulationConfig.profile``.  Deterministic, so profiled
-    configs still fingerprint stably in the experiment store.
+    Folds the workload's recorded block trace — the uncompressed
+    recording a sweep of the same workload object replays, so
+    profiling and then sweeping interprets the program once — into an
+    :class:`~repro.cfg.profile.EdgeProfile`: the input the
+    profile-guided codec-assignment policies (:mod:`repro.selection`)
+    and the "static-profile" predictor expect in
+    ``SimulationConfig.profile``.  Deterministic, so profiled configs
+    still fingerprint stably in the experiment store.
     """
     from ..cfg.profile import profile_from_trace
     from ..workloads.suite import get_workload
 
     if isinstance(workload, str):
         workload = get_workload(workload)
-    run = run_one(
-        workload,
-        SimulationConfig(
-            decompression="none", codec="null",
-            trace_events=False, record_trace=True,
-        ),
-        max_blocks=max_blocks,
-    )
-    if run.result.trace_truncated:
+    prepared = _recorded_trace(
+        workload, build_cfg_cached(workload.program), SimulationConfig(),
+        max_blocks,
+    )[0]
+    if prepared is None:
         # A truncated trace would under-count everything executed
         # after the cap and silently mis-rank hot units; refuse, like
         # PreparedTrace does for replays.
@@ -318,7 +297,7 @@ def profile_workload(
             "profile would silently miss late execution; profile a "
             "bounded prefix explicitly via max_blocks instead"
         )
-    return profile_from_trace(run.result.block_trace)
+    return profile_from_trace(prepared.trace)
 
 
 def list_components() -> "dict[str, List[str]]":

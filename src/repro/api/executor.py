@@ -3,9 +3,10 @@
 An executor takes the expanded grid as workload-major *partitions* (one
 workload's full config row per partition) and produces the flat run list
 in deterministic cell order.  Partitioning by workload is what preserves
-the PR-1 fast paths under parallelism: within a partition the trace
-engine records once and replays the rest, and the per-(CFG, codec)
-shared-artifact cache never recompresses identical block bytes.
+the shared-artifact fast paths under parallelism: within a partition
+the sweep records each program once and replays every cell, and the
+per-(CFG, codec) shared-artifact cache never recompresses identical
+block bytes.
 
 * :class:`SerialExecutor` runs partitions in order in this process — the
   reference behaviour.
@@ -48,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..analysis.sweep import SweepRun, run_one_safe, sweep
+from ..analysis.sweep import SweepRun, sweep
 from ..core.config import SimulationConfig
 from ..faults.retry import RetryPolicy
 from ..faults.runtime import classify_fault, retry_scope
@@ -85,14 +86,18 @@ def _retry_cell(
     workload: Workload,
     run: SweepRun,
     retry: RetryPolicy,
+    engine: str,
     max_blocks: Optional[int],
 ) -> SweepRun:
     """Re-attempt one errored cell under ``retry``.
 
-    Returns either a recovered run or the final error row; both carry
-    the attempt provenance (attempt number, fault class, error message,
-    per-attempt duration — the first attempt's duration is not
-    measured, to keep the fault-free path instrumentation-free).
+    Each attempt re-runs the cell through the same sweep row as the
+    first, so a recovered cell is labelled like its untroubled
+    neighbours; the recording is cached, so an attempt costs one
+    replay.  Returns either a recovered run or the final error row;
+    both carry the attempt provenance (attempt number, fault class,
+    error message, per-attempt duration — the first attempt's duration
+    is not measured, to keep the fault-free path instrumentation-free).
     """
     if run.error is None:
         return run
@@ -111,8 +116,11 @@ def _retry_cell(
         started = time.perf_counter()
         with span("cell.retry", cat="retry", cell=key,
                   attempt=attempt):
-            current = run_one_safe(workload, run.config,
-                                   max_blocks=max_blocks)
+            # run.config is already effective: fast=False keeps it.
+            current = sweep(
+                [workload], [run.config], fast=False,
+                max_blocks=max_blocks, engine=engine,
+            ).runs[0]
         duration_ms = round((time.perf_counter() - started) * 1000, 3)
         attempts.append({
             "attempt": attempt,
@@ -155,7 +163,7 @@ def run_partition(
             run.error is not None for run in runs
         ):
             runs = [
-                _retry_cell(workload, run, retry, max_blocks)
+                _retry_cell(workload, run, retry, engine, max_blocks)
                 for run in runs
             ]
     return runs

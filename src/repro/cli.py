@@ -17,7 +17,7 @@ Subcommands (all built on the :mod:`repro.api` facade):
   a tiny sweep twice and assert the second run is served from cache);
 * ``bench``    — performance microbenchmarks, written to
   ``BENCH_core.json`` (codec round-trips vs. the seed implementation
-  and the machine- vs. trace-engine E1 sweep);
+  and the E1 sweep vs. running each of its cells alone);
 * ``serve``    — the long-running sweep service (``repro.service``):
   a JSON-over-HTTP job queue with store-backed per-cell dedup, SSE
   progress events, ``/metrics`` (JSON or Prometheus text), a live
@@ -34,9 +34,10 @@ Subcommands (all built on the :mod:`repro.api` facade):
 ``run``/``sweep``/``compare`` accept ``--hierarchy PRESET`` (the
 memory-hierarchy model: ``flat`` is the seed-equivalent default;
 ``repro list`` enumerates the registered presets).  ``sweep`` and
-``compare`` accept ``--engine {machine,trace}`` (the trace-replay fast
-path) and ``--jobs N`` (process-parallel across workload partitions;
-with a single workload this changes nothing).
+``compare`` accept ``--engine {machine,trace}`` (one computation
+under both names; ``machine`` results also carry final registers) and
+``--jobs N`` (process-parallel across workload partitions; with a
+single workload this changes nothing).
 ``sweep``/``compare``/``exp`` accept ``--store [DIR]`` (serve repeated
 cells from the persistent store; DIR defaults to ``$REPRO_STORE_DIR``
 or ``~/.cache/repro-store``) and ``--no-cache`` (force recomputation
@@ -164,9 +165,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", default="machine",
         choices=api.available_engines(),
-        help="sweep engine: interpret every cell ('machine') or replay "
-             "a recorded block trace ('trace', the fast path; "
-             "default: machine)",
+        help="sweep engine name: both record each program once and "
+             "replay every cell; results from 'machine' also carry "
+             "the final registers (default: machine)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -680,9 +681,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
     profile = _assignment_profile(args, workload, args.strategy)
     config = _config_from_args(args, profile)
-    result, tracer = api.run_traced(
-        workload, config, engine=args.engine
-    )
+    result, tracer = api.run_traced(workload, config)
     print(result.render())
     print("\nphase breakdown (cycles):")
     for name, cycles in (result.phases or {}).items():
@@ -1353,12 +1352,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("workload", choices=available_workloads())
     _add_config_arguments(trace_parser)
-    trace_parser.add_argument(
-        "--engine", default="machine", choices=api.available_engines(),
-        help="engine to trace: interpret ('machine') or record + "
-             "replay ('trace'); results are identical either way "
-             "(default: machine)",
-    )
     trace_parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the Chrome trace-event JSON here (load it in "

@@ -151,10 +151,12 @@ class SimulationResult:
     ``total_cycles / execution_cycles - 1`` because the baseline executes
     the same instruction stream with no stalls.
 
-    ``engine`` names the machine that produced the run ("machine" for
-    the interpreting engine, "trace" for a trace replay).  Trace replays
-    do not model register state, so their ``registers`` is ``None`` —
-    consumers must never compare registers across engines.
+    ``engine`` names the engine the run was requested under: "machine"
+    for an interpreting run and for a sweep cell requested under the
+    ``machine`` engine name (which carries the recording's final
+    registers), "trace" for a trace replay, whose ``registers`` is
+    ``None`` — consumers must never compare registers across engines.
+    ``replay_path`` says which kernel path ran.
     ``trace_truncated`` is True when ``block_trace`` hit the recording
     cap and is therefore incomplete; truncated traces must not be
     replayed (:class:`~repro.runtime.trace_sim.PreparedTrace` refuses
@@ -184,8 +186,7 @@ class SimulationResult:
     #: Which replay-kernel path computed the run — ``"batched"`` (with
     #: window fast-forward) or ``"stepped"`` (one block at a time) — and
     #: the condition that declined the batched path (see
-    #: :mod:`repro.core.replay`); ``engine`` says whether the trace was
-    #: interpreted or replayed.
+    #: :mod:`repro.core.replay`).
     #: Provenance only, like ``phases``: never serialised or compared.
     replay_path: Optional[str] = field(default=None, compare=False)
     replay_declined: Optional[str] = field(default=None, compare=False)

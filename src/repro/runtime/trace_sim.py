@@ -237,7 +237,7 @@ class PreparedTrace:
                 "refusing to prepare a truncated trace: the recording "
                 "hit the block-trace cap, so replaying it would "
                 "silently simulate a shorter run; re-record with a "
-                "higher cap or use the interpreting engine"
+                "higher cap or run the program without a recorded trace"
             )
         _validate(cfg, trace)
         self._cfg = weakref.ref(cfg)

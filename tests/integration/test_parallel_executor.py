@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import api
+from repro.analysis.sweep import effective_config
 from repro.core import SimulationConfig
 from repro.log import parse_kv
 
@@ -70,20 +71,21 @@ class TestParallelEqualsSerial:
 
 
 class TestEngineAgreementThroughApi:
-    def test_machine_and_trace_engines_agree(self):
-        spec_kwargs = dict(
+    @pytest.mark.parametrize("engine", api.available_engines())
+    def test_sweep_agrees_with_cells_alone(self, engine):
+        spec = api.ExperimentSpec(
             workloads=["fsm", "crc32"],
             base={"codec": "shared-dict", "decompression": "ondemand"},
             axes=api.grid(k_compress=[2, 8]),
+            engine=engine,
         )
-        machine = api.run_experiment(
-            api.ExperimentSpec(engine="machine", **spec_kwargs)
-        )
-        trace = api.run_experiment(
-            api.ExperimentSpec(engine="trace", **spec_kwargs)
-        )
-        assert machine.to_dict(include_execution=False)["cells"] == \
-            trace.to_dict(include_execution=False)["cells"]
+        swept = api.run_experiment(spec)
+        alone = api.ResultSet([
+            api.run_cell(name, effective_config(config))
+            for name, configs in spec.partitions() for config in configs
+        ])
+        assert swept.to_dict(include_execution=False)["cells"] == \
+            alone.to_dict(include_execution=False)["cells"]
 
 
 class TestUnregisteredWorkloadFallback:

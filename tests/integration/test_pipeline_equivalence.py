@@ -3,14 +3,15 @@
 A pipeline codec must be transparent to program semantics exactly like
 a flat codec, whichever execution path computes the cell:
 
-* the interpreting **machine** engine,
-* the **trace** engine's batched replay kernel, and
-* the trace engine with every replay run on the frozen layered
-  per-block loop (``tests/oracle``)
+* every cell run **alone** (an interpreting run that replays its own
+  trace),
+* the **sweep** under either engine name (one recording per program,
+  every cell on the batched replay kernel), and
+* the sweep with every replay run on the frozen layered per-block loop
+  (``tests/oracle``)
 
-must all produce byte-identical ``canonical_json`` for a grid of
-pipelines x suite workloads (the result meta's ``engine`` label is
-normalised — it records which engine ran, everything else must match).
+must all produce byte-identical serialised cells for a grid of
+pipelines x suite workloads.
 On top of that, cells served from the experiment store must be
 byte-equal to recomputation, pipeline specs and the ``pipeline-search``
 policy included — the fingerprint expands pipeline specs structurally,
@@ -47,42 +48,42 @@ def _configs():
     ]
 
 
-def _canonical(results) -> str:
-    """canonical_json with the engine label normalised away."""
-    payload = json.loads(results.canonical_json())
-    payload["meta"].pop("engine", None)
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    )
+def _cells(runs) -> str:
+    """The serialised cells of ``runs``."""
+    cells = api.ResultSet(runs).to_dict(include_execution=False)["cells"]
+    return json.dumps(cells, sort_keys=True)
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name", _WORKLOADS)
-    def test_machine_trace_replay_identical(self, name, monkeypatch):
-        machine = api.run_grid([name], _configs(), engine="machine")
-        trace = api.run_grid([name], _configs(), engine="trace")
+    def test_sweep_equals_cells_alone_and_oracle(self, name, monkeypatch):
+        alone = [api.run_cell(name, config) for config in _configs()]
+        swept = [api.run_grid([name], _configs(), engine=engine)
+                 for engine in api.available_engines()]
         monkeypatch.setattr(sweep_module, "simulate_trace",
                             oracle.simulate_trace)
         layered = api.run_grid([name], _configs(), engine="trace")
-        assert not machine.failures()
-        assert {run.result.replay_path for run in trace.runs} == \
-            {"batched"}
+        assert all(run.ok for run in alone)
+        for result in swept:
+            assert {run.result.replay_path for run in result.runs} == \
+                {"batched"}
+            assert _cells(result.runs) == _cells(alone), name
         assert {run.result.replay_path for run in layered.runs} == \
             {"layered"}
-        assert _canonical(machine) == _canonical(trace), name
-        assert _canonical(trace) == _canonical(layered), name
+        assert _cells(layered.runs) == _cells(alone), name
 
-    def test_pipeline_search_machine_equals_trace(self):
+    @pytest.mark.parametrize("engine", api.available_engines())
+    def test_pipeline_search_sweep_equals_cell_alone(self, engine):
         workload = get_workload("cold_paths")
         profile = api.profile_workload(workload)
-        configs = [SimulationConfig(
+        config = SimulationConfig(
             codec="shared-dict", assignment="pipeline-search",
             profile=profile, **_FAST,
-        )]
-        machine = api.run_grid([workload], configs, engine="machine")
-        trace = api.run_grid([workload], configs, engine="trace")
-        assert not machine.failures()
-        assert _canonical(machine) == _canonical(trace)
+        )
+        alone = api.run_cell(workload, config)
+        swept = api.run_grid([workload], [config], engine=engine)
+        assert alone.ok
+        assert _cells(swept.runs) == _cells([alone])
 
 
 class TestStoreEquivalence:

@@ -65,20 +65,19 @@ class TestOracleValidation:
 
 
 class TestEngineEquivalence:
-    def test_trace_metrics_match_machine(self, profiles):
+    @pytest.mark.parametrize("engine", api.available_engines())
+    def test_sweep_metrics_match_cells_alone(self, profiles, engine):
         configs = _configs(profiles["composite"])
-        machine = api.run_grid(
-            ["composite"], configs, engine="machine", store=False
+        swept = api.run_grid(
+            ["composite"], configs, engine=engine, store=False
         )
-        trace = api.run_grid(
-            ["composite"], configs, engine="trace", store=False
+        alone = api.ResultSet(
+            [api.run_cell("composite", config) for config in configs]
         )
-        machine_cells = machine.to_dict(
-            include_execution=False
-        )["cells"]
-        trace_cells = trace.to_dict(include_execution=False)["cells"]
-        assert json.dumps(machine_cells, sort_keys=True) == \
-            json.dumps(trace_cells, sort_keys=True)
+        swept_cells = swept.to_dict(include_execution=False)["cells"]
+        alone_cells = alone.to_dict(include_execution=False)["cells"]
+        assert json.dumps(swept_cells, sort_keys=True) == \
+            json.dumps(alone_cells, sort_keys=True)
 
 
 class TestUniformIdentity:
@@ -233,6 +232,29 @@ class TestProfileWorkload:
         monkeypatch.setattr(manager_mod, "_TRACE_CAP", 4)
         with pytest.raises(ValueError, match="recording cap"):
             api.profile_workload("fib")
+
+    @pytest.mark.parametrize("engine", api.available_engines())
+    def test_profile_then_sweep_interprets_once(self, engine,
+                                                monkeypatch):
+        # The profile comes from the recording the sweep of the same
+        # workload object replays: one Machine for both.
+        import repro.core.manager as manager_mod
+
+        built = []
+        machine_class = manager_mod.Machine
+
+        def counting_machine(cfg, *args, **kwargs):
+            built.append(cfg.name)
+            return machine_class(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(manager_mod, "Machine", counting_machine)
+        workload = get_workload("composite")
+        profile = api.profile_workload(workload)
+        grid = api.run_grid(
+            [workload], _configs(profile)[:2], engine=engine, store=False
+        )
+        assert not grid.failures()
+        assert built == ["composite"]
 
 
 class TestStoreFingerprints:

@@ -1,12 +1,14 @@
-"""Trace-driven sweep metrics must equal machine-driven metrics.
+"""A swept cell must equal the same cell run alone.
 
-The shared-artifact sweep engine (``sweep(..., engine="trace")``)
-replays one recorded block trace per workload instead of interpreting
-every grid cell.  Because compression policy is transparent to program
-semantics, every metric the experiments consume — cycles, counters,
-footprint timeline, image sizes — must come out *exactly* equal.
-These tests pin that contract on the kernel suite, including the E12
-policy-injection path.
+A sweep — under either engine name — replays one recorded block trace
+per workload instead of interpreting every grid cell.  Because
+compression policy is transparent to program semantics, every metric
+the experiments consume — cycles, counters, footprint timeline, image
+sizes — must come out *exactly* equal to an interpreting run of the
+cell alone, which replays its own trace: an independent trace source.
+These tests pin that contract on the kernel suite, hold the replay
+kernel to the frozen layered loop (``tests/oracle``) cell by cell, and
+cover the E12 policy-injection path.
 """
 
 import importlib
@@ -16,7 +18,6 @@ import pytest
 import repro.core.manager as manager_module
 from oracle.layered import LayeredManager, image_state, tracer_state
 from repro import api
-from repro.analysis import sweep
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
@@ -29,6 +30,9 @@ from repro.strategies import (
 )
 from repro.strategies.predictor import available_predictors
 from repro.workloads import get_workload
+
+# The module (the package re-exports a ``sweep`` function over it).
+sweep_module = importlib.import_module("repro.analysis.sweep")
 
 _FAST = dict(trace_events=False, record_trace=False)
 
@@ -62,34 +66,60 @@ def _assert_results_equal(left, right, context):
         f"{context}: footprint timeline"
 
 
-class TestSweepEngineEquivalence:
-    @pytest.mark.parametrize("name", _WORKLOADS)
-    def test_grid_metrics_identical(self, name):
-        workload = get_workload(name)
-        machine = sweep([workload], _CONFIGS, engine="machine")
-        trace = sweep([workload], _CONFIGS, engine="trace")
-        assert len(machine.runs) == len(trace.runs)
-        for m_run, t_run in zip(machine.runs, trace.runs):
-            assert m_run.config.strategy_name == \
-                t_run.config.strategy_name
-            _assert_results_equal(
-                m_run.result, t_run.result,
-                f"{name}/{m_run.config.strategy_name}",
-            )
-            assert t_run.ok == m_run.ok
+def _cells_alone(workload, configs, fast=True):
+    """Every cell run alone: an interpreting run that replays its own
+    trace, so each swept cell meets an independent trace source."""
+    return [
+        sweep_module.run_one_safe(
+            workload, sweep_module.effective_config(config, fast)
+        )
+        for config in configs
+    ]
 
+
+def _assert_sweep_matches_cells_alone(swept, alone, engine, context):
+    """Cell by cell: metrics, oracle verdict and error equal the cell
+    run alone; a replayed cell is labelled with the requested engine
+    and carries the final registers only under ``machine``."""
+    assert len(swept.runs) == len(alone), context
+    for s_run, a_run in zip(swept.runs, alone):
+        where = f"{context}/{a_run.config.strategy_name}"
+        assert s_run.config == a_run.config, where
+        _assert_results_equal(a_run.result, s_run.result, where)
+        assert (s_run.validation, s_run.error) == \
+            (a_run.validation, a_run.error), where
+        if a_run.error is None:
+            assert s_run.result.engine == engine, where
+            assert s_run.result.registers == (
+                a_run.result.registers if engine == "machine" else None
+            ), where
+
+
+_ENGINES = api.available_engines()
+
+
+class TestSweepEngineEquivalence:
+    @pytest.mark.parametrize("engine", _ENGINES)
+    @pytest.mark.parametrize("name", _WORKLOADS)
+    def test_grid_metrics_identical(self, name, engine):
+        workload = get_workload(name)
+        swept = sweep_module.sweep([workload], _CONFIGS, engine=engine)
+        _assert_sweep_matches_cells_alone(
+            swept, _cells_alone(workload, _CONFIGS), engine, name
+        )
+
+    @pytest.mark.parametrize("engine", _ENGINES)
     @pytest.mark.parametrize("name, fields", [
         ("fib", dict(max_steps=50)),
         ("quicksort", dict(data_words=16)),
     ])
     def test_each_cell_replays_its_own_recording(self, name, fields,
-                                                 monkeypatch):
+                                                 engine, monkeypatch):
         # The block trace depends on each cell's data_words and
         # max_steps: a cell whose own values make the program fail must
-        # fail on the trace engine too, not replay the first cell's
-        # recording.  Each distinct pair is recorded once, failed
-        # recordings included.
-        sweep_module = importlib.import_module("repro.analysis.sweep")
+        # fail in the sweep too, not replay the first cell's recording.
+        # Each distinct pair is recorded once, failed recordings
+        # included.
         recorded = []
         recorded_trace = sweep_module._recorded_trace
 
@@ -102,23 +132,17 @@ class TestSweepEngineEquivalence:
         configs = [SimulationConfig(**_FAST),
                    SimulationConfig(**fields, **_FAST),
                    SimulationConfig(k_compress=None, **fields, **_FAST)]
-        machine = sweep([workload], configs, engine="machine")
-        trace = sweep([workload], configs, engine="trace")
-        assert [run.ok for run in machine.runs] == [True, False, False]
-        assert machine.runs[1].error.startswith("MachineError")
-        for index, (m_run, t_run) in enumerate(
-            zip(machine.runs, trace.runs)
-        ):
-            context = f"{name} cell {index}"
-            assert (t_run.ok, t_run.error) == (m_run.ok, m_run.error), \
-                context
-            _assert_results_equal(m_run.result, t_run.result, context)
-        assert trace.runs[0].result.engine == "trace"
+        swept = sweep_module.sweep([workload], configs, engine=engine)
         assert len(recorded) == len(set(recorded)) == 2
+        alone = _cells_alone(workload, configs)
+        assert [run.ok for run in alone] == [True, False, False]
+        assert alone[1].error.startswith("MachineError")
+        _assert_sweep_matches_cells_alone(swept, alone, engine, name)
 
-    def test_replays_build_no_machine(self, monkeypatch):
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_replays_build_no_machine(self, engine, monkeypatch):
         # Only the recordings interpret: one Machine per workload, none
-        # per replayed cell.
+        # per replayed cell, whatever the engine name.
         built = []
         machine_class = manager_module.Machine
 
@@ -128,14 +152,15 @@ class TestSweepEngineEquivalence:
 
         monkeypatch.setattr(manager_module, "Machine", counting_machine)
         workloads = [get_workload("fib"), get_workload("gcd")]
-        result = sweep(workloads, _CONFIGS, engine="trace")
+        result = sweep_module.sweep(workloads, _CONFIGS, engine=engine)
         assert [run.result.engine for run in result.runs] == \
-            ["trace"] * 2 * len(_CONFIGS)
+            [engine] * 2 * len(_CONFIGS)
         assert sorted(built) == ["fib", "gcd"]
 
     def test_trace_engine_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown sweep engine"):
-            sweep([get_workload("gcd")], _CONFIGS[:1], engine="warp")
+            sweep_module.sweep([get_workload("gcd")], _CONFIGS[:1],
+                               engine="warp")
 
     def test_policy_injection_replay_matches_machine(self):
         # The E12 path: a non-config compression policy injected into a
@@ -335,7 +360,8 @@ class TestKernelEnvelopeEquivalence:
         _assert_results_equal(batched, stepped, config.strategy_name)
         _assert_results_equal(layered, batched, config.strategy_name)
 
-    def test_trace_engine_sweep_runs_every_cell_on_the_kernel(self):
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_sweep_runs_every_cell_on_the_kernel(self, engine):
         # The sweep layer end to end: pre-decompression, a budget and
         # an event-logging cell, every replay run by the kernel.
         configs = [
@@ -348,14 +374,15 @@ class TestKernelEnvelopeEquivalence:
                              record_trace=False),
         ]
         workload = get_workload("composite")
-        machine = sweep([workload], configs, engine="machine", fast=False)
-        trace = sweep([workload], configs, engine="trace", fast=False)
-        for m_run, t_run in zip(machine.runs, trace.runs):
-            _assert_results_equal(
-                m_run.result, t_run.result, t_run.config.strategy_name
-            )
-            assert t_run.result.replay_path == "stepped"
-        assert [run.result.replay_declined for run in trace.runs] == \
+        swept = sweep_module.sweep([workload], configs, engine=engine,
+                                   fast=False)
+        _assert_sweep_matches_cells_alone(
+            swept, _cells_alone(workload, configs, fast=False), engine,
+            "composite",
+        )
+        assert {run.result.replay_path for run in swept.runs} == \
+            {"stepped"}
+        assert [run.result.replay_declined for run in swept.runs] == \
             ["predecompress", "predecompress", "budget", "events"]
 
 
@@ -665,10 +692,12 @@ class TestSegmentedInterpretation:
         assert manager.prepared.trace == prepared.trace
         assert result.counters.blocks_executed == len(prepared.trace)
 
-    def test_trace_engine_replays_a_segmented_recording(self, monkeypatch):
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_sweep_replays_a_segmented_recording(self, engine,
+                                                 monkeypatch):
         # A recording longer than one segment is prepared from its
-        # recorded block trace; every cell still matches the machine.
-        sweep_module = importlib.import_module("repro.analysis.sweep")
+        # recorded block trace; every cell still matches the cell run
+        # alone, which is interpreted in segments too.
         prepared = []
 
         def spy(cfg, trace):
@@ -678,11 +707,8 @@ class TestSegmentedInterpretation:
         monkeypatch.setattr(manager_module, "_SEGMENT", 50)
         monkeypatch.setattr(sweep_module, "PreparedTrace", spy)
         workload = get_workload("composite")
-        machine = sweep([workload], _CONFIGS, engine="machine")
-        trace = sweep([workload], _CONFIGS, engine="trace")
+        swept = sweep_module.sweep([workload], _CONFIGS, engine=engine)
         assert prepared == [4817]
-        for m_run, t_run in zip(machine.runs, trace.runs):
-            assert t_run.result.engine == "trace"
-            _assert_results_equal(
-                m_run.result, t_run.result, t_run.config.strategy_name
-            )
+        _assert_sweep_matches_cells_alone(
+            swept, _cells_alone(workload, _CONFIGS), engine, "composite"
+        )

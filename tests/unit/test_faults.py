@@ -32,6 +32,7 @@ from repro.faults import (
     plan_from_env,
     truncate_bytes,
 )
+from repro.store.records import run_to_record
 
 
 class TestFaultPlan:
@@ -231,6 +232,27 @@ class TestRetryThroughTheApi:
             )
         assert recovered.errors() == []
         assert recovered.canonical_json() == baseline.canonical_json()
+
+    @pytest.mark.parametrize("engine", api.available_engines())
+    def test_recovered_cell_stays_on_its_sweep_engine(self, engine):
+        # A retried cell re-runs through its sweep's row, so the record
+        # the store keeps for it does not depend on whether a fault
+        # fired.
+        spec = api.ExperimentSpec(engine=engine, **self.SPEC_KWARGS)
+        baseline = api.run_experiment(spec)
+        plan = FaultPlan(rules=(
+            FaultRule(kind="transient", site="cell", match="kc=1",
+                      times=1),
+        ))
+        with install_plan(plan):
+            recovered = api.run_experiment(
+                spec,
+                retry=RetryPolicy(attempts=3, backoff_base=0.0,
+                                  jitter=0.0),
+            )
+        assert recovered.errors() == []
+        assert [run_to_record(run, "") for run in recovered.runs] == \
+            [run_to_record(run, "") for run in baseline.runs]
 
     def test_exhausted_cell_carries_attempt_provenance(self):
         plan = FaultPlan(rules=(

@@ -145,13 +145,13 @@ class TestEnvelope:
 
 class TestProvenanceStaysOutOfResults:
     def test_not_serialised_or_compared(self):
-        configs = [SimulationConfig(decompression="pre-all", **_FAST)]
-        machine = api.run_grid(["fsm"], configs, engine="machine")
-        trace = api.run_grid(["fsm"], configs, engine="trace")
+        config = SimulationConfig(decompression="pre-all", **_FAST)
+        alone = api.run_cell("fsm", config)
+        trace = api.run_grid(["fsm"], [config], engine="trace")
         assert trace.runs[0].result.replay_path == "stepped"
-        assert machine.runs[0].result.replay_path == "stepped"
-        # Only the engine label in the meta may tell the two apart.
-        assert machine.canonical_json().replace('"machine"', '"trace"') \
+        assert alone.result.replay_path == "stepped"
+        # A swept cell serialises exactly like the cell run alone.
+        assert api.ResultSet([alone], meta=trace.meta).canonical_json() \
             == trace.canonical_json()
         assert "replay_path" not in trace.canonical_json()
         result = trace.runs[0].result

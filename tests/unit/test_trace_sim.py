@@ -221,10 +221,10 @@ class TestTraceTruncation:
         prepared = PreparedTrace.from_result(cfg, result)
         assert prepared.trace == result.block_trace
 
-    def test_trace_engine_falls_back_on_truncated_recording(
-        self, tiny_cap
-    ):
-        from repro.analysis.sweep import sweep
+    @pytest.mark.parametrize("engine", ("machine", "trace"))
+    def test_sweep_falls_back_on_truncated_recording(self, tiny_cap,
+                                                     engine):
+        from repro.analysis.sweep import run_one, sweep
 
         workload = get_workload("fib")
         configs = [
@@ -232,15 +232,16 @@ class TestTraceTruncation:
                              **_FAST)
             for k in (1, 4)
         ]
-        machine = sweep([workload], configs, engine="machine")
-        trace = sweep([workload], configs, engine="trace")
+        swept = sweep([workload], configs, engine=engine)
         # The recording hit the cap, so every cell must have been
-        # interpreted — metrics identical, registers present.
-        for m_run, t_run in zip(machine.runs, trace.runs):
-            assert t_run.result.total_cycles == \
-                m_run.result.total_cycles
-            assert t_run.result.counters == m_run.result.counters
-            assert t_run.result.engine == "machine"
+        # interpreted — metrics equal to the cell run alone, registers
+        # present.
+        for config, run in zip(configs, swept.runs):
+            alone = run_one(workload, config).result
+            assert run.result.total_cycles == alone.total_cycles
+            assert run.result.counters == alone.counters
+            assert run.result.engine == "machine"
+            assert run.result.registers == alone.registers
 
     def test_fallback_emits_parseable_kv_event(self, tiny_cap, caplog):
         import logging

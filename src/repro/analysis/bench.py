@@ -92,6 +92,24 @@ def _corpus(smoke: bool) -> List[bytes]:
     return corpus
 
 
+#: :func:`_probe`'s seconds on the reference host (as in perfbench).
+PROBE_REF_S = 0.05
+
+
+def _probe() -> float:
+    """Time a fixed pure-Python loop that uses nothing of the simulator
+    (``perfbench/run.py``'s, which ``src/`` cannot import): host load
+    slows it and a replay alike, so their ratio stays steady."""
+    started = time.perf_counter()
+    table: Dict[int, int] = {}
+    total = 0
+    for i in range(150_000):
+        key = i & 1023
+        table[key] = table.get(key, 0) + i
+        total += len(str(key))
+    return time.perf_counter() - started
+
+
 def _time(action: Callable[[], object], repeats: int) -> float:
     """Best-of-``repeats`` wall-clock seconds for ``action``."""
     best = float("inf")
@@ -358,9 +376,11 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     pre-decompress-all (``pre_all``) and a memory budget tight enough
     to evict (``budget``), both on the stepped path.  Every replay must
     match its interpreted run exactly and must have run on its kernel
-    path (``path_ok``), and every speedup carries a regression floor
+    path (``path_ok``), and every cell's ``ref_blocks_per_s`` (blocks/s
+    scaled to the reference host by :func:`_probe`) carries a floor
     (see :data:`_BUDGETS`), so a kernel slowdown — or a fall-off from
-    the batched path to the stepped one — fails the run.
+    the batched path to the stepped one — fails the run.  The speedup
+    over interpreting is reported, not gated: the interpreter moves it.
     """
     from ..core.manager import CodeCompressionManager
     from ..runtime.trace_sim import PreparedTrace, simulate_trace
@@ -390,19 +410,25 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
         # caches.
         interpreted = CodeCompressionManager(graph, config).run()
         replayed = simulate_trace(graph, prepared, config)
-        replay_s = _time(
-            lambda: simulate_trace(graph, prepared, config), repeats
-        )
+        replay_s = probe_s = float("inf")
+        for _ in range(repeats):
+            probe_s = min(probe_s, _probe())
+            replay_s = min(replay_s, _time(
+                lambda: simulate_trace(graph, prepared, config), 1
+            ))
         machine_s = _time(
             lambda: CodeCompressionManager(graph, config).run(), repeats
         )
         blocks = replayed.counters.blocks_executed
+        blocks_per_s = blocks / replay_s if replay_s else float("inf")
         return {
             "strategy": config.strategy_name,
             "blocks_replayed": blocks,
             "replay_s": replay_s,
             "machine_s": machine_s,
-            "blocks_per_s": blocks / replay_s if replay_s else float("inf"),
+            "blocks_per_s": blocks_per_s,
+            "probe_s": probe_s,
+            "ref_blocks_per_s": blocks_per_s * probe_s / PROBE_REF_S,
             "speedup": machine_s / replay_s if replay_s else float("inf"),
             "metrics_equal": _metrics_equal(interpreted, replayed),
             "path": replayed.replay_path,
@@ -659,9 +685,9 @@ _BUDGETS: Dict[str, Tuple[Tuple[str, str, float], ...]] = {
     "chaos_overhead": (("overhead", "<", 0.02),),
     "trace_overhead": (("armed_overhead", "<", 0.5),),
     "trace_replay_batched": (
-        ("speedup", ">=", 5.0),
-        ("pre_all.speedup", ">=", 5.0),
-        ("budget.speedup", ">=", 5.0),
+        ("ref_blocks_per_s", ">=", 550_000.0),
+        ("pre_all.ref_blocks_per_s", ">=", 125_000.0),
+        ("budget.ref_blocks_per_s", ">=", 1_150_000.0),
     ),
     "bitio_bulk": (("speedup", ">=", 2.0),),
     "bench_pipeline": (("overhead_x", "<=", 2.5),),
@@ -830,7 +856,7 @@ def render_report(report: Dict[str, object]) -> str:
             f"kernel replay ({replay['workload']}; "
             f"{replay['blocks_replayed']} blocks; metrics equal: "
             f"{replay['metrics_equal']}; paths ok: "
-            f"{replay['path_ok']}; floors >= 5x: "
+            f"{replay['path_ok']}; reference-host floors: "
             f"{replay['within_budget']}):"
         )
         for cell in (replay, replay["pre_all"], replay["budget"]):
@@ -839,7 +865,8 @@ def render_report(report: Dict[str, object]) -> str:
                 f"{cell['replay_s'] * 1000:6.1f} ms vs machine "
                 f"{cell['machine_s'] * 1000:6.1f} ms -> "
                 f"{cell['speedup']:5.1f}x "
-                f"({cell['blocks_per_s']:,.0f} blocks/s)"
+                f"({cell['blocks_per_s']:,.0f} blocks/s; "
+                f"{cell['ref_blocks_per_s']:,.0f} on the reference host)"
             )
     bitio = report.get("bitio_bulk")
     if bitio:

@@ -191,6 +191,11 @@ class SimulationConfig:
                 f"max_prefetch_backlog must be >= 1, got "
                 f"{self.max_prefetch_backlog}"
             )
+        for name in ("data_words", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
 
     def replace(self, **changes) -> "SimulationConfig":
         """Return a copy with ``changes`` applied (re-validated)."""

@@ -300,14 +300,13 @@ class CodeCompressionManager:
         """
         cfg = self.cfg
         unit_of = self.residency._unit_of
-        run_block = self.machine.run_block
-        blocks = cfg.blocks
-        block = cfg.entry
-        segment = [block.block_id]
+        step = self.machine.step
+        block_id = cfg.entry.block_id
+        segment = [block_id]
         entered = 1
         while True:
-            next_id = run_block(block).next_block_id
-            if next_id is None or (
+            block_id = step(block_id)
+            if block_id is None or (
                 max_blocks is not None and entered >= max_blocks
             ):
                 break
@@ -316,9 +315,8 @@ class CodeCompressionManager:
                 yield ReplayPlan(segment, step_cycles(cfg, segment),
                                  unit_of)
                 segment = []
-            segment.append(next_id)
+            segment.append(block_id)
             entered += 1
-            block = blocks[next_id]
         self._record(segment)
         if entered == len(segment):
             self.prepared = PreparedTrace(cfg, segment)

@@ -1,17 +1,24 @@
-"""Cycle-accounted interpreter for the target ISA.
+"""Cycle-accounted interpreter for the target ISA, as threaded code.
 
-The machine interprets every instruction (so kernels compute real,
-assertable results) but reports control flow at basic-block granularity:
-:meth:`Machine.run_block` executes one block and returns the successor
-block plus the cycles spent.  The *compression* machinery lives above, in
-the simulator — the machine itself is oblivious to whether blocks are
-compressed; it only sees decoded instructions.
+:meth:`Machine.step` executes one basic block and returns its
+successor's id; compression is invisible at this level.  Each block is
+translated once per CFG (Ertl and Gregg, "The Structure and Performance
+of Efficient Interpreters", JILP 5, 2003) into one closure per
+instruction, ``NOP`` included, with registers and immediate bound and
+the 32-bit wrap inlined, plus an exit closure that runs the terminator
+(targets resolved at translation) or falls through.  The translation
+is memoised on the CFG instance and binds only the CFG: memory size
+and ``max_steps`` are read per machine at run time.
+``max_steps`` is checked once per block; the block that would cross it
+runs the instructions that fit, then raises, so an earlier fault wins.
+Traces, state, faults and step counts are those of the opcode loop
+frozen in ``tests/oracle/machine.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import operator
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cfg.basic_block import BasicBlock
 from ..cfg.builder import ProgramCFG
@@ -24,7 +31,10 @@ from ..isa.instructions import (
     SP,
 )
 
-_WORD_MASK = 0xFFFFFFFF
+_CONDITIONS = {
+    Opcode.BEQ: operator.eq, Opcode.BNE: operator.ne,
+    Opcode.BLT: operator.lt, Opcode.BGE: operator.ge,
+}
 
 
 class MachineError(RuntimeError):
@@ -32,20 +42,185 @@ class MachineError(RuntimeError):
     runaway execution."""
 
 
-@dataclass(frozen=True)
-class BlockOutcome:
-    """Result of executing one basic block."""
-
-    block_id: int
-    next_block_id: Optional[int]  # None when the program halted
-    cycles: int
-    instructions: int
-    edge_kind: str = "none"  # fallthrough / taken / jump / call / return
+def _wrap(value: int) -> int:
+    """``value`` as a signed 32-bit word."""
+    return ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
 
 
-def _to_signed(value: int) -> int:
-    value &= _WORD_MASK
-    return value - 0x100000000 if value >= 0x80000000 else value
+def _bad_address(address: int) -> str:
+    if address % 4:
+        return f"misaligned data access at {address:#x}"
+    return f"data address {address:#x} out of range"
+
+
+def _fault(position: int, message: str) -> MachineError:
+    """A fault of a block's ``position``-th instruction (counts steps)."""
+    error = MachineError(message)
+    error.position = position
+    return error
+
+
+def _quotient(x: int, y: int) -> int:
+    """``x / y`` truncated toward zero, exactly (floats round)."""
+    quotient = abs(x) // abs(y)
+    return -quotient if (x < 0) != (y < 0) else quotient
+
+
+def _instruction(ins: Instruction, k: int) -> Callable:
+    """Translate one non-control instruction, the block's ``k``-th."""
+    op, d, a, b, i = ins.opcode, ins.rd, ins.rs1, ins.rs2, ins.imm
+    if op is Opcode.NOP:
+        def run(r, m):
+            pass
+    elif op is Opcode.ADD:
+        def run(r, m):
+            r[d] = ((r[a] + r[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.SUB:
+        def run(r, m):
+            r[d] = ((r[a] - r[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.MUL:
+        def run(r, m):
+            r[d] = ((r[a] * r[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.DIV:
+        def run(r, m):
+            y = r[b]
+            if not y:
+                raise _fault(k, "division by zero")
+            r[d] = _wrap(_quotient(r[a], y))
+    elif op is Opcode.MOD:
+        def run(r, m):
+            x, y = r[a], r[b]
+            if not y:
+                raise _fault(k, "modulo by zero")
+            r[d] = _wrap(x - _quotient(x, y) * y)
+    elif op is Opcode.AND:
+        def run(r, m):
+            r[d] = (((r[a] & r[b]) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.OR:
+        def run(r, m):
+            r[d] = (((r[a] | r[b]) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.XOR:
+        def run(r, m):
+            r[d] = (((r[a] ^ r[b]) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.SHL:
+        def run(r, m):
+            r[d] = _wrap(r[a] << (r[b] & 31))
+    elif op is Opcode.SHR:
+        def run(r, m):
+            r[d] = _wrap((r[a] & 0xFFFFFFFF) >> (r[b] & 31))
+    elif op is Opcode.SLT:
+        def run(r, m):  # 0 or 1: already a word
+            r[d] = 1 if r[a] < r[b] else 0
+    elif op is Opcode.ADDI or op is Opcode.SUBI:
+        i = i if op is Opcode.ADDI else -i
+        def run(r, m):
+            r[d] = ((r[a] + i + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.MULI:
+        def run(r, m):
+            r[d] = ((r[a] * i + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.ANDI:
+        def run(r, m):
+            r[d] = (((r[a] & i) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.ORI:
+        def run(r, m):
+            r[d] = (((r[a] | i) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.XORI:
+        def run(r, m):
+            r[d] = (((r[a] ^ i) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.SHLI:
+        s = i & 31
+        def run(r, m):
+            r[d] = (((r[a] << s) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.SHRI:
+        s = i & 31
+        def run(r, m):
+            v = (r[a] & 0xFFFFFFFF) >> s
+            r[d] = ((v + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.SLTI:
+        def run(r, m):
+            r[d] = 1 if r[a] < i else 0
+    elif op is Opcode.LI or op is Opcode.LUI:
+        value = _wrap(i if op is Opcode.LI else (i & 0xFFFF) << 16)
+        def run(r, m):
+            r[d] = value
+    elif op is Opcode.MOV:
+        def run(r, m):
+            r[d] = ((r[a] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.LD:
+        def run(r, m):
+            address = r[a] + i
+            if address & 3 or not 0 <= address < len(m) << 2:
+                raise _fault(k, _bad_address(address))
+            r[d] = ((m[address >> 2] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    elif op is Opcode.ST:
+        def run(r, m):
+            address = r[a] + i
+            if address & 3 or not 0 <= address < len(m) << 2:
+                raise _fault(k, _bad_address(address))
+            m[address >> 2] = ((r[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+    return run
+
+
+def _exit(cfg: ProgramCFG, block: BasicBlock, starts: Dict) -> Callable:
+    """Translate ``block``'s exit: its control instruction, else a
+    fall-through.  ``starts`` maps block start addresses to ids."""
+    ins = block.terminator
+    op, a, b = ins.opcode, ins.rs1, ins.rs2
+    end = block.end_index
+    fall = starts.get(end * INSTRUCTION_SIZE)
+    taken = cfg.block_at_address(ins.imm).block_id if ins.is_branch else None
+    if op is Opcode.HALT:
+        return lambda r: None
+    if op is Opcode.JMP:
+        return lambda r: taken
+    if op is Opcode.RET:
+        def leave(r):
+            target = starts.get(r[RA])
+            if target is None:  # raises the program's or the CFG's error
+                return cfg.block_starting_at(
+                    cfg.program.index_of_address(r[RA])
+                ).block_id
+            return target
+    elif op is Opcode.CALL:
+        link = _wrap(end * INSTRUCTION_SIZE)
+
+        def leave(r):
+            r[RA] = link
+            return taken
+    elif op in _CONDITIONS:
+        test = _CONDITIONS[op]
+
+        def leave(r):
+            return taken if test(r[a], r[b]) else fall
+    else:
+        def leave(r):
+            return fall
+    if fall is not None or op is Opcode.RET or op is Opcode.CALL:
+        return leave  # never falls past the last block
+
+    def fall_off(r):  # no block follows: raises when it executes
+        target = leave(r)
+        if target is None:
+            return cfg.block_starting_at(end).block_id
+        return target
+    return fall_off
+
+
+def _translate(cfg: ProgramCFG) -> Tuple[tuple, ...]:
+    """Per block id: its closures bar the control instruction, its exit
+    and its instruction count."""
+    starts = {block.start_address: block.block_id for block in cfg.blocks}
+    code = []
+    for block in cfg.blocks:
+        body = block.instructions
+        if body[-1].is_terminator or body[-1].opcode is Opcode.CALL:
+            body = body[:-1]
+        code.append((
+            tuple(_instruction(ins, k) for k, ins in enumerate(body, 1)),
+            _exit(cfg, block, starts),
+            len(block.instructions),
+        ))
+    return tuple(code)
 
 
 class Machine:
@@ -70,219 +245,60 @@ class Machine:
         self.halted = False
         # Stack pointer starts at the top of data memory.
         self.registers[SP] = (data_words - 1) * 4
-
-    # ------------------------------------------------------------------
-    # Memory helpers
-    # ------------------------------------------------------------------
+        # Memoised on the CFG instance: exit closures reference the
+        # CFG, so a table keyed on it would keep it alive.
+        self._code = getattr(cfg, "_translated", None)
+        if self._code is None:
+            self._code = cfg._translated = _translate(cfg)
 
     def load_word(self, address: int) -> int:
         """Read the 32-bit word at byte ``address`` (must be aligned)."""
-        index = self._word_index(address)
-        return self.memory[index]
+        return self.memory[self._word_index(address)]
 
     def store_word(self, address: int, value: int) -> None:
         """Write the 32-bit word at byte ``address`` (must be aligned)."""
-        index = self._word_index(address)
-        self.memory[index] = _to_signed(value)
+        self.memory[self._word_index(address)] = _wrap(value)
 
     def _word_index(self, address: int) -> int:
-        if address % 4:
-            raise MachineError(f"misaligned data access at {address:#x}")
-        index = address // 4
-        if not 0 <= index < len(self.memory):
-            raise MachineError(f"data address {address:#x} out of range")
-        return index
-
-    # ------------------------------------------------------------------
-    # Register helpers
-    # ------------------------------------------------------------------
-
-    def _set(self, register: int, value: int) -> None:
-        self.registers[register] = _to_signed(value)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
+        if address % 4 or not 0 <= address // 4 < len(self.memory):
+            raise MachineError(_bad_address(address))
+        return address // 4
 
     def reset(self) -> None:
         """Reset registers, memory, halt flag and step counter."""
         self.registers = [0] * NUM_REGISTERS
-        for index in range(len(self.memory)):
-            self.memory[index] = 0
+        self.memory[:] = [0] * len(self.memory)
         self.registers[SP] = (len(self.memory) - 1) * 4
         self.steps = 0
         self.halted = False
 
-    def run_block(self, block: BasicBlock) -> BlockOutcome:
-        """Execute ``block`` to completion and report the successor.
-
-        The successor is decided by the terminator (branch condition
-        evaluated against live register state, RET via the link register,
-        fall-through otherwise).
-        """
+    def step(self, block_id: int) -> Optional[int]:
+        """Execute block ``block_id``; return its successor's id, or
+        None when the program halted."""
         if self.halted:
             raise MachineError("machine is halted")
-        registers = self.registers
-        cycles = 0
-        executed = 0
-
-        for instr in block.instructions:
-            op = instr.opcode
-            cycles += instr.cycles
-            executed += 1
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise MachineError(
-                    f"exceeded max_steps={self.max_steps} "
-                    f"(infinite loop in '{self.cfg.name}'?)"
-                )
-
-            if op is Opcode.NOP:
-                pass
-            elif op is Opcode.ADD:
-                self._set(instr.rd, registers[instr.rs1] + registers[instr.rs2])
-            elif op is Opcode.SUB:
-                self._set(instr.rd, registers[instr.rs1] - registers[instr.rs2])
-            elif op is Opcode.MUL:
-                self._set(instr.rd, registers[instr.rs1] * registers[instr.rs2])
-            elif op is Opcode.DIV:
-                divisor = registers[instr.rs2]
-                if divisor == 0:
-                    raise MachineError("division by zero")
-                # Truncating division in exact integer arithmetic (C
-                # semantics); float division would round for operands
-                # beyond 2**53.
-                dividend = registers[instr.rs1]
-                quotient = abs(dividend) // abs(divisor)
-                if (dividend < 0) != (divisor < 0):
-                    quotient = -quotient
-                self._set(instr.rd, quotient)
-            elif op is Opcode.MOD:
-                divisor = registers[instr.rs2]
-                if divisor == 0:
-                    raise MachineError("modulo by zero")
-                dividend = registers[instr.rs1]
-                quotient = abs(dividend) // abs(divisor)
-                if (dividend < 0) != (divisor < 0):
-                    quotient = -quotient
-                self._set(instr.rd, dividend - quotient * divisor)
-            elif op is Opcode.AND:
-                self._set(instr.rd, registers[instr.rs1] & registers[instr.rs2])
-            elif op is Opcode.OR:
-                self._set(instr.rd, registers[instr.rs1] | registers[instr.rs2])
-            elif op is Opcode.XOR:
-                self._set(instr.rd, registers[instr.rs1] ^ registers[instr.rs2])
-            elif op is Opcode.SHL:
-                self._set(
-                    instr.rd,
-                    registers[instr.rs1] << (registers[instr.rs2] & 31),
-                )
-            elif op is Opcode.SHR:
-                self._set(
-                    instr.rd,
-                    (registers[instr.rs1] & _WORD_MASK)
-                    >> (registers[instr.rs2] & 31),
-                )
-            elif op is Opcode.SLT:
-                self._set(
-                    instr.rd,
-                    1 if registers[instr.rs1] < registers[instr.rs2] else 0,
-                )
-            elif op is Opcode.ADDI:
-                self._set(instr.rd, registers[instr.rs1] + instr.imm)
-            elif op is Opcode.SUBI:
-                self._set(instr.rd, registers[instr.rs1] - instr.imm)
-            elif op is Opcode.MULI:
-                self._set(instr.rd, registers[instr.rs1] * instr.imm)
-            elif op is Opcode.ANDI:
-                self._set(instr.rd, registers[instr.rs1] & instr.imm)
-            elif op is Opcode.ORI:
-                self._set(instr.rd, registers[instr.rs1] | instr.imm)
-            elif op is Opcode.XORI:
-                self._set(instr.rd, registers[instr.rs1] ^ instr.imm)
-            elif op is Opcode.SHLI:
-                self._set(instr.rd, registers[instr.rs1] << (instr.imm & 31))
-            elif op is Opcode.SHRI:
-                self._set(
-                    instr.rd,
-                    (registers[instr.rs1] & _WORD_MASK) >> (instr.imm & 31),
-                )
-            elif op is Opcode.SLTI:
-                self._set(
-                    instr.rd, 1 if registers[instr.rs1] < instr.imm else 0
-                )
-            elif op is Opcode.LI:
-                self._set(instr.rd, instr.imm)
-            elif op is Opcode.LUI:
-                self._set(instr.rd, (instr.imm & 0xFFFF) << 16)
-            elif op is Opcode.MOV:
-                self._set(instr.rd, registers[instr.rs1])
-            elif op is Opcode.LD:
-                self._set(
-                    instr.rd,
-                    self.load_word(registers[instr.rs1] + instr.imm),
-                )
-            elif op is Opcode.ST:
-                self.store_word(
-                    registers[instr.rs1] + instr.imm, registers[instr.rs2]
-                )
-            elif op is Opcode.HALT:
-                self.halted = True
-                return BlockOutcome(
-                    block.block_id, None, cycles, executed, "none"
-                )
-            elif op is Opcode.BEQ or op is Opcode.BNE or \
-                    op is Opcode.BLT or op is Opcode.BGE:
-                taken = self._evaluate_branch(instr)
-                if taken:
-                    dest = self.cfg.block_at_address(instr.imm)
-                    return BlockOutcome(
-                        block.block_id, dest.block_id, cycles, executed,
-                        "taken",
-                    )
-                next_block = self.cfg.block_starting_at(block.end_index)
-                return BlockOutcome(
-                    block.block_id, next_block.block_id, cycles, executed,
-                    "fallthrough",
-                )
-            elif op is Opcode.JMP:
-                dest = self.cfg.block_at_address(instr.imm)
-                return BlockOutcome(
-                    block.block_id, dest.block_id, cycles, executed, "jump"
-                )
-            elif op is Opcode.CALL:
-                return_address = block.end_index * INSTRUCTION_SIZE
-                self._set(RA, return_address)
-                dest = self.cfg.block_at_address(instr.imm)
-                return BlockOutcome(
-                    block.block_id, dest.block_id, cycles, executed, "call"
-                )
-            elif op is Opcode.RET:
-                dest = self.cfg.block_starting_at(
-                    self.cfg.program.index_of_address(registers[RA])
-                )
-                return BlockOutcome(
-                    block.block_id, dest.block_id, cycles, executed,
-                    "return",
-                )
-            else:  # pragma: no cover - all opcodes handled above
-                raise MachineError(f"unhandled opcode {op!r}")
-
-        # Block ended without a terminator: fall through in layout order.
-        next_block = self.cfg.block_starting_at(block.end_index)
-        return BlockOutcome(
-            block.block_id, next_block.block_id, cycles, executed,
-            "fallthrough",
-        )
-
-    def _evaluate_branch(self, instr: Instruction) -> bool:
-        a = self.registers[instr.rs1]
-        b = self.registers[instr.rs2]
-        op = instr.opcode
-        if op is Opcode.BEQ:
-            return a == b
-        if op is Opcode.BNE:
-            return a != b
-        if op is Opcode.BLT:
-            return a < b
-        return a >= b  # BGE
+        body, leave, size = self._code[block_id]
+        steps = self.steps
+        limit = self.max_steps
+        if steps + size > limit:
+            # Run the instructions that fit, then fail on the next one.
+            body = body[:max(limit - steps, 0)]
+            leave = None
+            size = len(body) + 1
+        self.steps = steps + size
+        registers, memory = self.registers, self.memory
+        try:
+            for run in body:
+                run(registers, memory)
+        except MachineError as error:
+            self.steps = steps + error.position
+            raise
+        if leave is None:
+            raise MachineError(
+                f"exceeded max_steps={limit} "
+                f"(infinite loop in '{self.cfg.name}'?)"
+            )
+        target = leave(registers)
+        if target is None:
+            self.halted = True
+        return target

@@ -8,6 +8,11 @@ background-worker mechanics — that the replay kernel
 independent second implementation kept only for the differential
 suites; nothing under ``src/`` imports it.
 
+:mod:`oracle.machine` pins the per-instruction opcode loop
+(:class:`~oracle.machine.OpcodeMachine`) that closures translated once
+per CFG (:mod:`repro.runtime.machine`) replaced; the layered oracle
+interprets with it.
+
 :mod:`oracle.selection` pins codec selection as it ran before each
 program's inputs were computed once: the assignment context's per-call
 cost lookups and the ``pipeline-search`` floor and pruning rounds that

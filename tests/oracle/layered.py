@@ -20,7 +20,10 @@ unit whose patch job is still pending keeps it).
 config-driven policies, the code image, unit geometry and result
 assembly — and replaces the subsystems and the run loop.  Pass
 ``trace`` (a :class:`~repro.runtime.trace_sim.PreparedTrace`) to step a
-recorded trace instead of interpreting the program.
+recorded trace instead of interpreting the program; an interpreting
+run executes its blocks on the frozen opcode loop
+(:class:`~oracle.machine.OpcodeMachine`), so kernel == oracle on
+interpreting runs also checks the translated machine.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from repro.core.residency import ResidencySubsystem as _Residency
 from repro.memory.remember_set import RememberSets as _RememberSets
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.events import EventKind
-from repro.runtime.machine import BlockOutcome, MachineError
+from repro.runtime.machine import MachineError
 from repro.runtime.trace_sim import PreparedTrace
 from repro.strategies.budget import MemoryBudget as _MemoryBudget
+
+from .machine import BlockOutcome, OpcodeMachine
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +630,12 @@ class LayeredManager(CodeCompressionManager):
         )
         if trace is not None:
             self.machine = TraceStepper(cfg, trace)
+        else:
+            self.machine = OpcodeMachine(
+                cfg,
+                data_words=self.config.data_words,
+                max_steps=self.config.max_steps,
+            )
         self._pending_predictions: Deque[Tuple[int, int]] = deque()
         self._blocks_entered = 0
         self._current_block: Optional[int] = None

@@ -70,6 +70,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cycle costs"):
             SimulationConfig(fault_cycles=-1)
 
+    @pytest.mark.parametrize("field", ["data_words", "max_steps"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_machine_sizes_must_be_positive(self, field, value):
+        # data_words=-3 built an empty memory with sp at -16, and
+        # max_steps=0 made every interpreting cell an error row.
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            SimulationConfig(**{field: value})
+        assert getattr(SimulationConfig(**{field: 1}), field) == 1
+
     def test_invalid_backlog(self):
         with pytest.raises(ConfigError):
             SimulationConfig(max_prefetch_backlog=0)

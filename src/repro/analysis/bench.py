@@ -371,16 +371,20 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     replaying it through :func:`~repro.runtime.trace_sim.simulate_trace`
     against a machine run of the identical configuration from scratch
     (which interprets the program, then replays its own trace through
-    the same kernel, :mod:`repro.core.replay`), for three cells:
-    on-demand k=4 (the top-level fields, on the batched path),
+    the same kernel, :mod:`repro.core.replay`), for four cells:
+    on-demand k=4 (the top-level fields, on the batched path, making
+    its own decisions: the plan's decision memo is dropped before each
+    timed replay), ``member`` (the same row with another codec, which
+    charges its clock from that decision pass: ``shared_ok``),
     pre-decompress-all (``pre_all``) and a memory budget tight enough
     to evict (``budget``), both on the stepped path.  Every replay must
     match its interpreted run exactly and must have run on its kernel
     path (``path_ok``), and every cell's ``ref_blocks_per_s`` (blocks/s
     scaled to the reference host by :func:`_probe`) carries a floor
-    (see :data:`_BUDGETS`), so a kernel slowdown — or a fall-off from
-    the batched path to the stepped one — fails the run.  The speedup
-    over interpreting is reported, not gated: the interpreter moves it.
+    (see :data:`_BUDGETS`), so a kernel slowdown — a slower decision
+    pass or charge pass, or a fall-off from the batched path to the
+    stepped one — fails the run.  The speedup over interpreting is
+    reported, not gated: the interpreter moves it.
     """
     from ..core.manager import CodeCompressionManager
     from ..runtime.trace_sim import PreparedTrace, simulate_trace
@@ -404,7 +408,14 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     )
     repeats = 2 if smoke else 5
 
-    def cell(config: SimulationConfig, path: str) -> Dict[str, object]:
+    def forget() -> None:
+        # Drop the decision passes memoised on the prepared trace's
+        # plans (their windows stay), so the next replay decides.
+        for plan in prepared._plans.values():
+            plan.decisions.clear()
+
+    def cell(config: SimulationConfig, path: str,
+             decide: bool = True) -> Dict[str, object]:
         # One warm pass each: codec training and compression artifacts
         # are shared, so the timed loops measure the engines, not the
         # caches.
@@ -413,6 +424,8 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
         replay_s = probe_s = float("inf")
         for _ in range(repeats):
             probe_s = min(probe_s, _probe())
+            if decide:
+                forget()
             replay_s = min(replay_s, _time(
                 lambda: simulate_trace(graph, prepared, config), 1
             ))
@@ -423,6 +436,7 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
         blocks_per_s = blocks / replay_s if replay_s else float("inf")
         return {
             "strategy": config.strategy_name,
+            "codec": config.codec,
             "blocks_replayed": blocks,
             "replay_s": replay_s,
             "machine_s": machine_s,
@@ -433,20 +447,26 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
             "metrics_equal": _metrics_equal(interpreted, replayed),
             "path": replayed.replay_path,
             "path_ok": replayed.replay_path == path,
+            "shared": replayed.replay_shared,
         }
 
     report: Dict[str, object] = {
         "workload": "composite", **cell(config, "batched"),
     }
+    report["member"] = cell(config.replace(codec="huffman"), "batched",
+                            decide=False)
     report["pre_all"] = cell(
         config.replace(decompression="pre-all", k_decompress=2), "stepped"
     )
     report["budget"] = cell(
         config.replace(k_compress=None, memory_budget=budget), "stepped"
     )
-    cells = (report, report["pre_all"], report["budget"])
+    cells = (report, report["member"], report["pre_all"], report["budget"])
     report["metrics_equal"] = all(c["metrics_equal"] for c in cells)
     report["path_ok"] = all(c["path_ok"] for c in cells)
+    # The member charged its clock from the top cell's decisions, which
+    # the top cell made itself.
+    report["shared_ok"] = report["member"]["shared"] and not report["shared"]
     return report
 
 
@@ -671,7 +691,7 @@ BENCHMARKS: Dict[str, Callable[[bool], Dict[str, object]]] = {
 _EXACT: Dict[str, Tuple[str, ...]] = {
     "huffman_roundtrip": ("payloads_byte_identical",),
     "e1_sweep": ("metrics_equal",),
-    "trace_replay_batched": ("metrics_equal", "path_ok"),
+    "trace_replay_batched": ("metrics_equal", "path_ok", "shared_ok"),
     "bitio_bulk": ("identical",),
     "bench_pipeline": ("lossless",),
     "selection_search": ("lookups_bounded",),
@@ -686,6 +706,7 @@ _BUDGETS: Dict[str, Tuple[Tuple[str, str, float], ...]] = {
     "trace_overhead": (("armed_overhead", "<", 0.5),),
     "trace_replay_batched": (
         ("ref_blocks_per_s", ">=", 550_000.0),
+        ("member.ref_blocks_per_s", ">=", 2_000_000.0),
         ("pre_all.ref_blocks_per_s", ">=", 125_000.0),
         ("budget.ref_blocks_per_s", ">=", 1_150_000.0),
     ),
@@ -856,12 +877,16 @@ def render_report(report: Dict[str, object]) -> str:
             f"kernel replay ({replay['workload']}; "
             f"{replay['blocks_replayed']} blocks; metrics equal: "
             f"{replay['metrics_equal']}; paths ok: "
-            f"{replay['path_ok']}; reference-host floors: "
+            f"{replay['path_ok']}; decisions shared: "
+            f"{replay['shared_ok']}; reference-host floors: "
             f"{replay['within_budget']}):"
         )
-        for cell in (replay, replay["pre_all"], replay["budget"]):
+        for cell in (replay, replay["member"], replay["pre_all"],
+                     replay["budget"]):
+            label = f"{cell['strategy']} {cell['codec']}"
+            path = cell["path"] + ("+shared" if cell["shared"] else "")
             lines.append(
-                f"  {cell['strategy']:28s} {cell['path']:8s} "
+                f"  {label:36s} {path:14s} "
                 f"{cell['replay_s'] * 1000:6.1f} ms vs machine "
                 f"{cell['machine_s'] * 1000:6.1f} ms -> "
                 f"{cell['speedup']:5.1f}x "

@@ -67,6 +67,7 @@ from .results import (
     SCHEMA_VERSION,
     ResultSet,
     config_to_dict,
+    path_counts,
 )
 from .spec import (
     Cell,
@@ -160,6 +161,7 @@ def run_experiment(
             "jobs": chosen.jobs,
             "timing": {"elapsed_s": elapsed},
             **_cache_meta(chosen),
+            "paths": path_counts(runs),
         },
     )
 
@@ -206,6 +208,7 @@ def run_grid(
             "jobs": chosen.jobs,
             "timing": {"elapsed_s": elapsed},
             **_cache_meta(chosen),
+            "paths": path_counts(runs),
         },
     )
 

@@ -62,6 +62,35 @@ def run_metrics(run: SweepRun) -> Dict[str, float]:
     return metrics
 
 
+def path_counts(runs: Sequence[SweepRun]) -> Dict[str, Any]:
+    """How each cell was computed: ``batched`` (the batched kernel made
+    its own decisions), ``shared`` (it charged its clock from another
+    cell's decision pass), ``stepped``, ``stored`` (a store hit, which
+    carries no path) and ``error``, plus ``declined``: the cells per
+    condition that kept the batched kernel off (see
+    :mod:`repro.core.replay`)."""
+    counts: Dict[str, Any] = dict.fromkeys(
+        ("batched", "shared", "stepped", "stored", "error"), 0
+    )
+    declined: Dict[str, int] = {}
+    for run in runs:
+        result = run.result
+        if run.error is not None:
+            path = "error"
+        elif result.replay_path is None:
+            path = "stored"
+        elif result.replay_shared:
+            path = "shared"
+        else:
+            path = result.replay_path
+        counts[path] = counts.get(path, 0) + 1
+        if run.error is None and result.replay_declined is not None:
+            reason = result.replay_declined
+            declined[reason] = declined.get(reason, 0) + 1
+    counts["declined"] = dict(sorted(declined.items()))
+    return counts
+
+
 def metric_value(run: SweepRun, name: str) -> Any:
     """Resolve a metric by name: result summary/property first, then raw
     counters."""
@@ -242,9 +271,10 @@ class ResultSet:
 
     #: Meta keys that describe *how* the grid ran rather than *what* it
     #: produced; serialised under "execution" and excluded from equality.
-    #: Cache provenance (store hits/misses) is execution detail too: a
-    #: fully cached run must compare equal to a cold one.
-    EXECUTION_KEYS = ("executor", "jobs", "timing", "cache")
+    #: Cache provenance (store hits/misses) and the path counts
+    #: (:func:`path_counts`) are execution detail too: a fully cached
+    #: run must compare equal to a cold one.
+    EXECUTION_KEYS = ("executor", "jobs", "timing", "cache", "paths")
 
     def to_dict(self, include_execution: bool = True) -> Dict[str, Any]:
         """The versioned JSON-shaped form (see module docstring)."""
@@ -289,6 +319,10 @@ class ResultSet:
             }
             if "cache" in self.meta:
                 out["execution"]["cache"] = dict(self.meta["cache"])
+            if "paths" in self.meta:
+                paths = dict(self.meta["paths"])
+                paths["declined"] = dict(paths.get("declined", {}))
+                out["execution"]["paths"] = paths
         return out
 
     def to_json(

@@ -26,11 +26,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .bitio import BitIOError, BitReader, BitWriter
 from .codec import Codec, CodecCosts, CodecError, register_codec
 
-try:  # pragma: no cover - exercised indirectly via byte_frequencies
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
 _TAG_RAW = 0
 _TAG_SINGLE = 1
 _TAG_HUFFMAN = 2
@@ -42,24 +37,11 @@ _DECLARED_LENGTH = {_TAG_RAW: 1, _TAG_SINGLE: 2, _TAG_HUFFMAN: 1}
 def byte_frequencies(chunks: Iterable[bytes]) -> Counter:
     """Tally byte values across ``chunks`` into a :class:`Counter`.
 
-    Table-driven counting shared by the entropy coders: with numpy
-    available each chunk is counted by one ``bincount`` over a zero-copy
-    ``frombuffer`` view; the pure-stdlib fallback leans on
-    ``Counter.update``'s C fast path.  Both produce identical counters
-    (only order can differ, and every consumer sorts), so trained models
-    and payloads are byte-for-byte independent of which path ran.
+    Shared by the entropy coders, which count one block per call or a
+    shared model's training set chunk by chunk; blocks average about 21
+    bytes, and ``Counter.update``'s C loop over a bytes object beats any
+    vectorised counter's per-call set-up at that size.
     """
-    if _np is not None:
-        totals = _np.zeros(256, dtype=_np.int64)
-        for chunk in chunks:
-            if chunk:
-                totals += _np.bincount(
-                    _np.frombuffer(chunk, dtype=_np.uint8), minlength=256
-                )
-        return Counter(
-            {int(symbol): int(totals[symbol])
-             for symbol in _np.nonzero(totals)[0]}
-        )
     frequencies: Counter = Counter()
     for chunk in chunks:
         frequencies.update(chunk)

@@ -198,9 +198,12 @@ class CodeCompressionManager:
         self.trace_truncated = False
         #: Which kernel path ran the blocks (``batched`` or ``stepped``)
         #: and the condition that declined the batched path, set by
-        #: :meth:`run` (see :mod:`repro.core.replay`).
+        #: :meth:`run` (see :mod:`repro.core.replay`); ``replay_shared``
+        #: is True when the run charged its clock from a decision pass
+        #: another run made.
         self.replay_path: Optional[str] = None
         self.replay_declined: Optional[str] = None
+        self.replay_shared = False
 
     # ==================================================================
     # Artifact export
@@ -367,6 +370,7 @@ class CodeCompressionManager:
             engine=self.engine,
             replay_path=self.replay_path,
             replay_declined=self.replay_declined,
+            replay_shared=self.replay_shared,
         )
         if self.tracer.enabled:
             self.tracer.close(self.execution_cycles, self.now)

@@ -41,14 +41,30 @@ Interpreting runs, the in-place image and bounded areas drive the live
 allocator block by block instead, so its layout (holes, address space,
 relocations) is the real one.
 
+Decision sharing.  Inside :func:`window_envelope` a trace replay's
+fills, releases and patches depend only on its plan (trace and
+granularity), k and ``fault_cycles``; the codec, assignment, hierarchy,
+``patch_cycles`` and ``contention`` only price them.  The first such
+replay of a key on the arithmetic separate area with the tracer off
+charges itself inline, logs its fills and releases and publishes the
+log and end state on the plan (:class:`_Decisions`).  Later replays of
+the key run only the priced half of the same fill and release code over
+the log, on their own clocks: first decodes in fault order, traffic,
+patch-back jobs, footprint samples and ready times; counters, resident
+set, remember sets, k-edge counters and used-since flags are copied
+from the pass.  Every other run charges inline and never touches the
+memo, which dies with its plan (at most 48 bytes of log per step).
+
 Exactness is the contract: ``tests/oracle/`` keeps a frozen copy of the
 layered per-block loop this kernel replaced, and the differential
 suites pin kernel == oracle cell by cell — metrics, events, tracer
-spans and allocator state.
+spans and allocator state, and ``test_shared_decisions.py`` holds
+every replay that reuses a decision pass to the cell replayed alone.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -326,12 +342,54 @@ def _replay_uncompressed(manager, plans, tracer, generic: bool) -> int:
     return now
 
 
+class _Decisions:
+    """A decision pass over a plan: its log and a copy of its end state.
+
+    ``log`` holds flat ``(unit, clock, patched)`` triples, one per fill
+    (``patched`` = -1) or release (the branch sites it patched back) in
+    run order, on the deciding replay's clock; a reusing replay adds
+    its fill latency minus the decider's (``geometry``) so far.  A step
+    fills at most one unit and its k-edge tick releases at most one (no
+    two resident counters are equal), so a log holds at most two events
+    per step, 48 bytes once the first reuse compacts it to
+    ``array('q')``.  ``tallies`` are the decider's totals.
+    """
+
+    __slots__ = ("log", "tallies", "geometry", "used_since", "counters",
+                 "site_target", "by_target")
+
+    def __init__(self, log, tallies, geometry, residency, kcount) -> None:
+        self.log = log
+        self.tallies = tallies
+        self.geometry = geometry
+        self.used_since = dict(residency._used_since_decompress)
+        self.counters = None if kcount is None else dict(kcount)
+        remember = residency.remember
+        self.site_target = dict(remember._site_target)
+        self.by_target = {
+            target: set(sites)
+            for target, sites in remember._by_target.items()
+        }
+
+    def restore(self, residency, kcount) -> None:
+        """Give a replay its own copy of the pass's end state."""
+        residency._used_since_decompress.update(self.used_since)
+        remember = residency.remember
+        remember._site_target.update(self.site_target)
+        remember._by_target.update(
+            (target, set(sites)) for target, sites in self.by_target.items()
+        )
+        if kcount is not None:
+            kcount.update(self.counters)
+
+
 def _replay_compressed(manager, plans, tracer, generic: bool,
                        windowed: bool) -> int:
     """Compressed image: the full fault/prefetch/release/eviction/patch
     state machine, flattened.  ``windowed`` (inside
-    :func:`window_envelope` only) enables the window fast-forward.
-    Returns the final clock."""
+    :func:`window_envelope` only) enables the window fast-forward, and
+    may share decisions (see the module docstring).  Returns the final
+    clock."""
     residency = manager.residency
     config = manager.config
     image = residency.image
@@ -368,6 +426,8 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     pre = decompression.uses_thread
     on_exit = decompression.on_block_exit
     observe = _edge_hook(decompression)
+    # Per-edge observers: a generic policy's live profile, on_edge.
+    watched = profile is not None or observe is not None
     predicting = pre and hasattr(decompression, "last_choice")
     pending_preds = deque()
     k_dec = config.k_decompress
@@ -389,6 +449,9 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     # Per-entry work beyond the residency flags and k-edge reset.
     extras = emit is not None or budget is not None or predicting \
         or on_enter is not None
+    # Per-fill and per-release work for spans, hooks, budget, events.
+    hooked = tracer is not None or on_released is not None \
+        or budget is not None or emit is not None
 
     # Window fast-forward: on-demand replays without budget or events.
     windows = plan.windows if windowed else ()
@@ -405,23 +468,31 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     site_target = remember._site_target
     by_target = remember._by_target
     fp = residency.footprint._samples
-    plain = image._plaintext
     base_size = image.compressed_image_size
     used = image.allocator.used_bytes
     fault_cycles = config.fault_cycles
     patch_cycles = config.patch_cycles
 
-    # Which units already have every block's plaintext memoized (the
-    # executed path must still fail on undecodable payloads).
-    decoded = {
-        unit_id: all(b in plain for b in geo[4])
-        for unit_id, geo in geometry.items()
-    }
+    # Units whose payloads this run has decoded (or found in the shared
+    # memo): the executed path must still fail on undecodable payloads.
+    decoded = set()
 
-    # Both workers' FIFOs: ``unit -> [latency, scheduled_at, started_at,
-    # completes_at]`` in FIFO order.  A job scheduled at ``t`` starts
-    # when its worker is free; cancelling refunds unperformed work and
-    # re-chains the jobs queued behind it.
+    # Follow the plan's decision pass for this key, or record one.
+    decisions = record = memo = key = None
+    if windowed and arithmetic and tracer is None and not ready \
+            and not kcount:
+        memo = plan.decisions
+        key = (k, fault_cycles)
+        decisions = memo.get(key)
+        if decisions is None:
+            record = []
+    following = decisions is not None
+
+    # The decompression worker's FIFO: ``unit -> [latency, scheduled_at,
+    # started_at, completes_at]``.  A job scheduled at ``t`` starts when
+    # the worker is free; cancelling refunds unperformed work and
+    # re-chains the jobs queued behind it.  The compression worker's
+    # FIFO holds ``unit -> completes_at``: nothing cancels patch jobs.
     dworker = manager.decompress_worker
     d_pending = {}
     d_free = dworker.free_at
@@ -446,14 +517,17 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     background = 0
     tmem_bytes = 0
     tmem_accesses = 0
-    img_dec = 0
     img_rel = 0
+    # Patches and patch-backs (the remember sets' running total).
+    total_patches = 0
+
+    # ---- fills and releases: a decision half, skipped when following
+    # a decision pass, and a half priced by this replay's own clock.
 
     def materialise(unit, now):
         """Give ``unit`` a decompressed copy and sample the footprint;
         returns the unit's geometry."""
-        nonlocal tmem_bytes, tmem_accesses, decompressions, img_dec
-        nonlocal used, bclock
+        nonlocal tmem_bytes, tmem_accesses, decompressions, used, bclock
         geo = geometry[unit]
         if not arithmetic:
             for rb in geo[4]:
@@ -462,83 +536,104 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 # must fail on the executed path.  The shared memo
                 # bounds this to one decode per block per artifact set.
                 image.block_data(rb)
-        elif not decoded[unit]:
+        elif unit not in decoded:
             for rb in geo[4]:
                 image.block_data(rb)
-            decoded[unit] = True
+            decoded.add(unit)
         tmem_bytes += geo[2]
-        tmem_accesses += geo[3]
-        decompressions += 1
-        img_dec += geo[3]
-        used_since[unit] = False
-        if tracer is not None:
-            tracer.fill(now, unit, geo[1])
-        if kcount is not None:
-            kcount[unit] = 0
-        elif on_decompressed is not None:
-            on_decompressed(unit)
-        if resident_since is not None:
-            bclock += 1
-            resident_since[unit] = bclock
-            last_use.setdefault(unit, bclock)
         used += geo[0]
         value = base_size + used if arithmetic else image.footprint_bytes
         if fp and fp[-1][0] == now:
             fp[-1] = (now, value)
         else:
             fp.append((now, value))
+        if following:
+            return geo
+        if record is not None:
+            record.extend((unit, now, -1))
+        tmem_accesses += geo[3]
+        decompressions += 1
+        used_since[unit] = False
+        if kcount is not None:
+            kcount[unit] = 0
+        if hooked:
+            if tracer is not None:
+                tracer.fill(now, unit, geo[1])
+            if on_decompressed is not None:
+                on_decompressed(unit)
+            if resident_since is not None:
+                bclock += 1
+                resident_since[unit] = bclock
+                last_use.setdefault(unit, bclock)
         return geo
 
-    def release(unit, reason, now):
+    def release(unit, reason, now, patched=None):
         """Drop ``unit``'s copy: cancel its prefetch (refund + re-chain),
         patch back its remember sets on the compression worker, and
-        sample the footprint."""
+        sample the footprint.  ``patched`` comes from a decision log."""
         nonlocal d_free, d_busy, d_cancelled, w_free, w_busy, w_done
         nonlocal patches, recompressions, wasted, used, img_rel
+        nonlocal total_patches
         del ready[unit]
-        job = d_pending.pop(unit, None) if d_pending else None
-        if job is not None:
-            if tracer is not None:
-                tracer.worker_cancel(now, "decompression", unit)
-            d_cancelled += 1
-            d_busy -= job[0] if job[2] >= now else max(0, job[3] - now)
-            cursor = now
-            for other in d_pending.values():
-                if other[2] < now and other[3] > cursor:
-                    cursor = other[3]
-            for other in d_pending.values():
-                if other[2] >= now:
-                    other[2] = cursor if cursor > other[1] else other[1]
-                    cursor = other[3] = other[2] + other[0]
-            d_free = cursor
         geo = geometry[unit]
-        if not arithmetic:
+        if patched is None:
+            job = d_pending.pop(unit, None) if d_pending else None
+            if job is not None:
+                if tracer is not None:
+                    tracer.worker_cancel(now, "decompression", unit)
+                d_cancelled += 1
+                d_busy -= job[0] if job[2] >= now else max(0, job[3] - now)
+                cursor = now
+                for other in d_pending.values():
+                    if other[2] < now and other[3] > cursor:
+                        cursor = other[3]
+                for other in d_pending.values():
+                    if other[2] >= now:
+                        other[2] = cursor if cursor > other[1] else other[1]
+                        cursor = other[3] = other[2] + other[0]
+                d_free = cursor
+            if not arithmetic:
+                for rb in geo[4]:
+                    if image.is_resident(rb):
+                        image.release(rb)
+            patched = 0
             for rb in geo[4]:
-                if image.is_resident(rb):
-                    image.release(rb)
-        released = 0
-        for rb in geo[4]:
-            tset = by_target.pop(rb, None)
-            if tset:
-                for s in tset:
-                    del site_target[s]
-                released += len(tset)
-            tt = site_target.pop(rb, None)
-            if tt is not None:
-                by_target[tt].discard(rb)
-        remember.total_patches += released
-        patches += released
-        recompressions += 1
-        if not used_since.pop(unit, True):
-            wasted += 1
+                tset = by_target.pop(rb, None)
+                if tset:
+                    for s in tset:
+                        del site_target[s]
+                    patched += len(tset)
+                tt = site_target.pop(rb, None)
+                if tt is not None:
+                    by_target[tt].discard(rb)
+            total_patches += patched
+            patches += patched
+            recompressions += 1
+            if not used_since.pop(unit, True):
+                wasted += 1
+            if kcount is not None:
+                kcount.pop(unit, None)
+            if hooked:
+                if tracer is not None:
+                    tracer.release(now, unit, reason.name.lower(),
+                                   patched)
+                if on_released is not None:
+                    on_released(unit)
+                if resident_since is not None:
+                    resident_since.pop(unit, None)
+                if emit is not None:
+                    emit(now, reason, unit, patched)
+            if record is not None:
+                record.extend((unit, now, patched))
+            img_rel += geo[3]
         # Patching runs on the compression worker.  A unit whose patch
         # job is still queued keeps that job.
         if unit not in w_pending:
-            latency = patch_cycles * released
+            latency = patch_cycles * patched
             started = w_free if w_free > now else now
             w_free = started + latency
             w_busy += latency
-            w_pending[unit] = [latency, now, started, w_free]
+            w_pending[unit] = w_free
             if tracer is not None:
                 tracer.worker_job("compression", unit, now, started,
                                   w_free)
@@ -548,27 +643,17 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             w_done += len(w_pending)
             w_pending.clear()
         else:
-            done = [uu for uu, job in w_pending.items() if job[3] <= now]
+            done = [uu for uu, done_at in w_pending.items()
+                    if done_at <= now]
             for uu in done:
                 del w_pending[uu]
             w_done += len(done)
-        if tracer is not None:
-            tracer.release(now, unit, reason.name.lower(), released)
-        if kcount is not None:
-            kcount.pop(unit, None)
-        elif on_released is not None:
-            on_released(unit)
-        if resident_since is not None:
-            resident_since.pop(unit, None)
-        if emit is not None:
-            emit(now, reason, unit, released)
         used -= geo[0]
         value = base_size + used if arithmetic else image.footprint_bytes
         if fp and fp[-1][0] == now:
             fp[-1] = (now, value)
         else:
             fp.append((now, value))
-        img_rel += geo[3]
 
     def evict(unit, protected, now):
         """Release budget victims so ``unit`` fits (BudgetError
@@ -617,251 +702,278 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             if emit is not None:
                 emit(now, _DECOMPRESS_START, tu)
 
-    # ---- prologue: program-start prefetches, then the entry fetch ----
-    if pre:
-        prefetch(decompression.on_program_start(trace[0]), None, now)
-    u = usteps[0]
-    if u not in ready:
-        # A full fault; no branch led here, so nothing is patched.
-        faults += 1
-        if emit is not None:
-            emit(now, _FAULT, trace[0])
-        if budget is not None:
-            evict(u, {u}, now)
-        stall = fault_cycles + materialise(u, now)[1]
-        if tracer is not None:
-            tracer.stall(now, stall, "decompress", True)
-        now += stall
-        stall_cycles += stall
-        stalls += 1
-        ready[u] = now
-        if emit is not None:
-            emit(now, _DECOMPRESS_DONE, u, stall)
-    elif pre and ready[u] > now:
-        # Its program-start prefetch is still in flight.
-        waited = ready[u] - now
-        if tracer is not None:
-            tracer.stall(now, waited, "decompress", True)
-        now += waited
-        stall_cycles += waited
-        stalls += 1
-        if emit is not None:
-            emit(now, _STALL, trace[0], waited)
-    if profile is not None:
-        profile.record_entry(trace[0])
-
-    pos = 0
-    while True:
-        # ---- window fast-forward --------------------------------
-        if nwin and not (pos & wmask):
-            wi = pos >> wshift
-            while wi < nwin:
-                win = windows[wi]
-                wunits = win[1]
-                ok = True
-                for uu in wunits:
-                    if uu not in ready:
-                        ok = False
-                        break
-                if ok:
-                    for (es, ed), _count in win[3]:
-                        if site_target.get(es) != ed:
-                            ok = False
-                            break
-                if ok and k is not None:
-                    heads = win[5]
-                    maxgaps = win[6]
-                    dstc = win[4]
-                    for ru in ready:
-                        if ru in heads:
-                            if (
-                                kcount[ru] + heads[ru] >= k
-                                or maxgaps[ru] >= k
-                            ):
-                                ok = False
-                                break
-                        elif kcount[ru] + width - dstc.get(ru, 0) >= k:
-                            ok = False
-                            break
-                if not ok:
-                    break
-                now += win[0]
-                for uu in win[2]:
-                    used_since[uu] = True
-                if k is not None:
-                    tails = win[7]
-                    dstc = win[4]
-                    for ru in ready:
-                        if ru in tails:
-                            kcount[ru] = tails[ru]
-                        else:
-                            kcount[ru] += width - dstc.get(ru, 0)
-                pos += width
-                wi += 1
-
-        # ---- one per-block step: enter, execute -----------------
-        b = trace[pos]
-        u = usteps[pos]
-        if extras:
-            if emit is not None:
-                emit(now, _BLOCK_ENTER, b)
-            if last_use is not None:
-                bclock += 1
-                last_use[u] = bclock
-            if on_enter is not None:
-                on_enter(u)
-            if pending_preds:
-                # Did a pending prediction come true within its window?
-                for index, (predicted, _expires) in enumerate(
-                    pending_preds
-                ):
-                    if predicted == b:
-                        correct += 1
-                        del pending_preds[index]
-                        break
-                entered = base + pos + 1
-                while pending_preds and pending_preds[0][1] <= entered:
-                    pending_preds.popleft()
-        used_since[u] = True
-        if kcount is not None:
-            kcount[u] = 0
-        now += cycles[pos]
-        pos += 1
-        if d_pending:
-            # Retire the decompression jobs finished by now (FIFO: the
-            # queue drains by ``d_free``).
-            if d_free <= now:
-                d_done += len(d_pending)
-                d_pending.clear()
+    if decisions is not None:
+        # ---- reuse the plan's decision pass: charge only this clock ----
+        manager.replay_shared = True
+        (faults, decompressions, recompressions, patches, wasted,
+         tmem_accesses, stall_cycles, stalls, img_rel, total_patches,
+         now) = decisions.tallies
+        # This clock is the deciding replay's plus ``lag``: the
+        # difference between the two runs' fill latencies so far.
+        lead = decisions.geometry
+        lag = 0
+        log = decisions.log
+        if type(log) is list:
+            decisions.log = log = array("q", log)
+        events = iter(log)
+        for unit, clock, patched in zip(events, events, events):
+            at = clock + lag
+            if patched < 0:
+                latency = materialise(unit, at)[1]
+                lag += latency - lead[unit][1]
+                ready[unit] = at + fault_cycles + latency
             else:
-                done = [uu for uu, job in d_pending.items()
-                        if job[3] <= now]
-                for uu in done:
-                    del d_pending[uu]
-                d_done += len(done)
-        if pos == n:
-            # Move on to the next segment, if any (a long interpreting
-            # run interprets it now).
-            plan = plans.pull()
-            if plan is None:
-                break
-            base += n
-            trace = plan.trace
-            usteps = plan.unit_steps
-            cycles = plan.cycles
-            n = len(trace)
-            windows = plan.windows if windowed else ()
-            nwin = len(windows)
-            pos = 0
-        nb = trace[pos]
-        nu = usteps[pos]
-        if profile is not None:
-            profile.record_edge(b, nb)
-        if observe is not None:
-            observe(b, nb)
-
-        # ---- k-edge tick: every resident unit but the destination
-        if kcount is not None:
-            expired = None
-            for ru in ready:
-                if ru == nu:
-                    continue
-                count = kcount[ru] + 1
-                kcount[ru] = count
-                if count >= k:
-                    if expired is None:
-                        expired = [ru]
-                    else:
-                        expired.append(ru)
-            if expired is not None:
-                if len(expired) > 1:
-                    expired.sort()
-                for ru in expired:
-                    release(ru, _RECOMPRESS, now)
-        elif on_expire is not None:
-            for ru in on_expire(u, nu):
-                assert ru != nu, (
-                    "compression policy tried to release the "
-                    "destination unit"
-                )
-                if ru in ready:
-                    release(ru, _RECOMPRESS, now)
-
-        # ---- pre-decompression requests ---------------------------
+                release(unit, None, at, patched)
+        now += lag
+        stall_cycles += lag
+        decisions.restore(residency, kcount)
+    else:
+        # ---- prologue: program-start prefetches, then the entry fetch ----
         if pre:
-            targets = on_exit(b)
-            if predicting:
-                choice = decompression.last_choice
-                if choice is not None:
-                    predictions += 1
-                    pending_preds.append(
-                        (choice, base + pos + k_dec + 1)
-                    )
-                    if emit is not None:
-                        emit(now, _PREDICT, choice)
-            if targets:
-                prefetch(targets, u, now)
-
-        # ---- ensure the next block is executable ----------------
-        if nu not in ready:
-            # Full fault: handler + synchronous decompression.
+            prefetch(decompression.on_program_start(trace[0]), None, now)
+        u = usteps[0]
+        if u not in ready:
+            # A full fault; no branch led here, so nothing is patched.
             faults += 1
             if emit is not None:
-                emit(now, _FAULT, nb)
+                emit(now, _FAULT, trace[0])
             if budget is not None:
-                evict(nu, {u, nu}, now)
-            stall = fault_cycles + materialise(nu, now)[1]
+                evict(u, {u}, now)
+            stall = fault_cycles + materialise(u, now)[1]
             if tracer is not None:
                 tracer.stall(now, stall, "decompress", True)
             now += stall
             stall_cycles += stall
             stalls += 1
-            ready[nu] = now
+            ready[u] = now
             if emit is not None:
-                emit(now, _DECOMPRESS_DONE, nu, stall)
-        else:
-            if pre:
-                waited = ready[nu] - now
-                if waited > 0:
-                    # Its pre-decompression is still in flight.
-                    if tracer is not None:
-                        tracer.stall(now, waited, "decompress", True)
-                    now += waited
-                    stall_cycles += waited
-                    stalls += 1
-                    if emit is not None:
-                        emit(now, _STALL, nb, waited)
-            if u in ready and site_target.get(b) == nb:
-                continue
-            # Patch fault: copy exists, branch still aims at the
-            # compressed area.
-            faults += 1
+                emit(now, _DECOMPRESS_DONE, u, stall)
+        elif pre and ready[u] > now:
+            # Its program-start prefetch is still in flight.
+            waited = ready[u] - now
             if tracer is not None:
-                tracer.stall(now, fault_cycles, "patch", False)
-            now += fault_cycles
-            stall_cycles += fault_cycles
-            if u not in ready:
-                # The branch's own block was released: nothing to patch.
+                tracer.stall(now, waited, "decompress", True)
+            now += waited
+            stall_cycles += waited
+            stalls += 1
+            if emit is not None:
+                emit(now, _STALL, trace[0], waited)
+        if profile is not None:
+            profile.record_entry(trace[0])
+
+        pos = 0
+        while True:
+            # ---- window fast-forward --------------------------------
+            if nwin and not (pos & wmask):
+                wi = pos >> wshift
+                while wi < nwin:
+                    win = windows[wi]
+                    wunits = win[1]
+                    ok = True
+                    for uu in wunits:
+                        if uu not in ready:
+                            ok = False
+                            break
+                    if ok:
+                        for (es, ed), _count in win[3]:
+                            if site_target.get(es) != ed:
+                                ok = False
+                                break
+                    if ok and k is not None:
+                        heads = win[5]
+                        maxgaps = win[6]
+                        dstc = win[4]
+                        for ru in ready:
+                            if ru in heads:
+                                if (
+                                    kcount[ru] + heads[ru] >= k
+                                    or maxgaps[ru] >= k
+                                ):
+                                    ok = False
+                                    break
+                            elif kcount[ru] + width - dstc.get(ru, 0) >= k:
+                                ok = False
+                                break
+                    if not ok:
+                        break
+                    now += win[0]
+                    for uu in win[2]:
+                        used_since[uu] = True
+                    if k is not None:
+                        tails = win[7]
+                        dstc = win[4]
+                        for ru in ready:
+                            if ru in tails:
+                                kcount[ru] = tails[ru]
+                            else:
+                                kcount[ru] += width - dstc.get(ru, 0)
+                    pos += width
+                    wi += 1
+
+            # ---- one per-block step: enter, execute -----------------
+            b = trace[pos]
+            u = usteps[pos]
+            if extras:
+                if emit is not None:
+                    emit(now, _BLOCK_ENTER, b)
+                if last_use is not None:
+                    bclock += 1
+                    last_use[u] = bclock
+                if on_enter is not None:
+                    on_enter(u)
+                if pending_preds:
+                    # Did a pending prediction come true within its window?
+                    for index, (predicted, _expires) in enumerate(
+                        pending_preds
+                    ):
+                        if predicted == b:
+                            correct += 1
+                            del pending_preds[index]
+                            break
+                    entered = base + pos + 1
+                    while pending_preds and pending_preds[0][1] <= entered:
+                        pending_preds.popleft()
+            used_since[u] = True
+            if kcount is not None:
+                kcount[u] = 0
+            now += cycles[pos]
+            pos += 1
+            if d_pending:
+                # Retire the decompression jobs finished by now (FIFO: the
+                # queue drains by ``d_free``).
+                if d_free <= now:
+                    d_done += len(d_pending)
+                    d_pending.clear()
+                else:
+                    done = [uu for uu, job in d_pending.items()
+                            if job[3] <= now]
+                    for uu in done:
+                        del d_pending[uu]
+                    d_done += len(done)
+            if pos == n:
+                # Move on to the next segment, if any (a long interpreting
+                # run interprets it now).
+                plan = plans.pull()
+                if plan is None:
+                    break
+                base += n
+                trace = plan.trace
+                usteps = plan.unit_steps
+                cycles = plan.cycles
+                n = len(trace)
+                windows = plan.windows if windowed else ()
+                nwin = len(windows)
+                pos = 0
+            nb = trace[pos]
+            nu = usteps[pos]
+            if watched:
+                if profile is not None:
+                    profile.record_edge(b, nb)
+                if observe is not None:
+                    observe(b, nb)
+
+            # ---- k-edge tick: every resident unit but the destination
+            if kcount is not None:
+                expired = None
+                for ru in ready:
+                    if ru == nu:
+                        continue
+                    count = kcount[ru] + 1
+                    kcount[ru] = count
+                    if count >= k:
+                        if expired is None:
+                            expired = [ru]
+                        else:
+                            expired.append(ru)
+                if expired is not None:
+                    if len(expired) > 1:
+                        expired.sort()
+                    for ru in expired:
+                        release(ru, _RECOMPRESS, now)
+            elif on_expire is not None:
+                for ru in on_expire(u, nu):
+                    assert ru != nu, (
+                        "compression policy tried to release the "
+                        "destination unit"
+                    )
+                    if ru in ready:
+                        release(ru, _RECOMPRESS, now)
+
+            # ---- pre-decompression requests ---------------------------
+            if pre:
+                targets = on_exit(b)
+                if predicting:
+                    choice = decompression.last_choice
+                    if choice is not None:
+                        predictions += 1
+                        pending_preds.append(
+                            (choice, base + pos + k_dec + 1)
+                        )
+                        if emit is not None:
+                            emit(now, _PREDICT, choice)
+                if targets:
+                    prefetch(targets, u, now)
+
+            # ---- ensure the next block is executable ----------------
+            if nu not in ready:
+                # Full fault: handler + synchronous decompression.
+                faults += 1
+                if emit is not None:
+                    emit(now, _FAULT, nb)
+                if budget is not None:
+                    evict(nu, {u, nu}, now)
+                stall = fault_cycles + materialise(nu, now)[1]
+                if tracer is not None:
+                    tracer.stall(now, stall, "decompress", True)
+                now += stall
+                stall_cycles += stall
+                stalls += 1
+                ready[nu] = now
+                if emit is not None:
+                    emit(now, _DECOMPRESS_DONE, nu, stall)
+            else:
+                if pre:
+                    waited = ready[nu] - now
+                    if waited > 0:
+                        # Its pre-decompression is still in flight.
+                        if tracer is not None:
+                            tracer.stall(now, waited, "decompress", True)
+                        now += waited
+                        stall_cycles += waited
+                        stalls += 1
+                        if emit is not None:
+                            emit(now, _STALL, nb, waited)
+                if u in ready and site_target.get(b) == nb:
+                    continue
+                # Patch fault: copy exists, branch still aims at the
+                # compressed area.
+                faults += 1
+                if tracer is not None:
+                    tracer.stall(now, fault_cycles, "patch", False)
+                now += fault_cycles
+                stall_cycles += fault_cycles
+                if u not in ready:
+                    # The branch's own block was released: nothing to patch.
+                    if emit is not None:
+                        emit(now, _PATCH, nb)
+                    continue
+            if u in ready:
+                # The branch site that got us here (``b``'s terminator)
+                # gets patched.
+                previous = site_target.get(b)
+                if previous != nb:
+                    if previous is not None:
+                        by_target[previous].discard(b)
+                    referrers = by_target.get(nb)
+                    if referrers is None:
+                        by_target[nb] = {b}
+                    else:
+                        referrers.add(b)
+                    site_target[b] = nb
+                    total_patches += 1
+                patches += 1
                 if emit is not None:
                     emit(now, _PATCH, nb)
-                continue
-        if u in ready:
-            # The branch site that got us here (``b``'s terminator)
-            # gets patched.
-            previous = site_target.get(b)
-            if previous != nb:
-                if previous is not None:
-                    by_target[previous].discard(b)
-                referrers = by_target.get(nb)
-                if referrers is None:
-                    by_target[nb] = {b}
-                else:
-                    referrers.add(b)
-                site_target[b] = nb
-                remember.total_patches += 1
-            patches += 1
-            if emit is not None:
-                emit(now, _PATCH, nb)
 
     # ---- settle shared state ------------------------------------
     counters = manager.counters
@@ -880,6 +992,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     counters.target_memory_accesses += tmem_accesses
     counters.stall_cycles += stall_cycles
     counters.stalls += stalls
+    remember.total_patches += total_patches
     dworker.free_at = d_free
     dworker.busy_cycles += d_busy
     dworker.jobs_completed += d_done
@@ -893,5 +1006,13 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         resident_blocks = []
         for unit_id in ready:
             resident_blocks.extend(geometry[unit_id][4])
-        image.absorb_replay(sorted(resident_blocks), img_dec, img_rel)
+        image.absorb_replay(sorted(resident_blocks), tmem_accesses, img_rel)
+    if record is not None:
+        # The pass completed: publish it for every later replay of the
+        # plan with this key.
+        memo[key] = _Decisions(record, (
+            faults, decompressions, recompressions, patches, wasted,
+            tmem_accesses, stall_cycles, stalls, img_rel, total_patches,
+            now,
+        ), geometry, residency, kcount)
     return now

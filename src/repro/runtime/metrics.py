@@ -186,10 +186,13 @@ class SimulationResult:
     #: Which replay-kernel path computed the run — ``"batched"`` (with
     #: window fast-forward) or ``"stepped"`` (one block at a time) — and
     #: the condition that declined the batched path (see
-    #: :mod:`repro.core.replay`).
+    #: :mod:`repro.core.replay`).  ``replay_shared`` is True when a
+    #: batched run charged its clock from a decision pass another run
+    #: made on the same plan.
     #: Provenance only, like ``phases``: never serialised or compared.
     replay_path: Optional[str] = field(default=None, compare=False)
     replay_declined: Optional[str] = field(default=None, compare=False)
+    replay_shared: bool = field(default=False, compare=False)
 
     # ----------------------------------------------------------------
     # The paper's headline metrics
@@ -215,27 +218,31 @@ class SimulationResult:
     @property
     def peak_saving(self) -> float:
         """Peak-memory saving vs. the uncompressed image (fraction)."""
-        if self.uncompressed_size == 0:
-            return 0.0
-        return 1.0 - self.peak_footprint / self.uncompressed_size
+        return self._saving(self.peak_footprint)
 
     @property
     def average_saving(self) -> float:
         """Average-memory saving vs. the uncompressed image (fraction)."""
+        return self._saving(self.average_footprint)
+
+    def _saving(self, footprint: float) -> float:
         if self.uncompressed_size == 0:
             return 0.0
-        return 1.0 - self.average_footprint / self.uncompressed_size
+        return 1.0 - footprint / self.uncompressed_size
 
     def summary(self) -> Dict[str, float]:
-        """Flat dict of headline numbers (table-friendly)."""
+        """Flat dict of headline numbers (table-friendly).  Each
+        footprint statistic scans the timeline once."""
+        peak = self.peak_footprint
+        average = self.average_footprint
         return {
             "total_cycles": float(self.total_cycles),
             "execution_cycles": float(self.execution_cycles),
             "cycle_overhead": self.cycle_overhead,
-            "peak_footprint": float(self.peak_footprint),
-            "average_footprint": self.average_footprint,
-            "peak_saving": self.peak_saving,
-            "average_saving": self.average_saving,
+            "peak_footprint": float(peak),
+            "average_footprint": average,
+            "peak_saving": self._saving(peak),
+            "average_saving": self._saving(average),
             "faults": float(self.counters.faults),
             "decompressions": float(self.counters.decompressions),
             "recompressions": float(self.counters.recompressions),

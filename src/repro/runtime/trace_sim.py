@@ -119,11 +119,17 @@ class ReplayPlan:
     segment of a long interpreting run, whose trace reaches the kernel
     a segment at a time.  The window aggregates are built on first use:
     only the batched path reads them.
+
+    ``decisions`` memoises the kernel's completed decision passes,
+    ``(k, fault_cycles) ->`` log and end state (at most two events per
+    step), for later trace replays to charge to their own clocks; it
+    dies with the plan.  Clearing it only makes the next replay decide.
     """
 
     __slots__ = (
         "trace", "cycles", "unit_steps", "window_size", "_windows",
         "total_cycles", "edge_items", "block_visits", "entered_units",
+        "decisions",
     )
 
     def __init__(
@@ -159,6 +165,7 @@ class ReplayPlan:
             entered[unit] = None
         #: Distinct units the trace enters, in first-entry order.
         self.entered_units = tuple(entered)
+        self.decisions: Dict[Tuple, object] = {}
 
     @property
     def windows(self) -> List[Tuple]:

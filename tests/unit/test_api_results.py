@@ -142,3 +142,50 @@ class TestSchema:
         assert config_to_dict(with_profile)["profile"] == \
             "<edge-profile>"
         assert config_to_dict(SimulationConfig())["profile"] is None
+
+
+class TestPathProvenance:
+    """``execution.paths`` counts how each cell was computed; it is
+    execution detail, so the canonical form never carries it."""
+
+    _CONFIGS = [
+        SimulationConfig(codec=codec, k_compress=k, trace_events=False,
+                         record_trace=False)
+        for codec in ("shared-dict", "huffman")
+        for k in (2, None)
+    ] + [
+        SimulationConfig(decompression="pre-all", k_compress=2,
+                         trace_events=False, record_trace=False),
+    ]
+
+    def test_two_codec_grid_counts_each_path(self):
+        rs = api.run_grid(["fsm", "gcd"], self._CONFIGS, engine="trace")
+        assert rs.meta["paths"] == {
+            "batched": 4, "shared": 4, "stepped": 2, "stored": 0,
+            "error": 0, "declined": {"predecompress": 2},
+        }
+        assert rs.to_dict()["execution"]["paths"] == rs.meta["paths"]
+        assert "paths" not in rs.to_dict()["meta"]
+
+    def test_warm_rerun_is_all_stored(self, tmp_path):
+        store = str(tmp_path / "store")
+        cold = api.run_grid(["fsm"], self._CONFIGS, engine="trace",
+                            store=store)
+        warm = api.run_grid(["fsm"], self._CONFIGS, engine="trace",
+                            store=store)
+        assert cold.meta["paths"]["stored"] == 0
+        assert warm.meta["paths"] == {
+            "batched": 0, "shared": 0, "stepped": 0, "stored": 5,
+            "error": 0, "declined": {},
+        }
+        assert warm.canonical_json() == cold.canonical_json()
+
+    def test_canonical_json_ignores_paths(self, small_resultset):
+        assert "paths" in small_resultset.meta
+        bare = api.ResultSet(
+            small_resultset.runs,
+            meta={key: value for key, value in small_resultset.meta.items()
+                  if key != "paths"},
+        )
+        assert bare.canonical_json() == small_resultset.canonical_json()
+

@@ -50,25 +50,42 @@ class TestMergeSection:
             "bitio_bulk.identical = False"
         ]
 
-    def test_nested_cells_have_their_own_floors(self):
-        def sample(pre_all):
-            return {
-                "ref_blocks_per_s": 7e5, "speedup": 5.0,
-                "metrics_equal": True, "path_ok": True,
-                "pre_all": {"ref_blocks_per_s": pre_all, "speedup": 2.0,
-                            "metrics_equal": True, "path_ok": True},
-                "budget": {"ref_blocks_per_s": 1.5e6, "speedup": 3.0,
-                           "metrics_equal": True, "path_ok": True},
-            }
+    @staticmethod
+    def _replay(pre_all=1.8e5, member=2.8e6, shared_ok=True):
+        return {
+            "ref_blocks_per_s": 7e5, "speedup": 5.0,
+            "metrics_equal": True, "path_ok": True, "shared_ok": shared_ok,
+            "member": {"ref_blocks_per_s": member, "speedup": 20.0,
+                       "metrics_equal": True, "path_ok": True},
+            "pre_all": {"ref_blocks_per_s": pre_all, "speedup": 2.0,
+                        "metrics_equal": True, "path_ok": True},
+            "budget": {"ref_blocks_per_s": 1.5e6, "speedup": 3.0,
+                       "metrics_equal": True, "path_ok": True},
+        }
 
+    def test_nested_cells_have_their_own_floors(self):
         section = merge_section(
-            "trace_replay_batched", [sample(9e4), sample(1.8e5),
-                                     sample(8e4)]
+            "trace_replay_batched", [self._replay(pre_all=9e4),
+                                     self._replay(pre_all=1.8e5),
+                                     self._replay(pre_all=8e4)]
         )
         assert section["within_budget"] is False
         assert failed_gates("trace_replay_batched", section) == [
             "trace_replay_batched.pre_all.ref_blocks_per_s = 9e+04 "
             "(gate >= 125000)"
+        ]
+
+    def test_member_replay_has_its_own_floor_and_must_share(self):
+        # A replay that reuses the decisions is gated on its own rate,
+        # and on having reused them at all.
+        section = merge_section(
+            "trace_replay_batched",
+            [self._replay(member=1.4e6, shared_ok=False)],
+        )
+        assert failed_gates("trace_replay_batched", section) == [
+            "trace_replay_batched.shared_ok = False",
+            "trace_replay_batched.member.ref_blocks_per_s = 1.4e+06 "
+            "(gate >= 2e+06)",
         ]
 
     def test_speedups_are_reported_not_gated(self):
@@ -77,7 +94,8 @@ class TestMergeSection:
         cell = {"ref_blocks_per_s": 2e6, "speedup": 1.0,
                 "metrics_equal": True, "path_ok": True}
         section = merge_section("trace_replay_batched", [
-            {**cell, "pre_all": dict(cell), "budget": dict(cell)}
+            {**cell, "shared_ok": True, "member": dict(cell),
+             "pre_all": dict(cell), "budget": dict(cell)}
         ])
         assert section["within_budget"] is True
 

@@ -156,10 +156,12 @@ class TestProvenanceStaysOutOfResults:
         assert "replay_path" not in trace.canonical_json()
         result = trace.runs[0].result
         assert dataclasses.replace(result, replay_path="batched",
-                                   replay_declined="policy") == result
+                                   replay_declined="policy",
+                                   replay_shared=True) == result
         record = run_to_record(trace.runs[0], "0" * 64)
         assert "replay_path" not in record["result"]
         assert "replay_declined" not in record["result"]
+        assert "replay_shared" not in record["result"]
 
 
 class TestAbsorbJobs:

@@ -14,6 +14,7 @@ from repro.runtime import (
     EventLog,
     FootprintTimeline,
 )
+from repro.runtime.metrics import SimulationResult
 
 
 class TestEventLog:
@@ -176,3 +177,37 @@ class TestCounters:
         counters.predictions = 4
         counters.correct_predictions = 3
         assert counters.prediction_accuracy == 0.75
+
+
+class TestSummary:
+    """``summary()`` computes each footprint statistic once; its values
+    must equal the properties bit for bit."""
+
+    def _result(self, samples, total_cycles, uncompressed_size):
+        timeline = FootprintTimeline()
+        for cycle, footprint in samples:
+            timeline.record(cycle, footprint)
+        return SimulationResult(
+            program="p", strategy="s", codec="c", k_compress=1,
+            k_decompress=None, total_cycles=total_cycles,
+            execution_cycles=max(total_cycles // 3, 1),
+            counters=Counters(), footprint=timeline,
+            uncompressed_size=uncompressed_size, compressed_size=7,
+        )
+
+    @pytest.mark.parametrize("samples, total, size", [
+        # Same-cycle samples merge: the last one stands.
+        ([(0, 120), (0, 90), (7, 333), (7, 101), (19, 64), (19, 250),
+          (40, 77)], 61, 997),
+        ([(0, 10), (3, 17), (11, 13)], 11, 3),
+        ([(5, 44)], 5, 0),
+        ([], 0, 12),
+    ])
+    def test_summary_equals_the_properties(self, samples, total, size):
+        result = self._result(samples, total, size)
+        summary = result.summary()
+        for name in ("peak_footprint", "average_footprint",
+                     "peak_saving", "average_saving"):
+            expected = float(getattr(result, name))
+            assert summary[name].hex() == expected.hex(), name
+

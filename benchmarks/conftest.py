@@ -14,7 +14,7 @@ re-simulating them::
     REPRO_STORE_DIR=~/.cache/repro-store pytest benchmarks/ -q
 
 The store invalidates by content (code version, program bytes, full
-config, engine — see ``repro/store/__init__.py``), so cached cells are
+config, flags — see ``repro/store/__init__.py``), so cached cells are
 always byte-identical to recomputed ones; leave the variable unset for
 cold-run timings.
 """

@@ -32,7 +32,6 @@ SPEC = {
     "workloads": ["fib"],
     "base": {"codec": "shared-dict", "decompression": "ondemand"},
     "axes": {"grid": {"k_compress": [1, "inf"]}},
-    "engine": "trace",
 }
 
 

@@ -36,7 +36,7 @@ def _record_trace(cfg):
     """One interpreted run (uncompressed) records the block trace that
     every policy point replays — the shared-artifact fast path.
 
-    The replay loops below stay on the internal engine layer
+    The replay loops below stay on the internal replay layer
     (``simulate_trace`` with a custom compression policy) because the
     recency-window policy is an ablation object, not a registered
     strategy the declarative API can name.

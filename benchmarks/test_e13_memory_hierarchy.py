@@ -45,7 +45,7 @@ _CONFIGS = [
 
 
 def run_experiment(workloads):
-    grid = api.run_grid(workloads, _CONFIGS, engine="trace")
+    grid = api.run_grid(workloads, _CONFIGS)
     assert not grid.failures()
     table = Table(
         "E13: memory-hierarchy presets x codecs (ondemand, kc=16)",

@@ -55,9 +55,7 @@ def run_experiment(workloads):
     shapes = []
     for workload in workloads:
         profile = api.profile_workload(workload)
-        grid = api.run_grid(
-            [workload], _configs(profile), engine="trace"
-        )
+        grid = api.run_grid([workload], _configs(profile))
         assert not grid.failures()
         per_hierarchy = {}
         for run in grid.runs:

@@ -57,16 +57,14 @@ def run_experiment(workloads):
     )
     shapes = []
     for workload in workloads:
-        grid = api.run_grid([workload], _flat_configs(), engine="trace")
+        grid = api.run_grid([workload], _flat_configs())
         assert not grid.failures()
         flats = {
             run.config.codec: run.result for run in grid.runs
         }
         profile = api.profile_workload(workload)
         search_cfg = _search_config(profile)
-        searched = api.run_grid(
-            [workload], [search_cfg], engine="trace"
-        )
+        searched = api.run_grid([workload], [search_cfg])
         assert not searched.failures()
         search = searched.runs[0].result
         summary = build_assignment(

@@ -29,11 +29,10 @@ def _config(k):
 
 
 def run_experiment(workloads):
-    # Shared-artifact trace engine via the repro.api facade: one
-    # interpreted run per workload, the other k points replay its trace
-    # (identical metrics, much faster — see repro.analysis.sweep).
-    result = api.run_grid(workloads, [_config(k) for k in K_VALUES],
-                          engine="trace")
+    # The repro.api facade records each workload once and every k
+    # point replays its trace (identical metrics, much faster — see
+    # repro.analysis.sweep).
+    result = api.run_grid(workloads, [_config(k) for k in K_VALUES])
     assert not result.failures(), [
         run.validation for run in result.failures()
     ]

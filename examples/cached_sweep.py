@@ -1,7 +1,7 @@
 """Persistent caching and resumable sweeps with ``repro.store``.
 
 Every cell of an experiment grid has a deterministic fingerprint over
-(code version, workload program bytes, full config, engine).  Passing
+(code version, workload program bytes, full config, flags).  Passing
 ``store=DIR`` to :func:`repro.api.run_experiment` wraps the executor in
 the :class:`~repro.store.executor.CachingExecutor`: results land in a
 content-addressed on-disk store, and re-running the same spec — today,
@@ -40,7 +40,6 @@ def main() -> None:
             workloads=["composite", "fsm"],
             base={"codec": "shared-dict", "decompression": "ondemand"},
             axes=api.grid(k_compress=[1, 4, "inf"]),
-            engine="trace",
         )
 
         cold = api.run_experiment(spec, store=store)
@@ -58,7 +57,6 @@ def main() -> None:
             workloads=["composite", "fsm"],
             base={"codec": "shared-dict", "decompression": "ondemand"},
             axes=api.grid(k_compress=[1, 2, 4, 8, "inf"]),
-            engine="trace",
         )
         resumed = api.run_experiment(larger, store=store)
         print(f"resumed  : {cache_line(resumed)} "

@@ -28,7 +28,6 @@ def main() -> None:
         workloads=["composite", "cold_paths", "fsm", "dijkstra"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=api.grid(k_compress=[1, 2, 4, 8, 16, "inf"]),
-        engine="trace",
     )
     print(f"grid: {len(spec.cells())} cells over "
           f"{len(spec.workload_names())} workloads\n")

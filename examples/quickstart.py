@@ -69,7 +69,6 @@ def main() -> None:
         base={"codec": "shared-dict", "decompression": "ondemand",
               "trace_events": False, "record_trace": False},
         axes=api.grid(k_compress=[1, 4, "inf"]),
-        engine="trace",
     )
     grid_result = api.run_experiment(spec)
     print(grid_result.pivot(

@@ -31,7 +31,6 @@ SPEC = {
     "workloads": ["fib", "gcd"],
     "base": {"codec": "shared-dict", "decompression": "ondemand"},
     "axes": {"grid": {"k_compress": [1, 2, "inf"]}},
-    "engine": "trace",
 }
 
 #: Overlaps SPEC in 2 of its 4 k-values per workload.

@@ -27,7 +27,6 @@ parallel execution — use the declarative facade::
         workloads=["composite", "fsm"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=api.grid(k_compress=[1, 2, 4, 8, "inf"]),
-        engine="trace",
     )
     print(api.run_experiment(spec, jobs=4)
           .pivot(value="average_saving", cols="k_compress").render())
@@ -37,7 +36,7 @@ Package map:
 * :mod:`repro.api` — the public experiment facade: declarative specs,
   pluggable serial/parallel executors, versioned result sets;
 * :mod:`repro.registry` — the one generic component registry behind
-  codecs, strategies, predictors, workloads, engines, executors,
+  codecs, strategies, predictors, workloads, executors,
   memory hierarchies, and codec-assignment policies;
 * :mod:`repro.isa` — the embedded target ISA, assembler, binary encoding;
 * :mod:`repro.cfg` — basic blocks, control flow graph, loops, profiles;
@@ -52,8 +51,9 @@ Package map:
   pre-decompression policies, predictors, memory budgets;
 * :mod:`repro.core` — the manager tying it all together;
 * :mod:`repro.workloads` — embedded benchmark kernels and generators;
-* :mod:`repro.analysis` — the internal sweep-engine layer (machine and
-  trace engines) and reporting helpers underneath :mod:`repro.api`.
+* :mod:`repro.analysis` — the internal sweep layer (record each
+  program once, replay every cell) and reporting helpers underneath
+  :mod:`repro.api`.
 """
 
 from .cfg import BasicBlock, ControlFlowGraph, EdgeProfile, ProgramCFG, build_cfg

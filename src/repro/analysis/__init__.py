@@ -4,10 +4,8 @@ from .energy import EnergyModel, TrafficReport, compare_traffic
 from .plot import plot_series, plot_timeline, sparkline
 from .report import Series, Table, percent
 from .sweep import (
-    ENGINES,
     SweepResult,
     SweepRun,
-    available_engines,
     geometric_mean,
     mean,
     run_one,
@@ -15,10 +13,8 @@ from .sweep import (
 )
 
 __all__ = [
-    "ENGINES",
     "EnergyModel",
     "Series",
-    "available_engines",
     "SweepResult",
     "SweepRun",
     "Table",

@@ -242,8 +242,8 @@ def _results_equal(left_runs, right_runs) -> bool:
 def bench_e1_sweep(smoke: bool = False) -> Dict[str, object]:
     """E1 k-edge sweep: every cell run alone vs. one sweep of the grid.
 
-    The per-cell baseline interprets the program in every cell (what
-    the default engine cost before sweeps recorded once).  The cold
+    The per-cell baseline interprets the program in every cell, as
+    sweeps did before they recorded once.  The cold
     sweep runs on fresh workload objects, so its recording, CFG and
     compression artifacts fall inside the timed run; the warm sweep
     reuses the recording and only replays.
@@ -308,12 +308,11 @@ def bench_chaos_overhead(smoke: bool = False) -> Dict[str, object]:
         for _ in range(repeats):
             workload = get_workload("composite")
             started = time.perf_counter()
-            run_partition(workload, configs, "machine", True, None)
+            run_partition(workload, configs, True, None)
             plain = min(plain, time.perf_counter() - started)
             workload = get_workload("composite")
             started = time.perf_counter()
-            run_partition(workload, configs, "machine", True, None,
-                          policy)
+            run_partition(workload, configs, True, None, policy)
             armed = min(armed, time.perf_counter() - started)
     finally:
         if previous is not None:
@@ -349,12 +348,12 @@ def bench_trace_overhead(smoke: bool = False) -> Dict[str, object]:
     for _ in range(repeats):
         workload = get_workload("composite")
         started = time.perf_counter()
-        run_partition(workload, configs, "machine", True, None)
+        run_partition(workload, configs, True, None)
         off_s = min(off_s, time.perf_counter() - started)
         workload = get_workload("composite")
         started = time.perf_counter()
         with tracing_scope(sink):
-            run_partition(workload, configs, "machine", True, None)
+            run_partition(workload, configs, True, None)
         armed_s = min(armed_s, time.perf_counter() - started)
     return {
         "cells": len(configs),
@@ -417,7 +416,7 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     def cell(config: SimulationConfig, path: str,
              decide: bool = True) -> Dict[str, object]:
         # One warm pass each: codec training and compression artifacts
-        # are shared, so the timed loops measure the engines, not the
+        # are shared, so the timed loops measure the runs, not the
         # caches.
         interpreted = CodeCompressionManager(graph, config).run()
         replayed = simulate_trace(graph, prepared, config)
@@ -584,7 +583,6 @@ def bench_service_cached_rps(smoke: bool = False) -> Dict[str, object]:
         "workloads": ["fib"],
         "base": {"codec": "shared-dict", "decompression": "ondemand"},
         "axes": {"grid": {"k_compress": [1, "inf"]}},
-        "engine": "trace",
     }
     requests = 300 if smoke else 2000
     root = tempfile.mkdtemp(prefix="repro-bench-service-")
@@ -793,7 +791,7 @@ def run_benchmarks(
     iterating on a single benchmark during perf work); ``repeat`` runs
     each selected benchmark N times and reports the median-of-N (see
     :func:`merge_section`).  ``report["ok"]`` is False when any gate of
-    a *selected* benchmark failed — payload mismatch, engine metric
+    a *selected* benchmark failed — payload mismatch, sweep metric
     divergence, a blown overhead budget, or a speedup under its
     regression floor — and ``report["failed_gates"]`` names each one
     with its value (:func:`failed_gates`).

@@ -1,4 +1,4 @@
-"""The internal sweep-engine layer under :mod:`repro.api`.
+"""The internal sweep layer under :mod:`repro.api`.
 
 One call = one grid of (workload x configuration) simulations, returned as
 :class:`SweepResult` for table/series extraction.  Simulation runs are
@@ -9,29 +9,28 @@ partitions through this module.
 
 The paper's runtime decides only *when* a block is decompressed and
 recompressed, never which blocks the program runs, so one recorded
-block sequence per program serves every cell of a grid row.  Both
-registered engine names, ``"machine"`` (the default) and ``"trace"``,
-run that one computation: per workload, the CFG is built once and the
-block trace is recorded *once* per distinct (``data_words``,
-``max_steps``) pair of its cells under the uncompressed baseline config
-(``decompression="none"``), then every grid cell replays its pair's
-recording through :func:`~repro.runtime.trace_sim.simulate_trace` — the
-replay kernel (:mod:`repro.core.replay`), with whole resident runs
-fast-forwarded in bulk where its batched path applies.  The recording
-itself is not a grid cell; its result is discarded (only its prepared
-trace, final registers and oracle validation survive, cached per CFG so
-repeated sweeps over the same workload objects never re-record).
+block sequence per program serves every cell of a grid row, and
+:func:`sweep` runs exactly that computation: per workload, the CFG is
+built once and the block trace is recorded *once* per distinct
+(``data_words``, ``max_steps``) pair of its cells under the
+uncompressed baseline config (``decompression="none"``), then every
+grid cell replays its pair's recording through
+:func:`~repro.runtime.trace_sim.simulate_trace` — the replay kernel
+(:mod:`repro.core.replay`), with whole resident runs fast-forwarded in
+bulk where its batched path applies.  The recording itself is not a
+grid cell; its result is discarded (only its prepared trace and oracle
+validation survive, cached per CFG so repeated sweeps over the same
+workload objects never re-record).
 Compressed payloads are shared across cells via the
 :func:`~repro.memory.image.compression_artifacts` cache, so identical
 block bytes are never recompressed.
 ``tests/integration/test_trace_sweep_equivalence.py`` holds every
 swept cell to the same cell run alone and to the frozen layered oracle.
 
-The engine name decides only how a replayed result is labelled: under
-``"machine"`` it carries ``engine="machine"`` and the recording's final
-registers (machine state does not depend on the compression config),
-under ``"trace"`` it carries ``engine="trace"`` and no registers.
-Every replayed cell reuses the recording's oracle validation.  Injected
+A replayed cell carries ``engine="trace"`` and no registers (replay
+does not model register state) and reuses the recording's oracle
+validation; a cell interpreted instead (see below) carries
+``engine="machine"`` and its own final registers.  Injected
 faults and per-cell deadlines (:func:`~repro.faults.runtime.cell_guard`)
 wrap each cell's replay only; the recording runs outside them.
 
@@ -44,7 +43,6 @@ records which kernel path computed it (``SimulationResult.replay_path``).
 
 from __future__ import annotations
 
-import functools
 import logging
 import weakref
 from dataclasses import dataclass, field
@@ -58,23 +56,11 @@ from ..faults.runtime import cell_guard
 from ..isa.program import Program
 from ..log import kv
 from ..obs.spans import span
-from ..registry import Registry
 from ..runtime.metrics import Counters, FootprintTimeline, SimulationResult
 from ..runtime.trace_sim import PreparedTrace, simulate_trace
 from ..workloads.suite import Workload
 
 _log = logging.getLogger("repro.sweep")
-
-#: Sweep engine registry: each engine runs one workload's grid row
-#: (``engine(workload, graph, configs, fast, max_blocks) -> [SweepRun]``).
-#: New engines plug in via ``ENGINES.register`` without touching sweep().
-ENGINES = Registry("engines", item="sweep engine")
-
-
-def available_engines() -> List[str]:
-    """Names of all registered sweep engines (registration order)."""
-    return ENGINES.names(sort=False)
-
 
 @dataclass
 class SweepRun:
@@ -145,7 +131,7 @@ def effective_config(
 ) -> SimulationConfig:
     """The config a sweep cell actually reports under.
 
-    ``fast=True`` disables event/trace recording; every engine applies
+    ``fast=True`` disables event/trace recording; the sweep applies
     this before running, and cache fingerprints are computed on the
     result so a cell's identity matches what its runs carry.
     """
@@ -235,39 +221,30 @@ def sweep(
     configs: Sequence[SimulationConfig],
     fast: bool = True,
     max_blocks: Optional[int] = None,
-    engine: str = "machine",
 ) -> SweepResult:
     """Run the full (workload x config) grid.
 
     ``fast=True`` disables event/trace recording (the counters and
     footprint timeline are unaffected).  CFGs are built once per workload
-    and shared across configs.  ``engine`` names a registered sweep
-    engine; ``"machine"`` and ``"trace"`` both record each program once
-    and replay every cell, and differ only in the ``engine`` and
-    ``registers`` their results carry (see the module docstring).
+    and shared across configs; each program is recorded once and every
+    cell replays it (see the module docstring).
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown sweep engine '{engine}'; "
-            f"available: {tuple(available_engines())}"
-        )
-    engine_fn = ENGINES.get(engine)
     out = SweepResult()
     for workload in workloads:
         graph = build_cfg_cached(workload.program)
         out.runs.extend(
-            engine_fn(workload, graph, configs, fast, max_blocks)
+            _sweep_workload(workload, graph, configs, fast, max_blocks)
         )
     return out
 
 
 #: Per-CFG recorded-trace cache of the sweep row:
 #: ``graph -> {(max_blocks, data_words, max_steps, cap):
-#: (PreparedTrace | None, validation, reason, registers)}``.
+#: (PreparedTrace | None, validation, reason)}``.
 #: ``PreparedTrace`` is None for a negative entry (the recording hit the
 #: cap or came back incomplete) with ``reason`` saying why; positive
-#: entries carry the prepared trace, the recording's oracle validation
-#: and its final machine registers.  Keyed weakly on the
+#: entries carry the prepared trace and the recording's oracle
+#: validation.  Keyed weakly on the
 #: :class:`ProgramCFG` so dead graphs evict their traces (a
 #: :class:`PreparedTrace` refers to its CFG weakly, so no value keeps
 #: its own key alive).
@@ -319,7 +296,6 @@ def _recorded_trace(
         manager = CodeCompressionManager(graph, recording)
         result = manager.run(max_blocks=max_blocks)
     validation = workload.validate(manager.machine)
-    registers = list(manager.machine.registers)
     trace = result.block_trace
     complete = trace and not result.trace_truncated \
         and result.counters.blocks_executed == len(trace) \
@@ -328,7 +304,7 @@ def _recorded_trace(
         # The recording's own replay already prepared the trace, unless
         # it was long enough to be interpreted in segments.
         prepared = manager.prepared or PreparedTrace(graph, trace)
-        entry = (prepared, validation, None, registers)
+        entry = (prepared, validation, None)
     else:
         reason = (
             "truncated" if result.trace_truncated
@@ -340,7 +316,7 @@ def _recorded_trace(
             cap=cap,
             reason=reason,
         ))
-        entry = (None, validation, reason, registers)
+        entry = (None, validation, reason)
     per_graph[key] = entry
     return entry
 
@@ -351,9 +327,8 @@ def _sweep_workload(
     configs: Sequence[SimulationConfig],
     fast: bool,
     max_blocks: Optional[int],
-    engine: str,
 ) -> List[SweepRun]:
-    """One workload's grid row, under either engine name.
+    """One workload's grid row.
 
     The block trace depends on the program and on each cell's
     ``data_words`` and ``max_steps``: every distinct pair is recorded at
@@ -386,7 +361,7 @@ def _sweep_workload(
             runs.append(run_one_safe(workload, effective, cfg=graph,
                                      max_blocks=max_blocks))
             continue
-        prepared, validation, _reason, registers = entry
+        prepared, validation, _reason = entry
         try:
             with cell_guard(
                 workload.name, effective.strategy_name
@@ -402,19 +377,11 @@ def _sweep_workload(
             # and fail the same way: report the error row directly.
             runs.append(_failed_run(workload, effective, exc))
             continue
-        if engine == "machine":
-            replayed.engine = "machine"
-            replayed.registers = list(registers)
         runs.append(
             SweepRun(workload=workload.name, config=effective,
                      result=replayed, validation=list(validation))
         )
     return runs
-
-
-# Both names run the same row; the name only labels its results.
-ENGINES.add("machine", functools.partial(_sweep_workload, engine="machine"))
-ENGINES.add("trace", functools.partial(_sweep_workload, engine="trace"))
 
 
 def geometric_mean(values: Iterable[float]) -> float:

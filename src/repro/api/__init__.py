@@ -1,7 +1,7 @@
 """``repro.api`` — the public experiment facade.
 
 This package is the one entry point consumers (CLI subcommands, the
-E1-E12 benchmarks, the examples) build on:
+E1-E15 benchmarks, the examples) build on:
 
 * **describe** a scenario grid declaratively with
   :class:`~repro.api.spec.ExperimentSpec` and the :func:`grid` /
@@ -14,9 +14,9 @@ E1-E12 benchmarks, the examples) build on:
   ``filter``/``pivot``/``series`` helpers replacing per-benchmark table
   code.
 
-``repro.analysis.sweep`` remains the internal engine layer underneath;
+``repro.analysis.sweep`` remains the internal sweep layer underneath;
 everything pluggable (codecs, decompression strategies, predictors,
-workloads, sweep engines, executors) registers through the unified
+workloads, executors) registers through the unified
 :class:`~repro.registry.Registry` catalog, listed by
 :func:`list_components`.
 
@@ -28,7 +28,6 @@ Quickstart::
         workloads=["composite", "fsm"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=api.grid(k_compress=[1, 2, 4, 8, "inf"]),
-        engine="trace",
     )
     rs = api.run_experiment(spec, jobs=4)
     print(rs.pivot(value="average_saving", cols="k_compress").render())
@@ -40,13 +39,7 @@ from __future__ import annotations
 import time
 from typing import Any, List, Optional, Sequence, Union
 
-from ..analysis.sweep import (
-    ENGINES,
-    SweepRun,
-    _recorded_trace,
-    available_engines,
-    run_one,
-)
+from ..analysis.sweep import SweepRun, _recorded_trace, run_one
 from ..cfg.builder import ProgramCFG, build_cfg, build_cfg_cached
 from ..core.config import SimulationConfig
 from ..core.manager import CodeCompressionManager
@@ -126,7 +119,9 @@ def run_experiment(
 
     ``executor``/``jobs``/``store`` override the spec's own choices
     (the CLI's ``--jobs N`` and ``--store DIR``/``--no-cache`` flow
-    through here).  A resolved store wraps the chosen executor in the
+    through here).  ``jobs`` > 1 turns a serial spec parallel; a
+    caching spec stays caching and computes its misses in parallel.
+    A resolved store wraps the chosen executor in the
     :class:`~repro.store.executor.CachingExecutor`, so only missing or
     changed cells are computed.  ``retry`` is the
     :class:`~repro.faults.RetryPolicy` failing cells run under (the
@@ -134,10 +129,9 @@ def run_experiment(
     """
     effective_jobs = jobs if jobs is not None else spec.jobs
     if executor is None:
-        if jobs is not None and jobs > 1:
+        executor = spec.executor
+        if executor == "serial" and jobs is not None and jobs > 1:
             executor = "parallel"
-        else:
-            executor = spec.executor
     if store is None:
         store = spec.store
     chosen = make_executor(executor, jobs=effective_jobs, store=store,
@@ -148,15 +142,13 @@ def run_experiment(
     ]
     started = time.perf_counter()
     runs = chosen.run(
-        partitions, engine=spec.engine, fast=spec.fast,
-        max_blocks=spec.max_blocks,
+        partitions, fast=spec.fast, max_blocks=spec.max_blocks,
     )
     elapsed = time.perf_counter() - started
     return ResultSet(
         runs,
         meta={
             "name": spec.name,
-            "engine": spec.engine,
             "executor": chosen.name,
             "jobs": chosen.jobs,
             "timing": {"elapsed_s": elapsed},
@@ -169,7 +161,6 @@ def run_experiment(
 def run_grid(
     workloads: Sequence[Union[str, Workload]],
     configs: Sequence[SimulationConfig],
-    engine: str = "machine",
     executor: Union[str, Executor, None] = None,
     jobs: Optional[int] = None,
     fast: bool = True,
@@ -183,27 +174,19 @@ def run_grid(
     build :class:`SimulationConfig` objects directly (the benchmarks) or
     hold unregistered :class:`Workload` objects (synthetic programs).
     ``store=None`` consults ``$REPRO_STORE_DIR`` — the opt-in that lets
-    the E1-E12 benchmarks reuse cached cells with no code change.
+    the E1-E15 benchmarks reuse cached cells with no code change.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown sweep engine '{engine}'; "
-            f"available: {tuple(available_engines())}"
-        )
     chosen = make_executor(executor, jobs=jobs, store=store, retry=retry)
     partitions = [
         Partition(workload=workload, configs=list(configs))
         for workload in workloads
     ]
     started = time.perf_counter()
-    runs = chosen.run(
-        partitions, engine=engine, fast=fast, max_blocks=max_blocks
-    )
+    runs = chosen.run(partitions, fast=fast, max_blocks=max_blocks)
     elapsed = time.perf_counter() - started
     return ResultSet(
         runs,
         meta={
-            "engine": engine,
             "executor": chosen.name,
             "jobs": chosen.jobs,
             "timing": {"elapsed_s": elapsed},
@@ -305,8 +288,8 @@ def profile_workload(
 
 def list_components() -> "dict[str, List[str]]":
     """Every pluggable component family, from the unified registry
-    catalog (codecs, strategies, predictors, workloads, engines,
-    executors, hierarchies, assignment policies)."""
+    catalog (codecs, strategies, predictors, workloads, executors,
+    hierarchies, assignment policies)."""
     return {
         kind: registry.names()
         for kind, registry in all_registries().items()
@@ -331,7 +314,6 @@ __all__ = [
     "CachingExecutor",
     "Cell",
     "EXECUTORS",
-    "ENGINES",
     "Executor",
     "ExperimentSpec",
     "FaultPlan",
@@ -347,7 +329,6 @@ __all__ = [
     "SpecError",
     "SweepRun",
     "all_registries",
-    "available_engines",
     "cases",
     "config_to_dict",
     "grid",

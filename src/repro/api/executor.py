@@ -86,7 +86,6 @@ def _retry_cell(
     workload: Workload,
     run: SweepRun,
     retry: RetryPolicy,
-    engine: str,
     max_blocks: Optional[int],
 ) -> SweepRun:
     """Re-attempt one errored cell under ``retry``.
@@ -119,7 +118,7 @@ def _retry_cell(
             # run.config is already effective: fast=False keeps it.
             current = sweep(
                 [workload], [run.config], fast=False,
-                max_blocks=max_blocks, engine=engine,
+                max_blocks=max_blocks,
             ).runs[0]
         duration_ms = round((time.perf_counter() - started) * 1000, 3)
         attempts.append({
@@ -137,12 +136,11 @@ def _retry_cell(
 def run_partition(
     workload: Union[str, Workload],
     configs: Sequence[SimulationConfig],
-    engine: str,
     fast: bool,
     max_blocks: Optional[int],
     retry: Optional[RetryPolicy] = None,
 ) -> List[SweepRun]:
-    """Run one partition through the sweep engine (any process).
+    """Run one partition through the sweep (any process).
 
     With a :class:`RetryPolicy`, the partition first runs normally
     (fast paths intact, per-cell deadlines armed); only cells that
@@ -153,17 +151,16 @@ def run_partition(
         workload = get_workload(workload)
     with retry_scope(retry), span(
         f"partition:{workload.name}", cat="compute",
-        workload=workload.name, cells=len(configs), engine=engine,
+        workload=workload.name, cells=len(configs),
     ):
         runs = sweep(
             [workload], list(configs), fast=fast, max_blocks=max_blocks,
-            engine=engine,
         ).runs
         if retry is not None and retry.attempts > 1 and any(
             run.error is not None for run in runs
         ):
             runs = [
-                _retry_cell(workload, run, retry, engine, max_blocks)
+                _retry_cell(workload, run, retry, max_blocks)
                 for run in runs
             ]
     return runs
@@ -186,7 +183,6 @@ class Executor(abc.ABC):
     def run(
         self,
         partitions: Sequence[Partition],
-        engine: str = "machine",
         fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
@@ -211,7 +207,6 @@ class SerialExecutor(Executor):
     def run(
         self,
         partitions: Sequence[Partition],
-        engine: str = "machine",
         fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
@@ -219,7 +214,7 @@ class SerialExecutor(Executor):
         for partition in partitions:
             runs.extend(
                 run_partition(partition.workload, partition.configs,
-                              engine, fast, max_blocks, self.retry)
+                              fast, max_blocks, self.retry)
             )
         return runs
 
@@ -274,17 +269,15 @@ class ParallelExecutor(Executor):
     def _run_local(
         self,
         partition: Partition,
-        engine: str,
         fast: bool,
         max_blocks: Optional[int],
     ) -> List[SweepRun]:
         return run_partition(partition.workload, partition.configs,
-                             engine, fast, max_blocks, self.retry)
+                             fast, max_blocks, self.retry)
 
     def run(
         self,
         partitions: Sequence[Partition],
-        engine: str = "machine",
         fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
@@ -307,7 +300,7 @@ class ParallelExecutor(Executor):
                     futures = {
                         i: pool.submit(
                             run_partition, partitions[i].workload,
-                            partitions[i].configs, engine, fast,
+                            partitions[i].configs, fast,
                             max_blocks, self.retry,
                         )
                         for i in pending
@@ -318,7 +311,7 @@ class ParallelExecutor(Executor):
                         first_pass = False
                         for i in local:
                             per_partition[i] = self._run_local(
-                                partitions[i], engine, fast, max_blocks
+                                partitions[i], fast, max_blocks
                             )
                     for i in list(pending):
                         try:
@@ -350,7 +343,7 @@ class ParallelExecutor(Executor):
                     self.serial_fallback = True
                     for i in list(pending):
                         per_partition[i] = self._run_local(
-                            partitions[i], engine, fast, max_blocks
+                            partitions[i], fast, max_blocks
                         )
                         pending.remove(i)
                     break
@@ -363,7 +356,7 @@ class ParallelExecutor(Executor):
         else:
             for i, partition in enumerate(partitions):
                 per_partition[i] = self._run_local(
-                    partition, engine, fast, max_blocks
+                    partition, fast, max_blocks
                 )
         runs: List[SweepRun] = []
         for result in per_partition:
@@ -385,7 +378,7 @@ def make_executor(
     (:mod:`repro.store`): a directory path (or ``True``/``""`` for the
     default directory) wraps the chosen executor in the
     :class:`~repro.store.executor.CachingExecutor`; ``None`` consults
-    ``$REPRO_STORE_DIR`` (the opt-in used by the E1-E12 benchmarks);
+    ``$REPRO_STORE_DIR`` (the opt-in used by the E1-E15 benchmarks);
     ``False`` disables caching outright.
 
     ``retry`` is the :class:`~repro.faults.retry.RetryPolicy` failing

@@ -29,8 +29,9 @@ from ..analysis.report import Series, Table
 from ..analysis.sweep import SweepRun
 from ..core.config import SimulationConfig
 
-#: Bumped on any backwards-incompatible schema change.
-SCHEMA_VERSION = 1
+#: Bumped on any backwards-incompatible schema change.  v2: ``meta``
+#: no longer carries ``engine`` (every sweep runs one computation).
+SCHEMA_VERSION = 2
 
 #: Schema identifier embedded in every serialised result set.
 SCHEMA_ID = "repro.api.resultset"
@@ -126,7 +127,7 @@ class ResultSet:
     """All runs of one experiment, with metadata and extraction helpers.
 
     ``runs`` is the live, deterministic-order run list;
-    ``meta`` carries the spec name, engine, executor, jobs, and timing.
+    ``meta`` carries the spec name, executor, jobs, and timing.
     """
 
     def __init__(
@@ -285,10 +286,9 @@ class ResultSet:
         cells = []
         for run in self.runs:
             # Per-cell engine/registers stay off the serialised form on
-            # purpose: engines are required to be result-transparent,
-            # so a machine-run grid and a trace-run grid of the same
-            # spec must serialise identically (the engine used lives in
-            # meta, and on the live SimulationResult.engine tag).
+            # purpose: they say how a cell got its block trace (replayed
+            # or interpreted), which must not change what it reports
+            # (the live SimulationResult.engine tag keeps it).
             cell: Dict[str, Any] = {
                 "workload": run.workload,
                 "label": run.config.strategy_name,
@@ -362,7 +362,7 @@ class ResultSet:
         )
 
     def merge(self, *others: "ResultSet") -> "ResultSet":
-        """Compose partial result sets into one schema-v1 set.
+        """Compose partial result sets into one result set.
 
         Cells are identified by (workload, full config); the first
         occurrence wins, scanning ``self`` then ``others`` in order —

@@ -2,7 +2,7 @@
 
 An :class:`ExperimentSpec` names *what* to run — workloads, a list of
 configuration overrides (composed with :func:`grid`, :func:`zip_axes`,
-and :func:`cases`), the sweep engine, and the executor — without saying
+and :func:`cases`) and the executor — without saying
 *how*; expansion to concrete (workload, config) cells and execution are
 the executor layer's job.  Specs are plain data: they round-trip through
 JSON (:meth:`ExperimentSpec.from_file`) so the same grid can live in the
@@ -16,7 +16,6 @@ decompression strategy x k-edge parameters x budget/granularity
         workloads=["composite", "fsm"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=grid(k_compress=[1, 2, 4, 8, "inf"]),
-        engine="trace",
     )
     result = repro.api.run_experiment(spec, jobs=4)
 """
@@ -39,13 +38,17 @@ from typing import (
 )
 
 from ..core.config import ConfigError, SimulationConfig
-from ..analysis.sweep import ENGINES, available_engines
 from ..workloads.suite import WORKLOADS, Workload, get_workload
 
 #: Config fields a spec may set (everything on SimulationConfig).
 CONFIG_FIELDS = tuple(
     f.name for f in dataclasses.fields(SimulationConfig)
 )
+
+#: The two legacy sweep engine names a spec may still carry.  Both
+#: name the one computation every sweep runs, so the field is checked
+#: and then ignored.
+_LEGACY_ENGINES = ("machine", "trace")
 
 
 class SpecError(ValueError):
@@ -171,7 +174,10 @@ class ExperimentSpec:
             :func:`cases` (lists concatenate with ``+``); the default
             single empty override runs the base config once.
         base: config fields shared by every cell.
-        engine: sweep engine name ("machine" or "trace").
+        engine: a legacy sweep engine name ("machine" or "trace"),
+            accepted so older spec files and service journals still
+            load; every sweep runs the same computation, so it changes
+            nothing and :meth:`to_dict` does not write it.
         executor: executor name ("serial", "parallel", or "caching");
             ``None`` (the default) picks "parallel" when ``jobs`` > 1,
             else "serial".
@@ -198,10 +204,10 @@ class ExperimentSpec:
     store: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
+        if self.engine not in _LEGACY_ENGINES:
             raise SpecError(
                 f"unknown sweep engine '{self.engine}'; "
-                f"available: {tuple(available_engines())}"
+                f"available: {_LEGACY_ENGINES}"
             )
         from .executor import EXECUTORS  # late: avoid import cycle
 
@@ -326,7 +332,6 @@ class ExperimentSpec:
             "workloads": self.workload_names(),
             "base": dict(self.base),
             "axes": {"cases": [dict(o) for o in self.axes]},
-            "engine": self.engine,
             "executor": self.executor,
             "jobs": self.jobs,
             "fast": self.fast,

@@ -110,16 +110,6 @@ class BasicBlock:
             self._encoded = encode_program(self.instructions)
         return self._encoded
 
-    def branch_targets(self) -> List[int]:
-        """Byte addresses this block's branch instructions jump to.
-
-        Only the terminator and CALL instructions inside the block carry
-        code addresses in this ISA.
-        """
-        return [
-            instr.imm for instr in self.instructions if instr.is_branch
-        ]
-
     @property
     def name(self) -> str:
         """Readable name: the defining label, or ``B<n>``."""

@@ -3,7 +3,7 @@
 Subcommands (all built on the :mod:`repro.api` facade):
 
 * ``list``     — every pluggable component family (workloads, codecs,
-  strategies, predictors, engines, executors) from the unified registry;
+  strategies, predictors, executors) from the unified registry;
 * ``inspect``  — disassembly + CFG + static compression of a workload;
 * ``run``      — simulate one workload under one configuration;
 * ``sweep``    — k-edge sweep table for one workload;
@@ -34,10 +34,8 @@ Subcommands (all built on the :mod:`repro.api` facade):
 ``run``/``sweep``/``compare`` accept ``--hierarchy PRESET`` (the
 memory-hierarchy model: ``flat`` is the seed-equivalent default;
 ``repro list`` enumerates the registered presets).  ``sweep`` and
-``compare`` accept ``--engine {machine,trace}`` (one computation
-under both names; ``machine`` results also carry final registers) and
-``--jobs N`` (process-parallel across workload partitions; with a
-single workload this changes nothing).
+``compare`` accept ``--jobs N`` (process-parallel across workload
+partitions; with a single workload this changes nothing).
 ``sweep``/``compare``/``exp`` accept ``--store [DIR]`` (serve repeated
 cells from the persistent store; DIR defaults to ``$REPRO_STORE_DIR``
 or ``~/.cache/repro-store``) and ``--no-cache`` (force recomputation
@@ -161,14 +159,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", default="machine",
-        choices=api.available_engines(),
-        help="sweep engine name: both record each program once and "
-             "replay every cell; results from 'machine' also carry "
-             "the final registers (default: machine)",
-    )
+def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (parallel across workloads; "
@@ -370,7 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for k in k_values
     ]
     result = api.run_grid(
-        [workload], configs, engine=args.engine, jobs=args.jobs,
+        [workload], configs, jobs=args.jobs,
         store=_store_from_args(args), retry=_retry_from_args(args),
     )
     energy = EnergyModel.for_hierarchy(args.hierarchy)
@@ -416,7 +407,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
         )
     result = api.run_grid(
-        [workload], configs, engine=args.engine, jobs=args.jobs,
+        [workload], configs, jobs=args.jobs,
         store=_store_from_args(args), retry=_retry_from_args(args),
     )
     table = Table(
@@ -442,13 +433,11 @@ def cmd_exp(args: argparse.Namespace) -> int:
     except (OSError, api.SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.engine is not None:
-        spec.engine = args.engine
     if args.assignment is not None:
-        # Override every cell's assignment policy (like --engine).
-        # Axis overrides beat base fields during expansion, so the
-        # override must land in both — a spec sweeping assignment as
-        # an axis is still forced onto the requested policy.
+        # Override every cell's assignment policy.  Axis overrides
+        # beat base fields during expansion, so the override must land
+        # in both — a spec sweeping assignment as an axis is still
+        # forced onto the requested policy.
         spec.base = {**dict(spec.base), "assignment": args.assignment}
         spec.axes = [
             {**dict(override), "assignment": args.assignment}
@@ -467,8 +456,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
 
     table = Table(
         f"experiment '{spec.name}' "
-        f"({result.meta['engine']} engine, "
-        f"{result.meta['executor']} executor, "
+        f"({result.meta['executor']} executor, "
         f"jobs={result.meta['jobs']})",
         ["workload", "strategy", "avg_saving", "peak_saving",
          "overhead", "faults", "ok"],
@@ -537,7 +525,6 @@ def _cmd_store_smoke(args: argparse.Namespace) -> int:
             workloads=["fib", "gcd"],
             base={"codec": "shared-dict", "decompression": "ondemand"},
             axes=api.grid(k_compress=[1, 2, "inf"]),
-            engine="trace",
         )
         first = api.run_experiment(spec, store=root)
         second = api.run_experiment(spec, store=root)
@@ -830,13 +817,12 @@ def cmd_obs(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled obs action {args.action!r}")
 
 
-#: The serve-smoke experiment: tiny, two workloads, trace engine.
+#: The serve-smoke experiment: tiny, two workloads.
 _SERVE_SMOKE_SPEC = {
     "name": "serve-smoke",
     "workloads": ["fib", "gcd"],
     "base": {"codec": "shared-dict", "decompression": "ondemand"},
     "axes": {"grid": {"k_compress": [1, 2, "inf"]}},
-    "engine": "trace",
 }
 
 
@@ -1170,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
              "recompress (default: 1,2,4,8,16,inf)",
     )
     _add_config_arguments(sweep_parser)
-    _add_engine_arguments(sweep_parser)
+    _add_grid_arguments(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     compare_parser = subparsers.add_parser(
@@ -1179,7 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("workload",
                                 choices=available_workloads())
     _add_config_arguments(compare_parser)
-    _add_engine_arguments(compare_parser)
+    _add_grid_arguments(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
     exp_parser = subparsers.add_parser(
@@ -1188,10 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser.add_argument(
         "--spec", required=True, metavar="FILE",
         help="JSON experiment spec (see README: repro.api quickstart)",
-    )
-    exp_parser.add_argument(
-        "--engine", default=None, choices=api.available_engines(),
-        help="override the spec's sweep engine",
     )
     exp_parser.add_argument(
         "--assignment", default=None, type=_parse_assignment,

@@ -4,10 +4,10 @@
 of the paper draws it:
 
 * the **execution thread** runs basic blocks — either the
-  :class:`~repro.runtime.machine.Machine` interprets them (the
-  ``machine`` engine) or a recorded trace supplies them (a
-  :class:`~repro.runtime.trace_sim.PreparedTrace` passed as ``trace``,
-  the ``trace`` engine);
+  :class:`~repro.runtime.machine.Machine` interprets them (the result's
+  ``engine`` is ``"machine"``) or a recorded trace supplies them (a
+  :class:`~repro.runtime.trace_sim.PreparedTrace` passed as ``trace``;
+  the result's ``engine`` is ``"trace"``);
 * the **decompression thread** materialises decompressed copies ahead of
   the execution thread according to the configured pre-decompression
   policy;

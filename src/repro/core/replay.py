@@ -1,8 +1,8 @@
 """The replay kernel: the runtime's one per-block state machine.
 
 Every run ends up here.  The manager hands over the run's block trace —
-the one an interpreting run just executed, or a recorded trace the
-trace engine replays — as :class:`~repro.runtime.trace_sim.ReplayPlan`
+the one an interpreting run just executed, or a recorded trace a sweep
+replays — as :class:`~repro.runtime.trace_sim.ReplayPlan`
 objects (flat per-step arrays): one for a trace replay, one per segment
 for an interpreting run, which interprets each segment as the kernel
 reaches it.  The kernel runs the paper's runtime over the whole trace

@@ -392,12 +392,6 @@ class CodeImage(abc.ABC):
         """Ids of all currently decompressed blocks."""
         return {b.block_id for b in self.blocks if b.is_resident}
 
-    def resident_bytes(self) -> int:
-        """Total uncompressed bytes of resident copies."""
-        return sum(
-            b.uncompressed_size for b in self.blocks if b.is_resident
-        )
-
     @property
     def compressed_image_size(self) -> int:
         """Total compressed payload bytes (plus the shared codec model,

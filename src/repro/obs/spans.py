@@ -14,7 +14,6 @@ the time axis and one track per thread.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
@@ -108,9 +107,6 @@ class SpanRecorder:
                 "unit": "wall-clock microseconds",
             },
         }
-
-    def to_chrome_json(self) -> str:
-        return json.dumps(self.to_chrome(), indent=1)
 
 
 _ACTIVE: Optional[SpanRecorder] = None

@@ -16,8 +16,9 @@ fingerprints byte-identical.  Two ways to arm:
 
 * explicitly — ``CodeCompressionManager(cfg, config, tracer=SpanTracer())``;
 * ambiently — ``with tracing_scope() as sink: run_grid(...)``; every
-  manager constructed inside the scope (both engines — the trace engine
-  builds the same manager) asks the sink for a tracer.
+  manager constructed inside the scope (interpreting runs and trace
+  replays alike — a replay builds the same manager) asks the sink for a
+  tracer.
 
 The ambient scope is process-global, mirroring
 :func:`repro.faults.runtime.retry_scope`; it does not propagate into
@@ -37,7 +38,8 @@ Stall kinds map one-to-one onto the replay kernel's stall charges:
 ``contention``
     the end-of-run charge for background threads sharing the core.
 
-Invariants (asserted by the unit tests, exactly, on both engines)::
+Invariants (asserted by the unit tests, exactly, on interpreting runs
+and trace replays)::
 
     phases["execute"] == result.execution_cycles
     sum(phases[f"stall_{k}"] for k in STALL_KINDS) == counters.stall_cycles

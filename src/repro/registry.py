@@ -1,7 +1,7 @@
 """One generic registry for every pluggable component family.
 
-Codecs, workloads, predictors, decompression strategies, sweep engines,
-and experiment executors were historically registered through four
+Codecs, workloads, predictors, decompression strategies and experiment
+executors were historically registered through four
 hand-rolled dict-plus-helpers mechanisms.  They now all share this one
 :class:`Registry`, which gives every family the same three operations:
 
@@ -146,7 +146,7 @@ def catalog_signature() -> Dict[str, List[str]]:
     """A stable snapshot of every catalogued family's member names.
 
     Used by :mod:`repro.store.fingerprint` to salt cell fingerprints:
-    registering a new codec/strategy/engine changes process behaviour
+    registering a new codec/strategy/executor changes process behaviour
     without changing any repo source file, so the component catalog must
     participate in cache invalidation.  Keys and name lists are sorted,
     so the snapshot is canonical for a given set of registrations.

@@ -95,10 +95,6 @@ class EventLog:
             if event.kind is EventKind.BLOCK_ENTER
         ]
 
-    def kind_sequence(self) -> List[str]:
-        """The kinds of all events in order (compact scenario checks)."""
-        return [event.kind.value for event in self.events]
-
     def render(self, limit: Optional[int] = None) -> str:
         """Printable trace (first ``limit`` events)."""
         shown = self.events if limit is None else self.events[:limit]

@@ -151,11 +151,12 @@ class SimulationResult:
     ``total_cycles / execution_cycles - 1`` because the baseline executes
     the same instruction stream with no stalls.
 
-    ``engine`` names the engine the run was requested under: "machine"
-    for an interpreting run and for a sweep cell requested under the
-    ``machine`` engine name (which carries the recording's final
-    registers), "trace" for a trace replay, whose ``registers`` is
-    ``None`` — consumers must never compare registers across engines.
+    ``engine`` says how the run got its block trace: "machine" when it
+    interpreted the program (``registers`` holds the final machine
+    registers), "trace" when it replayed a recorded trace, whose
+    ``registers`` is ``None`` (replay does not model register state) —
+    consumers must never compare registers across the two.  A sweep
+    replays every cell whose recording completed.
     ``replay_path`` says which kernel path ran.
     ``trace_truncated`` is True when ``block_trace`` hit the recording
     cap and is therefore incomplete; truncated traces must not be

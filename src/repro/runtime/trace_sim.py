@@ -224,7 +224,7 @@ class PreparedTrace:
     edges and building the per-step cost arrays and replay plans once —
     instead of once per grid cell — removes the dominant per-cell replay
     setup cost.  An interpreting run produces one of these for its own
-    replay, and the trace engine replays that same object in every grid
+    replay, and a sweep replays its recording's object in every grid
     cell.
 
     The prepared trace refers to its CFG weakly: caches keyed (weakly)
@@ -233,19 +233,7 @@ class PreparedTrace:
     anyway (the manager takes it explicitly).
     """
 
-    def __init__(
-        self,
-        cfg: ProgramCFG,
-        trace: Sequence[int],
-        truncated: bool = False,
-    ) -> None:
-        if truncated:
-            raise ValueError(
-                "refusing to prepare a truncated trace: the recording "
-                "hit the block-trace cap, so replaying it would "
-                "silently simulate a shorter run; re-record with a "
-                "higher cap or run the program without a recorded trace"
-            )
+    def __init__(self, cfg: ProgramCFG, trace: Sequence[int]) -> None:
         _validate(cfg, trace)
         self._cfg = weakref.ref(cfg)
         # A list is adopted, not copied (an interpreting run hands over
@@ -304,11 +292,14 @@ class PreparedTrace:
         by the recording cap — a truncated trace would replay a shorter
         run than the one that produced the metrics.
         """
-        return cls(
-            cfg,
-            result.block_trace,
-            truncated=getattr(result, "trace_truncated", False),
-        )
+        if result.trace_truncated:
+            raise ValueError(
+                "refusing to prepare a truncated trace: the recording "
+                "hit the block-trace cap, so replaying it would "
+                "silently simulate a shorter run; re-record with a "
+                "higher cap or run the program without a recorded trace"
+            )
+        return cls(cfg, result.block_trace)
 
 
 def simulate_trace(

@@ -129,11 +129,6 @@ class ServiceClient:
                 )
             time.sleep(poll)
 
-    def submit_and_wait(self, spec: SpecLike,
-                        timeout: float = 300.0) -> Dict[str, Any]:
-        reply = self.submit(spec)
-        return self.wait(reply["job"], timeout=timeout)
-
     def events(self, job_id: str,
                timeout: float = 300.0) -> Iterator[Dict[str, Any]]:
         """Stream the job's SSE feed; yields decoded event dicts and

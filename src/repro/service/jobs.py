@@ -82,9 +82,10 @@ class QueueFullError(ServiceError):
 def job_key(spec: ExperimentSpec) -> str:
     """Content key of one job: the result-affecting spec fields only.
 
-    Executor choice, job count, and the spec's own ``store`` field do
-    not change results, so they are excluded — two clients asking for
-    the same grid with different parallelism share one key.  The code
+    Executor choice, job count, the legacy ``engine`` name and the
+    spec's own ``store`` field do not change results, so they are
+    excluded — two clients asking for the same grid with different
+    parallelism, or under either engine name, share one key.  The code
     version and component catalog are folded in for the same reason
     they are part of cell fingerprints: a semantic change must miss.
     """
@@ -97,7 +98,6 @@ def job_key(spec: ExperimentSpec) -> str:
         "workloads": spec.workload_names(),
         "base": dict(spec.base),
         "axes": [dict(override) for override in spec.axes],
-        "engine": spec.engine,
         "fast": spec.fast,
         "max_blocks": spec.max_blocks,
     }
@@ -475,7 +475,7 @@ class JobManager:
             Partition(workload=name, configs=configs)
             for name, configs in spec.partitions()
         ]
-        plan = plan_cells(partitions, engine=spec.engine, fast=spec.fast,
+        plan = plan_cells(partitions, fast=spec.fast,
                           max_blocks=spec.max_blocks)
 
         # Resolve every cell: store hit, my claim, or someone else's.
@@ -564,7 +564,7 @@ class JobManager:
                     retry=self.retry,
                 )
                 flat = inner.run(
-                    claimed_parts, engine=spec.engine, fast=spec.fast,
+                    claimed_parts, fast=spec.fast,
                     max_blocks=spec.max_blocks,
                 )
                 cursor = 0
@@ -604,7 +604,7 @@ class JobManager:
                     source = "shared"
                     if run is None:
                         run = run_partition(
-                            partition.workload, [config], spec.engine,
+                            partition.workload, [config],
                             spec.fast, spec.max_blocks, self.retry,
                         )[0]
                         source = "computed"
@@ -628,9 +628,7 @@ class JobManager:
                 self._release_claim(fingerprint)
 
         runs = [slot[4] for row in rows for slot in row]
-        result = ResultSet(
-            runs, meta={"name": spec.name, "engine": spec.engine},
-        )
+        result = ResultSet(runs, meta={"name": spec.name})
         text = result.canonical_json()
         self.store.put_job_result(job.key, text)
         # Shared cells were computed by another job but served to this

@@ -3,7 +3,7 @@
 The paper's decompression hardware amortises a link-time-built model
 across the whole program lifetime; this package does the same for the
 experiment platform's own expensive artifacts.  Every (workload,
-configuration, engine) cell of an experiment grid gets a deterministic
+configuration) cell of an experiment grid gets a deterministic
 **fingerprint** (:mod:`repro.store.fingerprint`); cell results and
 compressed-image artifacts live in an on-disk **content-addressed
 store** (:mod:`repro.store.cas`) with atomic writes that are safe under
@@ -14,7 +14,7 @@ dispatching to the serial/parallel executors, so re-running a spec only
 computes missing or changed cells and an interrupted sweep resumes
 where it left off.
 
-Layering: this package sits between the execution engines
+Layering: this package sits between the sweep
 (:mod:`repro.analysis.sweep`) and the API facade (:mod:`repro.api`).
 Only :mod:`repro.store.executor` may import from :mod:`repro.api`;
 everything else here depends only on the core/runtime layers, so the
@@ -30,7 +30,7 @@ is therefore ignored) whenever any of these change:
 * the workload's program bytes (covers generated/synthetic programs);
 * any :class:`~repro.core.config.SimulationConfig` field (the offline
   edge profile hashes by content);
-* the sweep engine, the ``fast`` flag, or ``max_blocks``;
+* the ``fast`` flag or ``max_blocks``;
 * the registered component catalog (a newly registered codec/strategy
   changes behaviour without changing repo sources);
 * the ``REPRO_STORE_SALT`` environment variable (manual invalidation).

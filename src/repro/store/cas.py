@@ -74,7 +74,7 @@ DEFAULT_STORE_DIR = os.path.join(
 )
 
 #: Environment variable naming the store directory (opt-in cache reuse
-#: for anything built on the api facade, including the E1-E12
+#: for anything built on the api facade, including the E1-E15
 #: benchmarks: ``REPRO_STORE_DIR=dir pytest benchmarks/``).
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 

@@ -93,7 +93,6 @@ _install_env_provider()
 
 def plan_cells(
     partitions: Sequence[Partition],
-    engine: str = "machine",
     fast: bool = True,
     max_blocks: Optional[int] = None,
     catalog: Optional[str] = None,
@@ -102,7 +101,7 @@ def plan_cells(
 
     Returns one row per partition, each a list of ``(fingerprint,
     cell_config)`` pairs in config order, where ``cell_config`` is the
-    engine's *effective* config (fast overrides applied) — the config a
+    sweep's *effective* config (fast overrides applied) — the config a
     cached record must be reattached to so a hit is indistinguishable
     from a fresh run.  This is the single planning path shared by the
     :class:`CachingExecutor` and the sweep service's job runner, so
@@ -121,7 +120,7 @@ def plan_cells(
             cell_config = effective_config(config, fast)
             row.append((
                 cell_fingerprint(
-                    workload, cell_config, engine=engine, fast=fast,
+                    workload, cell_config, fast=fast,
                     max_blocks=max_blocks,
                     workload_id=workload_id, catalog=catalog,
                 ),
@@ -197,14 +196,13 @@ class CachingExecutor(Executor):
     def run(
         self,
         partitions: Sequence[Partition],
-        engine: str = "machine",
         fast: bool = True,
         max_blocks: Optional[int] = None,
     ) -> List[SweepRun]:
         partitions = list(partitions)
         with span("store.plan", cat="store",
                   partitions=len(partitions)):
-            plan = plan_cells(partitions, engine=engine, fast=fast,
+            plan = plan_cells(partitions, fast=fast,
                               max_blocks=max_blocks)
         fingerprints: List[List[str]] = []
         cached: List[List[Optional[SweepRun]]] = []
@@ -268,8 +266,7 @@ class CachingExecutor(Executor):
                     # there, the persistence boundary is the dispatch.)
                     for partition, fps in missing:
                         part_runs = self.inner.run(
-                            [partition], engine=engine, fast=fast,
-                            max_blocks=max_blocks,
+                            [partition], fast=fast, max_blocks=max_blocks,
                         )
                         puts += self._record_results(
                             fps, part_runs, computed_by_fp
@@ -277,8 +274,7 @@ class CachingExecutor(Executor):
                 else:
                     flat = self.inner.run(
                         [partition for partition, _ in missing],
-                        engine=engine, fast=fast,
-                        max_blocks=max_blocks,
+                        fast=fast, max_blocks=max_blocks,
                     )
                     cursor = 0
                     for _, fps in missing:

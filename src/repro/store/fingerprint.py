@@ -11,7 +11,7 @@ everything that determines a cell's result:
   content, not by name);
 * the full **configuration** — every :class:`SimulationConfig` field,
   with the in-memory edge profile replaced by a content digest;
-* the **engine**, the ``fast`` flag, and ``max_blocks``;
+* the ``fast`` flag and ``max_blocks``;
 * the registered **component catalog** (externally registered codecs
   or strategies change behaviour without changing repo sources);
 * the ``REPRO_STORE_SALT`` environment variable, for manual
@@ -40,10 +40,11 @@ from ..registry import catalog_signature
 from ..workloads.suite import Workload
 
 #: Bumped on any change to the fingerprint payload shape itself.
-FINGERPRINT_VERSION = 1
+#: v2: the sweep engine name left the payload.
+FINGERPRINT_VERSION = 2
 
 #: Subpackages whose sources determine simulation results.  ``api``,
-#: ``analysis`` (bar the sweep engines), ``store``, and the CLI shape
+#: ``analysis`` (bar the sweep itself), ``store``, and the CLI shape
 #: output, not cell results, and are deliberately excluded so refactors
 #: there keep the cache warm.
 _SEMANTIC_SUBPACKAGES = (
@@ -79,7 +80,7 @@ def code_version() -> str:
     """Hash of every semantic source file (cached per process).
 
     Any edit to the simulator's cfg/compress/core/isa/memory/runtime/
-    selection/strategies/workloads code — or to the sweep engines —
+    selection/strategies/workloads code — or to the sweep itself —
     changes this value and therefore every cell fingerprint.
     """
     global _code_version_cache
@@ -161,7 +162,6 @@ def config_signature(config: SimulationConfig) -> Dict[str, Any]:
 def cell_fingerprint(
     workload: Workload,
     config: SimulationConfig,
-    engine: str = "machine",
     fast: bool = True,
     max_blocks: Optional[int] = None,
     *,
@@ -186,7 +186,6 @@ def cell_fingerprint(
         "workload": workload_id if workload_id is not None
         else workload_digest(workload),
         "config": config_signature(config),
-        "engine": engine,
         "fast": bool(fast),
         "max_blocks": max_blocks,
     }

@@ -41,7 +41,6 @@ def _spec(**overrides):
         workloads=["fib", "gcd"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=api.grid(k_compress=[1, "inf"]),
-        engine="trace",
     )
     fields.update(overrides)
     return api.ExperimentSpec(**fields)
@@ -76,6 +75,8 @@ class TestCellFaultRecovery:
         assert survived.canonical_json() == baseline.canonical_json()
 
     def test_machine_engine_survives_too(self):
+        # A spec may still carry the legacy engine name; it runs the
+        # same sweep.
         spec = _spec(engine="machine")
         baseline = api.run_experiment(spec)
         plan = FaultPlan(rules=(
@@ -226,7 +227,6 @@ def _racing_worker(store_dir, barrier, crash):
         workloads=["fib", "gcd"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=worker_api.grid(k_compress=[1, "inf"]),
-        engine="trace",
     )
     barrier.wait(timeout=60)
     result = worker_api.run_experiment(spec, store=store_dir)
@@ -268,7 +268,7 @@ class TestConcurrentCrash:
 class TestBatchedReplayChaos:
     """The batched trace-replay kernel composes with fault injection.
 
-    Trace-engine cells run inside the batched kernel's envelope
+    Replayed cells run inside the batched kernel's envelope
     (:mod:`repro.core.replay`); an injected ``$REPRO_FAULTS`` transient
     must surface as a normal cell fault that per-cell retry recovers.
     Faulted cells re-run through the same sweep row, so they replay
@@ -277,7 +277,7 @@ class TestBatchedReplayChaos:
     """
 
     def test_replay_faults_recover_byte_identical(self, monkeypatch):
-        spec = _spec()  # engine="trace": every cell replays
+        spec = _spec()  # every cell replays
         baseline = api.run_experiment(spec)
         assert all(
             run.result.engine == "trace" for run in baseline.runs

@@ -30,7 +30,6 @@ def _spec_dict():
         "workloads": ["fib", "gcd"],
         "base": {"codec": "shared-dict", "decompression": "ondemand"},
         "axes": {"grid": {"k_compress": [1, "inf"]}},
-        "engine": "trace",
     }
 
 

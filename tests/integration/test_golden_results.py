@@ -35,9 +35,7 @@ def _run_grid() -> api.ResultSet:
         )
         for k in _K_VALUES
     ]
-    return api.run_grid(
-        list(_WORKLOADS), configs, engine="trace", store=False
-    )
+    return api.run_grid(list(_WORKLOADS), configs, store=False)
 
 
 class TestGoldenResults:

@@ -3,7 +3,7 @@
 The hard observability requirement from the start: arming a tracer is
 out-of-band (never part of :class:`SimulationConfig`), so ResultSets
 stay byte-identical and store fingerprints are unchanged whether a run
-is traced or not — on both engines.  This file is that contract's test,
+is traced or not.  This file is that contract's test,
 plus the phase-breakdown correctness checks (tracer totals must equal
 the simulator's own :class:`Counters` exactly, not approximately).
 """
@@ -28,16 +28,15 @@ CONFIGS = [
 ]
 
 
-def _grid(engine):
-    return api.run_grid(WORKLOADS, CONFIGS, engine=engine)
+def _grid():
+    return api.run_grid(WORKLOADS, CONFIGS)
 
 
 class TestResultByteIdentity:
-    @pytest.mark.parametrize("engine", api.available_engines())
-    def test_canonical_json_identical_traced_vs_untraced(self, engine):
-        untraced = _grid(engine).canonical_json()
+    def test_canonical_json_identical_traced_vs_untraced(self):
+        untraced = _grid().canonical_json()
         with tracing_scope(TraceSink()) as sink:
-            traced = _grid(engine).canonical_json()
+            traced = _grid().canonical_json()
         # The tracer really saw the runs...
         assert sink.tracers, "tracing scope armed no tracers"
         assert sum(sink.phases().values()) > 0

@@ -16,8 +16,8 @@ from repro.analysis.sweep import effective_config
 from repro.core import SimulationConfig
 from repro.log import parse_kv
 
-#: The E1 grid: the experiment kernels x the k-edge sweep (trace
-#: engine), exactly as benchmarks/test_e1_kedge_sweep.py runs it.
+#: The E1 grid: the experiment kernels x the k-edge sweep, exactly as
+#: benchmarks/test_e1_kedge_sweep.py runs it.
 E1_WORKLOADS = (
     "composite", "cold_paths", "modular", "fsm",
     "dijkstra", "quicksort", "adpcm", "crc32",
@@ -32,7 +32,6 @@ def e1_spec():
         workloads=list(E1_WORKLOADS),
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=api.grid(k_compress=list(E1_K_VALUES)),
-        engine="trace",
     )
 
 
@@ -71,13 +70,11 @@ class TestParallelEqualsSerial:
 
 
 class TestEngineAgreementThroughApi:
-    @pytest.mark.parametrize("engine", api.available_engines())
-    def test_sweep_agrees_with_cells_alone(self, engine):
+    def test_sweep_agrees_with_cells_alone(self):
         spec = api.ExperimentSpec(
             workloads=["fsm", "crc32"],
             base={"codec": "shared-dict", "decompression": "ondemand"},
             axes=api.grid(k_compress=[2, 8]),
-            engine=engine,
         )
         swept = api.run_experiment(spec)
         alone = api.ResultSet([
@@ -86,6 +83,41 @@ class TestEngineAgreementThroughApi:
         ])
         assert swept.to_dict(include_execution=False)["cells"] == \
             alone.to_dict(include_execution=False)["cells"]
+
+    @pytest.mark.parametrize("executor", ["serial", "parallel",
+                                          "caching"])
+    def test_legacy_names_agree_on_every_executor(self, executor,
+                                                  tmp_path):
+        # Either legacy name on any executor gives one result: every
+        # cell replayed (labelled "trace", no registers) and no engine
+        # in the meta.  The caching run under the second name is served
+        # from the first name's cells.
+        jobs = 1 if executor == "serial" else 2
+        store = str(tmp_path / "store") if executor == "caching" \
+            else False
+        results = [
+            api.run_experiment(
+                api.ExperimentSpec(
+                    workloads=["fsm", "crc32"],
+                    base={"codec": "shared-dict",
+                          "decompression": "pre-single"},
+                    axes=api.grid(k_compress=[2, 8]),
+                    engine=name, executor=executor, jobs=jobs,
+                ),
+                store=store,
+            )
+            for name in ("machine", "trace")
+        ]
+        for result in results:
+            assert (result.meta["executor"], result.meta["jobs"]) == \
+                (executor, jobs)
+            assert "engine" not in result.meta
+            assert [(run.result.engine, run.result.registers)
+                    for run in result.runs] == [("trace", None)] * 4
+        if executor == "caching":
+            assert results[1].meta["cache"]["hits"] == 4
+        assert results[0].to_dict(include_execution=False) == \
+            results[1].to_dict(include_execution=False)
 
 
 class TestUnregisteredWorkloadFallback:
@@ -115,10 +147,9 @@ class TestUnregisteredWorkloadFallback:
                              trace_events=False, record_trace=False)
             for k in (1, 4)
         ]
-        serial = api.run_grid(workloads, configs, engine="trace",
-                              executor="serial")
-        parallel = api.run_grid(workloads, configs, engine="trace",
-                                executor="parallel", jobs=2)
+        serial = api.run_grid(workloads, configs, executor="serial")
+        parallel = api.run_grid(workloads, configs, executor="parallel",
+                                jobs=2)
         assert parallel.to_json(include_execution=False) == \
             serial.to_json(include_execution=False)
         assert [r.workload for r in parallel.runs] == \

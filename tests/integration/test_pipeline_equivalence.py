@@ -5,8 +5,8 @@ a flat codec, whichever execution path computes the cell:
 
 * every cell run **alone** (an interpreting run that replays its own
   trace),
-* the **sweep** under either engine name (one recording per program,
-  every cell on the batched replay kernel), and
+* the **sweep** (one recording per program, every cell on the batched
+  replay kernel), and
 * the sweep with every replay run on the frozen layered per-block loop
   (``tests/oracle``)
 
@@ -58,22 +58,19 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("name", _WORKLOADS)
     def test_sweep_equals_cells_alone_and_oracle(self, name, monkeypatch):
         alone = [api.run_cell(name, config) for config in _configs()]
-        swept = [api.run_grid([name], _configs(), engine=engine)
-                 for engine in api.available_engines()]
+        swept = api.run_grid([name], _configs())
         monkeypatch.setattr(sweep_module, "simulate_trace",
                             oracle.simulate_trace)
-        layered = api.run_grid([name], _configs(), engine="trace")
+        layered = api.run_grid([name], _configs())
         assert all(run.ok for run in alone)
-        for result in swept:
-            assert {run.result.replay_path for run in result.runs} == \
-                {"batched"}
-            assert _cells(result.runs) == _cells(alone), name
+        assert {run.result.replay_path for run in swept.runs} == \
+            {"batched"}
+        assert _cells(swept.runs) == _cells(alone), name
         assert {run.result.replay_path for run in layered.runs} == \
             {"layered"}
         assert _cells(layered.runs) == _cells(alone), name
 
-    @pytest.mark.parametrize("engine", api.available_engines())
-    def test_pipeline_search_sweep_equals_cell_alone(self, engine):
+    def test_pipeline_search_sweep_equals_cell_alone(self):
         workload = get_workload("cold_paths")
         profile = api.profile_workload(workload)
         config = SimulationConfig(
@@ -81,7 +78,7 @@ class TestEngineEquivalence:
             profile=profile, **_FAST,
         )
         alone = api.run_cell(workload, config)
-        swept = api.run_grid([workload], [config], engine=engine)
+        swept = api.run_grid([workload], [config])
         assert alone.ok
         assert _cells(swept.runs) == _cells([alone])
 
@@ -89,15 +86,9 @@ class TestEngineEquivalence:
 class TestStoreEquivalence:
     def test_cached_cells_byte_equal_recomputation(self, tmp_path):
         store = str(tmp_path / "store")
-        uncached = api.run_grid(
-            _WORKLOADS, _configs(), engine="trace"
-        )
-        first = api.run_grid(
-            _WORKLOADS, _configs(), engine="trace", store=store
-        )
-        second = api.run_grid(
-            _WORKLOADS, _configs(), engine="trace", store=store
-        )
+        uncached = api.run_grid(_WORKLOADS, _configs())
+        first = api.run_grid(_WORKLOADS, _configs(), store=store)
+        second = api.run_grid(_WORKLOADS, _configs(), store=store)
         cells = len(uncached.runs)
         assert second.meta["cache"]["hits"] == cells
         assert first.canonical_json() == uncached.canonical_json()
@@ -110,12 +101,8 @@ class TestStoreEquivalence:
             codec='{"layers": ["delta"], "entropy": "huffman"}',
             **_FAST,
         )
-        first = api.run_grid(
-            ["fsm"], [compact], engine="trace", store=store
-        )
-        second = api.run_grid(
-            ["fsm"], [spelled], engine="trace", store=store
-        )
+        first = api.run_grid(["fsm"], [compact], store=store)
+        second = api.run_grid(["fsm"], [spelled], store=store)
         assert first.meta["cache"]["misses"] == 1
         assert second.meta["cache"]["hits"] == 1
         assert first.canonical_json() == second.canonical_json()

@@ -2,7 +2,7 @@
 
 Mixed-codec images must decode correctly on the executed path (the
 workload oracles check final machine state), charge each unit its own
-codec's latency, replay identically under the trace engine, keep the
+codec's latency, replay identically in a sweep, keep the
 uniform default on the exact pre-selection code path, and fingerprint
 distinctly in the experiment store.
 """
@@ -46,10 +46,7 @@ def _configs(profile, **overrides):
 class TestOracleValidation:
     def test_mixed_codec_runs_pass_oracles(self, profiles):
         for name, profile in profiles.items():
-            grid = api.run_grid(
-                [name], _configs(profile), engine="machine",
-                store=False,
-            )
+            grid = api.run_grid([name], _configs(profile), store=False)
             assert not grid.failures(), (name, grid.failures())
 
     def test_function_granularity_and_predecompression(self, profiles):
@@ -59,18 +56,15 @@ class TestOracleValidation:
                 profiles["composite"],
                 decompression="pre-all", granularity="function",
             ),
-            engine="machine", store=False,
+            store=False,
         )
         assert not grid.failures()
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", api.available_engines())
-    def test_sweep_metrics_match_cells_alone(self, profiles, engine):
+    def test_sweep_metrics_match_cells_alone(self, profiles):
         configs = _configs(profiles["composite"])
-        swept = api.run_grid(
-            ["composite"], configs, engine=engine, store=False
-        )
+        swept = api.run_grid(["composite"], configs, store=False)
         alone = api.ResultSet(
             [api.run_cell("composite", config) for config in configs]
         )
@@ -233,9 +227,7 @@ class TestProfileWorkload:
         with pytest.raises(ValueError, match="recording cap"):
             api.profile_workload("fib")
 
-    @pytest.mark.parametrize("engine", api.available_engines())
-    def test_profile_then_sweep_interprets_once(self, engine,
-                                                monkeypatch):
+    def test_profile_then_sweep_interprets_once(self, monkeypatch):
         # The profile comes from the recording the sweep of the same
         # workload object replays: one Machine for both.
         import repro.core.manager as manager_mod
@@ -250,9 +242,8 @@ class TestProfileWorkload:
         monkeypatch.setattr(manager_mod, "Machine", counting_machine)
         workload = get_workload("composite")
         profile = api.profile_workload(workload)
-        grid = api.run_grid(
-            [workload], _configs(profile)[:2], engine=engine, store=False
-        )
+        grid = api.run_grid([workload], _configs(profile)[:2],
+                            store=False)
         assert not grid.failures()
         assert built == ["composite"]
 

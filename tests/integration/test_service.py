@@ -35,7 +35,6 @@ SPEC = {
     "workloads": ["fib", "gcd"],
     "base": {"codec": "shared-dict", "decompression": "ondemand"},
     "axes": {"grid": {"k_compress": [1, "inf"]}},
-    "engine": "trace",
 }
 
 

@@ -215,11 +215,10 @@ class TestSharedRow:
                          if g == "function"},
         }
 
-    @pytest.mark.parametrize("engine", ("trace", "machine"))
-    def test_sweep_row_shares_and_matches_cells_alone(self, engine):
+    def test_sweep_row_shares_and_matches_cells_alone(self):
         workload = get_workload("composite")
         configs = _row()
-        swept = sweep_module.sweep([workload], configs, engine=engine)
+        swept = sweep_module.sweep([workload], configs)
         alone = [
             sweep_module.run_one_safe(workload, config)
             for config in configs
@@ -240,8 +239,8 @@ class TestSharedRow:
         workload = get_workload("fsm")
         configs = [SimulationConfig(k_compress=k, **_FAST)
                    for k in (1, 4, None)]
-        first = sweep_module.sweep([workload], configs, engine="trace")
-        second = sweep_module.sweep([workload], configs, engine="trace")
+        first = sweep_module.sweep([workload], configs)
+        second = sweep_module.sweep([workload], configs)
         assert [run.result.replay_shared for run in first.runs] == \
             [False] * 3
         assert [run.result.replay_shared for run in second.runs] == \
@@ -346,7 +345,7 @@ class TestMemoLifetime:
         configs = [SimulationConfig(codec=codec, k_compress=k, **_FAST)
                    for codec in ("shared-dict", "huffman")
                    for k in (1, None)]
-        swept = sweep_module.sweep([workload], configs, engine="trace")
+        swept = sweep_module.sweep([workload], configs)
         assert [run.result.replay_shared for run in swept.runs] == \
             [False, False, True, True]
         assert self._passes() == before + 2
@@ -365,7 +364,7 @@ class TestUndecodablePayload:
         artifacts.plaintext.pop(entry, None)
         configs = [SimulationConfig(codec=codec, k_compress=2, **_FAST)
                    for codec in ("shared-dict", "huffman")]
-        swept = sweep_module.sweep([workload], configs, engine="trace")
+        swept = sweep_module.sweep([workload], configs)
         leader, follower = swept.runs
         assert leader.error is None
         assert follower.error is not None

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+import repro.core.manager as manager_module
 from repro import api
 from repro.api.executor import SerialExecutor
 from repro.store import ExperimentStore
@@ -25,10 +26,44 @@ def _spec(**overrides):
         workloads=["fib", "gcd"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=api.grid(k_compress=[1, "inf"]),
-        engine="trace",
     )
     fields.update(overrides)
     return api.ExperimentSpec(**fields)
+
+
+def _base(**fields):
+    return {"codec": "shared-dict", "decompression": "ondemand",
+            **fields}
+
+
+#: ``_spec`` overrides for each strategy family the E1-E15 drivers
+#: sweep, and the ``_TRACE_CAP`` that truncates the recording (None:
+#: the default cap, which every suite workload fits).
+_FAMILIES = [
+    pytest.param({}, None, id="ondemand"),
+    pytest.param(dict(base=_base(decompression="pre-single")), None,
+                 id="pre-single"),
+    pytest.param(dict(base=_base(decompression="pre-all")), None,
+                 id="pre-all"),
+    pytest.param(dict(base=_base(memory_budget=256)), None,
+                 id="memory-budget"),
+    pytest.param(dict(workloads=["modular"],
+                      base=_base(granularity="function")), None,
+                 id="function-granularity"),
+    pytest.param(dict(base=_base(image_scheme="inplace")), None,
+                 id="inplace-image"),
+    pytest.param(dict(base=_base(hierarchy="spm-front")), None,
+                 id="hierarchy"),
+    pytest.param(dict(base=_base(assignment="knapsack")), None,
+                 id="selective-assignment"),
+    pytest.param(dict(base=_base(assignment="pipeline-search")), None,
+                 id="pipeline-search"),
+    pytest.param(dict(fast=False), None, id="event-logging"),
+    pytest.param(dict(axes=api.grid(k_compress=[1, "inf"],
+                                    max_steps=[30, 50_000_000])),
+                 None, id="raising-recording"),
+    pytest.param({}, 8, id="truncated-recording"),
+]
 
 
 class CountingSerial(SerialExecutor):
@@ -38,13 +73,11 @@ class CountingSerial(SerialExecutor):
         super().__init__(jobs)
         self.cells_computed = 0
 
-    def run(self, partitions, engine="machine", fast=True,
-            max_blocks=None):
+    def run(self, partitions, fast=True, max_blocks=None):
         self.cells_computed += sum(
             len(p.configs) for p in partitions
         )
-        return super().run(partitions, engine=engine, fast=fast,
-                           max_blocks=max_blocks)
+        return super().run(partitions, fast=fast, max_blocks=max_blocks)
 
 
 class TestCacheEquivalence:
@@ -73,16 +106,41 @@ class TestCacheEquivalence:
         assert stats["hits"] == len(uncached.runs)
         assert stats["misses"] == len(uncached.runs)
 
-    def test_cache_hits_survive_engine_consistency(self, tmp_path):
-        # machine and trace engines produce identical metrics but have
-        # distinct fingerprints: a trace-cached cell must not be served
-        # to a machine-engine request.
+    @pytest.mark.parametrize("overrides, trace_cap", _FAMILIES)
+    def test_every_strategy_family_shares_one_store(
+        self, overrides, trace_cap, tmp_path, monkeypatch
+    ):
+        # Both legacy engine names run one computation under one
+        # fingerprint, on every strategy path and on the interpreter a
+        # raising or truncated recording falls back to: the store
+        # serves every cell a "machine" run computed to a "trace" run,
+        # labels included.
+        if trace_cap is not None:
+            monkeypatch.setattr(manager_module, "_TRACE_CAP", trace_cap)
         store = str(tmp_path / "store")
-        api.run_experiment(_spec(engine="trace"), store=store)
-        machine = api.run_experiment(_spec(engine="machine"),
-                                     store=store)
-        assert machine.meta["cache"]["hits"] == 0
+        machine = api.run_experiment(
+            _spec(engine="machine", **overrides), store=store
+        )
+        trace = api.run_experiment(
+            _spec(engine="trace", **overrides), store=store
+        )
+        uncached = api.run_experiment(_spec(**overrides))
+        ok = sum(run.ok for run in machine.runs)
         assert machine.meta["cache"]["misses"] == len(machine.runs)
+        # Error rows are never cached, so only they are computed again.
+        assert 0 < ok and trace.meta["cache"] == {
+            "hits": ok, "misses": len(trace.runs) - ok, "store": store,
+        }
+        assert machine.canonical_json() == trace.canonical_json() == \
+            uncached.canonical_json()
+        assert [(run.result.engine, run.result.registers)
+                for run in trace.runs] == \
+            [(run.result.engine, run.result.registers)
+             for run in uncached.runs]
+        # Which path computed the completed cells: replays, unless the
+        # recording was truncated.
+        assert {run.result.engine for run in uncached.runs if run.ok} \
+            == {"trace" if trace_cap is None else "machine"}
 
     def test_parallel_inner_executor_matches(self, tmp_path):
         spec = _spec(jobs=2)
@@ -105,6 +163,26 @@ class TestExecutorResolution:
         chosen = make_executor("caching", store=False)
         assert not isinstance(chosen, CachingExecutor)
         assert not (tmp_path / "env").exists()
+
+    def test_jobs_keeps_a_caching_spec_caching(self, tmp_path,
+                                               monkeypatch):
+        # --jobs N computes a caching spec's misses in parallel; it
+        # must not drop the store the spec asked for.
+        import repro.store.cas as cas
+
+        default = str(tmp_path / "default")
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        monkeypatch.setattr(cas, "DEFAULT_STORE_DIR", default)
+        spec = _spec(executor="caching")
+        first = api.run_experiment(spec, jobs=2)
+        assert (first.meta["executor"], first.meta["jobs"]) == \
+            ("caching", 2)
+        assert first.meta["cache"] == {
+            "hits": 0, "misses": len(first.runs), "store": default,
+        }
+        second = api.run_experiment(spec, jobs=2)
+        assert second.meta["cache"]["hits"] == len(second.runs)
+        assert second.canonical_json() == first.canonical_json()
 
     def test_instance_executor_honours_requested_store(self, tmp_path):
         from repro.api.executor import make_executor
@@ -203,7 +281,6 @@ def _concurrent_worker(store_dir, barrier):
         workloads=["fib", "gcd"],
         base={"codec": "shared-dict", "decompression": "ondemand"},
         axes=worker_api.grid(k_compress=[1, "inf"]),
-        engine="trace",
     )
     barrier.wait(timeout=60)  # maximise write overlap
     result = worker_api.run_experiment(spec, store=store_dir)

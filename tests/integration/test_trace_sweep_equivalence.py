@@ -1,11 +1,11 @@
 """A swept cell must equal the same cell run alone.
 
-A sweep — under either engine name — replays one recorded block trace
-per workload instead of interpreting every grid cell.  Because
-compression policy is transparent to program semantics, every metric
-the experiments consume — cycles, counters, footprint timeline, image
-sizes — must come out *exactly* equal to an interpreting run of the
-cell alone, which replays its own trace: an independent trace source.
+A sweep replays one recorded block trace per workload instead of
+interpreting every grid cell.  Because compression policy is
+transparent to program semantics, every metric the experiments
+consume — cycles, counters, footprint timeline, image sizes — must
+come out *exactly* equal to an interpreting run of the cell alone,
+which replays its own trace: an independent trace source.
 These tests pin that contract on the kernel suite, hold the replay
 kernel to the frozen layered loop (``tests/oracle``) cell by cell, and
 cover the E12 policy-injection path.
@@ -77,10 +77,10 @@ def _cells_alone(workload, configs, fast=True):
     ]
 
 
-def _assert_sweep_matches_cells_alone(swept, alone, engine, context):
+def _assert_sweep_matches_cells_alone(swept, alone, context):
     """Cell by cell: metrics, oracle verdict and error equal the cell
-    run alone; a replayed cell is labelled with the requested engine
-    and carries the final registers only under ``machine``."""
+    run alone; a completed cell was replayed, so it is labelled
+    ``trace`` and carries no registers."""
     assert len(swept.runs) == len(alone), context
     for s_run, a_run in zip(swept.runs, alone):
         where = f"{context}/{a_run.config.strategy_name}"
@@ -89,32 +89,25 @@ def _assert_sweep_matches_cells_alone(swept, alone, engine, context):
         assert (s_run.validation, s_run.error) == \
             (a_run.validation, a_run.error), where
         if a_run.error is None:
-            assert s_run.result.engine == engine, where
-            assert s_run.result.registers == (
-                a_run.result.registers if engine == "machine" else None
-            ), where
-
-
-_ENGINES = api.available_engines()
+            assert (s_run.result.engine, s_run.result.registers) == \
+                ("trace", None), where
 
 
 class TestSweepEngineEquivalence:
-    @pytest.mark.parametrize("engine", _ENGINES)
     @pytest.mark.parametrize("name", _WORKLOADS)
-    def test_grid_metrics_identical(self, name, engine):
+    def test_grid_metrics_identical(self, name):
         workload = get_workload(name)
-        swept = sweep_module.sweep([workload], _CONFIGS, engine=engine)
+        swept = sweep_module.sweep([workload], _CONFIGS)
         _assert_sweep_matches_cells_alone(
-            swept, _cells_alone(workload, _CONFIGS), engine, name
+            swept, _cells_alone(workload, _CONFIGS), name
         )
 
-    @pytest.mark.parametrize("engine", _ENGINES)
     @pytest.mark.parametrize("name, fields", [
         ("fib", dict(max_steps=50)),
         ("quicksort", dict(data_words=16)),
     ])
     def test_each_cell_replays_its_own_recording(self, name, fields,
-                                                 engine, monkeypatch):
+                                                 monkeypatch):
         # The block trace depends on each cell's data_words and
         # max_steps: a cell whose own values make the program fail must
         # fail in the sweep too, not replay the first cell's recording.
@@ -132,17 +125,16 @@ class TestSweepEngineEquivalence:
         configs = [SimulationConfig(**_FAST),
                    SimulationConfig(**fields, **_FAST),
                    SimulationConfig(k_compress=None, **fields, **_FAST)]
-        swept = sweep_module.sweep([workload], configs, engine=engine)
+        swept = sweep_module.sweep([workload], configs)
         assert len(recorded) == len(set(recorded)) == 2
         alone = _cells_alone(workload, configs)
         assert [run.ok for run in alone] == [True, False, False]
         assert alone[1].error.startswith("MachineError")
-        _assert_sweep_matches_cells_alone(swept, alone, engine, name)
+        _assert_sweep_matches_cells_alone(swept, alone, name)
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_replays_build_no_machine(self, engine, monkeypatch):
+    def test_replays_build_no_machine(self, monkeypatch):
         # Only the recordings interpret: one Machine per workload, none
-        # per replayed cell, whatever the engine name.
+        # per replayed cell.
         built = []
         machine_class = manager_module.Machine
 
@@ -152,15 +144,19 @@ class TestSweepEngineEquivalence:
 
         monkeypatch.setattr(manager_module, "Machine", counting_machine)
         workloads = [get_workload("fib"), get_workload("gcd")]
-        result = sweep_module.sweep(workloads, _CONFIGS, engine=engine)
+        result = sweep_module.sweep(workloads, _CONFIGS)
         assert [run.result.engine for run in result.runs] == \
-            [engine] * 2 * len(_CONFIGS)
+            ["trace"] * 2 * len(_CONFIGS)
         assert sorted(built) == ["fib", "gcd"]
 
     def test_trace_engine_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown sweep engine"):
+        # The sweep takes no engine; only a spec still names one, and
+        # only the two legacy names pass.
+        with pytest.raises(TypeError, match="engine"):
             sweep_module.sweep([get_workload("gcd")], _CONFIGS[:1],
-                               engine="warp")
+                               engine="trace")
+        with pytest.raises(api.SpecError, match="unknown sweep engine"):
+            api.ExperimentSpec(workloads=["gcd"], engine="warp")
 
     def test_policy_injection_replay_matches_machine(self):
         # The E12 path: a non-config compression policy injected into a
@@ -360,8 +356,7 @@ class TestKernelEnvelopeEquivalence:
         _assert_results_equal(batched, stepped, config.strategy_name)
         _assert_results_equal(layered, batched, config.strategy_name)
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_sweep_runs_every_cell_on_the_kernel(self, engine):
+    def test_sweep_runs_every_cell_on_the_kernel(self):
         # The sweep layer end to end: pre-decompression, a budget and
         # an event-logging cell, every replay run by the kernel.
         configs = [
@@ -374,10 +369,9 @@ class TestKernelEnvelopeEquivalence:
                              record_trace=False),
         ]
         workload = get_workload("composite")
-        swept = sweep_module.sweep([workload], configs, engine=engine,
-                                   fast=False)
+        swept = sweep_module.sweep([workload], configs, fast=False)
         _assert_sweep_matches_cells_alone(
-            swept, _cells_alone(workload, configs, fast=False), engine,
+            swept, _cells_alone(workload, configs, fast=False),
             "composite",
         )
         assert {run.result.replay_path for run in swept.runs} == \
@@ -692,9 +686,7 @@ class TestSegmentedInterpretation:
         assert manager.prepared.trace == prepared.trace
         assert result.counters.blocks_executed == len(prepared.trace)
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_sweep_replays_a_segmented_recording(self, engine,
-                                                 monkeypatch):
+    def test_sweep_replays_a_segmented_recording(self, monkeypatch):
         # A recording longer than one segment is prepared from its
         # recorded block trace; every cell still matches the cell run
         # alone, which is interpreted in segments too.
@@ -707,8 +699,8 @@ class TestSegmentedInterpretation:
         monkeypatch.setattr(manager_module, "_SEGMENT", 50)
         monkeypatch.setattr(sweep_module, "PreparedTrace", spy)
         workload = get_workload("composite")
-        swept = sweep_module.sweep([workload], _CONFIGS, engine=engine)
+        swept = sweep_module.sweep([workload], _CONFIGS)
         assert prepared == [4817]
         _assert_sweep_matches_cells_alone(
-            swept, _cells_alone(workload, _CONFIGS), engine, "composite"
+            swept, _cells_alone(workload, _CONFIGS), "composite"
         )

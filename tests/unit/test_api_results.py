@@ -17,7 +17,7 @@ def small_resultset():
         SimulationConfig(decompression="ondemand", k_compress=None,
                          trace_events=False, record_trace=False),
     ]
-    return api.run_grid(["fib", "gcd"], configs, engine="trace")
+    return api.run_grid(["fib", "gcd"], configs)
 
 
 class TestLookupHelpers:
@@ -82,7 +82,8 @@ class TestSchema:
     def test_versioned_envelope(self, small_resultset):
         data = small_resultset.to_dict()
         assert data["schema"] == api.SCHEMA_ID
-        assert data["version"] == api.SCHEMA_VERSION == 1
+        assert data["version"] == api.SCHEMA_VERSION == 2
+        assert "engine" not in data["meta"]
         assert len(data["cells"]) == 4
         assert "execution" in data
         assert "elapsed_s" in data["execution"]["timing"]
@@ -126,6 +127,17 @@ class TestSchema:
         with pytest.raises(ValueError, match="schema version"):
             api.ResultSet.load(str(stale))
 
+    def test_load_refuses_a_version_1_document(self, tmp_path):
+        # Version 1 carried meta["engine"]; a reader of version 2 must
+        # refuse it rather than read it as the current shape.
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps({
+            "schema": api.SCHEMA_ID, "version": 1,
+            "meta": {"name": "old", "engine": "trace"}, "cells": [],
+        }))
+        with pytest.raises(ValueError, match="schema version 1"):
+            api.ResultSet.load(str(old))
+
     def test_to_csv_flat_rows(self, small_resultset):
         lines = small_resultset.to_csv().strip().splitlines()
         assert len(lines) == 5  # header + 4 cells
@@ -159,7 +171,7 @@ class TestPathProvenance:
     ]
 
     def test_two_codec_grid_counts_each_path(self):
-        rs = api.run_grid(["fsm", "gcd"], self._CONFIGS, engine="trace")
+        rs = api.run_grid(["fsm", "gcd"], self._CONFIGS)
         assert rs.meta["paths"] == {
             "batched": 4, "shared": 4, "stepped": 2, "stored": 0,
             "error": 0, "declined": {"predecompress": 2},
@@ -169,10 +181,8 @@ class TestPathProvenance:
 
     def test_warm_rerun_is_all_stored(self, tmp_path):
         store = str(tmp_path / "store")
-        cold = api.run_grid(["fsm"], self._CONFIGS, engine="trace",
-                            store=store)
-        warm = api.run_grid(["fsm"], self._CONFIGS, engine="trace",
-                            store=store)
+        cold = api.run_grid(["fsm"], self._CONFIGS, store=store)
+        warm = api.run_grid(["fsm"], self._CONFIGS, store=store)
         assert cold.meta["paths"]["stored"] == 0
         assert warm.meta["paths"] == {
             "batched": 0, "shared": 0, "stepped": 0, "stored": 5,

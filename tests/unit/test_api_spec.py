@@ -1,5 +1,6 @@
 """Unit tests for the declarative experiment spec layer."""
 
+import dataclasses
 import json
 
 import pytest
@@ -177,6 +178,23 @@ class TestSpecJson:
         assert spec.engine == "trace"
         assert [c.k_compress for c in spec.configs()] == [1, None]
 
+    def test_legacy_engine_name_loads_and_is_not_written(self):
+        # Spec files and service journals written before the sweep had
+        # one computation still name an engine: both names load (and
+        # survive dataclasses.replace), neither is written back, and
+        # any other name is still an error.
+        for name in ("machine", "trace"):
+            spec = ExperimentSpec.from_dict(
+                {"workloads": ["fib"], "engine": name}
+            )
+            assert spec.engine == name
+            assert dataclasses.replace(spec, workloads=["gcd"]).engine \
+                == name
+            assert "engine" not in spec.to_dict()
+        with pytest.raises(SpecError, match="unknown sweep engine"):
+            ExperimentSpec.from_dict({"workloads": ["fib"],
+                                      "engine": "warp"})
+
     def test_from_dict_axis_block_list(self):
         spec = ExperimentSpec.from_dict({
             "workloads": ["fib"],
@@ -210,6 +228,7 @@ class TestSpecJson:
         spec = ExperimentSpec.from_file(str(path))
         assert spec.name == "round-trip"
         assert len(spec.cells()) == 4
+        assert "engine" not in spec.to_dict()
         # to_dict -> from_dict preserves the expansion
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert [c.workload for c in again.cells()] == \
@@ -228,5 +247,4 @@ class TestSpecJson:
         spec = ExperimentSpec.from_file(
             str(repo / "examples" / "specs" / "kedge_grid.json")
         )
-        assert spec.engine == "trace"
         assert len(spec.cells()) == 18

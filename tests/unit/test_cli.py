@@ -18,10 +18,9 @@ class TestList:
         main(["list"])
         out = capsys.readouterr().out
         for kind in ("codecs", "strategies", "predictors",
-                     "engines", "executors", "hierarchies",
-                     "assignments"):
+                     "executors", "hierarchies", "assignments"):
             assert f"{kind}:" in out, kind
-        assert "machine, trace" in out
+        assert "engines:" not in out
         assert "parallel, serial" in out
 
     def test_lists_at_least_three_hierarchy_presets(self, capsys):
@@ -185,12 +184,12 @@ class TestSweep:
                 main(["sweep", "gcd", "--k-values", bad])
 
     def test_sweep_trace_engine_matches_machine(self, capsys):
-        assert main(["sweep", "gcd", "--k-values", "1,4",
-                     "--engine", "trace"]) == 0
-        trace_out = capsys.readouterr().out
-        assert main(["sweep", "gcd", "--k-values", "1,4",
-                     "--engine", "machine"]) == 0
-        assert capsys.readouterr().out == trace_out
+        # Every sweep runs one computation: no flag picks an engine.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "gcd", "--k-values", "1,4",
+                  "--engine", "trace"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_sweep_jobs_flag(self, capsys):
         assert main(["sweep", "fib", "--k-values", "1,2",
@@ -210,7 +209,7 @@ class TestAssignmentCLI:
         def sweep(policy):
             assert main([
                 "sweep", "composite", "--k-values", "2",
-                "--engine", "trace", "--assignment", policy,
+                "--assignment", policy,
             ]) == 0
             return capsys.readouterr().out
 
@@ -259,8 +258,9 @@ class TestCompare:
             assert label in out
 
     def test_compare_trace_engine(self, capsys):
-        assert main(["compare", "gcd", "--engine", "trace"]) == 0
-        assert "design space" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "gcd", "--engine", "trace"])
+        assert excinfo.value.code == 2
 
 
 class TestExp:
@@ -269,7 +269,6 @@ class TestExp:
         "workloads": ["fib", "gcd"],
         "base": {"codec": "shared-dict", "decompression": "ondemand"},
         "axes": {"grid": {"k_compress": [1, "inf"]}},
-        "engine": "trace",
     }
 
     def _write_spec(self, tmp_path, spec=None):
@@ -285,7 +284,7 @@ class TestExp:
         out = capsys.readouterr().out
         assert "experiment 'cli-test'" in out
         assert "4 cells over 2 workloads" in out
-        assert "schema v1" in out
+        assert "schema v2" in out
 
     def test_exp_writes_versioned_json_and_csv(self, capsys, tmp_path):
         import json
@@ -299,17 +298,46 @@ class TestExp:
         ]) == 0
         data = json.loads(out_json.read_text())
         assert data["schema"] == "repro.api.resultset"
-        assert data["version"] == 1
+        assert data["version"] == 2
+        assert "engine" not in data["meta"]
         assert len(data["cells"]) == 4
         assert data["execution"]["executor"] == "parallel"
         assert out_csv.read_text().startswith("workload,label,")
 
+    def test_exp_jobs_keeps_the_spec_cache(self, capsys, tmp_path,
+                                           monkeypatch):
+        # `exp --spec F --jobs 2` on a spec asking for the caching
+        # executor computes its misses in parallel and still reads and
+        # fills the default store.
+        import repro.store.cas as cas
+
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        monkeypatch.setattr(cas, "DEFAULT_STORE_DIR",
+                            str(tmp_path / "default"))
+        path = self._write_spec(
+            tmp_path, {**self.SPEC, "executor": "caching"}
+        )
+        assert main(["exp", "--spec", path, "--jobs", "2"]) == 0
+        first = capsys.readouterr().out
+        assert "(caching executor, jobs=2)" in first
+        assert "cache 0 hit(s) / 4 miss(es)" in first
+        assert main(["exp", "--spec", path, "--jobs", "2"]) == 0
+        assert "cache 4 hit(s) / 0 miss(es)" in capsys.readouterr().out
+
     def test_exp_engine_override(self, capsys, tmp_path):
-        assert main([
-            "exp", "--spec", self._write_spec(tmp_path),
-            "--engine", "machine",
-        ]) == 0
-        assert "machine engine" in capsys.readouterr().out
+        # A spec file may still carry a legacy engine name; there is
+        # no flag to override it, and the table does not name it.
+        path = self._write_spec(
+            tmp_path, {**self.SPEC, "engine": "machine"}
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["exp", "--spec", path, "--engine", "trace"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(["exp", "--spec", path]) == 0
+        out = capsys.readouterr().out
+        assert "experiment 'cli-test' (serial executor, jobs=1)" in out
+        assert "engine" not in out
 
     def test_exp_missing_spec_file(self, capsys, tmp_path):
         assert main(["exp", "--spec",
@@ -385,7 +413,6 @@ class TestExpAssignmentOverride:
             "base": {"codec": "shared-dict",
                      "decompression": "ondemand"},
             "axes": {"grid": {"assignment": ["uniform", "knapsack"]}},
-            "engine": "trace",
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

@@ -79,9 +79,10 @@ class TestCatalog:
 
         catalog = all_registries()
         for kind in ("codecs", "strategies", "predictors", "workloads",
-                     "engines", "executors"):
+                     "executors"):
             assert kind in catalog, kind
             assert len(catalog[kind]) > 0, kind
+        assert "engines" not in catalog
 
     def test_known_members(self):
         import repro.api  # noqa: F401
@@ -91,8 +92,6 @@ class TestCatalog:
         assert "none" in REGISTRIES["strategies"]
         assert "online-profile" in REGISTRIES["predictors"]
         assert "fib" in REGISTRIES["workloads"]
-        assert REGISTRIES["engines"].names(sort=False) == \
-            ["machine", "trace"]
         assert set(REGISTRIES["executors"].names()) == \
             {"caching", "parallel", "serial"}
 

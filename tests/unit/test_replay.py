@@ -1,5 +1,5 @@
 """Unit tests for the replay kernel's entry points and provenance,
-the oracle worker's settle hook, and the trace engine's caches and
+the oracle worker's settle hook, and the sweep's recording caches and
 error rows."""
 
 import dataclasses
@@ -147,7 +147,7 @@ class TestProvenanceStaysOutOfResults:
     def test_not_serialised_or_compared(self):
         config = SimulationConfig(decompression="pre-all", **_FAST)
         alone = api.run_cell("fsm", config)
-        trace = api.run_grid(["fsm"], [config], engine="trace")
+        trace = api.run_grid(["fsm"], [config])
         assert trace.runs[0].result.replay_path == "stepped"
         assert alone.result.replay_path == "stepped"
         # A swept cell serialises exactly like the cell run alone.
@@ -193,8 +193,7 @@ class TestTraceCache:
         gc.collect()
         before = len(sweep_module._trace_cache)
         workload = get_workload("gcd")
-        sweep_module.sweep([workload], [SimulationConfig(**_FAST)],
-                           engine="trace")
+        sweep_module.sweep([workload], [SimulationConfig(**_FAST)])
         assert len(sweep_module._trace_cache) == before + 1
         del workload
         gc.collect()
@@ -203,10 +202,10 @@ class TestTraceCache:
     def test_repeated_sweeps_reuse_the_recording(self):
         workload = get_workload("gcd")
         configs = [SimulationConfig(**_FAST)]
-        sweep_module.sweep([workload], configs, engine="trace")
+        sweep_module.sweep([workload], configs)
         graph = sweep_module.build_cfg_cached(workload.program)
         entries = dict(sweep_module._trace_cache[graph])
-        sweep_module.sweep([workload], configs, engine="trace")
+        sweep_module.sweep([workload], configs)
         assert sweep_module._trace_cache[graph] == entries
 
     def test_prepared_trace_does_not_hold_its_cfg(self):
@@ -226,8 +225,7 @@ class TestReplayErrorRow:
         monkeypatch.setattr(sweep_module, "simulate_trace", broken)
         config = SimulationConfig(decompression="ondemand", k_compress=1,
                                   **_FAST)
-        result = sweep_module.sweep([get_workload("fib")], [config],
-                                    engine="trace")
+        result = sweep_module.sweep([get_workload("fib")], [config])
         [run] = result.runs
         # Re-interpreting would only run the same kernel again: the cell
         # fails loudly, naming the exception.

@@ -25,7 +25,6 @@ def _spec_dict(**overrides):
         "workloads": ["fib"],
         "base": {"codec": "shared-dict", "decompression": "ondemand"},
         "axes": {"grid": {"k_compress": [1, "inf"]}},
-        "engine": "trace",
     }
     fields.update(overrides)
     return fields
@@ -56,12 +55,14 @@ class TestJobKey:
         base = job_key(_spec())
         assert job_key(_spec(executor="parallel", jobs=4)) == base
         assert job_key(_spec(store="/elsewhere")) == base
+        # The legacy engine names run one computation.
+        assert job_key(_spec(engine="machine")) == base
+        assert job_key(_spec(engine="trace")) == base
 
     def test_result_affecting_fields_change_the_key(self):
         base = job_key(_spec())
         assert job_key(_spec(name="other")) != base
         assert job_key(_spec(workloads=["gcd"])) != base
-        assert job_key(_spec(engine="machine")) != base
         assert job_key(
             _spec(axes={"grid": {"k_compress": [1, 2]}})
         ) != base
@@ -85,6 +86,16 @@ class TestSubmitAndDedup:
             assert deduped and again is job
             text = manager.job_result(job)
             assert len(json.loads(text)["cells"]) == 2
+        finally:
+            manager.shutdown()
+
+    def test_both_engine_names_dedup_onto_one_job(self, tmp_path):
+        manager = JobManager(store=str(tmp_path), workers=1)
+        try:
+            job, _ = manager.submit(_spec_dict(engine="machine"))
+            _wait_state(job, "done")
+            again, deduped = manager.submit(_spec_dict(engine="trace"))
+            assert deduped and again is job
         finally:
             manager.shutdown()
 
@@ -204,6 +215,43 @@ class TestJournal:
             # Resumed seq numbering continues past the journal's.
             fresh, _ = manager.submit(_spec_dict(name="later"))
             assert fresh.seq > 9
+        finally:
+            manager.shutdown()
+
+    def test_journalled_spec_naming_an_engine_still_runs(self, tmp_path):
+        # Journals written before the engine left the job key carry
+        # the name in their spec and a key of the old shape: the job
+        # loads, keeps its key and its result has no engine.
+        dead = JobManager(store=str(tmp_path), workers=1, resume=False)
+        dead.shutdown()
+        old_key = "0" * 64
+        entry = {
+            "version": JOURNAL_VERSION,
+            "id": "j3-oldspec",
+            "seq": 3,
+            "key": old_key,
+            "state": "queued",
+            "spec": {**_spec().to_dict(), "engine": "machine"},
+            "created": 0.0,
+            "finished": None,
+            "progress": {},
+            "error_rows": [],
+            "error": None,
+        }
+        os.makedirs(dead.journal_dir, exist_ok=True)
+        with open(os.path.join(dead.journal_dir, "j3-oldspec.json"),
+                  "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+
+        manager = JobManager(store=str(tmp_path), workers=1)
+        try:
+            job = manager.get("j3-oldspec")
+            assert job is not None and job.key == old_key
+            _wait_state(job, "done")
+            data = json.loads(manager.job_result(job))
+            assert data["version"] == api.SCHEMA_VERSION
+            assert "engine" not in data["meta"]
+            assert len(data["cells"]) == 2
         finally:
             manager.shutdown()
 

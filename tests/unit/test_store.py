@@ -63,11 +63,13 @@ class TestFingerprint:
             cell_fingerprint(workload, _config(**change))
 
     def test_engine_fast_and_max_blocks_participate(self):
+        # Every sweep runs one computation, so no engine name takes
+        # part; fast and max_blocks do.
         workload = get_workload("fib")
         config = _config()
-        base = cell_fingerprint(workload, config, engine="machine")
-        assert base != cell_fingerprint(workload, config,
-                                        engine="trace")
+        with pytest.raises(TypeError, match="engine"):
+            cell_fingerprint(workload, config, engine="trace")
+        base = cell_fingerprint(workload, config)
         assert base != cell_fingerprint(workload, config, fast=False)
         assert base != cell_fingerprint(workload, config,
                                         max_blocks=100)
@@ -110,7 +112,7 @@ class TestFingerprint:
         int(version, 16)
 
     def test_catalog_signature_sorted(self):
-        import repro.api  # noqa: F401  (registers engines/executors)
+        import repro.api  # noqa: F401  (registers executors)
 
         catalog = catalog_signature()
         assert list(catalog) == sorted(catalog)

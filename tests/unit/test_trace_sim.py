@@ -221,9 +221,7 @@ class TestTraceTruncation:
         prepared = PreparedTrace.from_result(cfg, result)
         assert prepared.trace == result.block_trace
 
-    @pytest.mark.parametrize("engine", ("machine", "trace"))
-    def test_sweep_falls_back_on_truncated_recording(self, tiny_cap,
-                                                     engine):
+    def test_sweep_falls_back_on_truncated_recording(self, tiny_cap):
         from repro.analysis.sweep import run_one, sweep
 
         workload = get_workload("fib")
@@ -232,7 +230,7 @@ class TestTraceTruncation:
                              **_FAST)
             for k in (1, 4)
         ]
-        swept = sweep([workload], configs, engine=engine)
+        swept = sweep([workload], configs)
         # The recording hit the cap, so every cell must have been
         # interpreted — metrics equal to the cell run alone, registers
         # present.
@@ -253,7 +251,7 @@ class TestTraceTruncation:
         configs = [SimulationConfig(decompression="ondemand",
                                     k_compress=1, **_FAST)]
         with caplog.at_level(logging.WARNING, logger="repro.sweep"):
-            sweep([workload], configs, engine="trace")
+            sweep([workload], configs)
         events = [
             parse_kv(record.getMessage())
             for record in caplog.records
@@ -275,7 +273,7 @@ class TestTraceTruncation:
         configs = [SimulationConfig(decompression="ondemand",
                                     k_compress=1, **_FAST)]
         with caplog.at_level(logging.WARNING, logger="repro.sweep"):
-            result = sweep([workload], configs, engine="trace")
+            result = sweep([workload], configs)
         assert result.runs[0].result.engine == "trace"
         assert not any(
             "sweep.trace_fallback" in record.getMessage()

@@ -409,7 +409,7 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
 
     def forget() -> None:
         # Drop the decision passes memoised on the prepared trace's
-        # plans (their windows stay), so the next replay decides.
+        # plans (the plans stay), so the next replay decides.
         for plan in prepared._plans.values():
             plan.decisions.clear()
 

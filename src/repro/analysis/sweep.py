@@ -16,11 +16,11 @@ built once and the block trace is recorded *once* per distinct
 uncompressed baseline config (``decompression="none"``), then every
 grid cell replays its pair's recording through
 :func:`~repro.runtime.trace_sim.simulate_trace` — the replay kernel
-(:mod:`repro.core.replay`), with whole resident runs fast-forwarded in
-bulk where its batched path applies.  The recording itself is not a
-grid cell; its result is discarded (only its prepared trace and oracle
-validation survive, cached per CFG so repeated sweeps over the same
-workload objects never re-record).
+(:mod:`repro.core.replay`), whose batched path decides each (plan, k,
+``fault_cycles``) once and lets the row's other cells reuse it.  The
+recording itself is not a grid cell; its result is discarded (only its
+prepared trace and oracle validation survive, cached per CFG so
+repeated sweeps over the same workload objects never re-record).
 Compressed payloads are shared across cells via the
 :func:`~repro.memory.image.compression_artifacts` cache, so identical
 block bytes are never recompressed.
@@ -46,14 +46,13 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..cfg.builder import ProgramCFG, build_cfg, build_cfg_cached
+from ..cfg.builder import ProgramCFG, build_cfg_cached
 from ..core.config import SimulationConfig
 from ..core import manager as _manager_mod
 from ..core.manager import CodeCompressionManager
 from ..faults.runtime import cell_guard
-from ..isa.program import Program
 from ..log import kv
 from ..obs.spans import span
 from ..runtime.metrics import Counters, FootprintTimeline, SimulationResult

@@ -45,7 +45,6 @@ from ..core.config import SimulationConfig
 from ..core.manager import CodeCompressionManager
 from ..faults import FaultPlan, FaultRule, RetryPolicy, install_plan
 from ..registry import Registry, all_registries
-from ..runtime.metrics import SimulationResult
 from ..workloads.suite import Workload
 from .executor import (
     EXECUTORS,

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from ..core.config import ConfigError, SimulationConfig
-from ..workloads.suite import WORKLOADS, Workload, get_workload
+from ..workloads.suite import WORKLOADS
 
 #: Config fields a spec may set (everything on SimulationConfig).
 CONFIG_FIELDS = tuple(

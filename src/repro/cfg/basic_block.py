@@ -8,7 +8,7 @@ Section 2).  Blocks are the paper's unit of compression and decompression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..isa.encoding import encode_program
 from ..isa.instructions import INSTRUCTION_SIZE, Instruction, Opcode

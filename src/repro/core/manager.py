@@ -283,8 +283,8 @@ class CodeCompressionManager:
             # trace) before the kernel starts, so the kernel's time
             # excludes interpretation; later ones run as it pulls them.
             self.plans = chain((next(plans),), plans)
-        # The replay kernel runs the whole trace: batched where window
-        # fast-forward applies, else one block at a time.
+        # The replay kernel runs the whole trace: batched where decision
+        # passes may be shared, else stepped.
         if not try_batched_replay(self):
             try_stepped_replay(self)
         return self._finish_run()

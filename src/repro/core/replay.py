@@ -8,7 +8,7 @@ for an interpreting run, which interprets each segment as the kernel
 reaches it.  The kernel runs the paper's runtime over the whole trace
 in a single loop with all hot state in locals: the prologue (first
 footprint sample, program-start prefetches, the entry fetch), then per
-block the entry, the k-edge tick, pre-decompression requests and the
+block the entry, k-edge expiry, pre-decompression requests and the
 next block's fetch — full faults, patch faults and waits for in-flight
 pre-decompressions — and finally the end-of-run contention charge.  It
 covers every strategy family the paper studies: on-demand faults,
@@ -23,16 +23,23 @@ driven through their generic
 :class:`~repro.strategies.base.CompressionPolicy` and
 :class:`~repro.strategies.base.DecompressionPolicy` hooks.
 
+k-edge expiry runs on deadlines.  Section 5's counter goes up by one at
+every branch for every decompressed unit but the branch's destination,
+and resets when the unit executes; so it is the number of steps since
+the unit's last reset, and a unit last reset at step ``s`` expires on
+the tick after step ``s + k - 1`` unless it resets again first or is
+that tick's destination.  A prefetched unit resets as if it entered at
+the step after its fill.  A tick therefore checks only the units last
+reset k - 1 steps earlier: the one entered then, read off the plan, and
+those prefetched for that step; expiries of one tick release in unit-id
+order.  The counters themselves are derived once, at the end of the
+run.  No step walks the resident set.
+
 The manager tries two entry points in turn.  :func:`try_batched_replay`
 takes on-demand runs without a budget, an event log or a policy it
-does not know (:func:`window_envelope`) and adds a window
-fast-forward: the plan pre-aggregates fixed 32-step windows (cycle/step
-sums, distinct edges, per-unit k-edge counter deltas), and whenever the
-current residency and remember-set state proves the window cannot
-fault, release, or patch, the whole window is charged in O(resident
-units) operations instead of 32 per-block iterations.
-:func:`try_stepped_replay` takes every other run and runs the same loop
-one block at a time.
+does not know (:func:`sharing_envelope`), the runs that may share
+decisions (below); :func:`try_stepped_replay` takes every other run.
+Both run the same loop.
 
 Trace replays on the paper's unbounded separate-area image track the
 decompressed area's footprint arithmetically and settle the allocator
@@ -41,7 +48,7 @@ Interpreting runs, the in-place image and bounded areas drive the live
 allocator block by block instead, so its layout (holes, address space,
 relocations) is the real one.
 
-Decision sharing.  Inside :func:`window_envelope` a trace replay's
+Decision sharing.  Inside :func:`sharing_envelope` a trace replay's
 fills, releases and patches depend only on its plan (trace and
 granularity), k and ``fault_cycles``; the codec, assignment, hierarchy,
 ``patch_cycles`` and ``contention`` only price them.  The first such
@@ -79,8 +86,8 @@ from ..strategies.predecompress import PreDecompressAll, PreDecompressSingle
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .manager import CodeCompressionManager
 
-#: Built-in policies the kernel handles directly: k-edge counters are
-#: ticked in place and the decompression policies read only their own
+#: Built-in policies the kernel handles directly: k-edge counters run
+#: as deadlines and the decompression policies read only their own
 #: state, the static CFG and the live residency map.  Any other policy
 #: is driven through its generic hooks, and the manager's edge profile
 #: is then kept live for it to read.
@@ -100,13 +107,13 @@ _EVICT = EventKind.EVICT
 _PREDICT = EventKind.PREDICT
 
 
-def window_envelope(manager: "CodeCompressionManager") -> Optional[str]:
-    """The first condition that keeps a run off the window fast-forward:
-    ``predecompress`` (the policy queues background decompressions),
-    ``budget`` (a memory budget), ``events`` (an event log) or
-    ``policy`` (a compression or decompression policy whose per-step
-    hooks the windows would skip).  None when :func:`try_batched_replay`
-    can take it."""
+def sharing_envelope(manager: "CodeCompressionManager") -> Optional[str]:
+    """The first condition that keeps a run off the batched path, whose
+    trace replays may share decision passes: ``predecompress`` (the
+    policy queues background decompressions), ``budget`` (a memory
+    budget), ``events`` (an event log) or ``policy`` (a compression or
+    decompression policy the kernel drives through its generic hooks).
+    None when :func:`try_batched_replay` can take it."""
     if manager.decompression.uses_thread:
         return "predecompress"
     if manager.residency.budget is not None:
@@ -119,19 +126,20 @@ def window_envelope(manager: "CodeCompressionManager") -> Optional[str]:
 
 
 def try_batched_replay(manager: "CodeCompressionManager") -> bool:
-    """Replay the manager's whole trace with window fast-forward.
+    """Replay the manager's whole trace, sharing decision passes where
+    it can.
 
     Returns True when the trace was replayed; False when the run is
-    outside :func:`window_envelope` — the caller then runs
+    outside :func:`sharing_envelope` — the caller then runs
     :func:`try_stepped_replay`.  Either way ``manager.replay_declined``
     records the condition (None when this path ran).
     """
-    declined = window_envelope(manager)
+    declined = sharing_envelope(manager)
     manager.replay_declined = declined
     if declined is not None:
         return False
     manager.replay_path = "batched"
-    _replay(manager, windowed=True)
+    _replay(manager, shared=True)
     return True
 
 
@@ -141,7 +149,7 @@ def try_stepped_replay(manager: "CodeCompressionManager") -> bool:
     ``replay_declined`` keeps the condition that declined the batched
     path."""
     manager.replay_path = "stepped"
-    _replay(manager, windowed=False)
+    _replay(manager, shared=False)
     return True
 
 
@@ -210,7 +218,7 @@ class _Plans:
         return plan
 
 
-def _replay(manager, windowed: bool) -> None:
+def _replay(manager, shared: bool) -> None:
     residency = manager.residency
     plans = _Plans(manager.plans)
     tracer = manager.tracer if manager.tracer.enabled else None
@@ -219,7 +227,7 @@ def _replay(manager, windowed: bool) -> None:
     if residency.image is None:
         now = _replay_uncompressed(manager, plans, tracer, generic)
     else:
-        now = _replay_compressed(manager, plans, tracer, generic, windowed)
+        now = _replay_compressed(manager, plans, tracer, generic, shared)
     if not generic:
         profile = manager.profile
         profile.record_entry(plans.first)
@@ -349,10 +357,11 @@ class _Decisions:
     (``patched`` = -1) or release (the branch sites it patched back) in
     run order, on the deciding replay's clock; a reusing replay adds
     its fill latency minus the decider's (``geometry``) so far.  A step
-    fills at most one unit and its k-edge tick releases at most one (no
-    two resident counters are equal), so a log holds at most two events
-    per step, 48 bytes once the first reuse compacts it to
-    ``array('q')``.  ``tallies`` are the decider's totals.
+    fills at most one unit and, with no prefetches, its k-edge tick
+    releases at most one (the unit entered k - 1 steps earlier), so a
+    log holds at most two events per step, 48 bytes once the first
+    reuse compacts it to ``array('q')``.  ``tallies`` are the decider's
+    totals.
     """
 
     __slots__ = ("log", "tallies", "geometry", "used_since", "counters",
@@ -384,12 +393,11 @@ class _Decisions:
 
 
 def _replay_compressed(manager, plans, tracer, generic: bool,
-                       windowed: bool) -> int:
+                       shared: bool) -> int:
     """Compressed image: the full fault/prefetch/release/eviction/patch
-    state machine, flattened.  ``windowed`` (inside
-    :func:`window_envelope` only) enables the window fast-forward, and
-    may share decisions (see the module docstring).  Returns the final
-    clock."""
+    state machine, flattened.  ``shared`` (inside
+    :func:`sharing_envelope` only) lets a trace replay share decisions
+    (see the module docstring).  Returns the final clock."""
     residency = manager.residency
     config = manager.config
     image = residency.image
@@ -419,6 +427,12 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         on_expire = compression.on_edge
         on_decompressed = compression.on_unit_decompressed
         on_released = compression.on_unit_released
+    # k-edge deadlines: until the end of the run ``kcount`` maps each
+    # resident unit to its last reset step, counted from the current
+    # plan's first step.  ``fills`` holds the units whose reset step the
+    # plan does not show (reset step -> units): prefetched units, and
+    # after a segment boundary the units reset before it.
+    fills = {}
     profile = manager.profile if generic else None
 
     # Pre-decompression: the policy's own hooks pick the targets.
@@ -453,13 +467,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     hooked = tracer is not None or on_released is not None \
         or budget is not None or emit is not None
 
-    # Window fast-forward: on-demand replays without budget or events.
-    windows = plan.windows if windowed else ()
-    nwin = len(windows)
-    width = plan.window_size
-    wmask = width - 1
-    wshift = width.bit_length() - 1
-
     ready = residency._ready_at
     used_since = residency._used_since_decompress
     # Remember sets, keyed by block id: a block's branch site is its
@@ -479,7 +486,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
 
     # Follow the plan's decision pass for this key, or record one.
     decisions = record = memo = key = None
-    if windowed and arithmetic and tracer is None and not ready \
+    if shared and arithmetic and tracer is None and not ready \
             and not kcount:
         memo = plan.decisions
         key = (k, fault_cycles)
@@ -554,8 +561,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         tmem_accesses += geo[3]
         decompressions += 1
         used_since[unit] = False
-        if kcount is not None:
-            kcount[unit] = 0
         if hooked:
             if tracer is not None:
                 tracer.fill(now, unit, geo[1])
@@ -671,12 +676,15 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             release(victim, _EVICT, now)
             evictions += 1
 
-    def prefetch(targets, protected, now):
+    def prefetch(targets, protected, now, reset, entering):
         """Queue each target's unit on the decompression worker, shedding
         requests past the backlog limit (a shed block faults on demand
         if reached).  ``protected`` is the running block's unit, or
-        None before the first block."""
+        None before the first block.  A filled unit's k-edge counter
+        starts as if it entered at step ``reset``, when unit
+        ``entering`` does enter."""
         nonlocal d_free, d_busy, background, dropped
+        filled = None
         for target in targets:
             tu = unit_of[target]
             if tu in ready:
@@ -688,6 +696,14 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 evict(tu, {tu} if protected is None else {protected, tu},
                       now)
             latency = materialise(tu, now)[1]
+            if kcount is not None:
+                kcount[tu] = reset
+                # The entering unit's entry deadline covers it.
+                if tu != entering:
+                    if filled is None:
+                        filled = fills[reset] = [tu]
+                    else:
+                        filled.append(tu)
             started = d_free if d_free > now else now
             d_free = started + latency
             d_busy += latency
@@ -730,7 +746,8 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     else:
         # ---- prologue: program-start prefetches, then the entry fetch ----
         if pre:
-            prefetch(decompression.on_program_start(trace[0]), None, now)
+            prefetch(decompression.on_program_start(trace[0]), None, now,
+                     0, usteps[0])
         u = usteps[0]
         if u not in ready:
             # A full fault; no branch led here, so nothing is patched.
@@ -763,53 +780,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
 
         pos = 0
         while True:
-            # ---- window fast-forward --------------------------------
-            if nwin and not (pos & wmask):
-                wi = pos >> wshift
-                while wi < nwin:
-                    win = windows[wi]
-                    wunits = win[1]
-                    ok = True
-                    for uu in wunits:
-                        if uu not in ready:
-                            ok = False
-                            break
-                    if ok:
-                        for (es, ed), _count in win[3]:
-                            if site_target.get(es) != ed:
-                                ok = False
-                                break
-                    if ok and k is not None:
-                        heads = win[5]
-                        maxgaps = win[6]
-                        dstc = win[4]
-                        for ru in ready:
-                            if ru in heads:
-                                if (
-                                    kcount[ru] + heads[ru] >= k
-                                    or maxgaps[ru] >= k
-                                ):
-                                    ok = False
-                                    break
-                            elif kcount[ru] + width - dstc.get(ru, 0) >= k:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                    now += win[0]
-                    for uu in win[2]:
-                        used_since[uu] = True
-                    if k is not None:
-                        tails = win[7]
-                        dstc = win[4]
-                        for ru in ready:
-                            if ru in tails:
-                                kcount[ru] = tails[ru]
-                            else:
-                                kcount[ru] += width - dstc.get(ru, 0)
-                    pos += width
-                    wi += 1
-
             # ---- one per-block step: enter, execute -----------------
             b = trace[pos]
             u = usteps[pos]
@@ -835,7 +805,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                         pending_preds.popleft()
             used_since[u] = True
             if kcount is not None:
-                kcount[u] = 0
+                kcount[u] = pos
             now += cycles[pos]
             pos += 1
             if d_pending:
@@ -856,13 +826,18 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 plan = plans.pull()
                 if plan is None:
                     break
+                if kcount is not None:
+                    # Count reset steps from the new plan's first step;
+                    # every resident unit's deadline moves to ``fills``.
+                    fills = {}
+                    for ru in kcount:
+                        reset = kcount[ru] = kcount[ru] - n
+                        fills.setdefault(reset, []).append(ru)
                 base += n
                 trace = plan.trace
                 usteps = plan.unit_steps
                 cycles = plan.cycles
                 n = len(trace)
-                windows = plan.windows if windowed else ()
-                nwin = len(windows)
                 pos = 0
             nb = trace[pos]
             nu = usteps[pos]
@@ -872,24 +847,21 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 if observe is not None:
                     observe(b, nb)
 
-            # ---- k-edge tick: every resident unit but the destination
+            # ---- k-edge expiry: units last reset at step ``due`` --------
             if kcount is not None:
-                expired = None
-                for ru in ready:
-                    if ru == nu:
-                        continue
-                    count = kcount[ru] + 1
-                    kcount[ru] = count
-                    if count >= k:
-                        if expired is None:
-                            expired = [ru]
-                        else:
-                            expired.append(ru)
-                if expired is not None:
-                    if len(expired) > 1:
-                        expired.sort()
+                due = pos - k
+                cu = usteps[due] if due >= 0 else -1
+                if fills and due in fills:
+                    # In unit-id order; a release drops the unit's reset
+                    # step, so a unit listed twice goes once.
+                    expired = fills.pop(due)
+                    expired.append(cu)
+                    expired.sort()
                     for ru in expired:
-                        release(ru, _RECOMPRESS, now)
+                        if ru != nu and kcount.get(ru) == due:
+                            release(ru, _RECOMPRESS, now)
+                elif cu != nu and kcount.get(cu) == due:
+                    release(cu, _RECOMPRESS, now)
             elif on_expire is not None:
                 for ru in on_expire(u, nu):
                     assert ru != nu, (
@@ -912,7 +884,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                         if emit is not None:
                             emit(now, _PREDICT, choice)
                 if targets:
-                    prefetch(targets, u, now)
+                    prefetch(targets, u, now, pos, nu)
 
             # ---- ensure the next block is executable ----------------
             if nu not in ready:
@@ -1007,6 +979,11 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         for unit_id in ready:
             resident_blocks.extend(geometry[unit_id][4])
         image.absorb_replay(sorted(resident_blocks), tmem_accesses, img_rel)
+    if kcount is not None and not following:
+        # Each resident unit's counter: the ticks since its last reset.
+        last = n - 1
+        for unit, reset in kcount.items():
+            kcount[unit] = last - reset
     if record is not None:
         # The pass completed: publish it for every later replay of the
         # plan with this key.

@@ -196,10 +196,9 @@ class ResidencySubsystem:
         if cycles is None:
             cycles = self.unit_decompress_latency(unit_id)
             if self.image is not None:
+                payloads = self.artifacts.payloads
                 cycles += sum(
-                    self.hierarchy.target_read_cycles(
-                        self.image.block(block_id).compressed_size
-                    )
+                    self.hierarchy.target_read_cycles(len(payloads[block_id]))
                     for block_id in self._unit_blocks[unit_id]
                 )
             self._unit_fill_cache[unit_id] = cycles
@@ -224,16 +223,16 @@ class ResidencySubsystem:
         table = artifacts.unit_timing.get(key)
         if table is None:
             align = self.image.allocator._align
+            cfg_blocks = self.cfg.blocks
             table = {}
             for unit_id, blocks in self._unit_blocks.items():
                 blocks_sorted = tuple(sorted(blocks))
                 alloc = 0
                 read_bytes = 0
                 for block_id in blocks_sorted:
-                    image_block = self.image.block(block_id)
-                    alloc += align(max(image_block.uncompressed_size, 1))
+                    alloc += align(max(cfg_blocks[block_id].size_bytes, 1))
                     read_bytes += self.hierarchy.target_read_bytes(
-                        image_block.compressed_size
+                        len(artifacts.payloads[block_id])
                     )
                 table[unit_id] = (
                     alloc,

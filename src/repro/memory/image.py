@@ -294,14 +294,13 @@ class CodeImage(abc.ABC):
     ) -> None:
         self.cfg = cfg
         self.codec = codec
-        self.blocks: List[BlockImage] = []
+        self._blocks: Optional[List[BlockImage]] = None
         self.decompress_count = 0
         self.release_count = 0
         # Armed by the residency subsystem when a run is traced; the
         # null default keeps block_data's hot path to one attribute
         # check on the (rare) memo-miss branch only.
         self.tracer = NULL_TRACER
-        self._artifacts = artifacts
         self._plaintext = artifacts.plaintext if artifacts else {}
         self._codec_map = artifacts.codec_map if artifacts else None
         # Payload sizes never change after construction; the image-size
@@ -334,6 +333,13 @@ class CodeImage(abc.ABC):
             self.model_overhead = int(
                 getattr(codec, "model_overhead_bytes", 0)
             )
+        #: Compressed payloads by block id (precomputed when shared).
+        self._payloads: List[bytes] = (
+            artifacts.payloads if artifacts is not None else [
+                compress_for_image(codec, block_bytes(block))
+                for block in cfg.blocks
+            ]
+        )
 
     def codec_for(self, block_id: int) -> Codec:
         """The codec that owns ``block_id``'s payload (mixed-codec
@@ -341,12 +347,6 @@ class CodeImage(abc.ABC):
         if self._codec_map is not None:
             return self._codec_map[block_id]
         return self.codec
-
-    def _payload(self, block) -> bytes:
-        """Compressed payload for ``block`` (precomputed when shared)."""
-        if self._artifacts is not None:
-            return self._artifacts.payloads[block.block_id]
-        return compress_for_image(self.codec, block_bytes(block))
 
     # -- abstract -------------------------------------------------------
 
@@ -375,6 +375,11 @@ class CodeImage(abc.ABC):
 
     # -- shared ---------------------------------------------------------
 
+    @property
+    def blocks(self) -> List[BlockImage]:
+        """Per-block storage state, indexed by block id."""
+        return self._blocks
+
     def block(self, block_id: int) -> BlockImage:
         """Storage state of ``block_id``."""
         return self.blocks[block_id]
@@ -398,8 +403,7 @@ class CodeImage(abc.ABC):
         if any) — the paper's minimum image."""
         if self._compressed_image_size is None:
             self._compressed_image_size = (
-                sum(len(b.compressed_payload) for b in self.blocks)
-                + self.model_overhead
+                sum(map(len, self._payloads)) + self.model_overhead
             )
         return self._compressed_image_size
 
@@ -407,9 +411,7 @@ class CodeImage(abc.ABC):
     def uncompressed_image_size(self) -> int:
         """Total uncompressed code bytes — the no-compression image."""
         if self._uncompressed_image_size is None:
-            self._uncompressed_image_size = sum(
-                b.uncompressed_size for b in self.blocks
-            )
+            self._uncompressed_image_size = self.cfg.total_size_bytes()
         return self._uncompressed_image_size
 
     @property
@@ -424,7 +426,7 @@ class CodeImage(abc.ABC):
         """Modelled cycles to decompress ``block_id`` (with its own
         codec, under a mixed-codec assignment)."""
         return self.codec_for(block_id).costs.decompress_latency(
-            self.blocks[block_id].uncompressed_size
+            self.cfg.blocks[block_id].size_bytes
         )
 
     def block_data(self, block_id: int) -> bytes:
@@ -439,11 +441,10 @@ class CodeImage(abc.ABC):
         """
         data = self._plaintext.get(block_id)
         if data is None:
-            block = self.blocks[block_id]
             codec = self.codec_for(block_id)
             data = decompress_for_image(
-                codec, block.compressed_payload,
-                block.uncompressed_size,
+                codec, self._payloads[block_id],
+                self.cfg.blocks[block_id].size_bytes,
             )
             self._plaintext[block_id] = data
             if self.tracer.enabled:
@@ -487,23 +488,34 @@ class SeparateAreaImage(CodeImage):
         artifacts: Optional[CompressionArtifacts] = None,
     ) -> None:
         super().__init__(cfg, codec, artifacts=artifacts)
-        cursor = 0
-        for block in cfg.blocks:
-            payload = self._payload(block)
-            self.blocks.append(
-                BlockImage(
-                    block_id=block.block_id,
-                    compressed_payload=payload,
-                    compressed_addr=cursor,
-                    uncompressed_size=block.size_bytes,
-                )
-            )
-            cursor += len(payload)
         # The decompressed area starts right above the compressed area.
+        cursor = sum(map(len, self._payloads))
         base = cursor + (-cursor % alignment)
         self.allocator = FreeListAllocator(
             base=base, capacity=capacity, alignment=alignment
         )
+        #: Block id -> address :meth:`absorb_replay` gave before ``blocks``.
+        self._absorbed: Dict[int, int] = {}
+
+    @property
+    def blocks(self) -> List[BlockImage]:
+        """Per-block storage state, indexed by block id, built on first
+        use: an arithmetic trace replay never needs it."""
+        if self._blocks is None:
+            blocks = []
+            cursor = 0
+            absorbed = self._absorbed
+            for block, payload in zip(self.cfg.blocks, self._payloads):
+                blocks.append(BlockImage(
+                    block_id=block.block_id,
+                    compressed_payload=payload,
+                    compressed_addr=cursor,
+                    uncompressed_size=block.size_bytes,
+                    resident_addr=absorbed.get(block.block_id),
+                ))
+                cursor += len(payload)
+            self._blocks = blocks
+        return self._blocks
 
     def decompress(self, block_id: int) -> int:
         block = self.blocks[block_id]
@@ -540,11 +552,19 @@ class SeparateAreaImage(CodeImage):
         allocation would have left it; transient allocator details a
         replay never observes (hole layout, peak, extent) may differ.
         """
+        allocate = self.allocator.allocate
+        blocks = self._blocks
+        absorbed = self._absorbed
         for block_id in resident_blocks:
-            block = self.blocks[block_id]
-            if not block.is_resident:
-                block.resident_addr = self.allocator.allocate(
-                    max(block.uncompressed_size, 1)
+            if blocks is not None:
+                block = blocks[block_id]
+                if not block.is_resident:
+                    block.resident_addr = allocate(
+                        max(block.uncompressed_size, 1)
+                    )
+            elif block_id not in absorbed:
+                absorbed[block_id] = allocate(
+                    max(self.cfg.blocks[block_id].size_bytes, 1)
                 )
         self.decompress_count += decompressed_blocks
         self.release_count += released_blocks
@@ -584,10 +604,10 @@ class InPlaceImage(CodeImage):
         self.compactions = 0
         self.compaction_bytes_moved = 0
         self._slot: Dict[int, int] = {}  # block id -> current slot address
-        for block in cfg.blocks:
-            payload = self._payload(block)
+        self._blocks = []
+        for block, payload in zip(cfg.blocks, self._payloads):
             address = self.allocator.allocate(max(len(payload), 1))
-            self.blocks.append(
+            self._blocks.append(
                 BlockImage(
                     block_id=block.block_id,
                     compressed_payload=payload,

@@ -9,8 +9,13 @@ sections discuss.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter, lt, mul, sub
 from typing import Dict, List, Optional, Tuple
+
+#: Integers below this (sums of them included) are exact as floats.
+_EXACT_FLOAT = 1 << 53
 
 
 class FootprintTimeline:
@@ -46,40 +51,53 @@ class FootprintTimeline:
     ) -> "FootprintTimeline":
         """Rebuild a timeline from serialised (cycle, footprint) steps.
 
-        Replays through :meth:`record`, so ordering is re-validated and
-        a reconstructed timeline is indistinguishable from the original
-        (the experiment store round-trips results through this).
+        Steps with strictly increasing cycles are adopted as they are;
+        any others go through :meth:`record` (equal cycles merge, out of
+        order raises), so a reconstructed timeline is indistinguishable
+        from the original (the experiment store round-trips results
+        through this).
         """
         timeline = cls()
-        for cycle, footprint in samples:
-            timeline.record(int(cycle), int(footprint))
+        steps = [(int(cycle), int(footprint)) for cycle, footprint in samples]
+        cycles = list(map(itemgetter(0), steps))
+        if all(map(lt, cycles, cycles[1:])):
+            timeline._samples = steps
+        else:
+            for cycle, footprint in steps:
+                timeline.record(cycle, footprint)
         return timeline
 
     @property
     def peak(self) -> int:
         """Largest footprint ever recorded."""
-        return max((value for _, value in self._samples), default=0)
+        return max(map(itemgetter(1), self._samples), default=0)
 
     def average(self, end_cycle: Optional[int] = None) -> float:
         """Time-weighted average footprint up to ``end_cycle``."""
-        if not self._samples:
+        samples = self._samples
+        if not samples:
             return 0.0
+        start = samples[0][0]
         if end_cycle is None:
-            end_cycle = self._samples[-1][0]
-        start = self._samples[0][0]
+            end_cycle = samples[-1][0]
         if end_cycle <= start:
-            return float(self._samples[0][1])
+            return float(samples[0][1])
+        cycles = list(map(itemgetter(0), samples))
+        values = list(map(itemgetter(1), samples))
+        # Each step's footprint times its cycles before ``end_cycle``.
+        cut = bisect_left(cycles, end_cycle)
+        terms = list(map(
+            mul, values[:cut], map(sub, cycles[1:cut] + [end_cycle], cycles)
+        ))
+        span = end_cycle - start
+        total = sum(terms)
+        if total < _EXACT_FLOAT and span < _EXACT_FLOAT and min(values) >= 0:
+            # No partial sum reaches 2**53, so a float sum is exact too.
+            return total / span
         total = 0.0
-        for (cycle, value), (next_cycle, _) in zip(
-            self._samples, self._samples[1:]
-        ):
-            span = min(next_cycle, end_cycle) - cycle
-            if span > 0:
-                total += value * span
-        last_cycle, last_value = self._samples[-1]
-        if end_cycle > last_cycle:
-            total += last_value * (end_cycle - last_cycle)
-        return total / (end_cycle - start)
+        for term in terms:
+            total += term
+        return total / span
 
 
 @dataclass
@@ -184,12 +202,11 @@ class SimulationResult:
     #: diagnostics only: excluded from :meth:`summary` and from every
     #: serialised form, so traced and untraced runs stay byte-identical.
     phases: Optional[Dict[str, int]] = None
-    #: Which replay-kernel path computed the run — ``"batched"`` (with
-    #: window fast-forward) or ``"stepped"`` (one block at a time) — and
-    #: the condition that declined the batched path (see
-    #: :mod:`repro.core.replay`).  ``replay_shared`` is True when a
-    #: batched run charged its clock from a decision pass another run
-    #: made on the same plan.
+    #: Which replay-kernel path computed the run — ``"batched"`` (may
+    #: share decision passes) or ``"stepped"`` — and the condition that
+    #: declined the batched path (see :mod:`repro.core.replay`).
+    #: ``replay_shared`` is True when a batched run charged its clock
+    #: from a decision pass another run made on the same plan.
     #: Provenance only, like ``phases``: never serialised or compared.
     replay_path: Optional[str] = field(default=None, compare=False)
     replay_declined: Optional[str] = field(default=None, compare=False)

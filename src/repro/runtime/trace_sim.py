@@ -27,98 +27,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg.builder import ProgramCFG
 
-#: Steps covered by one fast-forward window of a :class:`ReplayPlan`.
-#: Must be a power of two (the batched kernel tests window alignment
-#: with a bitmask).
-WINDOW_SIZE = 32
-
-
-def _build_window(
-    trace: Sequence[int],
-    unit_steps: Sequence[int],
-    cycles: Sequence[int],
-    start: int,
-    width: int,
-) -> Tuple:
-    """Aggregate one fast-forward window over steps [start, start+width).
-
-    Each step enters ``trace[i]`` (resetting its unit's k-edge counter),
-    then traverses the edge to ``trace[i+1]`` (incrementing every other
-    resident unit's counter).  The window tuple carries everything the
-    batched kernel needs to (a) decide the unit set cannot change across
-    the window and (b) apply the whole window's bookkeeping in bulk:
-
-    ``(cycle_sum, window_units, entered_units, edge_items, dst_counts,
-    heads, maxgaps, tails)``
-
-    * ``window_units`` — units of ``trace[start .. start+width]``
-      (including the final ensure target); all must be resident.
-    * ``edge_items`` — distinct ``(src, dst)`` block edges with counts,
-      in first-traversal order.
-    * ``dst_counts`` — per unit, how many window edges have it as the
-      (exempt) destination unit.
-    * ``heads``/``maxgaps``/``tails`` — per entered unit, k-edge counter
-      increments before its first reset, the largest run between resets
-      (tail included), and the increments after its last reset (= its
-      counter value after the window).
-    """
-    end = start + width
-    cyc = 0
-    edge_items: Dict[Tuple[int, int], int] = {}
-    dst_counts: Dict[int, int] = {}
-    entered: Dict[int, None] = {}
-    units: Dict[int, None] = {}
-    for i in range(start, end):
-        cyc += cycles[i]
-        units[unit_steps[i]] = None
-        entered[unit_steps[i]] = None
-        edge = (trace[i], trace[i + 1])
-        edge_items[edge] = edge_items.get(edge, 0) + 1
-        dst = unit_steps[i + 1]
-        dst_counts[dst] = dst_counts.get(dst, 0) + 1
-    units[unit_steps[end]] = None
-    heads: Dict[int, int] = {}
-    maxgaps: Dict[int, int] = {}
-    tails: Dict[int, int] = {}
-    for unit in entered:
-        head = 0
-        maxgap = 0
-        current: Optional[int] = None
-        for i in range(start, end):
-            if unit_steps[i] == unit:
-                current = 0
-            if unit_steps[i + 1] != unit:
-                if current is None:
-                    head += 1
-                else:
-                    current += 1
-                    if current > maxgap:
-                        maxgap = current
-        heads[unit] = head
-        maxgaps[unit] = maxgap
-        tails[unit] = current or 0
-    return (
-        cyc,
-        tuple(units),
-        tuple(entered),
-        tuple(edge_items.items()),
-        dst_counts,
-        heads,
-        maxgaps,
-        tails,
-    )
-
 
 class ReplayPlan:
-    """Precomputed per-step arrays + window aggregates for one
+    """Precomputed per-step arrays and trace-wide aggregates for one
     (trace, unit granularity) pair.
 
     Built once per :class:`PreparedTrace` per granularity and shared by
     every grid cell that replays the trace — the replay kernel
     (:mod:`repro.core.replay`) walks these flat lists — or once per
     segment of a long interpreting run, whose trace reaches the kernel
-    a segment at a time.  The window aggregates are built on first use:
-    only the batched path reads them.
+    a segment at a time.
 
     ``decisions`` memoises the kernel's completed decision passes,
     ``(k, fault_cycles) ->`` log and end state (at most two events per
@@ -127,9 +45,8 @@ class ReplayPlan:
     """
 
     __slots__ = (
-        "trace", "cycles", "unit_steps", "window_size", "_windows",
-        "total_cycles", "edge_items", "block_visits", "entered_units",
-        "decisions",
+        "trace", "cycles", "unit_steps", "total_cycles", "edge_items",
+        "block_visits", "entered_units", "decisions",
     )
 
     def __init__(
@@ -143,9 +60,7 @@ class ReplayPlan:
         self.trace = trace
         self.cycles = cycles
         self.unit_steps = [unit_of[block_id] for block_id in trace]
-        self.window_size = WINDOW_SIZE
-        self._windows: Optional[List[Tuple]] = None
-        # Trace-wide aggregates (the batched kernel charges these in one
+        # Trace-wide aggregates (the kernel charges these in one
         # operation each instead of summing per step).
         self.total_cycles = sum(self.cycles)
         edge_items: Dict[Tuple[int, int], int] = {}
@@ -166,20 +81,6 @@ class ReplayPlan:
         #: Distinct units the trace enters, in first-entry order.
         self.entered_units = tuple(entered)
         self.decisions: Dict[Tuple, object] = {}
-
-    @property
-    def windows(self) -> List[Tuple]:
-        """The fast-forward windows (see :func:`_build_window`): one per
-        full ``window_size`` steps that has a successor step."""
-        if self._windows is None:
-            width = self.window_size
-            count = (len(self.trace) - 1) // width
-            self._windows = [
-                _build_window(self.trace, self.unit_steps, self.cycles,
-                              wi * width, width)
-                for wi in range(count)
-            ]
-        return self._windows
 
 
 def step_cycles(cfg: ProgramCFG, trace: Sequence[int]) -> List[int]:

@@ -109,9 +109,7 @@ def record_to_run(
             total_cycles=int(data["total_cycles"]),
             execution_cycles=int(data["execution_cycles"]),
             counters=Counters.from_dict(data["counters"]),
-            footprint=FootprintTimeline.from_samples(
-                [(cycle, value) for cycle, value in data["footprint"]]
-            ),
+            footprint=FootprintTimeline.from_samples(data["footprint"]),
             uncompressed_size=int(data["uncompressed_size"]),
             compressed_size=int(data["compressed_size"]),
             registers=(

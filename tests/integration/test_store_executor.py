@@ -153,6 +153,32 @@ class TestCacheEquivalence:
         assert second.canonical_json() == uncached.canonical_json()
 
 
+class TestUndecodableRecords:
+    def test_out_of_order_footprint_is_a_miss(self, tmp_path):
+        spec = _spec()
+        uncached = api.run_experiment(spec)
+        counting = CountingSerial()
+        executor = CachingExecutor(
+            store=str(tmp_path / "store"), inner=counting
+        )
+        api.run_experiment(spec, executor=executor)
+        store = executor.store
+        fingerprints = [
+            os.path.basename(path) for path in store._walk_refs("cells")
+        ]
+        assert len(fingerprints) == len(uncached.runs)
+        for fingerprint in fingerprints:
+            record = store.get_cell(fingerprint)
+            footprint = record["result"]["footprint"]
+            footprint[0], footprint[1] = footprint[1], footprint[0]
+            store.put_cell(fingerprint, record)
+
+        rerun = api.run_experiment(spec, executor=executor)
+        assert counting.cells_computed == 2 * len(uncached.runs)
+        assert executor.hits == 0
+        assert rerun.canonical_json() == uncached.canonical_json()
+
+
 class TestExecutorResolution:
     def test_no_cache_beats_caching_executor_name(self, tmp_path,
                                                   monkeypatch):

@@ -12,6 +12,7 @@ cover the E12 policy-injection path.
 """
 
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.obs.tracer import SpanTracer
 from repro.runtime import PreparedTrace, simulate_trace
 from repro.strategies import (
     STRATEGIES,
+    KEdgeCompression,
     OnDemandDecompression,
     RecencyWindowCompression,
 )
@@ -202,8 +204,8 @@ def _cell(label, **fields):
 
 
 #: Cells the kernel must replay block by block (``stepped``): each has
-#: pre-decompression, a budget or an event log, so the window
-#: fast-forward stays off.  ``memory_budget="tight"`` is
+#: pre-decompression, a budget or an event log, so the batched path
+#: (and its decision sharing) stays off.  ``memory_budget="tight"`` is
 #: sized per workload (and granularity) so that evictions fire;
 #: ``profile="offline"`` is the workload's recorded edge profile.
 _KERNEL_CELLS = [
@@ -341,7 +343,7 @@ class TestKernelEnvelopeEquivalence:
 
     @pytest.mark.parametrize("name", _KERNEL_WORKLOADS)
     @pytest.mark.parametrize("k_compress", [1, 4, None])
-    def test_window_fast_forward_matches_stepping(
+    def test_batched_replay_matches_stepped_replay(
         self, kernel_traces, name, k_compress, monkeypatch
     ):
         cfg, prepared, _ = kernel_traces[name]
@@ -378,6 +380,164 @@ class TestKernelEnvelopeEquivalence:
             {"stepped"}
         assert [run.result.replay_declined for run in swept.runs] == \
             ["predecompress", "predecompress", "budget", "events"]
+
+
+# ----------------------------------------------------------------------
+# k-edge expiry: deadlines instead of a per-step scan of the resident set
+# ----------------------------------------------------------------------
+
+
+def _k_counters(manager):
+    """The k-edge policy's end-state counters: unit -> ticks since its
+    last reset."""
+    return dict(getattr(manager.compression, "_counters", {}))
+
+
+class _CountingDict(dict):
+    """A dict that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class _KEdgeWitness(KEdgeCompression):
+    """The oracle's counter-based k-edge policy, counting the cases a
+    deadline has to get right.
+
+    ``seen`` counts ``superseded`` (a unit entered again before its
+    counter reached k), ``fill superseded`` (the same for a unit whose
+    last reset was a prefetch fill), ``destination due`` (a tick's
+    destination whose counter would have reached k) and keeps the most
+    ``fills expired together`` on one tick."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.filled = set()
+        self.seen = Counter()
+
+    def on_unit_decompressed(self, unit_id):
+        super().on_unit_decompressed(unit_id)
+        self.filled.add(unit_id)
+
+    def on_unit_released(self, unit_id):
+        super().on_unit_released(unit_id)
+        self.filled.discard(unit_id)
+
+    def on_unit_enter(self, unit_id):
+        if 0 < self._counters.get(unit_id, 0) < self.k:
+            self.seen["superseded"] += 1
+            if unit_id in self.filled:
+                self.seen["fill superseded"] += 1
+        super().on_unit_enter(unit_id)
+        self.filled.discard(unit_id)
+
+    def on_edge(self, src_unit, dst_unit):
+        if self._counters.get(dst_unit) == self.k - 1 \
+                and self.view.is_unit_resident(dst_unit):
+            self.seen["destination due"] += 1
+        expired = super().on_edge(src_unit, dst_unit)
+        together = len(self.filled.intersection(expired))
+        if together > self.seen["fills expired together"]:
+            self.seen["fills expired together"] = together
+        return expired
+
+
+@pytest.fixture(scope="module")
+def deadline_traces():
+    """Per workload: (cfg, prepared trace) for the deadline cells."""
+    out = {}
+    for name in ("composite", "cold_paths"):
+        cfg = build_cfg(get_workload(name).program)
+        recorder = CodeCompressionManager(
+            cfg,
+            SimulationConfig(decompression="none", trace_events=False,
+                             record_trace=True),
+        )
+        recorder.run()
+        out[name] = (cfg, PreparedTrace(cfg, recorder.block_trace))
+    return out
+
+
+#: Cells whose oracle run must show the case in ``witness`` (a
+#: ``_KEdgeWitness.seen`` key and its least value), replayed on the path
+#: named in ``path``.
+_DEADLINE_CELLS = [
+    _cell("several-fills-expire-on-one-tick", workload="composite",
+          witness=("fills expired together", 2), path="stepped",
+          decompression="pre-all", k_compress=2, k_decompress=4),
+    _cell("deadline-on-the-destination", workload="composite",
+          witness=("destination due", 1), path="batched", k_compress=4),
+    _cell("entry-supersedes-a-deadline", workload="composite",
+          witness=("superseded", 1), path="batched", k_compress=16),
+    _cell("entry-supersedes-a-fill-deadline", workload="composite",
+          witness=("fill superseded", 1), path="stepped",
+          decompression="pre-single", k_compress=2, k_decompress=2),
+    _cell("end-counters-k16", workload="cold_paths",
+          witness=("superseded", 1), path="batched", k_compress=16),
+    _cell("end-counters-k32", workload="composite",
+          witness=("superseded", 1), path="batched", k_compress=32),
+]
+
+
+class TestKEdgeDeadlines:
+    """k-edge expiry runs as deadlines: the kernel never walks the
+    resident set per step, and every case a deadline must get right
+    matches the oracle's per-edge counters, end-state counters
+    included."""
+
+    @pytest.mark.parametrize("decompression", ["ondemand", "pre-all"])
+    def test_kernel_does_not_scan_the_resident_set(
+        self, deadline_traces, decompression
+    ):
+        cfg, prepared = deadline_traces["composite"]
+        for plan in prepared._plans.values():
+            plan.decisions.clear()
+        config = SimulationConfig(decompression=decompression,
+                                  k_compress=32, k_decompress=2, **_FAST)
+        manager = CodeCompressionManager(cfg, config, trace=prepared)
+        ready = manager.residency._ready_at = _CountingDict()
+        result = manager.run()
+        assert not result.replay_shared
+        assert result.counters.blocks_executed == len(prepared.trace) > 1000
+        assert result.counters.recompressions > 0
+        # Only settling the allocator at the end of the run reads it;
+        # a per-step tick would read it once per step.
+        assert ready.iterations <= 1
+
+    @pytest.mark.parametrize("fields", _DEADLINE_CELLS)
+    def test_cell_identical_to_the_oracle(self, deadline_traces, fields):
+        fields = dict(fields)
+        cfg, prepared = deadline_traces[fields.pop("workload")]
+        key, least = fields.pop("witness")
+        path = fields.pop("path")
+        config = SimulationConfig(**fields, **_FAST)
+        witness = _KEdgeWitness(config.k_compress)
+        oracle, expected = _oracle(cfg, config, prepared,
+                                   compression_policy=witness)
+        assert witness.seen[key] >= least, dict(witness.seen)
+
+        for plan in prepared._plans.values():
+            plan.decisions.clear()
+        kernel, replayed = _run(cfg, config, prepared)
+        machine, interpreted = _run(cfg, config)
+        context = config.strategy_name
+        assert (replayed.replay_path, replayed.replay_shared) == \
+            (path, False), context
+        _assert_results_equal(expected, replayed, context)
+        _assert_results_equal(expected, interpreted, context)
+        assert _k_counters(oracle), context
+        assert _k_counters(kernel) == _k_counters(machine) == \
+            _k_counters(oracle), context
+        assert image_state(machine.residency.image) == \
+            image_state(oracle.residency.image), context
+
+        # A replay that follows the decision pass restores its counters.
+        follower, shared = _run(cfg, config, prepared)
+        assert shared.replay_shared == (path == "batched"), context
+        assert _k_counters(follower) == _k_counters(oracle), context
 
 
 # ----------------------------------------------------------------------
@@ -577,11 +737,11 @@ class TestKernelTakeoverEquivalence:
 # Long interpreting runs: the trace reaches the kernel in segments
 # ----------------------------------------------------------------------
 
-#: Segment lengths: shorter than a window (no window fits), and three
-#: windows plus one step (below the max-blocks cells' 100).
+#: Segment lengths: shorter than most k-edge deadlines, and one below
+#: the max-blocks cells' 100.
 _SEGMENTS = (7, 97)
 
-#: The takeover cells plus window fast-forward (k=16, k=inf), the
+#: The takeover cells plus the batched path at k=16 and k=inf, the
 #: predictor, budget and event paths, and generic hooks without an
 #: image.
 _SEGMENTED_CELLS = _TAKEOVER_CELLS + [
@@ -663,12 +823,14 @@ class TestSegmentedInterpretation:
             assert manager.decompression.edges == \
                 reference.decompression.edges > 0
 
-    @pytest.mark.parametrize("k_compress", [4, 16, None])
-    def test_window_fast_forward_in_segments(self, k_compress,
-                                             monkeypatch):
-        # composite is the suite kernel whose windows fast-forward
-        # (cold_paths and modular barely do): segment by segment too.
-        monkeypatch.setattr(manager_module, "_SEGMENT", 97)
+    @pytest.mark.parametrize("segment, k_compress", [
+        (97, 4), (97, 16), (97, None),
+        # Deadlines that reach back across several segments.
+        (7, 16),
+    ])
+    def test_batched_replay_in_segments(self, segment, k_compress,
+                                        monkeypatch):
+        monkeypatch.setattr(manager_module, "_SEGMENT", segment)
         cfg = build_cfg(get_workload("composite").program)
         config = SimulationConfig(k_compress=k_compress, **_FAST)
         manager, result = _run(cfg, config)
@@ -677,6 +839,7 @@ class TestSegmentedInterpretation:
         _assert_results_equal(expected, result, config.strategy_name)
         assert _profile_state(manager.profile) == \
             _profile_state(oracle.profile)
+        assert _k_counters(manager) == _k_counters(oracle)
         assert image_state(manager.residency.image) == \
             image_state(oracle.residency.image)
 

@@ -2,7 +2,12 @@
 
 import pytest
 
+import repro.memory.image as image_module
+from oracle.layered import image_state
+from repro.cfg import build_cfg
 from repro.compress import get_codec
+from repro.core import SimulationConfig
+from repro.core.manager import CodeCompressionManager
 from repro.memory import (
     AllocationError,
     CompressedCodeFault,
@@ -10,6 +15,8 @@ from repro.memory import (
     InPlaceImage,
     SeparateAreaImage,
 )
+from repro.runtime import PreparedTrace
+from repro.workloads import get_workload
 
 
 @pytest.fixture
@@ -94,6 +101,48 @@ class TestSeparateAreaImage:
 
     def test_decompress_latency_positive(self, image):
         assert image.decompress_latency(0) > 0
+
+
+class TestArithmeticReplayImage:
+    """A trace replay on the unbounded separate area never reads the
+    per-block records, so it builds none; built later, they hold the
+    state building them first would have left."""
+
+    def _replay(self, force_blocks):
+        cfg = build_cfg(get_workload("composite").program)
+        recorder = CodeCompressionManager(
+            cfg, SimulationConfig(decompression="none", record_trace=True)
+        )
+        recorder.run()
+        manager = CodeCompressionManager(
+            cfg, SimulationConfig(k_compress=4),
+            trace=PreparedTrace(cfg, recorder.block_trace),
+        )
+        image = manager.residency.image
+        if force_blocks:
+            image.blocks
+        manager.run()
+        return image
+
+    def test_builds_no_block_images(self, monkeypatch):
+        built = []
+
+        class Counting(image_module.BlockImage):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["block_id"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(image_module, "BlockImage", Counting)
+        image = self._replay(force_blocks=False)
+        assert built == []
+        assert image.resident_blocks()
+        assert len(built) == len(image.cfg.blocks)
+
+    def test_late_blocks_equal_early_blocks(self):
+        late = self._replay(force_blocks=False)
+        early = self._replay(force_blocks=True)
+        assert late._blocks is None
+        assert image_state(late) == image_state(early)
 
 
 class TestInPlaceImage:

@@ -5,6 +5,8 @@ worker (``tests/oracle``); the production worker only keeps the tallies
 the replay kernel leaves behind.
 """
 
+import random
+
 import pytest
 
 from oracle.layered import BackgroundWorker
@@ -90,6 +92,95 @@ class TestFootprintTimeline:
         timeline = FootprintTimeline()
         timeline.record(10, 44)
         assert timeline.average(10) == 44.0
+
+
+def _loop_average(samples, end_cycle=None):
+    """The per-step float loop the bulk integer sum stands in for."""
+    if not samples:
+        return 0.0
+    if end_cycle is None:
+        end_cycle = samples[-1][0]
+    start = samples[0][0]
+    if end_cycle <= start:
+        return float(samples[0][1])
+    total = 0.0
+    for (cycle, value), (next_cycle, _) in zip(samples, samples[1:]):
+        span = min(next_cycle, end_cycle) - cycle
+        if span > 0:
+            total += value * span
+    last_cycle, last_value = samples[-1]
+    if end_cycle > last_cycle:
+        total += last_value * (end_cycle - last_cycle)
+    return total / (end_cycle - start)
+
+
+def _random_samples(rng, steps, cycle_bits, value_bits):
+    cycles = sorted(rng.sample(range(1 << cycle_bits), steps))
+    return [(cycle, rng.randrange(1 << value_bits)) for cycle in cycles]
+
+
+class TestFootprintStatistics:
+    """``peak`` and ``average`` are bit-identical to the per-step loop,
+    and ``from_samples`` keeps :meth:`FootprintTimeline.record`'s
+    checks."""
+
+    @staticmethod
+    def _check(samples, end_cycles):
+        timeline = FootprintTimeline.from_samples(samples)
+        assert timeline.samples == samples
+        assert timeline.peak == max(
+            (value for _, value in samples), default=0
+        )
+        for end_cycle in end_cycles:
+            expected = _loop_average(samples, end_cycle)
+            assert timeline.average(end_cycle).hex() == expected.hex(), \
+                (samples, end_cycle)
+
+    def test_random_timelines_match_the_loop(self):
+        rng = random.Random(2005)
+        for _ in range(400):
+            samples = _random_samples(
+                rng, rng.randint(1, 30), rng.randint(5, 40),
+                rng.randint(1, 24),
+            )
+            first, last = samples[0][0], samples[-1][0]
+            self._check(samples, [
+                None, first, last, last + rng.randint(1, 1 << 20),
+                # Before the last sample: the truncating loop.
+                rng.randint(first, last),
+            ])
+
+    def test_totals_at_or_above_two_to_the_53(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            # Each product may pass 2**53, so the float sum rounds.
+            samples = _random_samples(rng, rng.randint(2, 20), 30, 40)
+            self._check(samples, [None, samples[-1][0] + (1 << 30)])
+        # Totals right at the bound.
+        for value in ((1 << 53) - 1, 1 << 53, (1 << 53) + 1):
+            self._check([(0, value), (1, 1)], [None, 2, 3])
+
+    def test_one_sample_and_empty(self):
+        self._check([(7, 44)], [None, 3, 7, 8, 1 << 60])
+        self._check([], [None, 5])
+
+    def test_from_samples_rejects_out_of_order_cycles(self):
+        with pytest.raises(ValueError, match="out of order"):
+            FootprintTimeline.from_samples([(0, 1), (10, 1), (5, 2)])
+
+    def test_from_samples_merges_equal_cycles(self):
+        timeline = FootprintTimeline.from_samples(
+            [(0, 1), (5, 1), (5, 3), (9, 2)]
+        )
+        assert timeline.samples == [(0, 1), (5, 3), (9, 2)]
+
+    def test_from_samples_coerces_and_checks_shape(self):
+        timeline = FootprintTimeline.from_samples([["0", 7], [3, True]])
+        assert timeline.samples == [(0, 7), (3, 1)]
+        assert all(type(x) is int for step in timeline.samples
+                   for x in step)
+        with pytest.raises(ValueError):
+            FootprintTimeline.from_samples([(0, 1, 2)])
 
 
 class TestBackgroundWorker:

@@ -37,7 +37,7 @@ Quickstart::
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.sweep import SweepRun, _recorded_trace, run_one
 from ..cfg.builder import ProgramCFG, build_cfg, build_cfg_cached
@@ -91,20 +91,33 @@ def run_cell(
     return run_one(workload, config, cfg=cfg, max_blocks=max_blocks)
 
 
-def _cache_meta(executor: Executor) -> "dict[str, Any]":
-    """Execution-provenance cache stats, when the executor keeps any."""
-    hits = getattr(executor, "hits", None)
-    misses = getattr(executor, "misses", None)
-    if hits is None or misses is None:
-        return {}
-    store = getattr(executor, "store", None)
-    return {
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "store": getattr(store, "root", None),
-        }
-    }
+def _run_rows(
+    chosen: Executor,
+    rows: Iterable[Tuple[Union[str, Workload], Sequence[SimulationConfig]]],
+    fast: bool,
+    max_blocks: Optional[int],
+    **meta: Any,
+) -> ResultSet:
+    """Run (workload, configs) rows on ``chosen``: the one place a
+    sweep's :class:`ResultSet` is built.  Its ``meta`` is ``meta`` plus
+    the execution provenance, with cache stats when the executor keeps
+    any."""
+    partitions = [
+        Partition(workload=workload, configs=list(configs))
+        for workload, configs in rows
+    ]
+    started = time.perf_counter()
+    runs = chosen.run(partitions, fast=fast, max_blocks=max_blocks)
+    meta.update(executor=chosen.name, jobs=chosen.jobs,
+                timing={"elapsed_s": time.perf_counter() - started})
+    hits = getattr(chosen, "hits", None)
+    misses = getattr(chosen, "misses", None)
+    if hits is not None and misses is not None:
+        store = getattr(chosen, "store", None)
+        meta["cache"] = {"hits": hits, "misses": misses,
+                         "store": getattr(store, "root", None)}
+    meta["paths"] = path_counts(runs)
+    return ResultSet(runs, meta=meta)
 
 
 def run_experiment(
@@ -135,26 +148,8 @@ def run_experiment(
         store = spec.store
     chosen = make_executor(executor, jobs=effective_jobs, store=store,
                            retry=retry)
-    partitions = [
-        Partition(workload=name, configs=configs)
-        for name, configs in spec.partitions()
-    ]
-    started = time.perf_counter()
-    runs = chosen.run(
-        partitions, fast=spec.fast, max_blocks=spec.max_blocks,
-    )
-    elapsed = time.perf_counter() - started
-    return ResultSet(
-        runs,
-        meta={
-            "name": spec.name,
-            "executor": chosen.name,
-            "jobs": chosen.jobs,
-            "timing": {"elapsed_s": elapsed},
-            **_cache_meta(chosen),
-            "paths": path_counts(runs),
-        },
-    )
+    return _run_rows(chosen, spec.partitions(), spec.fast,
+                     spec.max_blocks, name=spec.name)
 
 
 def run_grid(
@@ -176,23 +171,8 @@ def run_grid(
     the E1-E15 benchmarks reuse cached cells with no code change.
     """
     chosen = make_executor(executor, jobs=jobs, store=store, retry=retry)
-    partitions = [
-        Partition(workload=workload, configs=list(configs))
-        for workload in workloads
-    ]
-    started = time.perf_counter()
-    runs = chosen.run(partitions, fast=fast, max_blocks=max_blocks)
-    elapsed = time.perf_counter() - started
-    return ResultSet(
-        runs,
-        meta={
-            "executor": chosen.name,
-            "jobs": chosen.jobs,
-            "timing": {"elapsed_s": elapsed},
-            **_cache_meta(chosen),
-            "paths": path_counts(runs),
-        },
-    )
+    return _run_rows(chosen, [(workload, configs) for workload in workloads],
+                     fast, max_blocks)
 
 
 def run_instrumented(

@@ -206,38 +206,6 @@ class CodeCompressionManager:
         self.replay_shared = False
 
     # ==================================================================
-    # Artifact export
-    # ==================================================================
-
-    def export_artifacts(self, store) -> Optional[str]:
-        """Persist this run's compressed-image artifacts into ``store``.
-
-        ``store`` is any object with the
-        :meth:`repro.store.cas.ExperimentStore.put_artifact_bundle`
-        interface (duck-typed so this layer never imports the store).
-        Returns the content-addressed artifact key, or None in
-        uncompressed mode (there is nothing to export).  The automatic
-        path — the provider installed by the caching executor — makes
-        this implicit for sweeps; the explicit hook serves one-off
-        instrumented runs (:func:`repro.api.run_instrumented`).
-
-        Mixed-codec runs (a non-uniform codec assignment) also return
-        None: their payload list interleaves codecs, and storing it
-        under the base codec's key would poison the bundle a later
-        uniform run loads.  The per-codec bundles those payloads were
-        assembled from are exported by the automatic provider path
-        anyway.
-        """
-        artifacts = self.residency.artifacts
-        if artifacts is None or artifacts.codec_map is not None:
-            return None
-        return store.put_artifact_bundle(
-            self.config.codec,
-            artifacts.block_data,
-            artifacts.payloads,
-        )
-
-    # ==================================================================
     # ManagerView protocol (what policies can see)
     # ==================================================================
 

@@ -2,25 +2,21 @@
 
 A *job* is one submitted :class:`~repro.api.spec.ExperimentSpec`.  The
 :class:`JobManager` owns a bounded queue feeding a pool of worker
-threads; each worker executes a job cell-by-cell against the shared
-:class:`~repro.store.cas.ExperimentStore`:
+threads; a worker runs a job as one :func:`repro.api.run_experiment`
+call through a :class:`~repro.store.executor.CachingExecutor` on the
+shared :class:`~repro.store.cas.ExperimentStore`, so the service and
+``repro exp`` share one cell loop:
 
-* **planning** reuses :func:`repro.store.executor.plan_cells` — the
-  exact fingerprint path the :class:`CachingExecutor` uses — so the
-  service and the CLI always agree on cell identity;
-* **store hits** are reattached with
-  :func:`~repro.store.records.record_to_run`, byte-identical to a
-  fresh run;
-* **misses** go through an in-process *claim map*: the first job to
-  reach a missing fingerprint claims it and computes; any concurrent
-  job wanting the same cell waits on the claimant's event and then
-  reads the record the claimant stored — every cell is computed at
-  most once per process, and (via the CAS write) at most once per
-  store across processes racing on distinct cells;
-* **claimed cells** run through the ordinary executor stack
-  (:func:`~repro.api.executor.make_executor` + ``RetryPolicy``), so
-  retries, per-cell deadlines, and fault injection behave exactly as
-  they do under ``repro.cli exp``.
+* cell identity, store hits, and retries, per-cell deadlines and fault
+  injection (``RetryPolicy``) behave exactly as they do under
+  ``repro exp``;
+* the executor's process-wide *claim map* computes every cell at most
+  once across concurrent jobs: a job wanting a cell another job has
+  claimed waits and is served the stored record (``shared``) — and,
+  via the CAS write, at most once per store across processes racing
+  on distinct cells;
+* the executor's ``on_cell`` callback is :meth:`Job.emit`, which feeds
+  the job's progress counters and its SSE event stream.
 
 Whole jobs dedup too: :func:`job_key` fingerprints the result-affecting
 spec fields plus the code/catalog versions, and a completed job's
@@ -49,26 +45,20 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api.executor import Partition, make_executor, run_partition
-from ..api.results import ResultSet
+from ..api import run_experiment
 from ..api.spec import ExperimentSpec, SpecError
 from ..faults.retry import RetryPolicy
 from ..log import kv
 from ..obs.spans import span, span_event
 from ..registry import catalog_signature
-from ..store.cas import ExperimentStore, StoreError, _atomic_write
-from ..store.executor import artifact_scope, plan_cells
+from ..store.cas import ExperimentStore, _atomic_write
+from ..store.executor import CachingExecutor, artifact_scope
 from ..store.fingerprint import canonical_dumps, code_version
-from ..store.records import is_cacheable, record_to_run, run_to_record
 
 _log = logging.getLogger("repro.service")
 
 #: Journal schema version (bumped on incompatible entry changes).
 JOURNAL_VERSION = 1
-
-#: How long a job waits for another job's in-flight cell before
-#: recomputing it locally (the claimant may have died or errored).
-CELL_WAIT_TIMEOUT_S = 300.0
 
 
 class ServiceError(RuntimeError):
@@ -152,8 +142,10 @@ class Job:
     # -- mutation (worker side) ---------------------------------------
 
     def emit(self, cell: int, workload: str, label: str, source: str,
-             ok: bool, error: Optional[str]) -> None:
-        """Append one per-cell completion event (SSE consumers poll)."""
+             run: Any) -> None:
+        """Count one finished cell and append its event (SSE consumers
+        poll); the caching executor's ``on_cell`` callback."""
+        ok, error = run.ok, run.error
         with self._lock:
             self.progress["done"] += 1
             self.progress[
@@ -161,6 +153,8 @@ class Job:
                 else "shared" if source == "shared"
                 else "computed"
             ] += 1
+            if run.attempts:
+                self.progress["retried"] += len(run.attempts) - 1
             if not ok:
                 self.progress["errors"] += 1
                 self.error_rows.append({
@@ -172,10 +166,6 @@ class Job:
                 "workload": workload, "label": label, "source": source,
                 "ok": ok, "error": error,
             })
-
-    def note_retries(self, count: int) -> None:
-        with self._lock:
-            self.progress["retried"] += count
 
     # -- observation (HTTP side) --------------------------------------
 
@@ -228,7 +218,6 @@ class JobManager:
         retry: Optional[RetryPolicy] = None,
         queue_size: int = 64,
         resume: bool = True,
-        cell_wait_timeout: float = CELL_WAIT_TIMEOUT_S,
     ) -> None:
         if isinstance(store, ExperimentStore):
             self.store = store
@@ -238,16 +227,17 @@ class JobManager:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         self.inner_jobs = max(1, inner_jobs)
         self.retry = retry
-        self.cell_wait_timeout = cell_wait_timeout
         self._queue: "queue.Queue[str]" = queue.Queue(maxsize=queue_size)
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}
-        self._inflight: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._stopping = False
         self._seq = itertools.count(1)
         # The store serves compressed-image artifacts to every job for
-        # the manager's whole lifetime (restored on shutdown).
+        # the manager's whole lifetime (restored on shutdown).  Each
+        # job's executor also installs a scope of its own; concurrent
+        # jobs restore those out of order, which is harmless only
+        # because every provider they install points at this store.
         self._artifacts = artifact_scope(self.store)
         self._artifacts.__enter__()
         if resume:
@@ -470,172 +460,13 @@ class JobManager:
             self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
-        spec = job.spec
-        partitions = [
-            Partition(workload=name, configs=configs)
-            for name, configs in spec.partitions()
-        ]
-        plan = plan_cells(partitions, fast=spec.fast,
-                          max_blocks=spec.max_blocks)
-
-        # Resolve every cell: store hit, my claim, or someone else's.
-        # rows[i][j] = [fingerprint, original config, effective config,
-        #              source, run-or-None]
-        rows: List[List[List[Any]]] = []
-        my_claims: List[str] = []
-        hits = computed = shared = puts = 0
-        cell_index = 0
-        cell_ids: List[List[int]] = []
-        try:
-            for partition, plan_row in zip(partitions, plan):
-                row: List[List[Any]] = []
-                ids: List[int] = []
-                for config, (fingerprint, cell_config) in zip(
-                    partition.configs, plan_row
-                ):
-                    ids.append(cell_index)
-                    cell_index += 1
-                    run = self._load_cell(fingerprint, cell_config)
-                    if run is not None:
-                        row.append([fingerprint, config, cell_config,
-                                    "cache", run])
-                        continue
-                    claimed = False
-                    with self._lock:
-                        if fingerprint not in self._inflight:
-                            self._inflight[fingerprint] = (
-                                threading.Event()
-                            )
-                            claimed = True
-                    if claimed:
-                        my_claims.append(fingerprint)
-                        # Close the claim/release race: the previous
-                        # claimant may have stored the record between
-                        # our read and our claim.
-                        run = self._load_cell(fingerprint, cell_config)
-                        if run is not None:
-                            self._release_claim(fingerprint)
-                            my_claims.remove(fingerprint)
-                            row.append([fingerprint, config, cell_config,
-                                        "cache", run])
-                            continue
-                        row.append([fingerprint, config, cell_config,
-                                    "claimed", None])
-                    else:
-                        row.append([fingerprint, config, cell_config,
-                                    "shared", None])
-                rows.append(row)
-                cell_ids.append(ids)
-
-            # Emit plan-time hits in cell order before computing.
-            for partition, row, ids in zip(partitions, rows, cell_ids):
-                for cell, (fp, config, cell_config, source, run) in zip(
-                    ids, row
-                ):
-                    if source == "cache":
-                        hits += 1
-                        job.emit(cell, partition.workload_name,
-                                 cell_config.strategy_name, "cache",
-                                 run.ok, run.error)
-
-            # Compute my claimed cells through the normal executor
-            # stack, workload-major so the fast paths apply.
-            claimed_parts: List[Partition] = []
-            claimed_cells: List[List[List[Any]]] = []
-            claimed_ids: List[List[int]] = []
-            for partition, row, ids in zip(partitions, rows, cell_ids):
-                configs = [c[1] for c in row if c[3] == "claimed"]
-                if not configs:
-                    continue
-                claimed_parts.append(
-                    Partition(workload=partition.workload,
-                              configs=configs)
-                )
-                claimed_cells.append(
-                    [c for c in row if c[3] == "claimed"]
-                )
-                claimed_ids.append([
-                    cell for cell, c in zip(ids, row)
-                    if c[3] == "claimed"
-                ])
-            if claimed_parts:
-                inner = make_executor(
-                    None, jobs=self.inner_jobs, store=False,
-                    retry=self.retry,
-                )
-                flat = inner.run(
-                    claimed_parts, fast=spec.fast,
-                    max_blocks=spec.max_blocks,
-                )
-                cursor = 0
-                for part, cells, ids in zip(
-                    claimed_parts, claimed_cells, claimed_ids
-                ):
-                    part_runs = flat[cursor:cursor + len(cells)]
-                    cursor += len(cells)
-                    for cell, slot, run in zip(ids, cells, part_runs):
-                        slot[4] = run
-                        computed += 1
-                        if run.attempts:
-                            job.note_retries(max(0, len(run.attempts) - 1))
-                        if is_cacheable(run):
-                            self.store.put_cell(
-                                slot[0], run_to_record(run, slot[0])
-                            )
-                            puts += 1
-                        # Publish before waking waiters, so they hit.
-                        self._release_claim(slot[0])
-                        my_claims.remove(slot[0])
-                        job.emit(cell, part.workload_name,
-                                 slot[2].strategy_name, "computed",
-                                 run.ok, run.error)
-
-            # Wait for cells other jobs claimed; recompute locally if
-            # the claimant errored (errors are never cached) or died.
-            for partition, row, ids in zip(partitions, rows, cell_ids):
-                for cell, slot in zip(ids, row):
-                    if slot[3] != "shared":
-                        continue
-                    fingerprint, config, cell_config = slot[:3]
-                    event = self._inflight.get(fingerprint)
-                    if event is not None:
-                        event.wait(self.cell_wait_timeout)
-                    run = self._load_cell(fingerprint, cell_config)
-                    source = "shared"
-                    if run is None:
-                        run = run_partition(
-                            partition.workload, [config],
-                            spec.fast, spec.max_blocks, self.retry,
-                        )[0]
-                        source = "computed"
-                        computed += 1
-                        if run.attempts:
-                            job.note_retries(max(0, len(run.attempts) - 1))
-                        if is_cacheable(run):
-                            self.store.put_cell(
-                                fingerprint,
-                                run_to_record(run, fingerprint),
-                            )
-                            puts += 1
-                    else:
-                        shared += 1
-                    slot[3], slot[4] = source, run
-                    job.emit(cell, partition.workload_name,
-                             cell_config.strategy_name, source,
-                             run.ok, run.error)
-        finally:
-            for fingerprint in my_claims:
-                self._release_claim(fingerprint)
-
-        runs = [slot[4] for row in rows for slot in row]
-        result = ResultSet(runs, meta={"name": spec.name})
+        result = run_experiment(job.spec, executor=CachingExecutor(
+            jobs=self.inner_jobs, store=self.store, retry=self.retry,
+            on_cell=job.emit,
+        ))
         text = result.canonical_json()
         self.store.put_job_result(job.key, text)
-        # Shared cells were computed by another job but served to this
-        # one from the store — cache hits from this job's perspective.
-        self.store.add_usage(hits=hits + shared, misses=computed,
-                             puts=puts)
-        phases = self._aggregate_phases(runs)
+        phases = self._aggregate_phases(result.runs)
         with job._lock:
             job.result_text = text
             job.phases = phases
@@ -662,21 +493,6 @@ class JobManager:
                 + res.counters.background_compress_cycles
             )
         return phases
-
-    def _load_cell(self, fingerprint: str, cell_config) -> Optional[Any]:
-        record = self.store.get_cell(fingerprint)
-        if record is None:
-            return None
-        try:
-            return record_to_run(record, cell_config)
-        except StoreError:
-            return None  # stale/corrupt record: recompute
-
-    def _release_claim(self, fingerprint: str) -> None:
-        with self._lock:
-            event = self._inflight.pop(fingerprint, None)
-        if event is not None:
-            event.set()
 
     # ------------------------------------------------------------------
     # Shutdown

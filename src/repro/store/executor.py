@@ -1,16 +1,33 @@
-"""The cache-aware executor: consult the store, compute only the gaps.
+"""The cache-aware executor: the one store-backed cell loop.
 
 :class:`CachingExecutor` (registered as ``"caching"``) sits between the
-api facade and the Serial/Parallel executors.  For every cell of the
-expanded grid it computes the canonical fingerprint, serves hits from
-the :class:`~repro.store.cas.ExperimentStore`, groups the misses back
-into workload-major partitions (preserving the trace-replay and
+api facade and the Serial/Parallel executors; sweep-service jobs run
+through it too.  For every cell of the expanded grid it computes the
+canonical fingerprint, claims the cell, reads it from the
+:class:`~repro.store.cas.ExperimentStore`, groups the misses back into
+workload-major partitions (preserving the trace-replay and
 shared-artifact fast paths within each partition), dispatches only
 those to the wrapped executor, and writes the fresh results back.  The
 reassembled run list is in the exact cell order an uncached executor
 would produce, so a fully- or partially-cached run is byte-identical
 to a cold one — and a re-run of an interrupted sweep only computes the
 cells that never landed.
+
+Concurrent runs in one process compute each cell at most once, through
+a process-wide *claim map* keyed by (store root, fingerprint):
+
+* a run claims a cell before it reads it; a hit releases the claim at
+  once, a miss holds it until the fresh record is stored;
+* a cell another run has claimed is waited for (at most
+  :data:`CELL_WAIT_TIMEOUT_S`) and then read once — a claimant always
+  stores before it releases, so that read finds every cell the
+  claimant stored, and the cell is served as ``shared``;
+* a waiter whose claimant stored nothing (an error row, or the
+  claimant raised) computes the cell itself.
+
+Across processes the CAS write keeps racing writers safe.  ``on_cell``
+sees every cell once: the hits in cell order, then each computed
+partition as it lands, then the shared cells.
 
 While the inner executor runs, the store is also exposed as the
 persistent *artifact* provider (both in-process and, through the
@@ -24,7 +41,9 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import threading
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.sweep import SweepRun, effective_config
 from ..api.executor import EXECUTORS, Executor, Partition, make_executor
@@ -42,6 +61,30 @@ _log = logging.getLogger("repro.store.executor")
 #: Environment variable carrying the artifact-store directory into
 #: worker processes (installed below at import time).
 ARTIFACTS_ENV = "REPRO_STORE_ARTIFACTS"
+
+#: How long a run waits on another run's claim before computing the
+#: cell itself (the claimant may be wedged).
+CELL_WAIT_TIMEOUT_S = 300.0
+
+#: In-flight cells of this process: (store root, fingerprint) -> the
+#: event the claimant sets when it releases the claim.
+_CLAIMS: Dict[Tuple[str, str], threading.Event] = {}
+_CLAIMS_LOCK = threading.Lock()
+
+def _claim(key: Tuple[str, str]) -> Optional[threading.Event]:
+    """Claim ``key``: None when granted, else the holder's event."""
+    with _CLAIMS_LOCK:
+        event = _CLAIMS.get(key)
+        if event is None:
+            _CLAIMS[key] = threading.Event()
+        return event
+
+
+def _release(key: Tuple[str, str]) -> None:
+    with _CLAIMS_LOCK:
+        event = _CLAIMS.pop(key, None)
+    if event is not None:
+        event.set()
 
 
 class StoreArtifactProvider:
@@ -103,9 +146,7 @@ def plan_cells(
     cell_config)`` pairs in config order, where ``cell_config`` is the
     sweep's *effective* config (fast overrides applied) — the config a
     cached record must be reattached to so a hit is indistinguishable
-    from a fresh run.  This is the single planning path shared by the
-    :class:`CachingExecutor` and the sweep service's job runner, so
-    both sides of a cache handoff always agree on the key.
+    from a fresh run.
     """
     if catalog is None:
         catalog = catalog_signature()
@@ -153,6 +194,31 @@ def artifact_scope(store: ExperimentStore):
             os.environ[ARTIFACTS_ENV] = previous_env
 
 
+class _Cell:
+    """One grid cell on its way through :meth:`CachingExecutor.run`."""
+
+    __slots__ = ("index", "partition", "config", "fingerprint",
+                 "cell_config", "key", "claimed", "run", "source")
+
+    def __init__(self, index: int, partition: Partition, config,
+                 fingerprint: str, cell_config, root: str) -> None:
+        self.index = index
+        self.partition = partition
+        self.config = config
+        self.fingerprint = fingerprint
+        self.cell_config = cell_config
+        self.key = (root, fingerprint)
+        self.claimed = False
+        self.run: Optional[SweepRun] = None
+        self.source: Optional[str] = None
+
+    def release(self) -> None:
+        """Give up this cell's claim, if it holds one."""
+        if self.claimed:
+            self.claimed = False
+            _release(self.key)
+
+
 @EXECUTORS.register("caching")
 class CachingExecutor(Executor):
     """Store-backed executor wrapper (see module docstring).
@@ -160,7 +226,10 @@ class CachingExecutor(Executor):
     ``store`` is an :class:`ExperimentStore`, a directory path, or None
     (resolve ``$REPRO_STORE_DIR``, falling back to the default
     directory).  ``inner`` names the wrapped executor — default serial
-    for one job, parallel otherwise.
+    for one job, parallel otherwise.  ``on_cell(cell, workload, label,
+    source, run)`` is called once per cell, ``source`` being
+    ``"cache"``, ``"computed"`` or ``"shared"``; the sweep service
+    streams its progress events from it.
     """
 
     def __init__(
@@ -169,6 +238,9 @@ class CachingExecutor(Executor):
         store: Union[ExperimentStore, str, None] = None,
         inner: Union[str, Executor, None] = None,
         retry=None,
+        on_cell: Optional[
+            Callable[[int, str, str, str, SweepRun], None]
+        ] = None,
     ) -> None:
         super().__init__(jobs, retry)
         if isinstance(store, ExperimentStore):
@@ -188,6 +260,7 @@ class CachingExecutor(Executor):
                 "executor"
             )
         self.jobs = self.inner.jobs
+        self.on_cell = on_cell
         #: Session counters for the most recent lifetime of this
         #: executor (the persistent totals live in the store itself).
         self.hits = 0
@@ -204,121 +277,138 @@ class CachingExecutor(Executor):
                   partitions=len(partitions)):
             plan = plan_cells(partitions, fast=fast,
                               max_blocks=max_blocks)
-        fingerprints: List[List[str]] = []
-        cached: List[List[Optional[SweepRun]]] = []
-        with span("store.lookup", cat="store",
-                  cells=sum(len(row) for row in plan)):
-            for row in plan:
-                row_fps: List[str] = []
-                row_runs: List[Optional[SweepRun]] = []
-                for fingerprint, cell_config in row:
-                    row_fps.append(fingerprint)
-                    record = self.store.get_cell(fingerprint)
-                    run: Optional[SweepRun] = None
-                    if record is not None:
-                        try:
-                            run = record_to_run(record, cell_config)
-                        except StoreError:
-                            run = None  # stale/corrupt record: recompute
-                    span_event(
-                        "store.hit" if run is not None
-                        else "store.miss",
-                        cat="store", fingerprint=fingerprint[:12],
-                    )
-                    row_runs.append(run)
-                fingerprints.append(row_fps)
-                cached.append(row_runs)
-
-        # Misses, regrouped into workload-major partitions so the
-        # trace-replay and shared-artifact fast paths still apply.
-        missing: List[Tuple[Partition, List[str]]] = []
-        for partition, row_fps, row_runs in zip(
-            partitions, fingerprints, cached
-        ):
-            configs: List = []
-            fps: List[str] = []
-            for config, fingerprint, run in zip(
-                partition.configs, row_fps, row_runs
-            ):
-                if run is None:
-                    configs.append(config)
-                    fps.append(fingerprint)
-            if configs:
-                missing.append((
-                    Partition(workload=partition.workload,
-                              configs=configs),
-                    fps,
-                ))
-
-        computed_by_fp: Dict[str, SweepRun] = {}
+        root = os.path.abspath(self.store.root)
+        cells: List[_Cell] = []
+        missing: List[Tuple[Partition, List[_Cell]]] = []
+        waiting: List[Tuple[_Cell, threading.Event]] = []
         puts = 0
-        if missing:
-            with self._artifact_store_scope(), span(
-                "store.compute", cat="store",
-                cells=sum(len(fps) for _, fps in missing),
-            ):
-                if self.inner.jobs <= 1 and len(missing) > 1:
-                    # Serial inner: dispatch partition by partition and
-                    # persist each as it completes, so an interrupted
-                    # sweep keeps every finished partition and resumes
-                    # from there.  (A parallel inner needs the whole
-                    # list in one call to fan out across workloads;
-                    # there, the persistence boundary is the dispatch.)
-                    for partition, fps in missing:
-                        part_runs = self.inner.run(
-                            [partition], fast=fast, max_blocks=max_blocks,
-                        )
-                        puts += self._record_results(
-                            fps, part_runs, computed_by_fp
-                        )
-                else:
-                    flat = self.inner.run(
-                        [partition for partition, _ in missing],
-                        fast=fast, max_blocks=max_blocks,
-                    )
-                    cursor = 0
-                    for _, fps in missing:
-                        part_runs = flat[cursor:cursor + len(fps)]
-                        cursor += len(fps)
-                        puts += self._record_results(
-                            fps, part_runs, computed_by_fp
-                        )
+        try:
+            with span("store.lookup", cat="store",
+                      cells=sum(len(row) for row in plan)):
+                for partition, row in zip(partitions, plan):
+                    misses: List[_Cell] = []
+                    for config, (fingerprint, cell_config) in zip(
+                        partition.configs, row
+                    ):
+                        cell = _Cell(len(cells), partition, config,
+                                     fingerprint, cell_config, root)
+                        cells.append(cell)
+                        event = _claim(cell.key)
+                        if event is not None:
+                            waiting.append((cell, event))
+                            continue
+                        cell.claimed = True  # held until its record lands
+                        cell.run = self._read(cell)
+                        if cell.run is None:
+                            misses.append(cell)
+                        else:
+                            cell.release()
+                    if misses:
+                        missing.append((
+                            Partition(workload=partition.workload,
+                                      configs=[c.config for c in misses]),
+                            misses,
+                        ))
+            for cell in cells:
+                if cell.run is not None:
+                    self._emit(cell, "cache")
 
-        runs: List[SweepRun] = []
-        hits = misses = 0
-        for row_fps, row_runs in zip(fingerprints, cached):
-            for fingerprint, cached_run in zip(row_fps, row_runs):
-                if cached_run is not None:
-                    hits += 1
-                    runs.append(cached_run)
-                else:
-                    misses += 1
-                    runs.append(computed_by_fp[fingerprint])
+            if missing:
+                puts += self._compute(missing, fast, max_blocks)
+            for cell, event in waiting:
+                event.wait(CELL_WAIT_TIMEOUT_S)
+                cell.run = self._read(cell)
+                if cell.run is not None:
+                    self._emit(cell, "shared")
+                    continue
+                # The claimant stored nothing: compute it here.
+                puts += self._compute([(
+                    Partition(workload=cell.partition.workload,
+                              configs=[cell.config]),
+                    [cell],
+                )], fast, max_blocks)
+        finally:
+            for cell in cells:
+                cell.release()
+
+        # Shared cells were computed by another run but served to this
+        # one from the store: hits from this run's perspective.
+        computed = sum(cell.source == "computed" for cell in cells)
+        hits = len(cells) - computed
         self.hits += hits
-        self.misses += misses
-        self.store.add_usage(hits=hits, misses=misses, puts=puts)
-        return runs
+        self.misses += computed
+        self.store.add_usage(hits=hits, misses=computed, puts=puts)
+        return [cell.run for cell in cells]
 
-    def _record_results(
+    def _read(self, cell: _Cell) -> Optional[SweepRun]:
+        """The cell's stored run; None on a miss or an undecodable
+        (stale or corrupt) record, which is recomputed like a miss."""
+        record = self.store.get_cell(cell.fingerprint)
+        run: Optional[SweepRun] = None
+        if record is not None:
+            try:
+                run = record_to_run(record, cell.cell_config)
+            except StoreError:
+                run = None
+        span_event("store.hit" if run is not None else "store.miss",
+                   cat="store", fingerprint=cell.fingerprint[:12])
+        return run
+
+    def _compute(
         self,
-        fps: Sequence[str],
-        part_runs: Sequence[SweepRun],
-        computed_by_fp: Dict[str, SweepRun],
+        missing: Sequence[Tuple[Partition, List[_Cell]]],
+        fast: bool,
+        max_blocks: Optional[int],
     ) -> int:
-        """Persist one partition's fresh results; returns puts made."""
+        """Compute the missing cells, partition by partition, and store
+        them; returns the puts made."""
+        with artifact_scope(self.store), span(
+            "store.compute", cat="store",
+            cells=sum(len(cells) for _, cells in missing),
+        ):
+            if self.inner.jobs <= 1:
+                # Serial inner: dispatch partition by partition and
+                # persist each as it completes, so an interrupted sweep
+                # keeps every finished partition and resumes from
+                # there.  (A parallel inner needs the whole list in one
+                # call to fan out across workloads; there, the
+                # persistence boundary is the dispatch.)
+                return sum(
+                    self._store_computed(cells, self.inner.run(
+                        [partition], fast=fast, max_blocks=max_blocks,
+                    ))
+                    for partition, cells in missing
+                )
+            runs = iter(self.inner.run(
+                [partition for partition, _ in missing],
+                fast=fast, max_blocks=max_blocks,
+            ))
+            return sum(
+                self._store_computed(cells, islice(runs, len(cells)))
+                for _, cells in missing
+            )
+
+    def _store_computed(self, cells: Sequence[_Cell], runs) -> int:
+        """Persist fresh results, releasing each claim only after its
+        put (a waiter woken by the release must find the record);
+        returns the puts made."""
         puts = 0
-        for fingerprint, run in zip(fps, part_runs):
-            computed_by_fp[fingerprint] = run
+        for cell, run in zip(cells, runs):
             if is_cacheable(run):
                 self.store.put_cell(
-                    fingerprint, run_to_record(run, fingerprint)
+                    cell.fingerprint, run_to_record(run, cell.fingerprint)
                 )
                 puts += 1
+            cell.release()
+            cell.run = run
+            self._emit(cell, "computed")
         return puts
 
-    def _artifact_store_scope(self):
-        """Artifact sharing while the inner executor runs."""
-        return artifact_scope(self.store)
+    def _emit(self, cell: _Cell, source: str) -> None:
+        cell.source = source
+        if self.on_cell is not None:
+            self.on_cell(cell.index, cell.partition.workload_name,
+                         cell.cell_config.strategy_name, source, cell.run)
 
     def __repr__(self) -> str:
         return (

@@ -175,36 +175,52 @@ class TestPerUnitLatency:
         )
 
 
-class TestArtifactExport:
-    def test_mixed_runs_never_export_under_base_codec_key(self):
-        # A mixed payload list stored under the base codec's key would
-        # poison what a later *uniform* run loads from the bundle
-        # store; export must decline instead.
-        class Recorder:
-            calls = []
+class TestArtifactProvider:
+    def test_mixed_cell_never_poisons_a_uniform_cells_bundle(
+        self, tmp_path, monkeypatch
+    ):
+        # A mixed cell's payload list interleaves codecs; stored under
+        # the base codec's key it would poison the bundle a later
+        # uniform cell loads.  Through the store's artifact provider, a
+        # mixed cell and then a uniform cell against one store must
+        # leave the uniform cell with a store-less run's payloads.
+        from repro.memory.image import artifact_cache
+        from repro.store import ExperimentStore
+        from repro.store.executor import artifact_scope
 
-            def put_artifact_bundle(self, codec_name, block_data,
-                                    payloads):
-                self.calls.append(codec_name)
-                return "key"
-
-        profile = api.profile_workload("composite")
         cfg = build_cfg(get_workload("composite").program)
-        store = Recorder()
-        mixed_manager, _ = api.run_instrumented(
-            cfg,
-            SimulationConfig(
-                codec="shared-dict", assignment="hotness-threshold",
-                profile=profile,
-            ),
+        mixed_config = SimulationConfig(
+            codec="shared-dict", assignment="hotness-threshold",
+            profile=api.profile_workload("composite"),
         )
-        assert mixed_manager.export_artifacts(store) is None
-        assert store.calls == []
-        uniform_manager, _ = api.run_instrumented(
-            cfg, SimulationConfig(codec="shared-dict")
-        )
-        assert uniform_manager.export_artifacts(store) == "key"
-        assert store.calls == ["shared-dict"]
+        uniform_config = SimulationConfig(codec="shared-dict")
+        artifact_cache().clear()
+        storeless, _ = api.run_instrumented(cfg, uniform_config)
+        store = ExperimentStore(tmp_path / "store")
+        loaded = []
+        get_bundle = store.get_artifact_bundle
+
+        def recording_get(codec_name, block_data):
+            payloads = get_bundle(codec_name, block_data)
+            loaded.append((codec_name, payloads is not None))
+            return payloads
+
+        monkeypatch.setattr(store, "get_artifact_bundle", recording_get)
+        try:
+            with artifact_scope(store):
+                artifact_cache().clear()
+                mixed, _ = api.run_instrumented(cfg, mixed_config)
+                assert mixed.residency.artifacts.codec_map is not None
+                # A cold memo, as in a fresh process: the uniform cell
+                # loads its payloads from the store.
+                artifact_cache().clear()
+                del loaded[:]
+                uniform, _ = api.run_instrumented(cfg, uniform_config)
+        finally:
+            artifact_cache().clear()
+        assert loaded == [("shared-dict", True)]
+        assert uniform.residency.artifacts.payloads == \
+            storeless.residency.artifacts.payloads
 
 
 class TestProfileWorkload:

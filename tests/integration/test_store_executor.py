@@ -10,6 +10,8 @@ it.
 
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +19,9 @@ import repro.core.manager as manager_module
 from repro import api
 from repro.api.executor import SerialExecutor
 from repro.store import ExperimentStore
+from repro.store import executor as store_executor
 from repro.store.executor import CachingExecutor
+from repro.store.records import run_to_record
 
 
 def _spec(**overrides):
@@ -177,6 +181,180 @@ class TestUndecodableRecords:
         assert counting.cells_computed == 2 * len(uncached.runs)
         assert executor.hits == 0
         assert rerun.canonical_json() == uncached.canonical_json()
+
+
+class _Gate(threading.Event):
+    """A claim's event that reports when a run starts waiting on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.waited = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waited.set()
+        return super().wait(timeout)
+
+
+class TestClaims:
+    """The claim map: claim, read once, hold a miss until it is stored."""
+
+    @staticmethod
+    def _hold_only_cell(store, spec):
+        """Claim ``spec``'s one cell from the test thread, as another
+        run would; returns the claim key and its gate."""
+        partitions = [
+            api.Partition(workload=name, configs=configs)
+            for name, configs in spec.partitions()
+        ]
+        [[(fingerprint, _)]] = store_executor.plan_cells(
+            partitions, fast=spec.fast, max_blocks=spec.max_blocks,
+        )
+        key = (os.path.abspath(store.root), fingerprint)
+        gate = _Gate()
+        with store_executor._CLAIMS_LOCK:
+            assert key not in store_executor._CLAIMS
+            store_executor._CLAIMS[key] = gate
+        return key, gate
+
+    def _run_against_held_claim(self, tmp_path, store_the_cell):
+        spec = _spec(workloads=["fib"], axes=api.grid(k_compress=[1]))
+        uncached = api.run_experiment(spec)
+        store = ExperimentStore(tmp_path / "store")
+        key, gate = self._hold_only_cell(store, spec)
+        counting = CountingSerial()
+        events = []
+        executor = CachingExecutor(
+            store=store, inner=counting,
+            on_cell=lambda *event: events.append(event),
+        )
+        results = []
+        runner = threading.Thread(target=lambda: results.append(
+            api.run_experiment(spec, executor=executor)
+        ))
+        runner.start()
+        try:
+            while runner.is_alive() and not gate.waited.wait(0.05):
+                pass
+            assert gate.waited.is_set(), "the run never waited"
+            if store_the_cell:
+                store.put_cell(key[1], run_to_record(uncached.runs[0],
+                                                     key[1]))
+        finally:
+            store_executor._release(key)
+            runner.join(60)
+        [result] = results
+        assert result.canonical_json() == uncached.canonical_json()
+        assert [event[:4] for event in events] == [
+            (0, "fib", uncached.runs[0].config.strategy_name,
+             "shared" if store_the_cell else "computed"),
+        ]
+        assert events[0][4] is result.runs[0]
+        return result, counting, store.stats()
+
+    def test_a_claimed_cell_is_served_once_its_holder_stores_it(
+        self, tmp_path
+    ):
+        result, counting, stats = self._run_against_held_claim(
+            tmp_path, store_the_cell=True
+        )
+        assert counting.cells_computed == 0
+        assert result.meta["cache"]["hits"] == 1
+        assert (stats["hits"], stats["misses"], stats["puts"]) == \
+            (1, 0, 0)
+
+    def test_a_waiter_computes_what_its_holder_never_stored(
+        self, tmp_path
+    ):
+        result, counting, stats = self._run_against_held_claim(
+            tmp_path, store_the_cell=False
+        )
+        assert counting.cells_computed == 1
+        assert result.meta["cache"]["misses"] == 1
+        assert (stats["hits"], stats["misses"], stats["puts"]) == \
+            (0, 1, 1)
+
+    def test_a_claimant_stores_each_record_before_releasing(
+        self, tmp_path, monkeypatch
+    ):
+        store = ExperimentStore(tmp_path / "store")
+        root = os.path.abspath(store.root)
+        held_at_put = []
+        put_cell = store.put_cell
+
+        def checking_put(fingerprint, record):
+            held_at_put.append((root, fingerprint)
+                               in store_executor._CLAIMS)
+            return put_cell(fingerprint, record)
+
+        monkeypatch.setattr(store, "put_cell", checking_put)
+        result = api.run_experiment(
+            _spec(), executor=CachingExecutor(store=store)
+        )
+        assert held_at_put == [True] * len(result.runs)
+        assert not [key for key in store_executor._CLAIMS
+                    if key[0] == root]
+
+    def test_concurrent_overlapping_runs_compute_each_cell_once(
+        self, tmp_path
+    ):
+        # Four runs in threads (more than this suite's cores) over
+        # overlapping grids whose union is 8 cells, with frequent
+        # thread switches: every cell is computed and stored once.
+        grids = ([1, 2, 4], [2, 4, 8], [1, 4, 8], [1, 2, 8])
+        specs = [_spec(axes=api.grid(k_compress=ks)) for ks in grids]
+        store = ExperimentStore(tmp_path / "store")
+        inners = [CountingSerial() for _ in specs]
+        results = [None] * len(specs)
+        barrier = threading.Barrier(len(specs))
+
+        def run(i):
+            barrier.wait(30)
+            results[i] = api.run_experiment(specs[i], executor=(
+                CachingExecutor(store=store, inner=inners[i])
+            ))
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # The outer scope the service's JobManager holds: the runs'
+            # own artifact scopes restore out of order.
+            with store_executor.artifact_scope(store):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(inner.cells_computed for inner in inners) == 8
+        stats = store.stats()
+        assert (stats["puts"], stats["cells"], stats["misses"]) == \
+            (8, 8, 8)
+        assert stats["hits"] == 3 * 2 * len(specs) - 8
+        for spec, result in zip(specs, results):
+            assert result.canonical_json() == \
+                api.run_experiment(spec).canonical_json()
+        assert "REPRO_STORE_ARTIFACTS" not in os.environ
+
+    def test_each_cell_is_read_once_per_run(self, tmp_path, monkeypatch):
+        store = ExperimentStore(tmp_path / "store")
+        reads = []
+        get_cell = store.get_cell
+
+        def counting_get(fingerprint):
+            reads.append(fingerprint)
+            return get_cell(fingerprint)
+
+        monkeypatch.setattr(store, "get_cell", counting_get)
+        executor = CachingExecutor(store=store)
+        cold = api.run_experiment(_spec(), executor=executor)
+        assert len(reads) == len(set(reads)) == len(cold.runs)
+        api.run_experiment(_spec(), executor=executor)
+        assert len(reads) == 2 * len(cold.runs)
+        assert (executor.hits, executor.misses) == \
+            (len(cold.runs), len(cold.runs))
 
 
 class TestExecutorResolution:
@@ -404,38 +582,6 @@ class TestArtifactReuse:
         finally:
             set_artifact_provider(previous)
             artifact_cache().clear()
-
-    def test_manager_export_hook(self, tmp_path):
-        from repro.cfg import build_cfg
-        from repro.core import SimulationConfig
-        from repro.core.manager import CodeCompressionManager
-        from repro.workloads import get_workload
-
-        store = ExperimentStore(tmp_path / "store")
-        graph = build_cfg(get_workload("fib").program)
-        manager = CodeCompressionManager(
-            graph,
-            SimulationConfig(trace_events=False, record_trace=False),
-        )
-        key = manager.export_artifacts(store)
-        assert key is not None
-        assert store.get_artifact_bundle(
-            "shared-dict", manager.residency.artifacts.block_data
-        ) == manager.residency.artifacts.payloads
-
-    def test_uncompressed_manager_exports_nothing(self, tmp_path):
-        from repro.cfg import build_cfg
-        from repro.core import SimulationConfig
-        from repro.core.manager import CodeCompressionManager
-        from repro.workloads import get_workload
-
-        store = ExperimentStore(tmp_path / "store")
-        manager = CodeCompressionManager(
-            build_cfg(get_workload("fib").program),
-            SimulationConfig(decompression="none", codec="null",
-                             trace_events=False, record_trace=False),
-        )
-        assert manager.export_artifacts(store) is None
 
     def test_env_var_does_not_leak_after_run(self, tmp_path):
         spec = _spec(axes=api.grid(k_compress=[1]))

@@ -783,9 +783,9 @@ class TestSegmentedInterpretation:
         class _Spy(manager_module.ReplayPlan):
             __slots__ = ()
 
-            def __init__(self, cfg, trace, *rest):
+            def __init__(self, trace, cycles, unit_of):
                 lengths.append(len(trace))
-                super().__init__(cfg, trace, *rest)
+                super().__init__(trace, cycles, unit_of)
 
         monkeypatch.setattr(manager_module, "_SEGMENT", segment)
         monkeypatch.setattr(manager_module, "ReplayPlan", _Spy)

@@ -17,6 +17,9 @@ import pytest
 from repro import api
 from repro.service import JobManager, QueueFullError, job_key
 from repro.service.jobs import JOURNAL_VERSION
+from repro.store import ExperimentStore, StoreError
+from repro.store.executor import plan_cells
+from repro.store.records import RECORD_VERSION, record_to_run
 
 
 def _spec_dict(**overrides):
@@ -158,6 +161,41 @@ class TestSubmitAndDedup:
             _wait_state(retry, "done")
         finally:
             gate.set()
+            manager.shutdown()
+
+
+class TestUndecodableRecords:
+    def test_a_record_that_fails_to_decode_is_recomputed(self, tmp_path):
+        spec = _spec()
+        clean = api.run_experiment(spec, store=str(tmp_path))
+        partitions = [
+            api.Partition(workload=name, configs=configs)
+            for name, configs in spec.partitions()
+        ]
+        [[(fingerprint, cell_config), _]] = plan_cells(
+            partitions, fast=spec.fast, max_blocks=spec.max_blocks,
+        )
+        store = ExperimentStore(str(tmp_path))
+        record = store.get_cell(fingerprint)
+        record["version"] = RECORD_VERSION + 1
+        store.put_cell(fingerprint, record)
+        with pytest.raises(StoreError):
+            record_to_run(record, cell_config)
+
+        manager = JobManager(store=str(tmp_path), workers=1)
+        try:
+            job, _ = manager.submit(_spec_dict())
+            _wait_state(job, "done")
+            assert [(e["cell"], e["source"])
+                    for e in job.events_since(0)] == \
+                [(1, "cache"), (0, "computed")]
+            assert (job.progress["hits"], job.progress["computed"]) == \
+                (1, 1)
+            assert manager.job_result(job) == clean.canonical_json()
+            # The recomputed record replaced the undecodable one.
+            assert store.get_cell(fingerprint)["version"] == \
+                RECORD_VERSION
+        finally:
             manager.shutdown()
 
 

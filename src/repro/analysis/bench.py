@@ -370,20 +370,19 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     replaying it through :func:`~repro.runtime.trace_sim.simulate_trace`
     against a machine run of the identical configuration from scratch
     (which interprets the program, then replays its own trace through
-    the same kernel, :mod:`repro.core.replay`), for four cells:
+    the same kernel, :mod:`repro.core.replay`), for six cells:
     on-demand k=4 (the top-level fields, on the batched path, making
     its own decisions: the plan's decision memo is dropped before each
     timed replay), ``member`` (the same row with another codec, which
-    charges its clock from that decision pass: ``shared_ok``),
-    pre-decompress-all (``pre_all``) and a memory budget tight enough
-    to evict (``budget``), both on the stepped path.  Every replay must
-    match its interpreted run exactly and must have run on its kernel
-    path (``path_ok``), and every cell's ``ref_blocks_per_s`` (blocks/s
-    scaled to the reference host by :func:`_probe`) carries a floor
-    (see :data:`_BUDGETS`), so a kernel slowdown — a slower decision
-    pass or charge pass, or a fall-off from the batched path to the
-    stepped one — fails the run.  The speedup over interpreting is
-    reported, not gated: the interpreter moves it.
+    charges its clock from that decision pass: ``shared_ok``), and on
+    the stepped path ``pre_all``, a memory budget tight enough to evict
+    (``budget``), ``pre_single`` and the event log (``events``).  Every
+    replay must match its interpreted run exactly and must have run on
+    its kernel path (``path_ok``), and the first four cells'
+    ``ref_blocks_per_s`` (blocks/s scaled to the reference host by
+    :func:`_probe`) carry floors (see :data:`_BUDGETS`), so a kernel
+    slowdown fails the run.  Speedups over interpreting are reported,
+    not gated: the interpreter moves them.
     """
     from ..core.manager import CodeCompressionManager
     from ..runtime.trace_sim import PreparedTrace, simulate_trace
@@ -460,7 +459,13 @@ def bench_trace_replay_batched(smoke: bool = False) -> Dict[str, object]:
     report["budget"] = cell(
         config.replace(k_compress=None, memory_budget=budget), "stepped"
     )
-    cells = (report, report["member"], report["pre_all"], report["budget"])
+    report["pre_single"] = cell(
+        config.replace(decompression="pre-single", k_decompress=2),
+        "stepped",
+    )
+    report["events"] = cell(config.replace(trace_events=True), "stepped")
+    cells = (report, report["member"], report["pre_all"], report["budget"],
+             report["pre_single"], report["events"])
     report["metrics_equal"] = all(c["metrics_equal"] for c in cells)
     report["path_ok"] = all(c["path_ok"] for c in cells)
     # The member charged its clock from the top cell's decisions, which
@@ -879,9 +884,11 @@ def render_report(report: Dict[str, object]) -> str:
             f"{replay['shared_ok']}; reference-host floors: "
             f"{replay['within_budget']}):"
         )
-        for cell in (replay, replay["member"], replay["pre_all"],
-                     replay["budget"]):
-            label = f"{cell['strategy']} {cell['codec']}"
+        for name in ("", "member", "pre_all", "budget", "pre_single",
+                     "events"):
+            cell = replay[name] if name else replay
+            label = f"{cell['strategy']} {cell['codec']}" \
+                + (" events" if name == "events" else "")
             path = cell["path"] + ("+shared" if cell["shared"] else "")
             lines.append(
                 f"  {label:36s} {path:14s} "

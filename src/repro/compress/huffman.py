@@ -266,6 +266,10 @@ class HuffmanCodec(Codec):
         if len(frequencies) == 1:
             symbol = data[0]
             return bytes((_TAG_SINGLE, symbol)) + len(data).to_bytes(4, "big")
+        if len(data) + (-len(data) // 8) <= 128:
+            # Every code is at least a bit: the payload would be at
+            # least 133 + ceil(n / 8) bytes, never under raw's n + 5.
+            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
 
         lengths = _code_lengths(frequencies)
         codes = _canonical_codes(lengths)

@@ -211,7 +211,7 @@ class CodeCompressionManager:
 
     def unit_of(self, block_id: int) -> int:
         """Compression unit owning ``block_id``."""
-        return self.residency.unit_of(block_id)
+        return self.residency._unit_of[block_id]
 
     def unit_blocks(self, unit_id: int) -> Set[int]:
         """Blocks belonging to ``unit_id``."""
@@ -223,7 +223,7 @@ class CodeCompressionManager:
 
     def is_unit_resident(self, unit_id: int) -> bool:
         """True when ``unit_id`` is decompressed or being decompressed."""
-        return self.residency.is_unit_resident(unit_id)
+        return unit_id in self.residency._ready_at
 
     # ==================================================================
     # Main loop

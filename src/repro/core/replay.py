@@ -161,6 +161,18 @@ def _generic(manager) -> bool:
         or type(manager.decompression) not in _DECOMPRESSION_POLICIES
 
 
+def _event_sink(log):
+    """``(fields, append, room)``: the log's flat field list, its
+    ``extend`` (None when the log is off), which appends one event's
+    four fields unchecked, and the length that fills its capacity.  A
+    step that finds the list past ``room`` trims it, and so does the
+    end of the run: the log keeps what ``EventLog.emit`` would keep."""
+    if not log.enabled:
+        return None, None, 0
+    fields = log._flat
+    return fields, fields.extend, 4 * log.capacity
+
+
 def _edge_hook(policy: DecompressionPolicy):
     """``policy.on_edge`` when its class overrides the no-op default."""
     if type(policy).on_edge is DecompressionPolicy.on_edge:
@@ -228,6 +240,7 @@ def _replay(manager, shared: bool) -> None:
         now = _replay_uncompressed(manager, plans, tracer, generic)
     else:
         now = _replay_compressed(manager, plans, tracer, generic, shared)
+    manager.log.trim()
     if not generic:
         profile = manager.profile
         profile.record_entry(plans.first)
@@ -279,8 +292,7 @@ def _replay_uncompressed(manager, plans, tracer, generic: bool) -> int:
         if type(compression) not in _COMPRESSION_POLICIES else None
     )
     observe = _edge_hook(manager.decompression)
-    log = manager.log
-    emit = log.emit if log.enabled else None
+    logged, emit, room = _event_sink(manager.log)
     budget = residency.budget
     now = manager.now
     stepped = emit is not None or tracer is not None \
@@ -308,7 +320,9 @@ def _replay_uncompressed(manager, plans, tracer, generic: bool) -> int:
                 prev = block_id
                 unit = usteps[pos]
                 if emit is not None:
-                    emit(now, _BLOCK_ENTER, block_id)
+                    if len(logged) > room:
+                        manager.log.trim()
+                    emit((now, _BLOCK_ENTER, block_id, 0))
                 if budget is not None:
                     bclock += 1
                     last_use[unit] = bclock
@@ -458,8 +472,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         last_use = resident_since = None
         bclock = 0
 
-    log = manager.log
-    emit = log.emit if log.enabled else None
+    logged, emit, room = _event_sink(manager.log)
     # Per-entry work beyond the residency flags and k-edge reset.
     extras = emit is not None or budget is not None or predicting \
         or on_enter is not None
@@ -588,12 +601,14 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                     tracer.worker_cancel(now, "decompression", unit)
                 d_cancelled += 1
                 d_busy -= job[0] if job[2] >= now else max(0, job[3] - now)
+                # Start times rise in queue order: the jobs already
+                # started come first, then the re-chained ones.
                 cursor = now
                 for other in d_pending.values():
-                    if other[2] < now and other[3] > cursor:
-                        cursor = other[3]
-                for other in d_pending.values():
-                    if other[2] >= now:
+                    if other[2] < now:
+                        if other[3] > cursor:
+                            cursor = other[3]
+                    else:
                         other[2] = cursor if cursor > other[1] else other[1]
                         cursor = other[3] = other[2] + other[0]
                 d_free = cursor
@@ -627,7 +642,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 if resident_since is not None:
                     resident_since.pop(unit, None)
                 if emit is not None:
-                    emit(now, reason, unit, patched)
+                    emit((now, reason, unit, patched))
             if record is not None:
                 record.extend((unit, now, patched))
             img_rel += geo[3]
@@ -716,7 +731,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             # a cancellation later re-chains the job.
             ready[tu] = d_free
             if emit is not None:
-                emit(now, _DECOMPRESS_START, tu)
+                emit((now, _DECOMPRESS_START, tu, 0))
 
     if decisions is not None:
         # ---- reuse the plan's decision pass: charge only this clock ----
@@ -753,7 +768,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             # A full fault; no branch led here, so nothing is patched.
             faults += 1
             if emit is not None:
-                emit(now, _FAULT, trace[0])
+                emit((now, _FAULT, trace[0], 0))
             if budget is not None:
                 evict(u, {u}, now)
             stall = fault_cycles + materialise(u, now)[1]
@@ -764,7 +779,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             stalls += 1
             ready[u] = now
             if emit is not None:
-                emit(now, _DECOMPRESS_DONE, u, stall)
+                emit((now, _DECOMPRESS_DONE, u, stall))
         elif pre and ready[u] > now:
             # Its program-start prefetch is still in flight.
             waited = ready[u] - now
@@ -774,7 +789,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             stall_cycles += waited
             stalls += 1
             if emit is not None:
-                emit(now, _STALL, trace[0], waited)
+                emit((now, _STALL, trace[0], waited))
         if profile is not None:
             profile.record_entry(trace[0])
 
@@ -785,7 +800,9 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             u = usteps[pos]
             if extras:
                 if emit is not None:
-                    emit(now, _BLOCK_ENTER, b)
+                    if len(logged) > room:
+                        manager.log.trim()
+                    emit((now, _BLOCK_ENTER, b, 0))
                 if last_use is not None:
                     bclock += 1
                     last_use[u] = bclock
@@ -810,16 +827,20 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             pos += 1
             if d_pending:
                 # Retire the decompression jobs finished by now (FIFO: the
-                # queue drains by ``d_free``).
+                # queue drains by ``d_free``).  Completion times rise in
+                # queue order, and a cancellation's re-chain keeps that
+                # order, so the finished jobs are a prefix.
                 if d_free <= now:
                     d_done += len(d_pending)
                     d_pending.clear()
                 else:
-                    done = [uu for uu, job in d_pending.items()
-                            if job[3] <= now]
-                    for uu in done:
+                    # The last job finishes at ``d_free``, after now.
+                    while True:
+                        uu = next(iter(d_pending))
+                        if d_pending[uu][3] > now:
+                            break
                         del d_pending[uu]
-                    d_done += len(done)
+                        d_done += 1
             if pos == n:
                 # Move on to the next segment, if any (a long interpreting
                 # run interprets it now).
@@ -882,7 +903,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                             (choice, base + pos + k_dec + 1)
                         )
                         if emit is not None:
-                            emit(now, _PREDICT, choice)
+                            emit((now, _PREDICT, choice, 0))
                 if targets:
                     prefetch(targets, u, now, pos, nu)
 
@@ -891,7 +912,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 # Full fault: handler + synchronous decompression.
                 faults += 1
                 if emit is not None:
-                    emit(now, _FAULT, nb)
+                    emit((now, _FAULT, nb, 0))
                 if budget is not None:
                     evict(nu, {u, nu}, now)
                 stall = fault_cycles + materialise(nu, now)[1]
@@ -902,7 +923,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 stalls += 1
                 ready[nu] = now
                 if emit is not None:
-                    emit(now, _DECOMPRESS_DONE, nu, stall)
+                    emit((now, _DECOMPRESS_DONE, nu, stall))
             else:
                 if pre:
                     waited = ready[nu] - now
@@ -914,7 +935,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                         stall_cycles += waited
                         stalls += 1
                         if emit is not None:
-                            emit(now, _STALL, nb, waited)
+                            emit((now, _STALL, nb, waited))
                 if u in ready and site_target.get(b) == nb:
                     continue
                 # Patch fault: copy exists, branch still aims at the
@@ -927,7 +948,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 if u not in ready:
                     # The branch's own block was released: nothing to patch.
                     if emit is not None:
-                        emit(now, _PATCH, nb)
+                        emit((now, _PATCH, nb, 0))
                     continue
             if u in ready:
                 # The branch site that got us here (``b``'s terminator)
@@ -945,7 +966,7 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                     total_patches += 1
                 patches += 1
                 if emit is not None:
-                    emit(now, _PATCH, nb)
+                    emit((now, _PATCH, nb, 0))
 
     # ---- settle shared state ------------------------------------
     counters = manager.counters

@@ -31,9 +31,8 @@ class Event(NamedTuple):
 
     ``cycle`` is the execution-thread clock when the event was emitted;
     ``block_id`` the subject block; ``detail`` a small free-form payload
-    (stall length, patch count, predicted id...).  A named tuple: logged
-    runs build one per executed block, and tuple construction costs a
-    fraction of a frozen dataclass's.
+    (stall length, patch count, predicted id...).  The log stores these
+    fields flat and builds the tuples only when it is read.
     """
 
     cycle: int
@@ -51,16 +50,24 @@ class Event(NamedTuple):
 class EventLog:
     """Append-only event trace with query helpers.
 
+    Storage is one flat list holding four fields per event (cycle,
+    kind, block id, detail) in emission order: a logged run emits
+    several events per executed block, and extending a list by four
+    fields costs a fraction of building a tuple per event.  Reading the
+    log (:attr:`events`, iteration and the queries) builds the
+    :class:`Event` tuples.
+
     Tracing costs time on big runs, so the log can be disabled (events are
     then dropped); counters in the metrics module are always maintained
-    independently of the log.
+    independently of the log.  Past ``capacity`` events, further events
+    are counted in ``dropped`` instead of stored.
     """
 
     def __init__(self, enabled: bool = True, capacity: int = 1_000_000) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        self.events: List[Event] = []
         self.dropped = 0
+        self._flat: list = []
 
     def emit(
         self, cycle: int, kind: EventKind, block_id: int, detail: int = 0
@@ -68,13 +75,28 @@ class EventLog:
         """Record an event (no-op when disabled or over capacity)."""
         if not self.enabled:
             return
-        if len(self.events) >= self.capacity:
+        if len(self._flat) >= 4 * self.capacity:
             self.dropped += 1
             return
-        self.events.append(Event(cycle, kind, block_id, detail))
+        self._flat.extend((cycle, kind, block_id, detail))
+
+    def trim(self) -> None:
+        """Drop the events stored past ``capacity``, counting them in
+        ``dropped``: the replay kernel appends to the flat list
+        unchecked and trims it as it goes."""
+        excess = len(self._flat) - 4 * self.capacity
+        if excess > 0:
+            del self._flat[-excess:]
+            self.dropped += excess // 4
+
+    @property
+    def events(self) -> List[Event]:
+        """Every stored event, in emission order."""
+        fields = iter(self._flat)
+        return list(map(Event, fields, fields, fields, fields))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._flat) // 4
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -99,6 +121,6 @@ class EventLog:
         """Printable trace (first ``limit`` events)."""
         shown = self.events if limit is None else self.events[:limit]
         lines = [str(event) for event in shown]
-        if limit is not None and len(self.events) > limit:
-            lines.append(f"... ({len(self.events) - limit} more)")
+        if limit is not None and len(self) > limit:
+            lines.append(f"... ({len(self) - limit} more)")
         return "\n".join(lines)

@@ -234,10 +234,8 @@ class JobManager:
         self._stopping = False
         self._seq = itertools.count(1)
         # The store serves compressed-image artifacts to every job for
-        # the manager's whole lifetime (restored on shutdown).  Each
-        # job's executor also installs a scope of its own; concurrent
-        # jobs restore those out of order, which is harmless only
-        # because every provider they install points at this store.
+        # the manager's whole lifetime (restored on shutdown); each
+        # job's executor also opens a scope of its own over it.
         self._artifacts = artifact_scope(self.store)
         self._artifacts.__enter__()
         if resume:

@@ -171,27 +171,41 @@ def plan_cells(
     return rows
 
 
+#: Open artifact scopes, oldest first, as (provider, store root), and
+#: the provider and variable in effect before the first one opened.
+_SCOPES: List[Tuple[StoreArtifactProvider, str]] = []
+_SCOPES_LOCK = threading.Lock()
+_OUTSIDE_SCOPES: list = [None, None]
+
+
 @contextlib.contextmanager
 def artifact_scope(store: ExperimentStore):
     """Expose ``store`` as the compressed-image artifact provider.
 
     Installed in this process and advertised to (forked) worker
-    processes through ``$REPRO_STORE_ARTIFACTS``; both are restored on
-    exit so caching stays scoped to the caller.
+    processes through ``$REPRO_STORE_ARTIFACTS``.  Scopes of concurrent
+    runs may close out of order: the most recently entered open scope's
+    store is installed, and the state before the first is restored
+    once none is open, so caching stays scoped to the callers.
     """
-    previous_env = os.environ.get(ARTIFACTS_ENV)
-    previous_provider = set_artifact_provider(
-        StoreArtifactProvider(store)
-    )
-    os.environ[ARTIFACTS_ENV] = store.root
+    scope = (StoreArtifactProvider(store), store.root)
+    with _SCOPES_LOCK:
+        previous = set_artifact_provider(scope[0])
+        if not _SCOPES:
+            _OUTSIDE_SCOPES[:] = [previous, os.environ.get(ARTIFACTS_ENV)]
+        _SCOPES.append(scope)
+        os.environ[ARTIFACTS_ENV] = store.root
     try:
         yield
     finally:
-        set_artifact_provider(previous_provider)
-        if previous_env is None:
-            os.environ.pop(ARTIFACTS_ENV, None)
-        else:
-            os.environ[ARTIFACTS_ENV] = previous_env
+        with _SCOPES_LOCK:
+            _SCOPES.remove(scope)
+            provider, root = _SCOPES[-1] if _SCOPES else _OUTSIDE_SCOPES
+            set_artifact_provider(provider)
+            if root is None:
+                os.environ.pop(ARTIFACTS_ENV, None)
+            else:
+                os.environ[ARTIFACTS_ENV] = root
 
 
 class _Cell:

@@ -60,35 +60,55 @@ class Predictor(abc.ABC):
         return path
 
 
-class StaticProfilePredictor(Predictor):
-    """Profile-guided prediction from an offline :class:`EdgeProfile`."""
+class _ProfileTable(Predictor):
+    """Predicts each block's most traversed successor in ``self.profile``
+    (ties to the lowest id), read from a table that :meth:`bind` builds
+    from the profile's counts: :meth:`predict` is one dict read."""
+
+    profile: EdgeProfile
+
+    def bind(self, cfg: ProgramCFG) -> None:
+        super().bind(cfg)
+        likeliest = self.profile.most_likely_among
+        self._best: Dict[int, Optional[int]] = {
+            block_id: likeliest(block_id, successors)
+            for block_id, successors in self._successors.items()
+        }
+
+    def predict(self, block_id: int) -> Optional[int]:
+        return self._best[block_id]
+
+
+class StaticProfilePredictor(_ProfileTable):
+    """Profile-guided prediction from a fixed, offline :class:`EdgeProfile`."""
 
     name = "static-profile"
 
     def __init__(self, profile: EdgeProfile) -> None:
         self.profile = profile
 
-    def predict(self, block_id: int) -> Optional[int]:
-        return self.profile.most_likely_among(
-            block_id, self._successors[block_id]
-        )
 
-
-class OnlineProfilePredictor(Predictor):
-    """Edge counts accumulated during the run itself."""
+class OnlineProfilePredictor(_ProfileTable):
+    """Edge counts accumulated during the run itself.  :meth:`update`
+    keeps the table current: one traversal raises one count by one, so
+    only its source's choice can change, and only to its destination."""
 
     name = "online-profile"
 
     def __init__(self) -> None:
         self.profile = EdgeProfile()
 
-    def predict(self, block_id: int) -> Optional[int]:
-        return self.profile.most_likely_among(
-            block_id, self._successors[block_id]
-        )
-
     def update(self, src: int, dst: int) -> None:
-        self.profile.record_edge(src, dst)
+        profile = self.profile
+        profile.record_edge(src, dst)
+        best = self._best.get(src)
+        if best is None or best == dst or dst not in self._successors[src]:
+            return
+        counts = profile.edge_counts
+        mine = counts[(src, dst)]
+        theirs = counts.get((src, best), 0)
+        if mine > theirs or (mine == theirs and dst < best):
+            self._best[src] = dst
 
 
 class LastSuccessorPredictor(Predictor):

@@ -583,6 +583,41 @@ class TestArtifactReuse:
             set_artifact_provider(previous)
             artifact_cache().clear()
 
+    def test_overlapping_scopes_leave_nothing_behind(self, tmp_path):
+        # Four runs in threads, each computing its own cell in its own
+        # artifact scope, with no enclosing scope and frequent thread
+        # switches: the scopes close out of order, and once every run
+        # has returned the provider and the variable from before remain.
+        from repro.memory import image as image_module
+
+        def installed():
+            return (image_module._artifact_provider,
+                    os.environ.get("REPRO_STORE_ARTIFACTS"))
+
+        before = installed()
+        specs = [_spec(workloads=["gcd"], axes=api.grid(k_compress=[k]))
+                 for k in (1, 2, 4, 8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(10):
+                store = ExperimentStore(tmp_path / f"store-{trial}")
+                threads = [
+                    threading.Thread(target=api.run_experiment, args=(spec,),
+                                     kwargs={"executor": CachingExecutor(
+                                         store=store)})
+                    for spec in specs
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert store.stats()["puts"] == len(specs), trial
+                assert installed() == before, trial
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_env_var_does_not_leak_after_run(self, tmp_path):
         spec = _spec(axes=api.grid(k_compress=[1]))
         assert "REPRO_STORE_ARTIFACTS" not in os.environ

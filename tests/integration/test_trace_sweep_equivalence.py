@@ -20,6 +20,7 @@ import repro.core.manager as manager_module
 from oracle.layered import LayeredManager, image_state, tracer_state
 from repro import api
 from repro.cfg import build_cfg
+from repro.cfg.profile import EdgeProfile
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
 from repro.obs.tracer import SpanTracer
@@ -35,6 +36,7 @@ from repro.workloads import get_workload
 
 # The module (the package re-exports a ``sweep`` function over it).
 sweep_module = importlib.import_module("repro.analysis.sweep")
+events_module = importlib.import_module("repro.runtime.events")
 
 _FAST = dict(trace_events=False, record_trace=False)
 
@@ -289,6 +291,16 @@ def _oracle(cfg, config, prepared=None, max_blocks=None, **kwargs):
     return oracle, oracle.run(max_blocks=max_blocks)
 
 
+def _workers(owner):
+    """Both background workers' clocks and tallies (a manager's, or the
+    oracle's timing model's)."""
+    return [
+        (worker.free_at, worker.busy_cycles, worker.jobs_completed,
+         worker.jobs_cancelled)
+        for worker in (owner.decompress_worker, owner.compress_worker)
+    ]
+
+
 def _without(monkeypatch, *entries):
     """Turn the named replay-kernel entry points off in the manager."""
     for entry in entries:
@@ -330,6 +342,10 @@ class TestKernelEnvelopeEquivalence:
         assert (interpreted.engine, stepped.engine) == ("machine", "trace")
         _assert_results_equal(layered, interpreted, context)
         _assert_results_equal(layered, stepped, context)
+        # The decompression worker's FIFO (retired as a prefix) and the
+        # compression worker's end as the oracle's do.
+        assert _workers(kernel) == _workers(machine) == \
+            _workers(oracle.timing), context
         # An interpreting run drives the live allocator block by block.
         assert image_state(machine.residency.image) == \
             image_state(oracle.residency.image), context
@@ -380,6 +396,103 @@ class TestKernelEnvelopeEquivalence:
             {"stepped"}
         assert [run.result.replay_declined for run in swept.runs] == \
             ["predecompress", "predecompress", "budget", "events"]
+
+
+# ----------------------------------------------------------------------
+# Stepped replays: table-read predictions and a flat event log
+# ----------------------------------------------------------------------
+
+#: Logged cells whose logs are capped below their event count.
+_CAPPED_CELLS = [
+    _cell("pre-all-kc2-kd2", decompression="pre-all", k_compress=2,
+          k_decompress=2),
+    _cell("ondemand-k4", decompression="ondemand", k_compress=4),
+]
+
+
+class _PeakList(list):
+    """An event log's flat field list that remembers its longest length."""
+
+    peak = 0
+
+    def extend(self, fields):
+        super().extend(fields)
+        self.peak = max(self.peak, len(self))
+
+
+class TestSteppedFastPaths:
+    """The stepped path's fast paths ran, and keep what the slow ones
+    kept."""
+
+    @pytest.mark.parametrize("name", _KERNEL_WORKLOADS)
+    @pytest.mark.parametrize("fields", _CAPPED_CELLS)
+    def test_capped_log_keeps_what_emit_keeps(self, kernel_traces, name,
+                                              fields):
+        # The kernel appends unchecked and trims every step, so the
+        # list outgrows the capacity by at most one step's events; the
+        # oracle emits one event at a time.
+        cfg, prepared, _ = kernel_traces[name]
+        config = SimulationConfig(trace_events=True, record_trace=False,
+                                  **fields)
+        events = _run(cfg, config, prepared)[0].log.events
+        for capacity in (0, 1, len(events) // 2, len(events) - 1):
+            runs = [CodeCompressionManager(cfg, config, trace=prepared),
+                    CodeCompressionManager(cfg, config),
+                    LayeredManager(cfg, config, trace=prepared)]
+            context = f"{name}/{config.strategy_name}/capacity={capacity}"
+            for manager in runs:
+                manager.log.capacity = capacity
+                manager.log._flat = _PeakList()
+                manager.run()
+                assert manager.log._flat.peak <= 4 * (capacity + 64), \
+                    context
+                assert manager.log.events == events[:capacity], context
+                assert len(manager.log) == capacity, context
+                assert manager.log.dropped == len(events) - capacity, \
+                    context
+            assert runs[0].replay_path == "stepped", context
+
+    def test_logged_replay_builds_no_event_per_emit(self, kernel_traces,
+                                                    monkeypatch):
+        built = []
+        event_class = events_module.Event
+
+        def counting(*fields):
+            built.append(fields)
+            return event_class(*fields)
+
+        monkeypatch.setattr(events_module, "Event", counting)
+        cfg, prepared, _ = kernel_traces["cold_paths"]
+        config = SimulationConfig(decompression="pre-all", k_compress=2,
+                                  k_decompress=2, trace_events=True,
+                                  record_trace=False)
+        manager, _ = _run(cfg, config, prepared)
+        assert len(manager.log) > 0 and built == []
+        # Reading the log builds each event once.
+        assert len(manager.log.events) == len(built) == len(manager.log)
+
+    @pytest.mark.parametrize("predictor", available_predictors())
+    def test_pre_single_replay_rederives_no_prediction(
+        self, kernel_traces, predictor, monkeypatch
+    ):
+        # Binding builds the predictor's table; the replay only reads
+        # and updates it.
+        cfg, prepared, profile = kernel_traces["cold_paths"]
+        config = SimulationConfig(decompression="pre-single", k_compress=4,
+                                  k_decompress=4, predictor=predictor,
+                                  profile=profile, **_FAST)
+        manager = CodeCompressionManager(cfg, config, trace=prepared)
+        calls = []
+        most_likely_among = EdgeProfile.most_likely_among
+
+        def counting(profile, *args):
+            calls.append(args)
+            return most_likely_among(profile, *args)
+
+        monkeypatch.setattr(EdgeProfile, "most_likely_among", counting)
+        result = manager.run()
+        assert result.replay_path == "stepped"
+        assert result.counters.predictions > 0 and calls == []
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,24 @@ class TestHuffmanEquivalence:
                     assert found == expected
                     break
 
+    @pytest.mark.parametrize("kind", ["random", "skewed", "two-symbol"])
+    def test_every_length_near_the_raw_cutoff(self, kind):
+        # Up to 147 bytes raw passthrough must win, so the encoder
+        # skips the code; the first Huffman payloads come after.
+        rng = random.Random(f"huffman-{kind}")
+        for n in range(301):
+            if kind == "random":
+                data = bytes(rng.getrandbits(8) for _ in range(n))
+            elif kind == "skewed":
+                data = bytes(min(int(rng.expovariate(1.5)), 255)
+                             for _ in range(n))
+            else:
+                data = bytes(rng.choice(b"ab") for _ in range(n))
+            payload = HuffmanCodec().compress(data)
+            assert payload == reference_huffman_compress(data), (kind, n)
+            if n <= 147 and len(set(data)) > 1:
+                assert payload[0] == 0, (kind, n)
+
     def test_truncated_stream_raises_codec_error(self):
         payload = reference_huffman_compress(b"abracadabra" * 60)
         assert payload[0] == 2  # actually huffman-coded

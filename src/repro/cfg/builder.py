@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..isa.instructions import Instruction, Opcode
+from ..isa.instructions import Opcode
 from ..isa.program import Program, ProgramError
 from .basic_block import BasicBlock
 from .graph import CFGError, ControlFlowGraph, Edge
@@ -108,6 +108,8 @@ def _find_leaders(program: Program) -> List[int]:
 def _split_blocks(program: Program, leaders: List[int]) -> List[BasicBlock]:
     blocks: List[BasicBlock] = []
     boundaries = leaders + [len(program.instructions)]
+    # Instruction index -> its first label in definition order.
+    label_at = {i: label for label, i in reversed(program.labels.items())}
     for block_id, (start, end) in enumerate(
         zip(boundaries[:-1], boundaries[1:])
     ):
@@ -119,7 +121,7 @@ def _split_blocks(program: Program, leaders: List[int]) -> List[BasicBlock]:
                 block_id=block_id,
                 start_index=start,
                 instructions=list(program.instructions[start:end]),
-                label=program.label_at(start),
+                label=label_at.get(start),
             )
         )
     return blocks

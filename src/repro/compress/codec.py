@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, List, Sequence, Type
 
 from ..registry import Registry
 
@@ -111,6 +111,18 @@ def compress_for_image(codec: Codec, data: bytes) -> bytes:
     if compress_block is not None:
         return compress_block(data)
     return codec.compress(data)
+
+
+def build_image(codec: Codec, blocks: Sequence[bytes]) -> List[bytes]:
+    """Every block's :func:`compress_for_image` payload, an untrained
+    shared model trained on ``blocks`` first (a pipeline transforms each
+    block once for both)."""
+    build = getattr(codec, "build_image", None)
+    if build is not None:
+        return build(blocks)
+    if hasattr(codec, "train") and not getattr(codec, "is_trained", True):
+        codec.train(blocks)
+    return [compress_for_image(codec, block) for block in blocks]
 
 
 def decompress_for_image(

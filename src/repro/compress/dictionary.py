@@ -18,10 +18,11 @@ Payload layout::
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from .bitio import BitIOError, BitReader, BitWriter
+from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
 from .codec import Codec, CodecCosts, CodecError, register_codec
 
 _TAG_RAW = 0
@@ -29,6 +30,35 @@ _TAG_DICT = 1
 
 _WORD = 4
 _MAX_INDEX_BITS = 12
+
+
+def words_of(data: bytes) -> Tuple[int, ...]:
+    """``data``'s whole 4-byte words as big-endian ints."""
+    return struct.unpack_from(f">{len(data) // _WORD}I", data)
+
+
+def pack_words(data: bytes, hits: Dict[int, int], hit_width: int) -> bytes:
+    """Code ``data``'s :func:`words_of`: a word in ``hits`` as its
+    ``hit_width``-bit field there (flag bit 1, index), any other as flag
+    bit 0 and its 32-bit literal, then the trailing ``len(data) % 4``
+    bytes as 8-bit literals."""
+    words = words_of(data)
+    pieces = []
+    for start in range(0, len(words), PACK_CHUNK // _WORD):
+        acc = bits = 0
+        for word in words[start : start + PACK_CHUNK // _WORD]:
+            field = hits.get(word)
+            if field is None:
+                acc = (acc << 33) | word
+                bits += 33
+            else:
+                acc = (acc << hit_width) | field
+                bits += hit_width
+        pieces.append((acc, bits))
+    tail = data[len(words) * _WORD :]
+    if tail:
+        pieces.append((int.from_bytes(tail, "big"), 8 * len(tail)))
+    return pack_bits(pieces)
 
 
 @register_codec("dictionary")
@@ -49,7 +79,7 @@ class DictionaryCodec(Codec):
             )
         self.max_entries = max_entries
 
-    def _build_dictionary(self, words: List[bytes]) -> List[bytes]:
+    def _build_dictionary(self, words: Tuple[int, ...]) -> List[int]:
         counts = Counter(words)
         # Only words that pay for themselves: a dictionary hit saves
         # (32 - index_bits) bits per use but costs 32 bits of header.
@@ -62,38 +92,20 @@ class DictionaryCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         if not data:
             return bytes((_TAG_RAW, 0, 0, 0, 0))
-        word_count = len(data) // _WORD
-        words = [
-            data[i * _WORD : (i + 1) * _WORD] for i in range(word_count)
-        ]
-        tail = data[word_count * _WORD :]
-
+        words = words_of(data)
         dictionary = self._build_dictionary(words)
         index_bits = max(1, (max(1, len(dictionary)) - 1).bit_length())
-        index_of: Dict[bytes, int] = {
-            word: index for index, word in enumerate(dictionary)
-        }
-
-        writer = BitWriter()
         hit_flag = 1 << index_bits
-        for word in words:
-            index = index_of.get(word)
-            if index is not None:
-                # Flag bit and index emitted as one batched field.
-                writer.write_bits(hit_flag | index, index_bits + 1)
-            else:
-                # Flag bit 0 + 32 literal bits = one 33-bit field.
-                writer.write_bits(int.from_bytes(word, "big"), 33)
-        for byte in tail:
-            writer.write_bits(byte, 8)
+        hits = {
+            word: hit_flag | index for index, word in enumerate(dictionary)
+        }
 
         header = bytearray((_TAG_DICT,))
         header += len(data).to_bytes(4, "big")
         header.append(index_bits)
         header += len(dictionary).to_bytes(2, "big")
-        for word in dictionary:
-            header += word
-        payload = bytes(header) + writer.getvalue()
+        header += struct.pack(f">{len(dictionary)}I", *dictionary)
+        payload = bytes(header) + pack_words(data, hits, index_bits + 1)
         if len(payload) >= len(data) + 5:
             return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
         return payload

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import cycle
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bitio import BitIOError, BitReader, BitWriter
+from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
 from .codec import Codec, CodecCosts, CodecError, register_codec
 
 _TAG_RAW = 0
@@ -89,6 +90,25 @@ def _huffman_depths(frequencies: Dict[int, int]) -> Dict[int, int]:
         )
         tiebreak += 1
     return depths
+
+
+def pack_symbols(
+    data: bytes, tables: Sequence[Sequence[Tuple[int, int]]]
+) -> bytes:
+    """Code byte ``i`` of ``data`` through ``tables[i % len(tables)]``,
+    each a dense 256-entry ``(code, length)`` table; :data:`PACK_CHUNK`
+    is a multiple of ``len(tables)``, so every piece keeps the rotation."""
+    pieces = []
+    for start in range(0, len(data), PACK_CHUNK):
+        acc = bits = 0
+        for table, byte in zip(
+            cycle(tables), data[start : start + PACK_CHUNK]
+        ):
+            code, length = table[byte]
+            acc = (acc << length) | code
+            bits += length
+        pieces.append((acc, bits))
+    return pack_bits(pieces)
 
 
 def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
@@ -273,28 +293,8 @@ class HuffmanCodec(Codec):
 
         lengths = _code_lengths(frequencies)
         codes = _canonical_codes(lengths)
-        # Dense 256-entry encode table: one tuple load per input byte
-        # instead of a dict probe (absent symbols never occur in data).
-        encode_table: List[Optional[Tuple[int, int]]] = [None] * 256
-        for symbol, pair in codes.items():
-            encode_table[symbol] = pair
-        # Inlined batched bit packing (same layout as BitWriter): codes
-        # accumulate into a small int and completed bytes drain at once.
-        stream = bytearray()
-        append = stream.append
-        acc = 0
-        filled = 0
-        for byte in data:
-            code, length = encode_table[byte]  # type: ignore[misc]
-            acc = (acc << length) | code
-            filled += length
-            while filled >= 8:
-                filled -= 8
-                append((acc >> filled) & 0xFF)
-            acc &= (1 << filled) - 1
-        if filled:
-            append((acc << (8 - filled)) & 0xFF)
-        bitstream = bytes(stream)
+        # Absent symbols (None entries) never occur in ``data``.
+        bitstream = pack_symbols(data, ([codes.get(s) for s in range(256)],))
 
         header = bytearray((_TAG_HUFFMAN,))
         header += len(data).to_bytes(4, "big")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .bitio import BitIOError, BitReader, BitWriter
+from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
 from .codec import Codec, CodecCosts, CodecError, register_codec
 
 _TAG_RAW = 0
@@ -40,11 +40,17 @@ class LZ77Codec(Codec):
     def compress(self, data: bytes) -> bytes:
         if not data:
             return bytes((_TAG_RAW, 0, 0, 0, 0))
-        writer = BitWriter()
+        pieces = []
+        acc = bits = 0
+        piece_end = PACK_CHUNK
         chains: Dict[bytes, List[int]] = {}
         position = 0
         length = len(data)
         while position < length:
+            if position >= piece_end:
+                pieces.append((acc, bits))
+                acc = bits = 0
+                piece_end = position + PACK_CHUNK
             best_length = 0
             best_offset = 0
             if position + _MIN_MATCH <= length:
@@ -66,18 +72,18 @@ class LZ77Codec(Codec):
                         if match_length == _MAX_MATCH:
                             break
             if best_length >= _MIN_MATCH:
-                # Flag, offset and length fused into one 19-bit field
-                # (identical bits to flag-then-field writes, one call).
-                writer.write_bits(
+                # Flag, offset and length as one 19-bit field.
+                acc = (acc << (1 + _OFFSET_BITS + _LENGTH_BITS)) | (
                     (1 << (_OFFSET_BITS + _LENGTH_BITS))
                     | ((best_offset - 1) << _LENGTH_BITS)
-                    | (best_length - _MIN_MATCH),
-                    1 + _OFFSET_BITS + _LENGTH_BITS,
+                    | (best_length - _MIN_MATCH)
                 )
+                bits += 1 + _OFFSET_BITS + _LENGTH_BITS
                 advance = best_length
             else:
                 # Flag bit 0 + literal byte = one 9-bit field.
-                writer.write_bits(data[position], 9)
+                acc = (acc << 9) | data[position]
+                bits += 9
                 advance = 1
             for step in range(advance):
                 index = position + step
@@ -87,10 +93,11 @@ class LZ77Codec(Codec):
                     ).append(index)
             position += advance
 
+        pieces.append((acc, bits))
         payload = (
             bytes((_TAG_LZ,))
             + len(data).to_bytes(4, "big")
-            + writer.getvalue()
+            + pack_bits(pieces)
         )
         if len(payload) >= len(data) + 5:
             return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data

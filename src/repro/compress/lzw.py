@@ -12,9 +12,9 @@ raw-passthrough tag for incompressible input.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from .bitio import BitIOError, BitReader, BitWriter
+from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
 from .codec import Codec, CodecCosts, CodecError, register_codec
 
 _TAG_RAW = 0
@@ -23,9 +23,9 @@ _TAG_LZW = 1
 _INITIAL_WIDTH = 9
 _MAX_WIDTH = 16
 
-#: The 256 single-byte entries every dictionary starts from (in code
-#: order); each block's encoder and decoder copies its own table.
-_SEED_CODES: Dict[bytes, int] = {bytes((i,)): i for i in range(256)}
+#: The 256 single-byte entries every dictionary starts from, in code
+#: order; each block's decoder copies its own table.
+_SEED_ENTRIES = tuple(bytes((i,)) for i in range(256))
 
 
 @register_codec("lzw")
@@ -41,30 +41,38 @@ class LZWCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         if not data:
             return bytes((_TAG_RAW, 0, 0, 0, 0))
-        table = dict(_SEED_CODES)
+        # Entry ``(prefix code << 8) | byte`` -> code; a single byte is
+        # its own code, so the table starts empty.
+        table: Dict[int, int] = {}
         next_code = 256
         width = _INITIAL_WIDTH
-        writer = BitWriter()
-
-        current = bytes((data[0],))
-        for byte in data[1:]:
-            extended = current + bytes((byte,))
-            if extended in table:
-                current = extended
-                continue
-            writer.write_bits(table[current], width)
-            if next_code < (1 << _MAX_WIDTH):
-                table[extended] = next_code
-                next_code += 1
-                if next_code > (1 << width) and width < _MAX_WIDTH:
-                    width += 1
-            current = bytes((byte,))
-        writer.write_bits(table[current], width)
+        pieces = []
+        acc = bits = 0
+        code = data[0]
+        for start in range(1, len(data), PACK_CHUNK):
+            if start > 1:
+                pieces.append((acc, bits))
+                acc = bits = 0
+            for byte in data[start : start + PACK_CHUNK]:
+                key = (code << 8) | byte
+                extended = table.get(key)
+                if extended is not None:
+                    code = extended
+                    continue
+                acc = (acc << width) | code
+                bits += width
+                if next_code < (1 << _MAX_WIDTH):
+                    table[key] = next_code
+                    next_code += 1
+                    if next_code > (1 << width) and width < _MAX_WIDTH:
+                        width += 1
+                code = byte
+        pieces.append(((acc << width) | code, bits + width))
 
         payload = (
             bytes((_TAG_LZW,))
             + len(data).to_bytes(4, "big")
-            + writer.getvalue()
+            + pack_bits(pieces)
         )
         if len(payload) >= len(data) + 5:
             return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
@@ -87,7 +95,7 @@ class LZWCodec(Codec):
         if original_length == 0:
             return b""
 
-        table = list(_SEED_CODES)
+        table = list(_SEED_ENTRIES)
         width = _INITIAL_WIDTH
         reader = BitReader(body)
         out = bytearray()

@@ -53,7 +53,7 @@ from .codec import (
     Codec,
     CodecCosts,
     CodecError,
-    compress_for_image,
+    build_image,
     decompress_for_image,
 )
 from .transforms import TRANSFORMS, Transform
@@ -393,8 +393,18 @@ class PipelineCodec(Codec):
         length follows (length-preserving pipelines recover it from the
         block table for free).
         """
-        transformed = self._forward(data)
-        body = compress_for_image(self.entropy, transformed)
+        return self.build_image([data])[0]
+
+    def build_image(self, blocks: Sequence[bytes]) -> List[bytes]:
+        """:func:`~repro.compress.codec.build_image` for a pipeline: each
+        transform runs once per block, and the entropy stage trains on
+        and encodes the transformed blocks."""
+        transformed = [self._forward(block) for block in blocks]
+        bodies = build_image(self.entropy, transformed)
+        return list(map(self._frame, transformed, bodies))
+
+    def _frame(self, transformed: bytes, body: bytes) -> bytes:
+        """The sized payload of entropy ``body`` coding ``transformed``."""
         if self.length_preserving:
             return bytes(((_BLOCK_VERSION << 4),)) + body
         if len(transformed) > 0xFFFF:

@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from .bitio import BitIOError, BitReader, BitWriter
+from .bitio import BitIOError, BitReader
 from .codec import Codec, CodecCosts, CodecError, register_codec
+from .dictionary import pack_words, words_of
 from .huffman import (
     CanonicalDecoder,
     _canonical_codes,
     _code_lengths,
     byte_frequencies,
+    pack_symbols,
 )
 
 _TAG_RAW = 0
@@ -177,24 +179,24 @@ class SharedDictionaryCodec(SharedModelCodec):
             )
         self.max_entries = max_entries
         self._dictionary: List[bytes] = []
-        self._index_of: Dict[bytes, int] = {}
+        #: Dictionary word (as a big-endian int) -> flag bit | index.
+        self._hits: Dict[int, int] = {}
         self._index_bits = 1
 
     def _fit(self, samples: Sequence[bytes]) -> None:
         counts: Counter = Counter()
         for sample in samples:
-            for i in range(len(sample) // _WORD):
-                counts[sample[i * _WORD : (i + 1) * _WORD]] += 1
-        self._dictionary = [
+            counts.update(words_of(sample))
+        entries = [
             word for word, count in counts.most_common(self.max_entries)
             if count >= 2
         ]
-        self._index_of = {
-            word: index for index, word in enumerate(self._dictionary)
+        self._dictionary = [word.to_bytes(_WORD, "big") for word in entries]
+        self._index_bits = max(1, (max(1, len(entries)) - 1).bit_length())
+        hit_flag = 1 << self._index_bits
+        self._hits = {
+            word: hit_flag | index for index, word in enumerate(entries)
         }
-        self._index_bits = max(
-            1, (max(1, len(self._dictionary)) - 1).bit_length()
-        )
 
     def _model_state(self) -> bytes:
         return (
@@ -208,24 +210,7 @@ class SharedDictionaryCodec(SharedModelCodec):
         return len(self._dictionary) * _WORD + 4
 
     def _encode_body(self, data: bytes) -> bytes:
-        writer = BitWriter()
-        write_bits = writer.write_bits
-        index_of = self._index_of
-        index_bits = self._index_bits
-        hit_flag = 1 << index_bits
-        word_count = len(data) // _WORD
-        for i in range(word_count):
-            word = data[i * _WORD : (i + 1) * _WORD]
-            index = index_of.get(word)
-            if index is not None:
-                # Flag bit and index emitted as one batched field.
-                write_bits(hit_flag | index, index_bits + 1)
-            else:
-                # Flag bit 0 + 32 literal bits = one 33-bit field.
-                write_bits(int.from_bytes(word, "big"), 33)
-        for byte in data[word_count * _WORD :]:
-            write_bits(byte, 8)
-        return writer.getvalue()
+        return pack_words(data, self._hits, self._index_bits + 1)
 
     def _decode_body(self, body: bytes, length: int) -> bytes:
         reader = BitReader(body)
@@ -272,7 +257,14 @@ class _ByteHuffmanModel:
         lengths = _code_lengths(Counter(seen))
         self.codes = _canonical_codes(lengths)
         self._decoder = CanonicalDecoder(lengths)
-        self._escape_pair = self.codes[_ESCAPE]
+        # Byte -> (code, length); an unseen byte's entry is the escape
+        # code followed by the byte as an 8-bit literal.
+        escape, escape_length = self.codes[_ESCAPE]
+        self.table = [
+            self.codes.get(symbol)
+            or ((escape << 8) | symbol, escape_length + 8)
+            for symbol in range(256)
+        ]
 
     @property
     def size_bytes(self) -> int:
@@ -288,16 +280,6 @@ class _ByteHuffmanModel:
             + length.to_bytes(1, "big")
             for symbol, (code, length) in sorted(self.codes.items())
         )
-
-    def write_symbol(self, writer: BitWriter, symbol: int) -> None:
-        entry = self.codes.get(symbol)
-        if entry is None:
-            # Escape then literal, fused into one batched field write.
-            code, length = self._escape_pair
-            writer.write_bits((code << 8) | symbol, length + 8)
-            return
-        code, length = entry
-        writer.write_bits(code, length)
 
     def read_symbol(self, reader: BitReader) -> int:
         try:
@@ -337,10 +319,7 @@ class SharedHuffmanCodec(SharedModelCodec):
         return self._model.size_bytes if self._model else 0
 
     def _encode_body(self, data: bytes) -> bytes:
-        writer = BitWriter()
-        for byte in data:
-            self._model.write_symbol(writer, byte)
-        return writer.getvalue()
+        return pack_symbols(data, (self._model.table,))
 
     def _decode_body(self, body: bytes, length: int) -> bytes:
         reader = BitReader(body)
@@ -402,10 +381,7 @@ class SharedFieldsCodec(SharedModelCodec):
         return sum(model.size_bytes for model in self._models)
 
     def _encode_body(self, data: bytes) -> bytes:
-        writer = BitWriter()
-        for offset, byte in enumerate(data):
-            self._models[offset % _WORD].write_symbol(writer, byte)
-        return writer.getvalue()
+        return pack_symbols(data, [model.table for model in self._models])
 
     def _decode_body(self, body: bytes, length: int) -> bytes:
         reader = BitReader(body)

@@ -487,7 +487,8 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     remember = residency.remember
     site_target = remember._site_target
     by_target = remember._by_target
-    fp = residency.footprint._samples
+    fp_cycles = residency.footprint._cycles
+    fp_values = residency.footprint._values
     base_size = image.compressed_image_size
     used = image.allocator.used_bytes
     fault_cycles = config.fault_cycles
@@ -563,10 +564,11 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         tmem_bytes += geo[2]
         used += geo[0]
         value = base_size + used if arithmetic else image.footprint_bytes
-        if fp and fp[-1][0] == now:
-            fp[-1] = (now, value)
+        if fp_cycles and fp_cycles[-1] == now:
+            fp_values[-1] = value
         else:
-            fp.append((now, value))
+            fp_cycles.append(now)
+            fp_values.append(value)
         if following:
             return geo
         if record is not None:
@@ -670,10 +672,11 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
             w_done += len(done)
         used -= geo[0]
         value = base_size + used if arithmetic else image.footprint_bytes
-        if fp and fp[-1][0] == now:
-            fp[-1] = (now, value)
+        if fp_cycles and fp_cycles[-1] == now:
+            fp_values[-1] = value
         else:
-            fp.append((now, value))
+            fp_cycles.append(now)
+            fp_values.append(value)
 
     def evict(unit, protected, now):
         """Release budget victims so ``unit`` fits (BudgetError

@@ -15,8 +15,8 @@ simulation is handled by the memory image, never by rewriting the program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
 from .encoding import MAX_CODE_ADDRESS, encode_program
 from .instructions import INSTRUCTION_SIZE, Instruction, Opcode
@@ -94,13 +94,6 @@ class Program:
         if not 0 <= index < len(self.instructions):
             raise ProgramError(f"code address {address:#x} out of range")
         return index
-
-    def label_at(self, index: int) -> Optional[str]:
-        """Return a label defined at instruction ``index``, if any."""
-        for label, label_index in self.labels.items():
-            if label_index == index:
-                return label
-        return None
 
     # ------------------------------------------------------------------
     # Linking

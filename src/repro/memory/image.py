@@ -27,7 +27,7 @@ from ..cfg.builder import ProgramCFG
 from ..compress.codec import (
     Codec,
     CodecError,
-    compress_for_image,
+    build_image,
     decompress_for_image,
     get_codec,
 )
@@ -205,10 +205,6 @@ def compression_artifacts(
         return artifacts
     codec = get_codec(codec_name)
     block_data = [block_bytes(block) for block in cfg.blocks]
-    # Shared-model codecs must train either way: the trained model is
-    # needed to *decompress*, whatever produced the payloads.
-    if hasattr(codec, "train") and not getattr(codec, "is_trained", True):
-        codec.train(block_data)
     payloads = None
     provider = _artifact_provider
     if provider is not None:
@@ -217,14 +213,15 @@ def compression_artifacts(
         except Exception:
             payloads = None
     if payloads is None:
-        payloads = [
-            compress_for_image(codec, data) for data in block_data
-        ]
+        payloads = build_image(codec, block_data)
         if provider is not None:
             try:
                 provider.save(codec_name, block_data, payloads)
             except Exception:
                 pass  # persistence is best-effort, never fatal
+    elif not getattr(codec, "is_trained", True):
+        # Stored payloads still need the trained model to decompress.
+        codec.train(block_data)
     artifacts = CompressionArtifacts(
         codec=codec, block_data=block_data, payloads=payloads
     )
@@ -311,10 +308,14 @@ class CodeImage(abc.ABC):
         # Shared-model codecs (CodePack-style) train on the whole image
         # at link time; the model's size is charged once per distinct
         # codec storing payloads, below.
-        if hasattr(codec, "train") and not getattr(
-            codec, "is_trained", True
-        ):
-            codec.train([block_bytes(block) for block in cfg.blocks])
+        if artifacts is None:
+            payloads = build_image(
+                codec, [block_bytes(block) for block in cfg.blocks]
+            )
+        else:
+            payloads = artifacts.payloads
+            if not getattr(codec, "is_trained", True):
+                codec.train([block_bytes(block) for block in cfg.blocks])
         if self._codec_map is not None:
             # One model per *distinct codec name* (flat or canonical
             # pipeline spec): two instances of the same trained codec
@@ -334,12 +335,7 @@ class CodeImage(abc.ABC):
                 getattr(codec, "model_overhead_bytes", 0)
             )
         #: Compressed payloads by block id (precomputed when shared).
-        self._payloads: List[bytes] = (
-            artifacts.payloads if artifacts is not None else [
-                compress_for_image(codec, block_bytes(block))
-                for block in cfg.blocks
-            ]
-        )
+        self._payloads: List[bytes] = payloads
 
     def codec_for(self, block_id: int) -> Codec:
         """The codec that owns ``block_id``'s payload (mixed-codec

@@ -22,28 +22,39 @@ class FootprintTimeline:
     """Piecewise-constant memory footprint over cycle time.
 
     ``record(cycle, bytes)`` appends a step; peak and time-weighted average
-    are computed over [first record, close cycle].
+    are computed over [first record, close cycle].  Steps live in two flat
+    int lists, so a run keeps no per-step object for the collector.
     """
 
     def __init__(self) -> None:
-        self._samples: List[Tuple[int, int]] = []
+        self._cycles: List[int] = []
+        self._values: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self._cycles)
 
     def record(self, cycle: int, footprint: int) -> None:
         """Record that the footprint is ``footprint`` from ``cycle`` on."""
-        if self._samples and self._samples[-1][0] == cycle:
-            self._samples[-1] = (cycle, footprint)
+        cycles = self._cycles
+        if cycles and cycles[-1] == cycle:
+            self._values[-1] = footprint
             return
-        if self._samples and cycle < self._samples[-1][0]:
+        if cycles and cycle < cycles[-1]:
             raise ValueError(
                 f"footprint recorded out of order: {cycle} after "
-                f"{self._samples[-1][0]}"
+                f"{cycles[-1]}"
             )
-        self._samples.append((cycle, footprint))
+        cycles.append(cycle)
+        self._values.append(footprint)
 
     @property
     def samples(self) -> List[Tuple[int, int]]:
         """The recorded (cycle, footprint) steps."""
-        return list(self._samples)
+        return list(zip(self._cycles, self._values))
+
+    def rows(self) -> List[List[int]]:
+        """The steps as ``[cycle, footprint]`` lists (the stored form)."""
+        return list(map(list, zip(self._cycles, self._values)))
 
     @classmethod
     def from_samples(
@@ -58,32 +69,33 @@ class FootprintTimeline:
         through this).
         """
         timeline = cls()
-        steps = [(int(cycle), int(footprint)) for cycle, footprint in samples]
-        cycles = list(map(itemgetter(0), steps))
+        if set(map(len, samples)) - {2}:
+            raise ValueError("footprint steps must be (cycle, footprint)")
+        cycles = list(map(int, map(itemgetter(0), samples)))
+        values = list(map(int, map(itemgetter(1), samples)))
         if all(map(lt, cycles, cycles[1:])):
-            timeline._samples = steps
+            timeline._cycles, timeline._values = cycles, values
         else:
-            for cycle, footprint in steps:
+            for cycle, footprint in zip(cycles, values):
                 timeline.record(cycle, footprint)
         return timeline
 
     @property
     def peak(self) -> int:
         """Largest footprint ever recorded."""
-        return max(map(itemgetter(1), self._samples), default=0)
+        return max(self._values, default=0)
 
     def average(self, end_cycle: Optional[int] = None) -> float:
         """Time-weighted average footprint up to ``end_cycle``."""
-        samples = self._samples
-        if not samples:
+        cycles = self._cycles
+        values = self._values
+        if not cycles:
             return 0.0
-        start = samples[0][0]
+        start = cycles[0]
         if end_cycle is None:
-            end_cycle = samples[-1][0]
+            end_cycle = cycles[-1]
         if end_cycle <= start:
-            return float(samples[0][1])
-        cycles = list(map(itemgetter(0), samples))
-        values = list(map(itemgetter(1), samples))
+            return float(values[0])
         # Each step's footprint times its cycles before ``end_cycle``.
         cut = bisect_left(cycles, end_cycle)
         terms = list(map(

@@ -47,7 +47,7 @@ def is_cacheable(run: SweepRun) -> bool:
     if run.error is not None:
         return False
     result = run.result
-    entries = len(result.block_trace) + len(result.footprint.samples)
+    entries = len(result.block_trace) + len(result.footprint)
     return entries <= MAX_CACHEABLE_ENTRIES
 
 
@@ -69,10 +69,7 @@ def run_to_record(run: SweepRun, fingerprint: str) -> Dict[str, Any]:
             "total_cycles": result.total_cycles,
             "execution_cycles": result.execution_cycles,
             "counters": result.counters.to_dict(),
-            "footprint": [
-                [cycle, value]
-                for cycle, value in result.footprint.samples
-            ],
+            "footprint": result.footprint.rows(),
             "uncompressed_size": result.uncompressed_size,
             "compressed_size": result.compressed_size,
             "registers": (

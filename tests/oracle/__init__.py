@@ -17,4 +17,8 @@ interprets with it.
 program's inputs were computed once: the assignment context's per-call
 cost lookups and the ``pipeline-search`` floor and pruning rounds that
 re-score every unit against every option.
+
+:mod:`oracle.codecs` pins the codec encoders as they wrote each field
+through ``BitWriter``, and the pipeline build that transformed every
+block twice, before the encoders packed their fields into integers.
 """

@@ -80,6 +80,23 @@ class TestBuilder:
         with pytest.raises(Exception, match="linked"):
             build_cfg(program)
 
+    def test_first_of_two_labels_names_the_block(self):
+        program = assemble(
+            """
+main:
+    li   r1, 2
+top:
+again:
+    subi r1, r1, 1
+    bne  r1, r0, again
+done:
+    halt
+"""
+        )
+        assert program.labels["top"] == program.labels["again"]
+        labels = [block.label for block in build_cfg(program).blocks]
+        assert labels == ["main", "top", "done"]
+
     def test_block_at_index_covers_whole_program(self, loop_cfg):
         for index in range(len(loop_cfg.program.instructions)):
             block = loop_cfg.block_at_index(index)

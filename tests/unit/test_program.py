@@ -30,11 +30,6 @@ class TestProgram:
         with pytest.raises(ProgramError, match="out of range"):
             loop_program.index_of_address(loop_program.size_bytes + 4)
 
-    def test_label_at(self, loop_program):
-        assert loop_program.label_at(loop_program.labels["loop"]) == "loop"
-        # instruction 1 (the second li) has no label
-        assert loop_program.label_at(1) is None
-
     def test_link_idempotent(self, loop_program):
         before = list(loop_program.instructions)
         loop_program.link()

@@ -5,11 +5,14 @@ worker (``tests/oracle``); the production worker only keeps the tallies
 the replay kernel leaves behind.
 """
 
+import gc
 import random
 
 import pytest
 
 from oracle.layered import BackgroundWorker
+from repro.analysis.sweep import run_one
+from repro.core.config import SimulationConfig
 from repro.runtime import (
     Counters,
     EventKind,
@@ -17,6 +20,7 @@ from repro.runtime import (
     FootprintTimeline,
 )
 from repro.runtime.metrics import SimulationResult
+from repro.workloads import get_workload
 
 
 class TestEventLog:
@@ -181,6 +185,25 @@ class TestFootprintStatistics:
                    for x in step)
         with pytest.raises(ValueError):
             FootprintTimeline.from_samples([(0, 1, 2)])
+
+
+    def test_a_run_keeps_no_gc_tracked_step(self):
+        # One step per fill and release: none may be an object the
+        # collector tracks (a run of a long sweep keeps thousands).
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_one(
+                get_workload("composite"),
+                SimulationConfig(k_compress=1, trace_events=False),
+            ).result
+            footprint = result.footprint
+            assert len(footprint.samples) > 100
+            for store in vars(footprint).values():
+                assert not any(map(gc.is_tracked, store))
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBackgroundWorker:

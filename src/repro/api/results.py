@@ -284,15 +284,24 @@ class ResultSet:
             if k not in self.EXECUTION_KEYS
         }
         cells = []
+        # id(config) -> (config, its dict): runs share config objects,
+        # and a config carrying an edge profile is unhashable.
+        configs: Dict[int, tuple] = {}
         for run in self.runs:
+            entry = configs.get(id(run.config))
+            if entry is None:
+                entry = configs[id(run.config)] = (
+                    run.config, config_to_dict(run.config)
+                )
+            config = entry[1]
             # Per-cell engine/registers stay off the serialised form on
             # purpose: they say how a cell got its block trace (replayed
             # or interpreted), which must not change what it reports
             # (the live SimulationResult.engine tag keeps it).
             cell: Dict[str, Any] = {
                 "workload": run.workload,
-                "label": run.config.strategy_name,
-                "config": config_to_dict(run.config),
+                "label": config["strategy_name"],
+                "config": dict(config),
                 "metrics": run_metrics(run),
                 "ok": run.ok,
                 "validation": list(run.validation),

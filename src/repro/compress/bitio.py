@@ -65,20 +65,6 @@ class BitWriter:
         self._filled = 0  # bits currently in _acc (0..7)
         self._bit_count = 0
 
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit (0 or 1)."""
-        if bit not in (0, 1):
-            raise BitIOError(f"bit must be 0 or 1, got {bit}")
-        acc = (self._acc << 1) | bit
-        filled = self._filled + 1
-        self._bit_count += 1
-        if filled == 8:
-            self._buffer.append(acc)
-            acc = 0
-            filled = 0
-        self._acc = acc
-        self._filled = filled
-
     def write_bits(self, value: int, width: int) -> None:
         """Append ``width`` bits of ``value`` (most significant first)."""
         if width < 0:
@@ -133,34 +119,6 @@ class BitWriter:
                     )
                 acc = (acc << width) | value
             self.write_bits(acc, width * len(part))
-
-    def write_bytes(self, data: bytes) -> None:
-        """Append whole bytes (bulk path; fast when byte-aligned)."""
-        if self._filled == 0:
-            self._buffer += data
-            self._bit_count += 8 * len(data)
-            return
-        # Unaligned: feed bounded chunks through write_bits so the
-        # accumulator stays small (one giant int would drain byte by
-        # byte in quadratic time).
-        for start in range(0, len(data), 256):
-            chunk = data[start : start + 256]
-            self.write_bits(int.from_bytes(chunk, "big"), 8 * len(chunk))
-
-    def write_unary(self, value: int) -> None:
-        """Append ``value`` in unary: ``value`` ones then a zero."""
-        if value < 0:
-            raise BitIOError(f"unary value must be non-negative, got {value}")
-        # value ones followed by one zero, as a single (value+1)-wide field.
-        self.write_bits(((1 << value) - 1) << 1, value + 1)
-
-    def write_gamma(self, value: int) -> None:
-        """Append Elias-gamma code of ``value`` (value >= 1)."""
-        if value < 1:
-            raise BitIOError(f"gamma value must be >= 1, got {value}")
-        width = value.bit_length()
-        self.write_unary(width - 1)
-        self.write_bits(value - (1 << (width - 1)), width - 1)
 
     @property
     def bit_length(self) -> int:
@@ -279,28 +237,3 @@ class BitReader:
         if self._position + width > self._total_bits:
             raise BitIOError("bit stream exhausted")
         self._position += width
-
-    def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` whole bytes (bulk path; fast when aligned)."""
-        position = self._position
-        if position & 7 == 0:
-            start = position >> 3
-            if position + 8 * count > self._total_bits:
-                raise BitIOError("bit stream exhausted")
-            self._position = position + 8 * count
-            return bytes(self._data[start : start + count])
-        return self.read_bits(8 * count).to_bytes(count, "big")
-
-    def read_unary(self) -> int:
-        """Read a unary-coded value (count of ones before the zero)."""
-        count = 0
-        while self.read_bit():
-            count += 1
-        return count
-
-    def read_gamma(self) -> int:
-        """Read an Elias-gamma coded value."""
-        width = self.read_unary() + 1
-        if width == 1:
-            return 1
-        return (1 << (width - 1)) | self.read_bits(width - 1)

@@ -31,6 +31,9 @@ TRANSFORMS = Registry("transforms", item="transform")
 
 _WORD = 4
 
+#: The move-to-front table's starting order.
+_IDENTITY = bytes(range(256))
+
 #: Escape token of the word-dictionary transform: the next 4 bytes are a
 #: literal word.  Dictionary indexes therefore stop at 254 entries.
 _DICT_ESCAPE = 0xFF
@@ -146,7 +149,8 @@ class MoveToFrontTransform(Transform):
     fixed_cycles = 10
 
     def forward(self, data: bytes) -> bytes:
-        table = list(range(256))
+        # A bytearray table: ``index`` and the move are memchr/memmove.
+        table = bytearray(_IDENTITY)
         out = bytearray(len(data))
         for i, byte in enumerate(data):
             index = table.index(byte)
@@ -157,7 +161,7 @@ class MoveToFrontTransform(Transform):
         return bytes(out)
 
     def inverse(self, data: bytes) -> bytes:
-        table = list(range(256))
+        table = bytearray(_IDENTITY)
         out = bytearray(len(data))
         for i, index in enumerate(data):
             byte = table[index]

@@ -11,11 +11,20 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter, lt, mul, sub
+from operator import lt, mul, sub
 from typing import Dict, List, Optional, Tuple
 
 #: Integers below this (sums of them included) are exact as floats.
 _EXACT_FLOAT = 1 << 53
+
+
+def int_list(value: object) -> List[int]:
+    """``value`` itself when it is a list of plain ints, else
+    :class:`ValueError` (a ``bool`` is not a plain int).  One pass over
+    the types, for lists decoded from stored records."""
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError("expected a list of ints")
+    return value
 
 
 class FootprintTimeline:
@@ -52,27 +61,28 @@ class FootprintTimeline:
         """The recorded (cycle, footprint) steps."""
         return list(zip(self._cycles, self._values))
 
-    def rows(self) -> List[List[int]]:
-        """The steps as ``[cycle, footprint]`` lists (the stored form)."""
-        return list(map(list, zip(self._cycles, self._values)))
+    def columns(self) -> List[List[int]]:
+        """The steps as ``[cycles, footprints]``, two flat int lists
+        (the stored form)."""
+        return [list(self._cycles), list(self._values)]
 
     @classmethod
-    def from_samples(
-        cls, samples: List[Tuple[int, int]]
+    def from_columns(
+        cls, cycles: List[int], values: List[int]
     ) -> "FootprintTimeline":
-        """Rebuild a timeline from serialised (cycle, footprint) steps.
+        """Rebuild a timeline from :meth:`columns` output.
 
-        Steps with strictly increasing cycles are adopted as they are;
-        any others go through :meth:`record` (equal cycles merge, out of
-        order raises), so a reconstructed timeline is indistinguishable
-        from the original (the experiment store round-trips results
-        through this).
+        Both columns must be lists of equal length holding plain ints
+        (a ``bool``, float or string raises :class:`ValueError`).  With
+        strictly increasing cycles the lists themselves are adopted;
+        any others go through :meth:`record` (equal cycles merge, out
+        of order raises), so a reconstructed timeline is
+        indistinguishable from the original (the experiment store
+        round-trips results through this).
         """
+        if len(int_list(cycles)) != len(int_list(values)):
+            raise ValueError("footprint columns differ in length")
         timeline = cls()
-        if set(map(len, samples)) - {2}:
-            raise ValueError("footprint steps must be (cycle, footprint)")
-        cycles = list(map(int, map(itemgetter(0), samples)))
-        values = list(map(int, map(itemgetter(1), samples)))
         if all(map(lt, cycles, cycles[1:])):
             timeline._cycles, timeline._values = cycles, values
         else:

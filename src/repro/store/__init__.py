@@ -14,6 +14,14 @@ dispatching to the serial/parallel executors, so re-running a spec only
 computes missing or changed cells and an interrupted sweep resumes
 where it left off.
 
+A cell record (:mod:`repro.store.records`, version 3) keeps a run's
+footprint timeline as two flat int lists, ``[cycles, footprints]``,
+rather than one ``[cycle, footprint]`` row per fill and release.  The
+timeline is most of a record's bytes, and a warm sweep is mostly
+reading records: columns decode to two lists that are type-checked in
+one pass and adopted as they are.  A record of any other version is a
+miss, recomputed and rewritten.
+
 Layering: this package sits between the sweep
 (:mod:`repro.analysis.sweep`) and the API facade (:mod:`repro.api`).
 Only :mod:`repro.store.executor` may import from :mod:`repro.api`;

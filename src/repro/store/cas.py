@@ -316,19 +316,23 @@ class ExperimentStore:
     def artifact_key(
         self, codec_name: str, block_data: Sequence[bytes]
     ) -> str:
-        """Content key of one (program bytes, codec) artifact bundle."""
-        payload = {
+        """Content key of one (program bytes, codec) artifact bundle.
+
+        One SHA-256 stream: a canonical JSON header, then every block's
+        bytes.  A JSON object ends where its braces balance, and the
+        header lists the block lengths, so two images hash distinct
+        streams even when their blocks join to the same bytes.
+        """
+        header = {
             "kind": "artifact",
             "code": code_version(),
             "salt": os.environ.get("REPRO_STORE_SALT", ""),
             "codec": codec_name,
-            "blocks": [
-                hashlib.sha256(data).hexdigest() for data in block_data
-            ],
+            "lengths": [len(data) for data in block_data],
         }
-        return hashlib.sha256(
-            canonical_dumps(payload).encode("utf-8")
-        ).hexdigest()
+        hasher = hashlib.sha256(canonical_dumps(header).encode("utf-8"))
+        hasher.update(b"".join(block_data))
+        return hasher.hexdigest()
 
     def put_artifact_bundle(
         self,

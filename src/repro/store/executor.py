@@ -53,7 +53,7 @@ from ..obs.spans import span, span_event
 from ..registry import catalog_signature
 from ..workloads.suite import get_workload
 from .cas import ExperimentStore, StoreError, resolve_store_dir
-from .fingerprint import cell_fingerprint, workload_digest
+from .fingerprint import cell_fingerprint, config_signature, workload_digest
 from .records import is_cacheable, record_to_run, run_to_record
 
 _log = logging.getLogger("repro.store.executor")
@@ -146,10 +146,16 @@ def plan_cells(
     cell_config)`` pairs in config order, where ``cell_config`` is the
     sweep's *effective* config (fast overrides applied) — the config a
     cached record must be reattached to so a hit is indistinguishable
-    from a fresh run.
+    from a fresh run.  Each distinct config object gets its effective
+    config and signature once per call (partitions share config
+    objects across workloads); the memo is keyed by identity and keeps
+    the config alive, because a config carrying an edge profile is
+    unhashable.
     """
     if catalog is None:
         catalog = catalog_signature()
+    # id(config) -> (config, its effective config, that one's signature)
+    planned: Dict[int, tuple] = {}
     rows: List[List[Tuple[str, object]]] = []
     for partition in partitions:
         workload = partition.workload
@@ -158,12 +164,18 @@ def plan_cells(
         workload_id = workload_digest(workload)  # once per program
         row: List[Tuple[str, object]] = []
         for config in partition.configs:
-            cell_config = effective_config(config, fast)
+            entry = planned.get(id(config))
+            if entry is None:
+                cell_config = effective_config(config, fast)
+                entry = planned[id(config)] = (
+                    config, cell_config, config_signature(cell_config)
+                )
+            _, cell_config, signature = entry
             row.append((
                 cell_fingerprint(
                     workload, cell_config, fast=fast,
-                    max_blocks=max_blocks,
-                    workload_id=workload_id, catalog=catalog,
+                    max_blocks=max_blocks, workload_id=workload_id,
+                    catalog=catalog, signature=signature,
                 ),
                 cell_config,
             ))

@@ -167,14 +167,16 @@ def cell_fingerprint(
     *,
     workload_id: Optional[str] = None,
     catalog: Optional[Dict[str, List[str]]] = None,
+    signature: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The canonical hash identifying one experiment cell.
 
     See the module docstring for exactly what participates; equal
-    fingerprints imply byte-identical cell results.  ``workload_id``
-    and ``catalog`` accept precomputed :func:`workload_digest` /
-    :func:`~repro.registry.catalog_signature` values so grid callers
-    hash each program and the component catalog once, not once per
+    fingerprints imply byte-identical cell results.  ``workload_id``,
+    ``catalog`` and ``signature`` accept precomputed
+    :func:`workload_digest`, :func:`~repro.registry.catalog_signature`
+    and :func:`config_signature` values so grid callers hash each
+    program, the component catalog and each config once, not once per
     cell — on a warm run fingerprinting *is* the dominant cost.
     """
     payload = {
@@ -185,7 +187,8 @@ def cell_fingerprint(
         else catalog_signature(),
         "workload": workload_id if workload_id is not None
         else workload_digest(workload),
-        "config": config_signature(config),
+        "config": signature if signature is not None
+        else config_signature(config),
         "fast": bool(fast),
         "max_blocks": max_blocks,
     }

@@ -9,6 +9,14 @@ has the live :class:`SimulationConfig` in hand (it computed the
 fingerprint from it), and re-attaching it guarantees record/config can
 never drift apart.
 
+The footprint timeline (one step per fill and release, most of a
+record's bytes) is stored as two flat int lists, ``[cycles,
+footprints]``: the columns :class:`~repro.runtime.metrics.FootprintTimeline`
+keeps in memory.  So a write builds no per-step list, and a read checks
+each decoded list in one pass over its entries' types and adopts it,
+instead of converting every step.  The block trace and registers are
+checked and adopted the same way.
+
 Error runs are never recorded (a raising cell must re-raise on the next
 attempt, not be replayed from cache), and runs whose trace or timeline
 would bloat the store past :data:`MAX_CACHEABLE_ENTRIES` are skipped —
@@ -25,13 +33,16 @@ from ..runtime.metrics import (
     Counters,
     FootprintTimeline,
     SimulationResult,
+    int_list,
 )
 from .cas import StoreError
 
 #: Bumped on any change to the record shape.  v2: ``registers`` may be
 #: null (trace replays do not model register state), plus the ``engine``
-#: tag and the ``trace_truncated`` flag.
-RECORD_VERSION = 2
+#: tag and the ``trace_truncated`` flag.  v3: ``footprint`` is the
+#: column pair ``[cycles, footprints]``, not one ``[cycle, footprint]``
+#: row per step.
+RECORD_VERSION = 3
 
 #: Schema identifier embedded in every stored cell record.
 RECORD_SCHEMA = "repro.store.cell"
@@ -69,7 +80,7 @@ def run_to_record(run: SweepRun, fingerprint: str) -> Dict[str, Any]:
             "total_cycles": result.total_cycles,
             "execution_cycles": result.execution_cycles,
             "counters": result.counters.to_dict(),
-            "footprint": result.footprint.rows(),
+            "footprint": result.footprint.columns(),
             "uncompressed_size": result.uncompressed_size,
             "compressed_size": result.compressed_size,
             "registers": (
@@ -97,6 +108,7 @@ def record_to_run(
         if record.get("version") != RECORD_VERSION:
             raise ValueError(f"version {record.get('version')!r}")
         data = record["result"]
+        cycles, footprints = data["footprint"]
         result = SimulationResult(
             program=data["program"],
             strategy=data["strategy"],
@@ -106,14 +118,14 @@ def record_to_run(
             total_cycles=int(data["total_cycles"]),
             execution_cycles=int(data["execution_cycles"]),
             counters=Counters.from_dict(data["counters"]),
-            footprint=FootprintTimeline.from_samples(data["footprint"]),
+            footprint=FootprintTimeline.from_columns(cycles, footprints),
             uncompressed_size=int(data["uncompressed_size"]),
             compressed_size=int(data["compressed_size"]),
             registers=(
                 None if data["registers"] is None
-                else [int(r) for r in data["registers"]]
+                else int_list(data["registers"])
             ),
-            block_trace=[int(b) for b in data["block_trace"]],
+            block_trace=int_list(data["block_trace"]),
             trace_truncated=bool(data["trace_truncated"]),
             engine=str(data["engine"]),
         )

@@ -17,11 +17,16 @@ import pytest
 
 import repro.core.manager as manager_module
 from repro import api
+from repro.analysis.sweep import effective_config
 from repro.api.executor import SerialExecutor
+from repro.core.config import SimulationConfig
 from repro.store import ExperimentStore
 from repro.store import executor as store_executor
+from repro.store import fingerprint as fingerprint_module
 from repro.store.executor import CachingExecutor
-from repro.store.records import run_to_record
+from repro.store.fingerprint import cell_fingerprint
+from repro.store.records import RECORD_VERSION, run_to_record
+from repro.workloads import get_workload
 
 
 def _spec(**overrides):
@@ -157,30 +162,154 @@ class TestCacheEquivalence:
         assert second.canonical_json() == uncached.canonical_json()
 
 
+def _fill_store(tmp_path, spec):
+    """Run ``spec`` uncached, then through a caching executor into a
+    fresh store; returns the uncached result, the store, the counting
+    inner executor, the caching executor and the stored fingerprints."""
+    uncached = api.run_experiment(spec)
+    counting = CountingSerial()
+    executor = CachingExecutor(
+        store=str(tmp_path / "store"), inner=counting
+    )
+    api.run_experiment(spec, executor=executor)
+    store = executor.store
+    fingerprints = [
+        os.path.basename(path) for path in store._walk_refs("cells")
+    ]
+    assert len(fingerprints) == len(uncached.runs)
+    return uncached, store, counting, executor, fingerprints
+
+
 class TestUndecodableRecords:
     def test_out_of_order_footprint_is_a_miss(self, tmp_path):
         spec = _spec()
-        uncached = api.run_experiment(spec)
-        counting = CountingSerial()
-        executor = CachingExecutor(
-            store=str(tmp_path / "store"), inner=counting
-        )
-        api.run_experiment(spec, executor=executor)
-        store = executor.store
-        fingerprints = [
-            os.path.basename(path) for path in store._walk_refs("cells")
-        ]
-        assert len(fingerprints) == len(uncached.runs)
+        uncached, store, counting, executor, fingerprints = \
+            _fill_store(tmp_path, spec)
         for fingerprint in fingerprints:
             record = store.get_cell(fingerprint)
-            footprint = record["result"]["footprint"]
-            footprint[0], footprint[1] = footprint[1], footprint[0]
+            cycles = record["result"]["footprint"][0]
+            cycles[0], cycles[1] = cycles[1], cycles[0]
             store.put_cell(fingerprint, record)
 
         rerun = api.run_experiment(spec, executor=executor)
         assert counting.cells_computed == 2 * len(uncached.runs)
         assert executor.hits == 0
         assert rerun.canonical_json() == uncached.canonical_json()
+
+    def test_a_v2_row_record_is_recomputed_and_rewritten_as_v3(
+        self, tmp_path
+    ):
+        spec = _spec()
+        uncached, store, counting, executor, fingerprints = \
+            _fill_store(tmp_path, spec)
+        columns = {}
+        for fingerprint in fingerprints:
+            record = store.get_cell(fingerprint)
+            assert record["version"] == RECORD_VERSION == 3
+            columns[fingerprint] = record["result"]["footprint"]
+            # The v2 shape: one [cycle, footprint] row per step.
+            record["version"] = 2
+            record["result"]["footprint"] = [
+                list(step) for step in zip(*columns[fingerprint])
+            ]
+            store.put_cell(fingerprint, record)
+
+        rerun = api.run_experiment(spec, executor=executor)
+        assert counting.cells_computed == 2 * len(uncached.runs)
+        assert rerun.canonical_json() == uncached.canonical_json()
+        for fingerprint in fingerprints:
+            record = store.get_cell(fingerprint)
+            assert record["version"] == RECORD_VERSION
+            assert record["result"]["footprint"] == columns[fingerprint]
+        served = api.run_experiment(spec, executor=executor)
+        assert counting.cells_computed == 2 * len(uncached.runs)
+        assert served.canonical_json() == uncached.canonical_json()
+
+    @pytest.mark.parametrize("column, edit", [
+        pytest.param(0, lambda column: column.pop(), id="shorter-cycles"),
+        pytest.param(1, lambda column: column.append(7),
+                     id="longer-values"),
+        pytest.param(1, lambda column: column.__setitem__(0, True),
+                     id="bool"),
+        pytest.param(0, lambda column: column.__setitem__(-1, "9"),
+                     id="string"),
+        pytest.param(1, lambda column: column.__setitem__(-1, 5.0),
+                     id="float"),
+    ])
+    def test_malformed_columns_are_misses(self, tmp_path, column, edit):
+        spec = _spec()
+        uncached, store, counting, executor, fingerprints = \
+            _fill_store(tmp_path, spec)
+        for fingerprint in fingerprints:
+            record = store.get_cell(fingerprint)
+            edit(record["result"]["footprint"][column])
+            store.put_cell(fingerprint, record)
+
+        rerun = api.run_experiment(spec, executor=executor)
+        assert counting.cells_computed == 2 * len(uncached.runs)
+        assert executor.hits == 0
+        assert rerun.canonical_json() == uncached.canonical_json()
+
+
+class TestPlanning:
+    def test_one_signature_per_distinct_config(self, monkeypatch):
+        spec = _spec(
+            workloads=["fib", "gcd", "crc32"],
+            axes=api.grid(codec=["shared-dict", "huffman"],
+                          k_compress=[1, "inf"]),
+        )
+        partitions = [
+            api.Partition(workload=name, configs=configs)
+            for name, configs in spec.partitions()
+        ]
+        signed = []
+        original = fingerprint_module.config_signature
+
+        def counting(config):
+            signed.append(config)
+            return original(config)
+
+        monkeypatch.setattr(fingerprint_module, "config_signature",
+                            counting)
+        monkeypatch.setattr(store_executor, "config_signature", counting)
+        plan = store_executor.plan_cells(
+            partitions, fast=spec.fast, max_blocks=spec.max_blocks
+        )
+        assert len(signed) == len(spec.configs()) == 4
+        monkeypatch.undo()
+        # Configs that print the same label still get their own
+        # signature: every fingerprint is the one a cell alone gets.
+        fingerprints = set()
+        for partition, row in zip(partitions, plan):
+            for config, (fingerprint, cell_config) in zip(
+                partition.configs, row
+            ):
+                assert cell_config == effective_config(config, spec.fast)
+                assert fingerprint == cell_fingerprint(
+                    get_workload(partition.workload), cell_config,
+                    fast=spec.fast, max_blocks=spec.max_blocks,
+                )
+                fingerprints.add(fingerprint)
+        assert len(fingerprints) == 12
+
+    def test_configs_carrying_an_edge_profile_are_cached(self, tmp_path):
+        profile = api.profile_workload("fib")
+        configs = [
+            SimulationConfig(
+                codec="shared-dict", decompression="pre-single",
+                predictor="static-profile", profile=profile, k_compress=k,
+            )
+            for k in (1, None)
+        ]
+        store = str(tmp_path / "store")
+        uncached = api.run_grid(["fib", "gcd"], configs)
+        first = api.run_grid(["fib", "gcd"], configs, store=store)
+        second = api.run_grid(["fib", "gcd"], configs, store=store)
+        assert all(run.ok for run in uncached.runs)
+        assert first.meta["cache"]["misses"] == 4
+        assert second.meta["cache"]["hits"] == 4
+        assert first.canonical_json() == second.canonical_json() == \
+            uncached.canonical_json()
 
 
 class _Gate(threading.Event):

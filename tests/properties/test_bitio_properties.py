@@ -1,7 +1,7 @@
 """Property-based tests for :mod:`repro.compress.bitio`.
 
-Randomized value/width round-trips (including the gamma/unary codes and
-width-boundary values) plus the overflow/underflow error paths, run
+Randomized value/width round-trips (including width-boundary values)
+plus the overflow/underflow error paths, run
 against both the scalar (``write_bits``/``read_bits``) and the bulk
 (``write_run``/``read_run``) paths.  The two paths must be
 byte-identical: a bulk write round-trips through a scalar read and vice
@@ -93,28 +93,6 @@ class TestRoundTrips:
         reader.skip_bits(lead)
         assert reader.read_run(width, len(values)) == values
 
-    @given(st.lists(st.integers(min_value=0, max_value=60),
-                    max_size=40))
-    @settings(max_examples=150, deadline=None)
-    def test_unary_roundtrip(self, values):
-        writer = BitWriter()
-        for value in values:
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue())
-        for value in values:
-            assert reader.read_unary() == value
-
-    @given(st.lists(st.integers(min_value=1, max_value=1 << 24),
-                    max_size=40))
-    @settings(max_examples=150, deadline=None)
-    def test_gamma_roundtrip(self, values):
-        writer = BitWriter()
-        for value in values:
-            writer.write_gamma(value)
-        reader = BitReader(writer.getvalue())
-        for value in values:
-            assert reader.read_gamma() == value
-
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=60, deadline=None)
     def test_width_zero_fields_are_free(self, count):
@@ -154,12 +132,6 @@ class TestOverflow:
             writer.write_run([0], -1)
         with pytest.raises(BitIOError):
             writer.write_run([-1], 4)
-        with pytest.raises(BitIOError):
-            writer.write_unary(-1)
-        with pytest.raises(BitIOError):
-            writer.write_gamma(0)
-        with pytest.raises(BitIOError):
-            writer.write_bit(2)
 
     def test_width_zero_rejects_nonzero_values(self):
         writer = BitWriter()

@@ -302,8 +302,7 @@ class TestFastPathRan:
                 return original(self, *args, **kwargs)
             return method
 
-        for name in ("__init__", "write_bit", "write_bits", "write_run",
-                     "write_bytes", "getvalue"):
+        for name in ("__init__", "write_bits", "write_run", "getvalue"):
             monkeypatch.setattr(BitWriter, name, counting(name))
         for codec in CODECS:
             for corpus in ("composite", "gen0"):

@@ -33,29 +33,19 @@ from repro.compress.reference import (
 # Bit I/O equivalence
 # ----------------------------------------------------------------------
 
-#: One bit-writer operation: (kind, value, width).
+#: One bit-writer field: (value, width), single bits included.
 _write_ops = st.one_of(
-    st.tuples(st.just("bit"), st.integers(0, 1), st.just(1)),
+    st.tuples(st.integers(0, 1), st.just(1)),
     st.tuples(
-        st.just("bits"),
         st.integers(min_value=0, max_value=(1 << 70) - 1),
         st.integers(min_value=0, max_value=70),
     ),
-    st.tuples(st.just("unary"), st.integers(0, 40), st.just(0)),
-    st.tuples(st.just("gamma"), st.integers(1, 1 << 20), st.just(0)),
 )
 
 
 def _apply(writer, op):
-    kind, value, width = op
-    if kind == "bit":
-        writer.write_bit(value)
-    elif kind == "bits":
-        writer.write_bits(value & ((1 << width) - 1), width)
-    elif kind == "unary":
-        writer.write_unary(value)
-    else:
-        writer.write_gamma(value)
+    value, width = op
+    writer.write_bits(value & ((1 << width) - 1), width)
 
 
 class TestBitWriterEquivalence:

@@ -1,5 +1,6 @@
 """Unit tests for the versioned ResultSet layer."""
 
+import dataclasses
 import json
 
 import pytest
@@ -97,6 +98,28 @@ class TestSchema:
         assert cell["config"]["strategy_name"] == "ondemand/kc=1"
         assert "cycle_overhead" in cell["metrics"]
         assert "faults" in cell["metrics"]
+
+    def test_each_cell_serialises_its_own_config(self, small_resultset):
+        from repro.api import config_to_dict
+        from repro.cfg import EdgeProfile
+
+        # Two configs that share a label, and one that is unhashable
+        # (it carries an edge profile), each shared by two runs.
+        configs = [
+            SimulationConfig(codec=codec, trace_events=False)
+            for codec in ("shared-dict", "huffman")
+        ] + [SimulationConfig(profile=EdgeProfile(), trace_events=False)]
+        runs = [
+            dataclasses.replace(run, config=config)
+            for config in configs for run in small_resultset.runs[:2]
+        ]
+        cells = api.ResultSet(runs).to_dict()["cells"]
+        assert [(cell["label"], cell["config"]) for cell in cells] == [
+            (run.config.strategy_name, config_to_dict(run.config))
+            for run in runs
+        ]
+        cells[0]["config"]["codec"] = "edited"
+        assert cells[1]["config"]["codec"] == "shared-dict"
 
     def test_execution_block_excludable(self, small_resultset):
         data = small_resultset.to_dict(include_execution=False)

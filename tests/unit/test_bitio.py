@@ -9,7 +9,7 @@ class TestBitWriter:
     def test_msb_first_packing(self):
         writer = BitWriter()
         for bit in (1, 0, 1, 0, 1, 0, 1, 0):
-            writer.write_bit(bit)
+            writer.write_bits(bit, 1)
         assert writer.getvalue() == b"\xaa"
 
     def test_partial_byte_zero_padded(self):
@@ -23,10 +23,6 @@ class TestBitWriter:
         writer.write_bits(0x1F, 5)
         assert writer.bit_length == 7
 
-    def test_invalid_bit_rejected(self):
-        with pytest.raises(BitIOError):
-            BitWriter().write_bit(2)
-
     def test_value_too_wide_rejected(self):
         with pytest.raises(BitIOError, match="does not fit"):
             BitWriter().write_bits(8, 3)
@@ -35,29 +31,8 @@ class TestBitWriter:
         with pytest.raises(BitIOError):
             BitWriter().write_bits(0, -1)
 
-    def test_unary(self):
-        writer = BitWriter()
-        writer.write_unary(3)
-        # 1110 padded
-        assert writer.getvalue() == bytes((0b1110_0000,))
-
     def test_empty_writer(self):
         assert BitWriter().getvalue() == b""
-
-    def test_write_bytes_aligned(self):
-        writer = BitWriter()
-        writer.write_bytes(b"\xde\xad\xbe\xef")
-        assert writer.bit_length == 32
-        assert writer.getvalue() == b"\xde\xad\xbe\xef"
-
-    def test_write_bytes_unaligned(self):
-        writer = BitWriter()
-        writer.write_bit(1)
-        payload = bytes(range(256)) * 3  # spans multiple chunks
-        writer.write_bytes(payload)
-        reader = BitReader(writer.getvalue())
-        assert reader.read_bit() == 1
-        assert reader.read_bytes(len(payload)) == payload
 
     def test_oversized_value_rejected_for_wide_fields(self):
         # width >= 64 must be range-checked too (seed gap).
@@ -84,15 +59,6 @@ class TestBitReader:
         reader.read_bits(5)
         assert reader.bits_remaining == 11
 
-    def test_read_bytes_aligned_and_unaligned(self):
-        reader = BitReader(b"\xab\xcd\xef")
-        assert reader.read_bytes(2) == b"\xab\xcd"
-        reader = BitReader(b"\xab\xcd\xef")
-        reader.read_bits(4)
-        assert reader.read_bytes(2) == b"\xbc\xde"
-        with pytest.raises(BitIOError, match="exhausted"):
-            reader.read_bytes(2)
-
     def test_skip_and_peek(self):
         reader = BitReader(b"\xf0\x0f")
         assert reader.peek_bits(4) == 0xF
@@ -104,33 +70,14 @@ class TestBitReader:
         with pytest.raises(BitIOError, match="exhausted"):
             reader.skip_bits(5)
 
-    def test_unary_roundtrip(self):
-        writer = BitWriter()
-        for value in (0, 1, 5, 13):
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_unary() for _ in range(4)] == [0, 1, 5, 13]
-
-    def test_gamma_roundtrip(self):
-        writer = BitWriter()
-        values = [1, 2, 3, 7, 8, 100, 65535]
-        for value in values:
-            writer.write_gamma(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_gamma() for _ in range(len(values))] == values
-
-    def test_gamma_rejects_zero(self):
-        with pytest.raises(BitIOError):
-            BitWriter().write_gamma(0)
-
     def test_interleaved_fields(self):
         writer = BitWriter()
-        writer.write_bit(1)
+        writer.write_bits(1, 1)
         writer.write_bits(0xAB, 8)
-        writer.write_unary(2)
+        writer.write_bits(0b110, 3)
         writer.write_bits(0x3, 2)
         reader = BitReader(writer.getvalue())
         assert reader.read_bit() == 1
         assert reader.read_bits(8) == 0xAB
-        assert reader.read_unary() == 2
+        assert [reader.read_bit() for _ in range(3)] == [1, 1, 0]
         assert reader.read_bits(2) == 0x3

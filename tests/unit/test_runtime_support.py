@@ -125,12 +125,15 @@ def _random_samples(rng, steps, cycle_bits, value_bits):
 
 class TestFootprintStatistics:
     """``peak`` and ``average`` are bit-identical to the per-step loop,
-    and ``from_samples`` keeps :meth:`FootprintTimeline.record`'s
+    and ``from_columns`` keeps :meth:`FootprintTimeline.record`'s
     checks."""
 
     @staticmethod
     def _check(samples, end_cycles):
-        timeline = FootprintTimeline.from_samples(samples)
+        timeline = FootprintTimeline.from_columns(
+            [cycle for cycle, _ in samples],
+            [value for _, value in samples],
+        )
         assert timeline.samples == samples
         assert timeline.peak == max(
             (value for _, value in samples), default=0
@@ -168,24 +171,41 @@ class TestFootprintStatistics:
         self._check([(7, 44)], [None, 3, 7, 8, 1 << 60])
         self._check([], [None, 5])
 
-    def test_from_samples_rejects_out_of_order_cycles(self):
+    def test_from_columns_rejects_out_of_order_cycles(self):
         with pytest.raises(ValueError, match="out of order"):
-            FootprintTimeline.from_samples([(0, 1), (10, 1), (5, 2)])
+            FootprintTimeline.from_columns([0, 10, 5], [1, 1, 2])
 
-    def test_from_samples_merges_equal_cycles(self):
-        timeline = FootprintTimeline.from_samples(
-            [(0, 1), (5, 1), (5, 3), (9, 2)]
+    def test_from_columns_merges_equal_cycles(self):
+        timeline = FootprintTimeline.from_columns(
+            [0, 5, 5, 9], [1, 1, 3, 2]
         )
         assert timeline.samples == [(0, 1), (5, 3), (9, 2)]
 
-    def test_from_samples_coerces_and_checks_shape(self):
-        timeline = FootprintTimeline.from_samples([["0", 7], [3, True]])
-        assert timeline.samples == [(0, 7), (3, 1)]
-        assert all(type(x) is int for step in timeline.samples
-                   for x in step)
+    @pytest.mark.parametrize("cycles, values", [
+        ([0, 3], [7]),  # unequal lengths
+        (["0", 3], [7, 1]),  # a string is not coerced
+        ([0, 3], [7, True]),  # nor is a bool
+        ([0, 3.0], [7, 1]),  # nor a float
+        ((0, 3), [7, 1]),  # columns are lists
+        ({0: 7}, [7]),  # nor a dict
+        ([[0, 7]], [[3, 1]]),  # rows are not columns
+    ])
+    def test_from_columns_rejects_bad_shapes_and_non_ints(self, cycles,
+                                                          values):
         with pytest.raises(ValueError):
-            FootprintTimeline.from_samples([(0, 1, 2)])
+            FootprintTimeline.from_columns(cycles, values)
 
+    def test_columns_round_trip(self):
+        timeline = FootprintTimeline()
+        for cycle, value in ((0, 4), (3, 9), (3, 5), (8, 0)):
+            timeline.record(cycle, value)
+        columns = timeline.columns()
+        assert columns == [[0, 3, 8], [4, 5, 0]]
+        rebuilt = FootprintTimeline.from_columns(*columns)
+        assert rebuilt.samples == timeline.samples
+        # The stored form is a copy: editing it leaves the run alone.
+        columns[0][0] = 99
+        assert timeline.samples[0] == (0, 4)
 
     def test_a_run_keeps_no_gc_tracked_step(self):
         # One step per fill and release: none may be an object the

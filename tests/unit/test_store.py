@@ -12,6 +12,7 @@ from repro.core import SimulationConfig
 from repro.log import parse_kv
 from repro.memory.image import ArtifactCache, compression_artifacts
 from repro.registry import catalog_signature
+from repro.runtime.metrics import FootprintTimeline
 from repro.store import (
     ExperimentStore,
     StoreError,
@@ -22,6 +23,7 @@ from repro.store import (
     workload_digest,
 )
 from repro.store.records import (
+    RECORD_VERSION,
     is_cacheable,
     record_to_run,
     run_to_record,
@@ -239,6 +241,19 @@ class TestCAS:
             "shared-dict", [b"\x00" * 4, b"\xff" * 8]
         ) is None
 
+    def test_artifact_keys_tell_block_splits_apart(self, tmp_path):
+        # Images whose blocks join to the same bytes, split differently.
+        store = ExperimentStore(tmp_path / "store")
+        images = ([b"\x01\x02\x03\x04"], [b"\x01\x02", b"\x03\x04"],
+                  [b"\x01", b"\x02\x03\x04"], [b"\x01\x02\x03\x04", b""])
+        keys = {store.artifact_key("shared-dict", blocks)
+                for blocks in images}
+        assert len(keys) == len(images)
+        store.put_artifact_bundle("shared-dict", images[1], [b"p0", b"p1"])
+        assert store.get_artifact_bundle("shared-dict", images[2]) is None
+        assert store.get_artifact_bundle("shared-dict", images[1]) == \
+            [b"p0", b"p1"]
+
 
 class TestRecords:
     def test_roundtrip_preserves_metrics_exactly(self):
@@ -257,6 +272,33 @@ class TestRecords:
         assert rebuilt.result.footprint.samples == \
             run.result.footprint.samples
         assert rebuilt.result.registers == run.result.registers
+
+    def test_the_footprint_is_stored_as_two_columns(self):
+        run = run_one(get_workload("gcd"), _config(k_compress=1))
+        record = run_to_record(run, "0" * 64)
+        samples = run.result.footprint.samples
+        assert len(samples) > 2
+        assert record["version"] == RECORD_VERSION == 3
+        assert record["result"]["footprint"] == [
+            [cycle for cycle, _ in samples],
+            [value for _, value in samples],
+        ]
+
+    def test_decoding_adopts_the_stored_lists(self, monkeypatch):
+        run = run_one(get_workload("gcd"), _config(record_trace=True))
+        record = json.loads(canonical_dumps(run_to_record(run, "0" * 64)))
+        data = record["result"]
+        cycles, values = data["footprint"]
+        assert len(cycles) > 2 and data["block_trace"]
+        calls = []
+        monkeypatch.setattr(FootprintTimeline, "record",
+                            lambda *args: calls.append(args))
+        rebuilt = record_to_run(record, run.config).result
+        assert calls == []
+        assert rebuilt.footprint._cycles is cycles
+        assert rebuilt.footprint._values is values
+        assert rebuilt.block_trace is data["block_trace"]
+        assert rebuilt.footprint.samples == run.result.footprint.samples
 
     def test_malformed_record_raises_store_error(self):
         with pytest.raises(StoreError):

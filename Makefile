@@ -5,7 +5,9 @@
 # and bulk bit I/O (against per-field writes).  Every other codec's
 # payloads are held to the frozen bit-writer encoders in
 # tests/oracle/codecs.py by the tier-1 suite
-# tests/properties/test_encoder_oracle.py.
+# tests/properties/test_encoder_oracle.py.  Each perfbench workload's
+# seed-1 sweep is held to its pinned canonical_json SHA-256 by the
+# tier-1 suite tests/integration/test_perfbench_pins.py.
 
 PYTHON ?= python
 export PYTHONPATH := src

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from ..analysis.report import Series, Table
 from ..analysis.sweep import SweepRun
 from ..core.config import SimulationConfig
+from ..runtime.metrics import COUNTER_NAMES
 
 #: Bumped on any backwards-incompatible schema change.  v2: ``meta``
 #: no longer carries ``engine`` (every sweep runs one computation).
@@ -57,9 +58,10 @@ def run_metrics(run: SweepRun) -> Dict[str, float]:
     """Flat metric dict for one run: the headline summary plus every raw
     counter (counter names that overlap the summary agree by
     construction)."""
-    metrics = dict(run.result.summary())
-    for f in dataclasses.fields(run.result.counters):
-        metrics[f.name] = float(getattr(run.result.counters, f.name))
+    metrics = run.result.summary()
+    counters = run.result.counters
+    for name in COUNTER_NAMES:
+        metrics[name] = float(getattr(counters, name))
     return metrics
 
 
@@ -105,7 +107,7 @@ def metric_value(run: SweepRun, name: str) -> Any:
         return getattr(result, name)
     raise KeyError(
         f"unknown metric '{name}'; available: "
-        f"{sorted(set(summary) | {f.name for f in dataclasses.fields(run.result.counters)})}"
+        f"{sorted(set(summary) | set(COUNTER_NAMES))}"
     )
 
 

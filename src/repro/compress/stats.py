@@ -30,11 +30,6 @@ class BlockCompressionStats:
             return 1.0
         return self.compressed_size / self.original_size
 
-    @property
-    def saved_bytes(self) -> int:
-        """Bytes saved versus the uncompressed block."""
-        return self.original_size - self.compressed_size
-
 
 @dataclass(frozen=True)
 class ImageCompressionStats:
@@ -68,15 +63,6 @@ class ImageCompressionStats:
     def space_saving(self) -> float:
         """Fraction of memory saved: ``1 - ratio``."""
         return 1.0 - self.ratio
-
-    @property
-    def mean_decompress_cycles(self) -> float:
-        """Mean modelled decompression latency per block."""
-        if not self.per_block:
-            return 0.0
-        return sum(s.decompress_cycles for s in self.per_block) / len(
-            self.per_block
-        )
 
 
 def block_bytes(block: BasicBlock) -> bytes:

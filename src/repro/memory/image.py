@@ -108,15 +108,6 @@ class ArtifactCache:
         """Maximum number of (CFG, codec) entries kept."""
         return self._capacity
 
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the cache, evicting LRU entries if it shrank."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        with self._mutex:
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -165,8 +156,9 @@ _ARTIFACTS = ArtifactCache()
 
 
 def artifact_cache() -> ArtifactCache:
-    """The process-wide (CFG, codec) artifact memo, for capacity tuning
-    and explicit :meth:`ArtifactCache.clear` calls."""
+    """The process-wide (CFG, codec) artifact memo: for lookups beside
+    :func:`compression_artifacts` and explicit :meth:`ArtifactCache.clear`
+    calls."""
     return _ARTIFACTS
 
 
@@ -300,11 +292,10 @@ class CodeImage(abc.ABC):
         self.tracer = NULL_TRACER
         self._plaintext = artifacts.plaintext if artifacts else {}
         self._codec_map = artifacts.codec_map if artifacts else None
-        # Payload sizes never change after construction; the image-size
-        # sums below are cached on first use (footprint_bytes queries
-        # them on every materialise/release).
+        # Payload sizes never change after construction; their sum is
+        # cached on first use (footprint_bytes queries it on every
+        # materialise/release).
         self._compressed_image_size: Optional[int] = None
-        self._uncompressed_image_size: Optional[int] = None
         # Shared-model codecs (CodePack-style) train on the whole image
         # at link time; the model's size is charged once per distinct
         # codec storing payloads, below.
@@ -402,21 +393,6 @@ class CodeImage(abc.ABC):
                 sum(map(len, self._payloads)) + self.model_overhead
             )
         return self._compressed_image_size
-
-    @property
-    def uncompressed_image_size(self) -> int:
-        """Total uncompressed code bytes — the no-compression image."""
-        if self._uncompressed_image_size is None:
-            self._uncompressed_image_size = self.cfg.total_size_bytes()
-        return self._uncompressed_image_size
-
-    @property
-    def compression_ratio(self) -> float:
-        """Whole-image compressed/uncompressed ratio."""
-        total = self.uncompressed_image_size
-        if total == 0:
-            return 1.0
-        return self.compressed_image_size / total
 
     def decompress_latency(self, block_id: int) -> int:
         """Modelled cycles to decompress ``block_id`` (with its own

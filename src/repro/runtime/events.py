@@ -109,14 +109,6 @@ class EventLog:
         """All events touching ``block_id`` in order."""
         return [event for event in self.events if event.block_id == block_id]
 
-    def block_sequence(self) -> List[int]:
-        """The executed block-id sequence (BLOCK_ENTER events)."""
-        return [
-            event.block_id
-            for event in self.events
-            if event.kind is EventKind.BLOCK_ENTER
-        ]
-
     def render(self, limit: Optional[int] = None) -> str:
         """Printable trace (first ``limit`` events)."""
         shown = self.events if limit is None else self.events[:limit]

@@ -11,20 +11,11 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import lt, mul, sub
+from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
 #: Integers below this (sums of them included) are exact as floats.
 _EXACT_FLOAT = 1 << 53
-
-
-def int_list(value: object) -> List[int]:
-    """``value`` itself when it is a list of plain ints, else
-    :class:`ValueError` (a ``bool`` is not a plain int).  One pass over
-    the types, for lists decoded from stored records."""
-    if type(value) is not list or not set(map(type, value)) <= {int}:
-        raise ValueError("expected a list of ints")
-    return value
 
 
 class FootprintTimeline:
@@ -33,11 +24,19 @@ class FootprintTimeline:
     ``record(cycle, bytes)`` appends a step; peak and time-weighted average
     are computed over [first record, close cycle].  Steps live in two flat
     int lists, so a run keeps no per-step object for the collector.
+
+    A timeline built from ``cycles`` and ``values`` adopts those lists as
+    its columns.  The caller vouches for them: equal lengths, strictly
+    increasing cycles (the store's record decoder checks both).
     """
 
-    def __init__(self) -> None:
-        self._cycles: List[int] = []
-        self._values: List[int] = []
+    def __init__(
+        self,
+        cycles: Optional[List[int]] = None,
+        values: Optional[List[int]] = None,
+    ) -> None:
+        self._cycles: List[int] = [] if cycles is None else cycles
+        self._values: List[int] = [] if values is None else values
 
     def __len__(self) -> int:
         return len(self._cycles)
@@ -61,34 +60,17 @@ class FootprintTimeline:
         """The recorded (cycle, footprint) steps."""
         return list(zip(self._cycles, self._values))
 
-    def columns(self) -> List[List[int]]:
-        """The steps as ``[cycles, footprints]``, two flat int lists
-        (the stored form)."""
-        return [list(self._cycles), list(self._values)]
+    @property
+    def cycles(self) -> List[int]:
+        """The step cycles, strictly increasing (the live column: read,
+        never modify)."""
+        return self._cycles
 
-    @classmethod
-    def from_columns(
-        cls, cycles: List[int], values: List[int]
-    ) -> "FootprintTimeline":
-        """Rebuild a timeline from :meth:`columns` output.
-
-        Both columns must be lists of equal length holding plain ints
-        (a ``bool``, float or string raises :class:`ValueError`).  With
-        strictly increasing cycles the lists themselves are adopted;
-        any others go through :meth:`record` (equal cycles merge, out
-        of order raises), so a reconstructed timeline is
-        indistinguishable from the original (the experiment store
-        round-trips results through this).
-        """
-        if len(int_list(cycles)) != len(int_list(values)):
-            raise ValueError("footprint columns differ in length")
-        timeline = cls()
-        if all(map(lt, cycles, cycles[1:])):
-            timeline._cycles, timeline._values = cycles, values
-        else:
-            for cycle, footprint in zip(cycles, values):
-                timeline.record(cycle, footprint)
-        return timeline
+    @property
+    def values(self) -> List[int]:
+        """The footprint from each step on (the live column: read, never
+        modify)."""
+        return self._values
 
     @property
     def peak(self) -> int:
@@ -158,28 +140,12 @@ class Counters:
             return 0.0
         return self.correct_predictions / self.predictions
 
-    def to_dict(self) -> Dict[str, int]:
-        """All counter fields as a flat name -> value dict."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "Counters":
-        """Rebuild counters from :meth:`to_dict` output.
-
-        Strict: unknown or missing fields raise (the experiment store
-        treats that as a cache miss — a record written by a different
-        schema must never be half-read).
-        """
-        names = {f.name for f in dataclasses.fields(cls)}
-        if set(data) != names:
-            raise ValueError(
-                f"counter fields {sorted(set(data) ^ names)} do not "
-                f"round-trip"
-            )
-        return cls(**{name: int(data[name]) for name in names})
+#: Every :class:`Counters` field name, in declaration order: read once
+#: here, not with :func:`dataclasses.fields` per result.
+COUNTER_NAMES: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(Counters)
+)
 
 
 @dataclass
@@ -233,6 +199,14 @@ class SimulationResult:
     replay_path: Optional[str] = field(default=None, compare=False)
     replay_declined: Optional[str] = field(default=None, compare=False)
     replay_shared: bool = field(default=False, compare=False)
+    #: ``(peak, average)`` of ``footprint`` up to ``total_cycles``: worked
+    #: out on first use, or set by the store's record decoder from the
+    #: record.  Not an ``__init__`` field, so ``dataclasses.replace``
+    #: never carries it to a result with other steps or cycles; neither
+    #: may change once it is set.
+    footprint_stats: Optional[Tuple[int, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ----------------------------------------------------------------
     # The paper's headline metrics
@@ -245,15 +219,24 @@ class SimulationResult:
             return 0.0
         return self.total_cycles / self.execution_cycles - 1.0
 
+    def _footprint_stats(self) -> Tuple[int, float]:
+        stats = self.footprint_stats
+        if stats is None:
+            footprint = self.footprint
+            stats = self.footprint_stats = (
+                footprint.peak, footprint.average(self.total_cycles)
+            )
+        return stats
+
     @property
     def peak_footprint(self) -> int:
         """Peak memory holding code during the run (bytes)."""
-        return self.footprint.peak
+        return self._footprint_stats()[0]
 
     @property
     def average_footprint(self) -> float:
         """Time-weighted average code memory (bytes)."""
-        return self.footprint.average(self.total_cycles)
+        return self._footprint_stats()[1]
 
     @property
     def peak_saving(self) -> float:
@@ -271,10 +254,9 @@ class SimulationResult:
         return 1.0 - footprint / self.uncompressed_size
 
     def summary(self) -> Dict[str, float]:
-        """Flat dict of headline numbers (table-friendly).  Each
-        footprint statistic scans the timeline once."""
-        peak = self.peak_footprint
-        average = self.average_footprint
+        """Flat dict of headline numbers (table-friendly).  The footprint
+        statistics come from :attr:`footprint_stats`."""
+        peak, average = self._footprint_stats()
         return {
             "total_cycles": float(self.total_cycles),
             "execution_cycles": float(self.execution_cycles),

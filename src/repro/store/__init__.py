@@ -14,13 +14,16 @@ dispatching to the serial/parallel executors, so re-running a spec only
 computes missing or changed cells and an interrupted sweep resumes
 where it left off.
 
-A cell record (:mod:`repro.store.records`, version 3) keeps a run's
-footprint timeline as two flat int lists, ``[cycles, footprints]``,
-rather than one ``[cycle, footprint]`` row per fill and release.  The
-timeline is most of a record's bytes, and a warm sweep is mostly
-reading records: columns decode to two lists that are type-checked in
-one pass and adopted as they are.  A record of any other version is a
-miss, recomputed and rewritten.
+A cell record (:mod:`repro.store.records`, version 4) keeps a run's
+footprint timeline as two columns, each the hex text of its
+little-endian int64s, plus the run's peak and time-weighted average
+footprint.  The timeline is most of a record's bytes, and a warm sweep
+is mostly reading records: ``json`` parses each column as one string,
+the decoder unpacks it in one call, and the result reports the stored
+peak and average instead of deriving them again.  Every stored value
+must have its field's exact type; a record that does not, or of any
+other version (a v3 store included), is a miss: the cell is recomputed
+and its record rewritten as v4, once.
 
 Layering: this package sits between the sweep
 (:mod:`repro.analysis.sweep`) and the API facade (:mod:`repro.api`).

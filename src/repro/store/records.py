@@ -9,13 +9,25 @@ has the live :class:`SimulationConfig` in hand (it computed the
 fingerprint from it), and re-attaching it guarantees record/config can
 never drift apart.
 
+The field tables below give every stored value its exact type, and both
+directions follow them: :func:`run_to_record` writes their fields, and
+:func:`record_to_run` adopts a record only when each dict has exactly
+their keys and each value exactly one of their types (``type`` is
+compared, so a ``bool`` is not an ``int`` and nothing is coerced).
+
 The footprint timeline (one step per fill and release, most of a
-record's bytes) is stored as two flat int lists, ``[cycles,
-footprints]``: the columns :class:`~repro.runtime.metrics.FootprintTimeline`
-keeps in memory.  So a write builds no per-step list, and a read checks
-each decoded list in one pass over its entries' types and adopts it,
-instead of converting every step.  The block trace and registers are
-checked and adopted the same way.
+record's bytes) is stored as ``{"cycles", "values", "peak",
+"average"}``: each column as the hex text of its little-endian int64s,
+so ``json`` reads one string instead of a few hundred ints, plus the
+run's peak and its time-weighted average up to ``total_cycles``, which
+the decoder hands to the result (:attr:`SimulationResult.footprint_stats`)
+so that its summary re-derives neither.  The columns are adopted only
+when both texts decode strictly (hex digits only, an even count) to
+whole int64s, equal in number, with strictly increasing cycles.
+
+Any other record version is a miss: the cell is recomputed and its
+record rewritten, once.  v3 stored the footprint columns as JSON int
+lists, with no peak or average, so a v3 store pays one cold sweep.
 
 Error runs are never recorded (a raising cell must re-raise on the next
 attempt, not be replayed from cache), and runs whose trace or timeline
@@ -25,15 +37,18 @@ the sweep still works, those cells just recompute.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from binascii import unhexlify
+from operator import lt
+from struct import pack, unpack
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.sweep import SweepRun
 from ..core.config import SimulationConfig
 from ..runtime.metrics import (
+    COUNTER_NAMES,
     Counters,
     FootprintTimeline,
     SimulationResult,
-    int_list,
 )
 from .cas import StoreError
 
@@ -41,8 +56,9 @@ from .cas import StoreError
 #: null (trace replays do not model register state), plus the ``engine``
 #: tag and the ``trace_truncated`` flag.  v3: ``footprint`` is the
 #: column pair ``[cycles, footprints]``, not one ``[cycle, footprint]``
-#: row per step.
-RECORD_VERSION = 3
+#: row per step.  v4: ``footprint`` holds each column as int64 hex text,
+#: plus the run's peak and average footprint.
+RECORD_VERSION = 4
 
 #: Schema identifier embedded in every stored cell record.
 RECORD_SCHEMA = "repro.store.cell"
@@ -51,6 +67,50 @@ RECORD_SCHEMA = "repro.store.cell"
 #: entries are not cached (a multi-megabyte JSON per cell would turn the
 #: store into the bottleneck it exists to remove).
 MAX_CACHEABLE_ENTRIES = 200_000
+
+_Types = Dict[str, Tuple[type, ...]]
+
+#: Each field of a record, and the exact types its value may have.
+_RECORD: _Types = {
+    "schema": (str,),
+    "version": (int,),
+    "fingerprint": (str,),
+    "workload": (str,),
+    "validation": (list,),
+    "result": (dict,),
+}
+
+#: The result fields a record stores as they are.
+_SCALARS: _Types = {
+    "program": (str,),
+    "strategy": (str,),
+    "codec": (str,),
+    "k_compress": (int, type(None)),
+    "k_decompress": (int, type(None)),
+    "total_cycles": (int,),
+    "execution_cycles": (int,),
+    "uncompressed_size": (int,),
+    "compressed_size": (int,),
+    "trace_truncated": (bool,),
+    "engine": (str,),
+}
+
+_RESULT: _Types = {
+    **_SCALARS,
+    "counters": (dict,),
+    "footprint": (dict,),
+    "registers": (list, type(None)),
+    "block_trace": (list,),
+}
+
+_COUNTERS: _Types = dict.fromkeys(COUNTER_NAMES, (int,))
+
+_FOOTPRINT: _Types = {
+    "cycles": (str,),
+    "values": (str,),
+    "peak": (int,),
+    "average": (float,),
+}
 
 
 def is_cacheable(run: SweepRun) -> bool:
@@ -62,9 +122,43 @@ def is_cacheable(run: SweepRun) -> bool:
     return entries <= MAX_CACHEABLE_ENTRIES
 
 
+def _pack(column: List[int]) -> str:
+    """``column`` as the hex text of its little-endian int64s."""
+    return pack(f"<{len(column)}q", *column).hex()
+
+
+def _unpack(text: str) -> List[int]:
+    """The ints :func:`_pack` wrote; :class:`ValueError` unless ``text``
+    is hex digits only, of a whole number of int64s."""
+    raw = unhexlify(text)  # binascii.Error is a ValueError
+    count, partial = divmod(len(raw), 8)
+    if partial:
+        raise ValueError("a footprint column is not whole int64s")
+    return list(unpack(f"<{count}q", raw))
+
+
+def _typed(data: Dict[str, Any], types: _Types) -> Dict[str, Any]:
+    """``data`` itself when it has exactly ``types``' keys, each value of
+    one of its exact types; else :class:`ValueError`."""
+    if data.keys() != types.keys():
+        raise ValueError(f"fields {sorted(data.keys() ^ types.keys())}")
+    for name, allowed in types.items():
+        if type(data[name]) not in allowed:
+            raise ValueError(f"{name} is a {type(data[name]).__name__}")
+    return data
+
+
+def _list_of(kind: type, items: List[Any]) -> List[Any]:
+    """``items`` itself when every item's type is exactly ``kind``."""
+    if not set(map(type, items)) <= {kind}:
+        raise ValueError(f"expected a list of {kind.__name__}")
+    return items
+
+
 def run_to_record(run: SweepRun, fingerprint: str) -> Dict[str, Any]:
     """Serialise one completed cell into its JSON-safe record."""
     result = run.result
+    counters = result.counters
     return {
         "schema": RECORD_SCHEMA,
         "version": RECORD_VERSION,
@@ -72,24 +166,20 @@ def run_to_record(run: SweepRun, fingerprint: str) -> Dict[str, Any]:
         "workload": run.workload,
         "validation": list(run.validation),
         "result": {
-            "program": result.program,
-            "strategy": result.strategy,
-            "codec": result.codec,
-            "k_compress": result.k_compress,
-            "k_decompress": result.k_decompress,
-            "total_cycles": result.total_cycles,
-            "execution_cycles": result.execution_cycles,
-            "counters": result.counters.to_dict(),
-            "footprint": result.footprint.columns(),
-            "uncompressed_size": result.uncompressed_size,
-            "compressed_size": result.compressed_size,
+            **{name: getattr(result, name) for name in _SCALARS},
+            "counters": {name: getattr(counters, name)
+                         for name in _COUNTERS},
+            "footprint": {
+                "cycles": _pack(result.footprint.cycles),
+                "values": _pack(result.footprint.values),
+                "peak": result.peak_footprint,
+                "average": result.average_footprint,
+            },
             "registers": (
                 None if result.registers is None
                 else list(result.registers)
             ),
             "block_trace": list(result.block_trace),
-            "trace_truncated": result.trace_truncated,
-            "engine": result.engine,
         },
     }
 
@@ -99,41 +189,39 @@ def record_to_run(
 ) -> SweepRun:
     """Rebuild a live :class:`SweepRun` from a stored record.
 
-    Raises :class:`StoreError` on any shape mismatch; callers treat
-    that as a cache miss and recompute.
+    Raises :class:`StoreError` on any shape or type mismatch; callers
+    treat that as a cache miss and recompute.
     """
     try:
-        if record.get("schema") != RECORD_SCHEMA:
-            raise ValueError(f"schema {record.get('schema')!r}")
-        if record.get("version") != RECORD_VERSION:
-            raise ValueError(f"version {record.get('version')!r}")
-        data = record["result"]
-        cycles, footprints = data["footprint"]
+        _typed(record, _RECORD)
+        if record["schema"] != RECORD_SCHEMA:
+            raise ValueError(f"schema {record['schema']!r}")
+        if record["version"] != RECORD_VERSION:
+            raise ValueError(f"version {record['version']!r}")
+        data = _typed(record["result"], _RESULT)
+        footprint = _typed(data["footprint"], _FOOTPRINT)
+        cycles = _unpack(footprint["cycles"])
+        values = _unpack(footprint["values"])
+        if len(cycles) != len(values):
+            raise ValueError("footprint columns differ in length")
+        if not all(map(lt, cycles, cycles[1:])):
+            raise ValueError("footprint cycles do not strictly increase")
+        registers = data["registers"]
         result = SimulationResult(
-            program=data["program"],
-            strategy=data["strategy"],
-            codec=data["codec"],
-            k_compress=data["k_compress"],
-            k_decompress=data["k_decompress"],
-            total_cycles=int(data["total_cycles"]),
-            execution_cycles=int(data["execution_cycles"]),
-            counters=Counters.from_dict(data["counters"]),
-            footprint=FootprintTimeline.from_columns(cycles, footprints),
-            uncompressed_size=int(data["uncompressed_size"]),
-            compressed_size=int(data["compressed_size"]),
+            **{name: data[name] for name in _SCALARS},
+            counters=Counters(**_typed(data["counters"], _COUNTERS)),
+            footprint=FootprintTimeline(cycles, values),
             registers=(
-                None if data["registers"] is None
-                else int_list(data["registers"])
+                None if registers is None else _list_of(int, registers)
             ),
-            block_trace=int_list(data["block_trace"]),
-            trace_truncated=bool(data["trace_truncated"]),
-            engine=str(data["engine"]),
+            block_trace=_list_of(int, data["block_trace"]),
         )
+        result.footprint_stats = (footprint["peak"], footprint["average"])
         return SweepRun(
             workload=record["workload"],
             config=config,
             result=result,
-            validation=[str(v) for v in record["validation"]],
+            validation=_list_of(str, record["validation"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed cell record: {exc}") from exc

@@ -8,8 +8,10 @@ two processes can write the same store concurrently without corrupting
 it.
 """
 
+import copy
 import multiprocessing
 import os
+import struct
 import sys
 import threading
 
@@ -20,6 +22,7 @@ from repro import api
 from repro.analysis.sweep import effective_config
 from repro.api.executor import SerialExecutor
 from repro.core.config import SimulationConfig
+from repro.runtime.metrics import COUNTER_NAMES, FootprintTimeline
 from repro.store import ExperimentStore
 from repro.store import executor as store_executor
 from repro.store import fingerprint as fingerprint_module
@@ -180,6 +183,16 @@ def _fill_store(tmp_path, spec):
     return uncached, store, counting, executor, fingerprints
 
 
+def _hex(column):
+    """A column as v4 stores it: the hex text of its little-endian
+    int64s."""
+    return struct.pack(f"<{len(column)}q", *column).hex()
+
+
+def _ints(text):
+    return list(struct.unpack(f"<{len(text) // 16}q", bytes.fromhex(text)))
+
+
 class TestUndecodableRecords:
     def test_out_of_order_footprint_is_a_miss(self, tmp_path):
         spec = _spec()
@@ -187,8 +200,10 @@ class TestUndecodableRecords:
             _fill_store(tmp_path, spec)
         for fingerprint in fingerprints:
             record = store.get_cell(fingerprint)
-            cycles = record["result"]["footprint"][0]
+            footprint = record["result"]["footprint"]
+            cycles = _ints(footprint["cycles"])
             cycles[0], cycles[1] = cycles[1], cycles[0]
+            footprint["cycles"] = _hex(cycles)
             store.put_cell(fingerprint, record)
 
         rerun = api.run_experiment(spec, executor=executor)
@@ -196,21 +211,22 @@ class TestUndecodableRecords:
         assert executor.hits == 0
         assert rerun.canonical_json() == uncached.canonical_json()
 
-    def test_a_v2_row_record_is_recomputed_and_rewritten_as_v3(
+    def test_a_v3_column_record_is_recomputed_and_rewritten_as_v4(
         self, tmp_path
     ):
         spec = _spec()
         uncached, store, counting, executor, fingerprints = \
             _fill_store(tmp_path, spec)
-        columns = {}
+        footprints = {}
         for fingerprint in fingerprints:
             record = store.get_cell(fingerprint)
-            assert record["version"] == RECORD_VERSION == 3
-            columns[fingerprint] = record["result"]["footprint"]
-            # The v2 shape: one [cycle, footprint] row per step.
-            record["version"] = 2
+            assert record["version"] == RECORD_VERSION == 4
+            footprint = footprints[fingerprint] = \
+                record["result"]["footprint"]
+            # The v3 shape: the two columns as JSON int lists.
+            record["version"] = 3
             record["result"]["footprint"] = [
-                list(step) for step in zip(*columns[fingerprint])
+                _ints(footprint["cycles"]), _ints(footprint["values"])
             ]
             store.put_cell(fingerprint, record)
 
@@ -220,35 +236,257 @@ class TestUndecodableRecords:
         for fingerprint in fingerprints:
             record = store.get_cell(fingerprint)
             assert record["version"] == RECORD_VERSION
-            assert record["result"]["footprint"] == columns[fingerprint]
+            assert record["result"]["footprint"] == footprints[fingerprint]
         served = api.run_experiment(spec, executor=executor)
         assert counting.cells_computed == 2 * len(uncached.runs)
         assert served.canonical_json() == uncached.canonical_json()
 
-    @pytest.mark.parametrize("column, edit", [
-        pytest.param(0, lambda column: column.pop(), id="shorter-cycles"),
-        pytest.param(1, lambda column: column.append(7),
+    @pytest.mark.parametrize("field, edit", [
+        # The text decodes strictly.
+        pytest.param("cycles", lambda text: text[:-1] + "g",
+                     id="non-hex-digit"),
+        pytest.param("values", lambda text: text[:16] + "  " + text[16:],
+                     id="whitespace"),
+        pytest.param("values", lambda text: text[:-1] + "\u00e9",
+                     id="non-ascii"),
+        pytest.param("cycles", lambda text: text[:-1], id="odd-length"),
+        # Whole int64s, as many cycles as values.
+        pytest.param("values", lambda text: text[:-2],
+                     id="partial-int64"),
+        pytest.param("cycles", lambda text: text[:-16],
+                     id="shorter-cycles"),
+        pytest.param("values", lambda text: text + text[-16:],
                      id="longer-values"),
-        pytest.param(1, lambda column: column.__setitem__(0, True),
-                     id="bool"),
-        pytest.param(0, lambda column: column.__setitem__(-1, "9"),
-                     id="string"),
-        pytest.param(1, lambda column: column.__setitem__(-1, 5.0),
-                     id="float"),
+        # Cycles strictly increase.
+        pytest.param("cycles", lambda text: text[:16] + text[:-16],
+                     id="equal-cycles"),
+        # Each column is a string.
+        pytest.param("cycles", _ints, id="int-list-column"),
+        pytest.param("values", lambda text: None, id="null-column"),
+        # The peak is an int and the average a float.
+        pytest.param("peak", lambda peak: True, id="bool-peak"),
+        pytest.param("peak", float, id="float-peak"),
+        pytest.param("peak", str, id="string-peak"),
+        pytest.param("average", int, id="int-average"),
+        pytest.param("average", str, id="string-average"),
     ])
-    def test_malformed_columns_are_misses(self, tmp_path, column, edit):
+    def test_malformed_footprints_are_misses(self, tmp_path, field, edit):
         spec = _spec()
         uncached, store, counting, executor, fingerprints = \
             _fill_store(tmp_path, spec)
+        stored = {}
         for fingerprint in fingerprints:
-            record = store.get_cell(fingerprint)
-            edit(record["result"]["footprint"][column])
+            record = stored[fingerprint] = store.get_cell(fingerprint)
+            record = copy.deepcopy(record)
+            footprint = record["result"]["footprint"]
+            footprint[field] = edit(footprint[field])
             store.put_cell(fingerprint, record)
 
         rerun = api.run_experiment(spec, executor=executor)
         assert counting.cells_computed == 2 * len(uncached.runs)
         assert executor.hits == 0
         assert rerun.canonical_json() == uncached.canonical_json()
+        for fingerprint in fingerprints:
+            assert store.get_cell(fingerprint) == stored[fingerprint]
+
+
+#: Every field of a v4 record by path, with the exact types its value
+#: may have: the decoder's contract, written out here on its own.
+_FIELD_TYPES = {
+    ("schema",): {str},
+    ("version",): {int},
+    ("fingerprint",): {str},
+    ("workload",): {str},
+    ("validation",): {list},
+    ("result",): {dict},
+    **{("result", name): kinds for name, kinds in {
+        "program": {str},
+        "strategy": {str},
+        "codec": {str},
+        "k_compress": {int, type(None)},
+        "k_decompress": {int, type(None)},
+        "total_cycles": {int},
+        "execution_cycles": {int},
+        "uncompressed_size": {int},
+        "compressed_size": {int},
+        "trace_truncated": {bool},
+        "engine": {str},
+        "counters": {dict},
+        "footprint": {dict},
+        "registers": {list, type(None)},
+        "block_trace": {list},
+    }.items()},
+    **{("result", "counters", name): {int} for name in COUNTER_NAMES},
+    ("result", "footprint", "cycles"): {str},
+    ("result", "footprint", "values"): {str},
+    ("result", "footprint", "peak"): {int},
+    ("result", "footprint", "average"): {float},
+}
+
+#: The lists a record holds, with the exact type of their items.
+_LIST_ITEMS = {
+    ("validation",): str,
+    ("result", "registers"): int,
+    ("result", "block_trace"): int,
+}
+
+#: How each case rewrites a stored value as another JSON type: where it
+#: converts, to the same value (445 as 445.0 or "445", False as 0), so
+#: that only an exact type check tells the two apart.
+_RETYPED = {
+    "list": lambda value: [],
+    "dict": lambda value: {},
+    "bool": lambda value: True,
+    "int": lambda value: int(value) if type(value) in (bool, float) else 3,
+    "float": lambda value: float(value) if type(value) is int else 12.9,
+    "string": lambda value: str(value),
+    "null": lambda value: None,
+}
+_KINDS = {"list": list, "dict": dict, "bool": bool, "int": int,
+          "float": float, "string": str, "null": type(None)}
+
+
+def _retyped_fields():
+    for path, kinds in _FIELD_TYPES.items():
+        name = ".".join(path)
+        for kind, retype in _RETYPED.items():
+            if _KINDS[kind] not in kinds:
+                yield pytest.param(path, retype, id=f"{name}-{kind}")
+        yield pytest.param(path, None, id=f"{name}-missing")
+    for path in ((), ("result",), ("result", "counters"),
+                 ("result", "footprint")):
+        yield pytest.param(path + ("extra",), lambda value: 0,
+                           id=f"{'.'.join(path) or 'record'}-extra-key")
+    for path, item in _LIST_ITEMS.items():
+        name = ".".join(path)
+        for kind, retype in _RETYPED.items():
+            if _KINDS[kind] is not item:
+                yield pytest.param(
+                    path, lambda value, retype=retype, item=item:
+                    [item(), retype(item())],
+                    id=f"{name}-{kind}-item",
+                )
+
+
+class TestTypedRecords:
+    """A record is adopted whole or is a miss: every field has one exact
+    type (an ``int`` is never a ``bool``), and no key is missing or
+    extra."""
+
+    SPEC = _spec(workloads=["gcd"], axes=api.grid(k_compress=["inf"]))
+
+    @pytest.fixture(scope="class")
+    def one_cell(self, tmp_path_factory):
+        """A store holding one gcd cell; its record; the cell's
+        canonical JSON."""
+        executor = CachingExecutor(
+            store=str(tmp_path_factory.mktemp("typed") / "store"),
+            inner=CountingSerial(),
+        )
+        cold = api.run_experiment(self.SPEC, executor=executor)
+        [path] = executor.store._walk_refs("cells")
+        fingerprint = os.path.basename(path)
+        return (executor, fingerprint, executor.store.get_cell(fingerprint),
+                cold.canonical_json())
+
+    def test_every_field_is_typed(self, one_cell):
+        def paths(data, path=()):
+            for name, value in data.items():
+                yield path + (name,)
+                if type(value) is dict:
+                    yield from paths(value, path + (name,))
+
+        assert set(paths(one_cell[2])) == set(_FIELD_TYPES)
+
+    def _served(self, one_cell, record):
+        executor, fingerprint, _, _ = one_cell
+        computed = executor.inner.cells_computed
+        hits = executor.hits
+        executor.store.put_cell(fingerprint, record)
+        rerun = api.run_experiment(self.SPEC, executor=executor)
+        return (rerun, executor.inner.cells_computed - computed,
+                executor.hits - hits)
+
+    def test_an_untouched_record_is_a_hit(self, one_cell):
+        _, _, record, cold = one_cell
+        rerun, computed, hits = self._served(one_cell, record)
+        assert (computed, hits) == (0, 1)
+        assert rerun.canonical_json() == cold
+
+    @pytest.mark.parametrize("path, retype", _retyped_fields())
+    def test_a_mistyped_field_is_a_miss_that_is_recomputed(
+        self, one_cell, path, retype
+    ):
+        executor, fingerprint, record, cold = one_cell
+        edited = copy.deepcopy(record)
+        *parents, name = path
+        data = edited
+        for parent in parents:
+            data = data[parent]
+        if retype is None:
+            del data[name]
+        else:
+            data[name] = retype(data.get(name))
+        rerun, computed, hits = self._served(one_cell, edited)
+        assert (computed, hits) == (1, 0)
+        assert rerun.canonical_json() == cold
+        assert executor.store.get_cell(fingerprint) == record
+
+    def test_a_coerced_gcd_record_is_recomputed(self, one_cell):
+        # Served as a hit with 3 faults, 1 stall and 12 total cycles
+        # when the decoder applied int() and bool() to what it read.
+        executor, fingerprint, record, cold = one_cell
+        edited = copy.deepcopy(record)
+        edited["result"]["counters"]["faults"] = "3"
+        edited["result"]["counters"]["stalls"] = True
+        edited["result"]["total_cycles"] = 12.9
+        rerun, computed, hits = self._served(one_cell, edited)
+        assert (computed, hits) == (1, 0)
+        [run] = rerun.runs
+        assert run.result.total_cycles == 445
+        assert rerun.canonical_json() == cold
+        assert executor.store.get_cell(fingerprint) == record
+
+
+class TestWarmReads:
+    def test_a_warm_sweep_rederives_no_footprint_statistic(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _spec(
+            workloads=["fib", "gcd", "crc32"],
+            axes=api.grid(codec=["shared-dict", "huffman"],
+                          k_compress=[1, "inf"]),
+        )
+        calls = {"average": 0, "record": 0}
+        average = FootprintTimeline.average
+        record = FootprintTimeline.record
+
+        def counted_average(timeline, end_cycle=None):
+            calls["average"] += 1
+            return average(timeline, end_cycle)
+
+        def counted_record(timeline, cycle, footprint):
+            calls["record"] += 1
+            return record(timeline, cycle, footprint)
+
+        monkeypatch.setattr(FootprintTimeline, "average", counted_average)
+        monkeypatch.setattr(FootprintTimeline, "record", counted_record)
+        store = str(tmp_path / "store")
+        cold = api.run_experiment(spec, store=store)
+        cold_json = cold.canonical_json()
+        cold_calls = dict(calls)
+        calls.update(average=0, record=0)
+        warm = api.run_experiment(spec, store=store)
+        warm_json = warm.canonical_json()
+
+        assert cold.meta["cache"]["misses"] == len(cold) == 12
+        assert warm.meta["cache"]["hits"] == len(warm) == 12
+        # One statistics pass per computed cell, shared by its record
+        # and its serialisation; the kernel samples each run's start.
+        assert cold_calls["average"] == len(cold)
+        assert cold_calls["record"] >= len(cold)
+        assert calls == {"average": 0, "record": 0}
+        assert warm_json == cold_json
 
 
 class TestPlanning:

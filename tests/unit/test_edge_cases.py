@@ -65,11 +65,10 @@ class TestStatsModule:
         assert stats.decompress_cycles > 0
         assert stats.compress_cycles > 0
 
-    def test_block_stats_ratio_and_saving(self, loop_cfg):
+    def test_block_stats_ratio(self, loop_cfg):
         codec = get_codec("null")
         stats = measure_block(loop_cfg.block(0), codec)
         assert stats.ratio == 1.0
-        assert stats.saved_bytes == 0
 
     def test_image_stats_aggregate(self, loop_cfg):
         stats = measure_image(loop_cfg.blocks, get_codec("shared-dict"))
@@ -79,13 +78,11 @@ class TestStatsModule:
         ) + stats.model_overhead
         assert 0.0 <= stats.space_saving < 1.0 or \
             stats.space_saving <= 0.0  # tiny programs may expand
-        assert stats.mean_decompress_cycles > 0
 
     def test_empty_block_list(self):
         stats = measure_image([], get_codec("null"))
         assert stats.original_size == 0
         assert stats.ratio == 1.0
-        assert stats.mean_decompress_cycles == 0.0
 
 
 class TestCFGQueriesOnDegenerateGraphs:

@@ -5,6 +5,7 @@ worker (``tests/oracle``); the production worker only keeps the tallies
 the replay kernel leaves behind.
 """
 
+import dataclasses
 import gc
 import random
 
@@ -30,7 +31,6 @@ class TestEventLog:
         log.emit(5, EventKind.FAULT, 2)
         log.emit(9, EventKind.BLOCK_ENTER, 2)
         assert len(log) == 3
-        assert log.block_sequence() == [1, 2]
         assert [e.block_id for e in log.of_kind(EventKind.FAULT)] == [2]
         assert len(log.for_block(2)) == 2
 
@@ -124,13 +124,11 @@ def _random_samples(rng, steps, cycle_bits, value_bits):
 
 
 class TestFootprintStatistics:
-    """``peak`` and ``average`` are bit-identical to the per-step loop,
-    and ``from_columns`` keeps :meth:`FootprintTimeline.record`'s
-    checks."""
+    """``peak`` and ``average`` are bit-identical to the per-step loop."""
 
     @staticmethod
     def _check(samples, end_cycles):
-        timeline = FootprintTimeline.from_columns(
+        timeline = FootprintTimeline(
             [cycle for cycle, _ in samples],
             [value for _, value in samples],
         )
@@ -170,42 +168,6 @@ class TestFootprintStatistics:
     def test_one_sample_and_empty(self):
         self._check([(7, 44)], [None, 3, 7, 8, 1 << 60])
         self._check([], [None, 5])
-
-    def test_from_columns_rejects_out_of_order_cycles(self):
-        with pytest.raises(ValueError, match="out of order"):
-            FootprintTimeline.from_columns([0, 10, 5], [1, 1, 2])
-
-    def test_from_columns_merges_equal_cycles(self):
-        timeline = FootprintTimeline.from_columns(
-            [0, 5, 5, 9], [1, 1, 3, 2]
-        )
-        assert timeline.samples == [(0, 1), (5, 3), (9, 2)]
-
-    @pytest.mark.parametrize("cycles, values", [
-        ([0, 3], [7]),  # unequal lengths
-        (["0", 3], [7, 1]),  # a string is not coerced
-        ([0, 3], [7, True]),  # nor is a bool
-        ([0, 3.0], [7, 1]),  # nor a float
-        ((0, 3), [7, 1]),  # columns are lists
-        ({0: 7}, [7]),  # nor a dict
-        ([[0, 7]], [[3, 1]]),  # rows are not columns
-    ])
-    def test_from_columns_rejects_bad_shapes_and_non_ints(self, cycles,
-                                                          values):
-        with pytest.raises(ValueError):
-            FootprintTimeline.from_columns(cycles, values)
-
-    def test_columns_round_trip(self):
-        timeline = FootprintTimeline()
-        for cycle, value in ((0, 4), (3, 9), (3, 5), (8, 0)):
-            timeline.record(cycle, value)
-        columns = timeline.columns()
-        assert columns == [[0, 3, 8], [4, 5, 0]]
-        rebuilt = FootprintTimeline.from_columns(*columns)
-        assert rebuilt.samples == timeline.samples
-        # The stored form is a copy: editing it leaves the run alone.
-        columns[0][0] = 99
-        assert timeline.samples[0] == (0, 4)
 
     def test_a_run_keeps_no_gc_tracked_step(self):
         # One step per fill and release: none may be an object the
@@ -345,3 +307,22 @@ class TestSummary:
             expected = float(getattr(result, name))
             assert summary[name].hex() == expected.hex(), name
 
+
+    def test_footprint_statistics_are_worked_out_once(self, monkeypatch):
+        result = self._result([(0, 10), (3, 17), (11, 13)], 20, 40)
+        calls = []
+        average = FootprintTimeline.average
+        monkeypatch.setattr(
+            FootprintTimeline, "average",
+            lambda self, end: calls.append(end) or average(self, end),
+        )
+        summary = result.summary()
+        assert (result.peak_footprint, result.average_footprint) == \
+            result.footprint_stats == (17, (10 * 3 + 17 * 8 + 13 * 9) / 20)
+        assert result.summary() == summary
+        assert calls == [20]
+        # A copy with other cycles works its statistics out again.
+        copy = dataclasses.replace(result, total_cycles=11)
+        assert copy.footprint_stats is None
+        assert copy.average_footprint == (10 * 3 + 17 * 8) / 11
+        assert calls == [20, 11]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import time
 
 import pytest
@@ -276,29 +277,49 @@ class TestRecords:
     def test_the_footprint_is_stored_as_two_columns(self):
         run = run_one(get_workload("gcd"), _config(k_compress=1))
         record = run_to_record(run, "0" * 64)
-        samples = run.result.footprint.samples
+        timeline = run.result.footprint
+        samples = timeline.samples
         assert len(samples) > 2
-        assert record["version"] == RECORD_VERSION == 3
-        assert record["result"]["footprint"] == [
-            [cycle for cycle, _ in samples],
-            [value for _, value in samples],
-        ]
+        assert record["version"] == RECORD_VERSION == 4
+        cycles = [cycle for cycle, _ in samples]
+        values = [value for _, value in samples]
+        assert record["result"]["footprint"] == {
+            "cycles": struct.pack(f"<{len(cycles)}q", *cycles).hex(),
+            "values": struct.pack(f"<{len(values)}q", *values).hex(),
+            "peak": max(values),
+            "average": timeline.average(run.result.total_cycles),
+        }
+
+    def test_int64_columns_round_trip(self):
+        run = run_one(get_workload("gcd"), _config())
+        # The extremes of int64, zero and negatives survive the text.
+        column = [-(1 << 63), -1, 0, 1, (1 << 63) - 1]
+        run.result.footprint = FootprintTimeline(column, column[::-1])
+        record = json.loads(canonical_dumps(run_to_record(run, "0" * 64)))
+        assert len(record["result"]["footprint"]["cycles"]) == 16 * 5
+        rebuilt = record_to_run(record, run.config).result
+        assert rebuilt.footprint.samples == list(zip(column, column[::-1]))
+        assert rebuilt.footprint_stats == run.result.footprint_stats
 
     def test_decoding_adopts_the_stored_lists(self, monkeypatch):
         run = run_one(get_workload("gcd"), _config(record_trace=True))
         record = json.loads(canonical_dumps(run_to_record(run, "0" * 64)))
         data = record["result"]
-        cycles, values = data["footprint"]
-        assert len(cycles) > 2 and data["block_trace"]
+        assert len(run.result.footprint) > 2 and data["block_trace"]
         calls = []
-        monkeypatch.setattr(FootprintTimeline, "record",
-                            lambda *args: calls.append(args))
+        for name in ("record", "average"):
+            monkeypatch.setattr(FootprintTimeline, name,
+                                lambda *args: calls.append(args))
         rebuilt = record_to_run(record, run.config).result
+        summary = rebuilt.summary()
+        monkeypatch.undo()
         assert calls == []
-        assert rebuilt.footprint._cycles is cycles
-        assert rebuilt.footprint._values is values
+        assert rebuilt.footprint_stats == (
+            data["footprint"]["peak"], data["footprint"]["average"]
+        )
         assert rebuilt.block_trace is data["block_trace"]
         assert rebuilt.footprint.samples == run.result.footprint.samples
+        assert summary == run.result.summary()
 
     def test_malformed_record_raises_store_error(self):
         with pytest.raises(StoreError):
@@ -338,18 +359,18 @@ class TestArtifactCacheLRU:
         assert cache.get(graphs[0], "shared-dict") == "a0"
         assert cache.get(graphs[1], "shared-dict") is None
 
-    def test_clear_and_set_capacity(self):
+    def test_clear_empties_the_cache(self):
         cache = ArtifactCache(capacity=4)
         graphs = [build_cfg(get_workload(name).program)
                   for name in ("fib", "gcd", "crc32")]
         for graph in graphs:
             cache.put(graph, "shared-dict", object())
-        cache.set_capacity(1)
-        assert len(cache) == 1
+        assert len(cache) == 3
         cache.clear()
         assert len(cache) == 0
+        assert cache.get(graphs[0], "shared-dict") is None
         with pytest.raises(ValueError):
-            cache.set_capacity(0)
+            ArtifactCache(capacity=0)
 
     def test_dead_cfg_entry_is_dropped(self):
         import gc

@@ -1,10 +1,12 @@
 # Developer/CI entry points.  `make verify` is the gate every change
 # must pass: tier-1 tests plus the perf microbenchmarks in smoke mode.
-# The smoke bench's codec check covers only the flat Huffman codec (its
-# payloads against the frozen seed in src/repro/compress/reference.py)
-# and bulk bit I/O (against per-field writes).  Every other codec's
-# payloads are held to the frozen bit-writer encoders in
-# tests/oracle/codecs.py by the tier-1 suite
+# The bench and the store, serve and obs smoke gates live in
+# benchmarks/perf/, outside the package they check.  The smoke bench's
+# codec check covers only the flat Huffman codec (its payloads against
+# the frozen seed in tests/oracle/reference.py) and bulk bit I/O
+# (pack_bits and BitReader.read_run against per-field writes and
+# reads).  Every other codec's payloads are held to the frozen
+# bit-writer encoders in tests/oracle/codecs.py by the tier-1 suite
 # tests/properties/test_encoder_oracle.py.  Each perfbench workload's
 # seed-1 sweep is held to its pinned canonical_json SHA-256 by the
 # tier-1 suite tests/integration/test_perfbench_pins.py.
@@ -31,10 +33,10 @@ lint:
 	fi
 
 bench:
-	$(PYTHON) -m repro.cli bench
+	$(PYTHON) benchmarks/perf/run_bench.py
 
 bench-smoke:
-	$(PYTHON) -m repro.cli bench --smoke --no-write
+	$(PYTHON) benchmarks/perf/run_bench.py --smoke --no-write
 
 experiments:
 	$(PYTHON) -m pytest benchmarks/ -q
@@ -63,7 +65,7 @@ docs:
 # set (fingerprints, CAS round-trip, and cache-hit-equals-recompute,
 # end to end through the public facade).
 store-smoke:
-	$(PYTHON) -m repro store smoke
+	$(PYTHON) benchmarks/perf/store_smoke.py
 
 # Boot a real sweep-service subprocess against a throwaway store:
 # /healthz goes green, a submitted spec's /result is byte-identical
@@ -72,7 +74,7 @@ store-smoke:
 # Then the load harness proves the cached fast path sustains >= 1000
 # requests/s.
 serve-smoke:
-	$(PYTHON) -m repro serve --smoke
+	$(PYTHON) benchmarks/perf/serve_smoke.py
 	$(PYTHON) benchmarks/perf/load_service.py --smoke
 
 # Observability gate: boot a real server subprocess, run one job,
@@ -80,7 +82,7 @@ serve-smoke:
 # syntax checker, and assert /dashboard serves the self-contained
 # live page (see docs/observability.md).
 obs-smoke:
-	$(PYTHON) -m repro obs smoke
+	$(PYTHON) benchmarks/perf/obs_smoke.py
 
 # Seeded fault-injection scenarios (tests/chaos/): sweeps under
 # injected worker crashes, hangs, transient faults and store

@@ -25,9 +25,7 @@ import pathlib
 
 import pytest
 
-from repro.cfg import build_cfg
 from repro.workloads import (
-    GeneratorConfig,
     Workload,
     generate_sized_program,
     get_workload,

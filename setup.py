@@ -1,8 +1,9 @@
-"""Setup shim.
+"""Package metadata for ``pip install -e .``.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works on environments without the ``wheel`` package
-(pip falls back to the legacy ``setup.py develop`` editable path).
+The project has no ``pyproject.toml``: this file is the whole build
+configuration.  It ships only ``src/repro``; the benchmarks, the smoke
+gates (``benchmarks/perf/``) and the frozen test oracles
+(``tests/oracle/``) stay in the source tree.
 """
 
 from setuptools import find_packages, setup

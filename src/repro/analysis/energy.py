@@ -104,13 +104,6 @@ class TrafficReport:
     baseline_bytes: int
     compressed_bytes: int
 
-    @property
-    def reduction(self) -> float:
-        """Fraction of target-memory traffic eliminated."""
-        if self.baseline_bytes == 0:
-            return 0.0
-        return 1.0 - self.compressed_bytes / self.baseline_bytes
-
 
 def compare_traffic(
     baseline: SimulationResult, compressed: SimulationResult

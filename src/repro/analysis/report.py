@@ -9,7 +9,7 @@ Everything here is pure formatting; no simulation logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import List, Union
 
 Number = Union[int, float]
 

@@ -78,18 +78,6 @@ class BasicBlock:
         return self.instructions[-1]
 
     @property
-    def falls_through(self) -> bool:
-        """True if control may continue to the next block in layout order.
-
-        Fall-through happens after conditional branches (not taken), after
-        CALL (on return, execution resumes at the next instruction, which we
-        model as fall-through to the successor block once the callee
-        returns), and after any non-terminator last instruction.
-        """
-        op = self.terminator.opcode
-        return op not in (Opcode.JMP, Opcode.RET, Opcode.HALT)
-
-    @property
     def is_exit(self) -> bool:
         """True if the block ends the program (HALT terminator)."""
         return self.terminator.opcode is Opcode.HALT

@@ -7,7 +7,7 @@ the structural properties of generated CFGs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from .graph import ControlFlowGraph
 

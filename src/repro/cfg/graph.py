@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from .basic_block import BasicBlock
 
@@ -118,14 +118,6 @@ class ControlFlowGraph:
         """Predecessor block ids of ``block_id``."""
         return [edge.src for edge in self._pred[block_id]]
 
-    def out_edges(self, block_id: int) -> List[Edge]:
-        """Outgoing :class:`Edge` objects of ``block_id``."""
-        return list(self._succ[block_id])
-
-    def in_edges(self, block_id: int) -> List[Edge]:
-        """Incoming :class:`Edge` objects of ``block_id``."""
-        return list(self._pred[block_id])
-
     @property
     def edges(self) -> List[Edge]:
         """All edges of the graph."""
@@ -192,42 +184,6 @@ class ControlFlowGraph:
                     hood.add(block_id)
                     break
         return hood
-
-    def backward_neighbourhood(self, block_id: int, k: int) -> Set[int]:
-        """Blocks that can reach ``block_id`` in at most k edges."""
-        if k < 0:
-            raise CFGError(f"k must be non-negative, got {k}")
-        distances: Dict[int, int] = {block_id: 0}
-        frontier = deque([block_id])
-        while frontier:
-            node = frontier.popleft()
-            depth = distances[node]
-            if depth == k:
-                continue
-            for pred in self.predecessors(node):
-                if pred not in distances:
-                    distances[pred] = depth + 1
-                    frontier.append(pred)
-        result = set(distances)
-        result.discard(block_id)
-        return result
-
-    def edge_distance(self, src: int, dst: int) -> Optional[int]:
-        """Minimum number of edges from ``src`` to ``dst`` (None if
-        unreachable)."""
-        if src == dst:
-            return 0
-        distances = {src: 0}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            for succ in self.successors(node):
-                if succ not in distances:
-                    distances[succ] = distances[node] + 1
-                    if succ == dst:
-                        return distances[succ]
-                    frontier.append(succ)
-        return None
 
     # ------------------------------------------------------------------
     # Traversals

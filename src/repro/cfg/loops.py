@@ -9,7 +9,7 @@ analysis reports use this module to characterise benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from .dominators import dominator_sets

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .graph import ControlFlowGraph
 
@@ -85,27 +85,6 @@ class EdgeProfile:
         """Total number of recorded edge traversals."""
         return sum(self.edge_counts.values())
 
-    def successor_probabilities(
-        self, cfg: ControlFlowGraph, block_id: int
-    ) -> Dict[int, float]:
-        """Probability of each successor of ``block_id`` being taken next.
-
-        Every successor's count gets Laplace smoothing of +1 before
-        normalising, so no successor ever has probability 0 — an
-        unprofiled successor of a profiled block keeps a small residual
-        probability, and when the block was never observed leaving at
-        all, the mass is shared uniformly (each of n successors gets
-        1/n).
-        """
-        successors = cfg.successors(block_id)
-        if not successors:
-            return {}
-        counts = {
-            succ: self.edge_count(block_id, succ) + 1 for succ in successors
-        }
-        total = sum(counts.values())
-        return {succ: counts[succ] / total for succ in successors}
-
     def most_likely_successor(
         self, cfg: ControlFlowGraph, block_id: int
     ) -> Optional[int]:
@@ -125,20 +104,6 @@ class EdgeProfile:
         return max(
             successors, key=lambda succ: counts.get((block_id, succ), 0)
         )
-
-    def most_likely_path(
-        self, cfg: ControlFlowGraph, block_id: int, length: int
-    ) -> List[int]:
-        """Greedy most-likely forward path of up to ``length`` edges."""
-        path: List[int] = []
-        current = block_id
-        for _ in range(length):
-            nxt = self.most_likely_successor(cfg, current)
-            if nxt is None:
-                break
-            path.append(nxt)
-            current = nxt
-        return path
 
     def merge(self, other: "EdgeProfile") -> "EdgeProfile":
         """Return a new profile with counts of ``self`` and ``other``

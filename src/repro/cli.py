@@ -12,24 +12,22 @@ Subcommands (all built on the :mod:`repro.api` facade):
   (``--spec FILE``), optionally in parallel (``--jobs N``), and write
   the versioned result JSON/CSV;
 * ``store``    — the persistent experiment store: ``stats``, ``gc``,
-  ``clear``, ``verify`` (fsck: checksum every blob, quarantine corrupt
-  ones and prune dangling refs with ``--repair``), and ``smoke`` (run
-  a tiny sweep twice and assert the second run is served from cache);
-* ``bench``    — performance microbenchmarks, written to
-  ``BENCH_core.json`` (codec round-trips vs. the seed implementation
-  and the E1 sweep vs. running each of its cells alone);
+  ``clear`` and ``verify`` (fsck: checksum every blob, quarantine
+  corrupt ones and prune dangling refs with ``--repair``);
 * ``serve``    — the long-running sweep service (``repro.service``):
   a JSON-over-HTTP job queue with store-backed per-cell dedup, SSE
   progress events, ``/metrics`` (JSON or Prometheus text), a live
   ``/dashboard`` page, graceful drain and a resumable job journal;
-  ``--smoke`` boots a throwaway server, round-trips a spec and asserts
-  byte-equality with a local run (the ``make serve-smoke`` gate);
 * ``trace``    — run one cell with cycle-domain span tracing armed
   (``repro.obs``): prints the execute/stall phase breakdown and writes
   a Perfetto-loadable Chrome trace with ``--out``;
-* ``obs``      — observability gates: ``smoke`` validates the
-  Prometheus exposition and the dashboard end to end against a real
-  server subprocess (the ``make obs-smoke`` gate).
+* ``docs``     — generate (or ``--check``) ``docs/cli.md`` from this
+  parser.
+
+The performance microbenchmarks and the store, serve and
+observability smoke gates check the product from outside it: they live
+in ``benchmarks/perf/`` (``run_bench.py``, ``store_smoke.py``,
+``serve_smoke.py``, ``obs_smoke.py``) and run through ``make``.
 
 ``run``/``sweep``/``compare`` accept ``--hierarchy PRESET`` (the
 memory-hierarchy model: ``flat`` is the seed-equivalent default;
@@ -503,66 +501,9 @@ def _store_root(args: argparse.Namespace) -> str:
     return resolved or DEFAULT_STORE_DIR
 
 
-def _cmd_store_smoke(args: argparse.Namespace) -> int:
-    """Run a tiny sweep twice; assert the second run comes from cache.
-
-    The ``make store-smoke`` / CI gate: proves fingerprint stability,
-    the CAS round-trip, and cache-hit-equals-recompute equivalence on
-    a real (small) grid, end to end through the public facade.
-    """
-    import shutil
-    import tempfile
-
-    temp = None
-    if args.store is None:
-        temp = tempfile.mkdtemp(prefix="repro-store-smoke-")
-        root = temp
-    else:
-        root = _store_root(args)
-    try:
-        spec = api.ExperimentSpec(
-            name="store-smoke",
-            workloads=["fib", "gcd"],
-            base={"codec": "shared-dict", "decompression": "ondemand"},
-            axes=api.grid(k_compress=[1, 2, "inf"]),
-        )
-        first = api.run_experiment(spec, store=root)
-        second = api.run_experiment(spec, store=root)
-        cells = len(second)
-        hits = second.meta["cache"]["hits"]
-        identical = first.canonical_json() == second.canonical_json()
-        print(f"store smoke @ {root}")
-        print(f"  first run : {first.meta['cache']['hits']} hits / "
-              f"{first.meta['cache']['misses']} misses")
-        print(f"  second run: {hits} hits / "
-              f"{second.meta['cache']['misses']} misses "
-              f"({cells} cells)")
-        print(f"  result sets byte-identical: "
-              f"{'yes' if identical else 'NO'}")
-        if second.failures():
-            print("error: smoke sweep cells failed validation",
-                  file=sys.stderr)
-            return 1
-        if not identical:
-            print("error: cached result set differs from the "
-                  "recomputed one", file=sys.stderr)
-            return 1
-        if cells == 0 or hits < 0.9 * cells:
-            print(f"error: second run served {hits}/{cells} cells "
-                  f"from cache (need >= 90%)", file=sys.stderr)
-            return 1
-        print("store smoke OK")
-        return 0
-    finally:
-        if temp is not None:
-            shutil.rmtree(temp, ignore_errors=True)
-
-
 def cmd_store(args: argparse.Namespace) -> int:
     from .store import ExperimentStore, StoreError
 
-    if args.action == "smoke":
-        return _cmd_store_smoke(args)
     root = _store_root(args)
     try:
         # Inspection commands never create a store: a mistyped --store
@@ -631,36 +572,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store action {args.action!r}")
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .analysis.bench import render_report, run_benchmarks, write_report
-
-    try:
-        report = run_benchmarks(
-            smoke=args.smoke, only=args.only, repeat=args.repeat
-        )
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    print(render_report(report))
-    if args.only and args.output is None:
-        # A filtered run is a partial report; never clobber the full
-        # BENCH_core.json with it unless a path was given explicitly.
-        args.no_write = True
-    if not args.no_write:
-        try:
-            path = write_report(report, args.output)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 1
-        print(f"\n[report written to {path}]")
-    if not report["ok"]:
-        print("BENCH FAILED: " + "; ".join(report["failed_gates"]),
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one traced cell; print phases, optionally write Chrome JSON."""
     from .obs import chrome_trace_json
@@ -688,302 +599,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_smoke(args: argparse.Namespace) -> int:
-    """Boot a real server; validate the text exposition + dashboard.
-
-    The ``make obs-smoke`` / CI gate: a throwaway server subprocess
-    runs one small job, then ``GET /metrics?format=prometheus`` must
-    pass :func:`repro.obs.validate_exposition` and ``GET /dashboard``
-    must serve the self-contained HTML page.
-    """
-    import shutil
-    import signal as signal_module
-    import socket
-    import subprocess
-    import tempfile
-    import time
-    import urllib.request
-
-    from .obs import validate_exposition
-    from .service import ServiceClient, ServiceClientError
-
-    temp = None
-    if args.store is None:
-        temp = tempfile.mkdtemp(prefix="repro-obs-smoke-")
-        root = temp
-    else:
-        root = _store_root(args)
-
-    def free_port() -> int:
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            return sock.getsockname()[1]
-
-    proc = None
-    try:
-        port = free_port()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--host", "127.0.0.1", "--port", str(port),
-             "--store", root, "--workers", "2"],
-        )
-        client = ServiceClient("127.0.0.1", port)
-        deadline = time.monotonic() + 30.0
-        while True:
-            if proc.poll() is not None:
-                print(f"error: server exited early "
-                      f"(code {proc.returncode})", file=sys.stderr)
-                return 1
-            try:
-                if client.healthz().get("ok"):
-                    break
-            except (ServiceClientError, OSError):
-                pass
-            if time.monotonic() > deadline:
-                print("error: server never became healthy",
-                      file=sys.stderr)
-                return 1
-            time.sleep(0.1)
-        print(f"obs smoke @ {root} (port {port})")
-
-        # One real job first, so the histograms/phase bars have data.
-        reply = client.submit(_SERVE_SMOKE_SPEC)
-        client.wait(reply["job"], timeout=120)
-        client.close()
-        base = f"http://127.0.0.1:{port}"
-
-        with urllib.request.urlopen(
-            f"{base}/metrics?format=prometheus", timeout=10
-        ) as response:
-            content_type = response.headers.get("Content-Type", "")
-            text = response.read().decode("utf-8")
-        if "text/plain" not in content_type:
-            print(f"error: exposition served as {content_type!r}, "
-                  f"want text/plain", file=sys.stderr)
-            return 1
-        try:
-            checked = validate_exposition(text)
-        except ValueError as exc:
-            print(f"error: invalid exposition: {exc}", file=sys.stderr)
-            return 1
-        for required in ("repro_uptime_seconds",
-                         "repro_http_request_duration_ms_bucket",
-                         "repro_jobs"):
-            if required not in text:
-                print(f"error: exposition is missing {required}",
-                      file=sys.stderr)
-                return 1
-        print(f"  prometheus exposition OK "
-              f"({checked['metrics']} metrics, "
-              f"{checked['samples']} samples)")
-
-        with urllib.request.urlopen(
-            f"{base}/dashboard", timeout=10
-        ) as response:
-            status = response.status
-            page = response.read().decode("utf-8")
-        if status != 200 or "<html" not in page \
-                or "/metrics" not in page:
-            print("error: /dashboard did not serve the dashboard page",
-                  file=sys.stderr)
-            return 1
-        print(f"  dashboard OK ({len(page)} bytes, self-contained)")
-
-        proc.send_signal(signal_module.SIGTERM)
-        try:
-            code = proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            code = -9
-        proc = None
-        if code != 0:
-            print(f"error: server exited {code} on SIGTERM",
-                  file=sys.stderr)
-            return 1
-        print("obs smoke OK")
-        return 0
-    finally:
-        if proc is not None:
-            proc.kill()
-            proc.wait()
-        if temp is not None:
-            shutil.rmtree(temp, ignore_errors=True)
-
-
-def cmd_obs(args: argparse.Namespace) -> int:
-    if args.action == "smoke":
-        return _cmd_obs_smoke(args)
-    raise AssertionError(f"unhandled obs action {args.action!r}")
-
-
-#: The serve-smoke experiment: tiny, two workloads.
-_SERVE_SMOKE_SPEC = {
-    "name": "serve-smoke",
-    "workloads": ["fib", "gcd"],
-    "base": {"codec": "shared-dict", "decompression": "ondemand"},
-    "axes": {"grid": {"k_compress": [1, 2, "inf"]}},
-}
-
-
-def _cmd_serve_smoke(args: argparse.Namespace) -> int:
-    """Boot a real server subprocess, round-trip a spec, drain it.
-
-    The ``make serve-smoke`` / CI gate, asserting the service's core
-    contracts end to end against a *separate process* (the in-process
-    ``ServerThread`` path is covered by the test suite):
-
-    1. the server boots and ``/healthz`` goes green;
-    2. a submitted spec completes and its ``/result`` body is
-       byte-identical to a local ``run_experiment`` on the same store;
-    3. resubmitting dedups onto the finished job;
-    4. SIGTERM drains gracefully (exit 0) and leaves a resumable
-       journal — a second boot on the same store still dedups the spec.
-    """
-    import json
-    import os
-    import shutil
-    import signal as signal_module
-    import socket
-    import subprocess
-    import tempfile
-    import time
-
-    from .service import ServiceClient, ServiceClientError
-
-    temp = None
-    if args.store is None:
-        temp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
-        root = temp
-    else:
-        root = _store_root(args)
-
-    def free_port() -> int:
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            return sock.getsockname()[1]
-
-    def boot(port: int) -> subprocess.Popen:
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--host", "127.0.0.1", "--port", str(port),
-             "--store", root, "--workers", "2"],
-        )
-
-    def wait_healthy(client: ServiceClient, proc: subprocess.Popen,
-                     timeout: float = 30.0) -> None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                raise RuntimeError(
-                    f"server exited early (code {proc.returncode})"
-                )
-            try:
-                if client.healthz().get("ok"):
-                    return
-            except (ServiceClientError, OSError):
-                time.sleep(0.1)
-        raise RuntimeError("server never became healthy")
-
-    def drain(proc: subprocess.Popen) -> int:
-        proc.send_signal(signal_module.SIGTERM)
-        try:
-            return proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            return -9
-
-    proc = None
-    try:
-        port = free_port()
-        proc = boot(port)
-        client = ServiceClient("127.0.0.1", port)
-        wait_healthy(client, proc)
-        print(f"serve smoke @ {root} (port {port})")
-
-        reply = client.submit(_SERVE_SMOKE_SPEC)
-        snapshot = client.wait(reply["job"], timeout=120)
-        if snapshot["state"] != "done" or snapshot["error_rows"]:
-            print(f"error: smoke job ended {snapshot['state']} "
-                  f"({snapshot['error_rows'] or snapshot['error']})",
-                  file=sys.stderr)
-            return 1
-        served = client.result(reply["job"])
-        print(f"  job {reply['job']}: {snapshot['progress']['done']}"
-              f"/{snapshot['progress']['total']} cells done")
-
-        local = api.run_experiment(
-            api.ExperimentSpec.from_dict(_SERVE_SMOKE_SPEC), store=root
-        ).canonical_json()
-        if served != local:
-            print("error: served result differs from local "
-                  "run_experiment on the same store", file=sys.stderr)
-            return 1
-        print("  result byte-identical to local run_experiment: yes")
-
-        resubmit = client.submit(_SERVE_SMOKE_SPEC)
-        if not resubmit["deduped"]:
-            print("error: resubmitted spec was not deduplicated",
-                  file=sys.stderr)
-            return 1
-        print("  resubmit deduplicated onto the finished job: yes")
-        client.close()
-
-        code = drain(proc)
-        proc = None
-        if code != 0:
-            print(f"error: server exited {code} on SIGTERM "
-                  f"(graceful drain failed)", file=sys.stderr)
-            return 1
-        journal_dir = os.path.join(root, "service", "jobs")
-        entries = [p for p in os.listdir(journal_dir)
-                   if p.endswith(".json")] \
-            if os.path.isdir(journal_dir) else []
-        if not entries:
-            print("error: no resumable journal left under "
-                  f"{journal_dir}", file=sys.stderr)
-            return 1
-        entry = json.load(open(os.path.join(journal_dir, entries[0])))
-        print(f"  graceful shutdown: exit 0, journal "
-              f"{len(entries)} entry(ies), state={entry['state']}")
-
-        # Second boot on the same store: the journal + store must
-        # still dedup the spec without recomputing anything.
-        port = free_port()
-        proc = boot(port)
-        client = ServiceClient("127.0.0.1", port)
-        wait_healthy(client, proc)
-        again = client.submit(_SERVE_SMOKE_SPEC)
-        if not again["deduped"]:
-            print("error: spec recomputed after restart (journal "
-                  "resume failed)", file=sys.stderr)
-            return 1
-        if client.result(again["job"]) != local:
-            print("error: post-restart result differs", file=sys.stderr)
-            return 1
-        print("  post-restart resubmit deduplicated from the "
-              "journal/store: yes")
-        client.close()
-        code = drain(proc)
-        proc = None
-        if code != 0:
-            print(f"error: second server exited {code} on SIGTERM",
-                  file=sys.stderr)
-            return 1
-        print("serve smoke OK")
-        return 0
-    finally:
-        if proc is not None:
-            proc.kill()
-            proc.wait()
-        if temp is not None:
-            shutil.rmtree(temp, ignore_errors=True)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.smoke:
-        return _cmd_serve_smoke(args)
     from .service import JobManager, run_server
 
     try:
@@ -1210,18 +826,15 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="manage the persistent experiment store"
     )
     store_parser.add_argument(
-        "action", choices=("stats", "gc", "clear", "verify", "smoke"),
+        "action", choices=("stats", "gc", "clear", "verify"),
         help="stats: inventory + hit counters; gc: drop unreferenced "
              "blobs; clear: empty the store; verify: fsck every blob "
-             "and ref (nonzero exit on damage unless --repair); "
-             "smoke: run a tiny sweep twice and assert the second run "
-             "is served from cache",
+             "and ref (nonzero exit on damage unless --repair)",
     )
     store_parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="store directory (default: $REPRO_STORE_DIR or "
-             "~/.cache/repro-store; smoke defaults to a throwaway "
-             "temp dir)",
+             "~/.cache/repro-store)",
     )
     store_parser.add_argument(
         "--repair", action="store_true",
@@ -1251,8 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="experiment store backing the service (default: "
-             "$REPRO_STORE_DIR or ~/.cache/repro-store; --smoke "
-             "defaults to a throwaway temp dir)",
+             "$REPRO_STORE_DIR or ~/.cache/repro-store)",
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
@@ -1273,12 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore the job journal from previous runs instead of "
              "re-enqueueing unfinished jobs at boot",
     )
-    serve_parser.add_argument(
-        "--smoke", action="store_true",
-        help="boot a throwaway server subprocess, round-trip a spec, "
-             "assert byte-equality with a local run and a graceful "
-             "SIGTERM drain (the `make serve-smoke` / CI gate)",
-    )
     _add_retry_arguments(serve_parser)
     serve_parser.set_defaults(func=cmd_serve)
 
@@ -1296,34 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     docs_parser.set_defaults(func=cmd_docs)
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="run performance microbenchmarks "
-                      "(writes BENCH_core.json)"
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="fast CI mode: smaller corpus, fewer repeats",
-    )
-    bench_parser.add_argument(
-        "--only", default=None, metavar="NAME",
-        help="run a single named benchmark (see repro.analysis.bench."
-             "BENCHMARKS); skips writing the default report file",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run each selected benchmark N times and report the "
-             "median (default: 1)",
-    )
-    bench_parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="report path (default: ./BENCH_core.json)",
-    )
-    bench_parser.add_argument(
-        "--no-write", action="store_true",
-        help="print the report without writing the JSON file",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
-
     trace_parser = subparsers.add_parser(
         "trace", help="simulate one cell with span tracing armed "
                       "(phase breakdown + Chrome trace export)"
@@ -1340,22 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
              "Perfetto or chrome://tracing)",
     )
     trace_parser.set_defaults(func=cmd_trace)
-
-    obs_parser = subparsers.add_parser(
-        "obs", help="observability gates (see docs/observability.md)"
-    )
-    obs_parser.add_argument(
-        "action", choices=("smoke",),
-        help="smoke: boot a throwaway server, validate the Prometheus "
-             "text exposition and the /dashboard page "
-             "(the `make obs-smoke` / CI gate)",
-    )
-    obs_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="store directory backing the throwaway server "
-             "(default: a temp dir, removed afterwards)",
-    )
-    obs_parser.set_defaults(func=cmd_obs)
 
     return parser
 

@@ -4,7 +4,7 @@ All codecs are lossless over arbitrary byte strings and registered in a
 name-indexed registry; the simulator charges their modelled cycle costs.
 """
 
-from .bitio import BitIOError, BitReader, BitWriter
+from .bitio import BitIOError, BitReader
 from .codec import (
     Codec,
     CodecCosts,
@@ -51,7 +51,6 @@ from .transforms import TRANSFORMS, Transform, available_transforms
 __all__ = [
     "BitIOError",
     "BitReader",
-    "BitWriter",
     "BlockCompressionStats",
     "CANDIDATE_PIPELINES",
     "Codec",

@@ -4,15 +4,13 @@ Bits are written MSB-first within each byte, which is the conventional
 layout for canonical Huffman streams in embedded decompressors (it allows
 table-driven decoding by peeking at the top bits).
 
-Both directions are *batched*: the writer accumulates whole fields into a
-small integer and drains completed bytes immediately (so a 15-bit code is
-two integer operations and at most two byte appends, never 15 single-bit
-round trips), and the reader extracts multi-bit fields straight out of
-the underlying byte string with one ``int.from_bytes`` over the covered
-slice.  The stream format is identical to the original bit-at-a-time
-implementation (preserved in :mod:`repro.compress.reference`); the
-property tests assert byte equality.  The codecs' encoders skip the
-writer: they pack their fields into integers and call :func:`pack_bits`.
+Both directions are *batched*: the encoders pack their fields into
+integers and join them with :func:`pack_bits`, and the reader extracts
+multi-bit fields straight out of the underlying byte string with one
+``int.from_bytes`` over the covered slice.  The stream format is
+identical to the original bit-at-a-time implementation (frozen in
+``tests/oracle/reference.py``); the property tests assert byte
+equality.
 """
 
 from __future__ import annotations
@@ -28,15 +26,23 @@ PACK_CHUNK = 256
 
 def pack_bits(pieces: Sequence[Tuple[int, int]]) -> bytes:
     """Concatenate ``(value, width)`` pieces (``width`` bits each, MSB
-    first) into bytes, zero-padded to a whole byte exactly as
-    :meth:`BitWriter.getvalue` pads."""
+    first) into bytes, the last one zero-padded to a whole byte.
+
+    Raises :class:`BitIOError` for a negative width, or a value that is
+    negative or wider than its piece (an encoder that under-counts a
+    piece's bits would otherwise OR them into the piece before it).
+    """
     if len(pieces) == 1:
         acc, bits = pieces[0]
+        if acc < 0 or acc.bit_length() > bits:
+            raise _unfit(acc, bits)
         pad = -bits & 7
         return (acc << pad).to_bytes((bits + pad) >> 3, "big")
     out = bytearray()
     acc = bits = 0
     for value, width in pieces:
+        if value < 0 or value.bit_length() > width:
+            raise _unfit(value, width)
         acc = (acc << width) | value
         bits += width
         rest = bits & 7
@@ -50,84 +56,14 @@ class BitIOError(ValueError):
     """Raised on malformed bit streams (overruns, bad field widths)."""
 
 
-class BitWriter:
-    """Accumulates bits MSB-first and renders them as bytes.
-
-    Internally ``_acc`` holds the sub-byte remainder (always fewer than 8
-    bits); completed bytes are drained into ``_buffer`` on every write, so
-    the accumulator stays a machine-word-sized int no matter how much is
-    written.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._acc = 0
-        self._filled = 0  # bits currently in _acc (0..7)
-        self._bit_count = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append ``width`` bits of ``value`` (most significant first)."""
-        if width < 0:
-            raise BitIOError(f"width must be non-negative, got {width}")
-        if value < 0 or value >> width:
-            raise BitIOError(
-                f"value {value} does not fit in {width} bits"
-            )
-        acc = (self._acc << width) | value
-        filled = self._filled + width
-        self._bit_count += width
-        if filled >= 8:
-            # Drain every completed byte in one ``to_bytes`` instead of
-            # a byte-at-a-time loop — for wide fields (the bulk run
-            # path feeds kilobit accumulators through here) this is the
-            # difference between one big-int operation and dozens.
-            whole = filled >> 3
-            filled -= whole << 3
-            self._buffer += (acc >> filled).to_bytes(whole, "big")
-            acc &= (1 << filled) - 1
-        self._acc = acc
-        self._filled = filled
-
-    def write_run(self, values, width: int) -> None:
-        """Append each of ``values`` as a ``width``-bit field (bulk path).
-
-        Byte-identical to calling :meth:`write_bits` per value; the
-        fields are packed word-at-a-time into bounded big-int chunks so
-        a thousand-code run costs a handful of integer operations
-        instead of a thousand accumulator round trips.
-        """
-        if width < 0:
-            raise BitIOError(f"width must be non-negative, got {width}")
-        if width == 0:
-            for value in values:
-                if value:
-                    raise BitIOError(
-                        f"value {value} does not fit in 0 bits"
-                    )
-            return
-        limit = 1 << width
-        # Bound chunk accumulators to ~2 kilobits: big-int shifts are
-        # cheap at that size and the cost stays linear in total bits.
-        chunk = max(1, 2048 // width)
-        for start in range(0, len(values), chunk):
-            part = values[start:start + chunk]
-            acc = 0
-            for value in part:
-                if value < 0 or value >= limit:
-                    raise BitIOError(
-                        f"value {value} does not fit in {width} bits"
-                    )
-                acc = (acc << width) | value
-            self.write_bits(acc, width * len(part))
-
-    @property
-    def bit_length(self) -> int:
-        """Total number of bits written so far."""
-        return self._bit_count
-
-    def getvalue(self) -> bytes:
-        """Return the bit stream padded with zero bits to a whole byte."""
-        return bytes(self._buffer) + pack_bits(((self._acc, self._filled),))
+def _unfit(value: int, width: int) -> BitIOError:
+    """The error for a ``(value, width)`` piece :func:`pack_bits`
+    cannot write."""
+    if width < 0:
+        return BitIOError(f"width must be non-negative, got {width}")
+    kind = "a negative value" if value < 0 \
+        else f"a {value.bit_length()}-bit value"
+    return BitIOError(f"{kind} does not fit in {width} bits")
 
 
 class BitReader:
@@ -142,11 +78,6 @@ class BitReader:
     def bits_remaining(self) -> int:
         """Number of unread bits (including any padding)."""
         return self._total_bits - self._position
-
-    @property
-    def bit_position(self) -> int:
-        """Current absolute bit offset."""
-        return self._position
 
     def read_bit(self) -> int:
         """Read one bit; raises :class:`BitIOError` past the end."""

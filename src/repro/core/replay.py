@@ -387,19 +387,17 @@ class _Decisions:
         self.geometry = geometry
         self.used_since = dict(residency._used_since_decompress)
         self.counters = None if kcount is None else dict(kcount)
-        remember = residency.remember
-        self.site_target = dict(remember._site_target)
+        self.site_target = dict(residency.site_target)
         self.by_target = {
             target: set(sites)
-            for target, sites in remember._by_target.items()
+            for target, sites in residency.by_target.items()
         }
 
     def restore(self, residency, kcount) -> None:
         """Give a replay its own copy of the pass's end state."""
         residency._used_since_decompress.update(self.used_since)
-        remember = residency.remember
-        remember._site_target.update(self.site_target)
-        remember._by_target.update(
+        residency.site_target.update(self.site_target)
+        residency.by_target.update(
             (target, set(sites)) for target, sites in self.by_target.items()
         )
         if kcount is not None:
@@ -484,9 +482,8 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     used_since = residency._used_since_decompress
     # Remember sets, keyed by block id: a block's branch site is its
     # terminator.
-    remember = residency.remember
-    site_target = remember._site_target
-    by_target = remember._by_target
+    site_target = residency.site_target
+    by_target = residency.by_target
     fp_cycles = residency.footprint._cycles
     fp_values = residency.footprint._values
     base_size = image.compressed_image_size
@@ -539,8 +536,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     tmem_bytes = 0
     tmem_accesses = 0
     img_rel = 0
-    # Patches and patch-backs (the remember sets' running total).
-    total_patches = 0
 
     # ---- fills and releases: a decision half, skipped when following
     # a decision pass, and a half priced by this replay's own clock.
@@ -593,7 +588,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         sample the footprint.  ``patched`` comes from a decision log."""
         nonlocal d_free, d_busy, d_cancelled, w_free, w_busy, w_done
         nonlocal patches, recompressions, wasted, used, img_rel
-        nonlocal total_patches
         del ready[unit]
         geo = geometry[unit]
         if patched is None:
@@ -628,7 +622,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                 tt = site_target.pop(rb, None)
                 if tt is not None:
                     by_target[tt].discard(rb)
-            total_patches += patched
             patches += patched
             recompressions += 1
             if not used_since.pop(unit, True):
@@ -740,8 +733,8 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         # ---- reuse the plan's decision pass: charge only this clock ----
         manager.replay_shared = True
         (faults, decompressions, recompressions, patches, wasted,
-         tmem_accesses, stall_cycles, stalls, img_rel, total_patches,
-         now) = decisions.tallies
+         tmem_accesses, stall_cycles, stalls, img_rel, now) = \
+            decisions.tallies
         # This clock is the deciding replay's plus ``lag``: the
         # difference between the two runs' fill latencies so far.
         lead = decisions.geometry
@@ -966,7 +959,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
                     else:
                         referrers.add(b)
                     site_target[b] = nb
-                    total_patches += 1
                 patches += 1
                 if emit is not None:
                     emit((now, _PATCH, nb, 0))
@@ -988,7 +980,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
     counters.target_memory_accesses += tmem_accesses
     counters.stall_cycles += stall_cycles
     counters.stalls += stalls
-    remember.total_patches += total_patches
     dworker.free_at = d_free
     dworker.busy_cycles += d_busy
     dworker.jobs_completed += d_done
@@ -1013,7 +1004,6 @@ def _replay_compressed(manager, plans, tracer, generic: bool,
         # plan with this key.
         memo[key] = _Decisions(record, (
             faults, decompressions, recompressions, patches, wasted,
-            tmem_accesses, stall_cycles, stalls, img_rel, total_patches,
-            now,
+            tmem_accesses, stall_cycles, stalls, img_rel, now,
         ), geometry, residency, kcount)
     return now

@@ -8,7 +8,8 @@
   sizes, decompression latencies, and fill costs;
 * the **ready clock** (``unit -> completion cycle``) that says when an
   in-flight pre-decompression becomes usable;
-* the **remember sets** that drive Section 5's patching;
+* the **remember sets** that drive Section 5's patching (two dicts,
+  ``site_target`` and ``by_target``);
 * the optional **memory budget**;
 * the **footprint timeline** (the paper's memory-space metric).
 
@@ -49,7 +50,6 @@ from ..memory.image import (
     SeparateAreaImage,
     compression_artifacts,
 )
-from ..memory.remember_set import RememberSets
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..selection.assignment import (
     assignment_artifacts,
@@ -122,7 +122,13 @@ class ResidencySubsystem:
             )
 
         # ---- residency bookkeeping ---------------------------------
-        self.remember = RememberSets()
+        # The remember sets (Section 5), keyed by block id: a branch
+        # site is the terminator of the block it ends.  ``site_target``
+        # maps each site to the block whose decompressed copy it is
+        # patched to, ``by_target`` each such block to its sites; a site
+        # is in at most one target's set (a branch holds one address).
+        self.site_target: Dict[int, int] = {}
+        self.by_target: Dict[int, Set[int]] = {}
         # Unit geometry is immutable; sizes/latencies memoize on first
         # use.
         self._unit_size_cache: Dict[int, int] = {}

@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 #: Environment variable carrying a fault plan into every process that
 #: imports the injection hooks (the chaos opt-in).  The value is either

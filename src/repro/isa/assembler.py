@@ -23,7 +23,7 @@ The assembler produces a linked :class:`~repro.isa.program.Program`.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .instructions import (
     CONDITIONAL_BRANCHES,

@@ -21,7 +21,7 @@ entropy coders exploit on real binaries.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from .instructions import (
     BRANCH_OPS,
@@ -175,25 +175,3 @@ def decode_program(data: bytes) -> List[Instruction]:
         decode_instruction(data, offset)
         for offset in range(0, len(data), INSTRUCTION_SIZE)
     ]
-
-
-def roundtrips(instructions: Iterable[Instruction]) -> bool:
-    """Return True if encode→decode reproduces ``instructions`` exactly.
-
-    Used by property-based tests; ``target`` labels are ignored in the
-    comparison because the binary format stores resolved addresses only.
-    """
-    original = list(instructions)
-    decoded = decode_program(encode_program(original))
-    if len(original) != len(decoded):
-        return False
-    for a, b in zip(original, decoded):
-        if (a.opcode, a.rd, a.rs1, a.rs2, a.imm) != (
-            b.opcode,
-            b.rd,
-            b.rs1,
-            b.rs2,
-            b.imm,
-        ):
-            return False
-    return True

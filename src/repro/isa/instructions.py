@@ -21,7 +21,7 @@ kernels, not the hardware):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 #: Number of general-purpose registers.

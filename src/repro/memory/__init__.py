@@ -1,4 +1,4 @@
-"""Memory system: images, allocator, remember sets, hierarchy presets."""
+"""Memory system: images, allocator, hierarchy presets."""
 
 from .allocator import AllocationError, FreeHole, FreeListAllocator
 from .hierarchy import (
@@ -13,7 +13,6 @@ from .image import (
     ArtifactCache,
     BlockImage,
     CodeImage,
-    CompressedCodeFault,
     CompressionArtifacts,
     ImageError,
     InPlaceImage,
@@ -22,7 +21,6 @@ from .image import (
     compression_artifacts,
     set_artifact_provider,
 )
-from .remember_set import RememberSets
 
 __all__ = [
     "AllocationError",
@@ -30,7 +28,6 @@ __all__ = [
     "artifact_cache",
     "BlockImage",
     "CodeImage",
-    "CompressedCodeFault",
     "CompressionArtifacts",
     "compression_artifacts",
     "set_artifact_provider",
@@ -41,7 +38,6 @@ __all__ = [
     "InPlaceImage",
     "MemoryHierarchy",
     "MemoryLevel",
-    "RememberSets",
     "SeparateAreaImage",
     "available_hierarchies",
     "get_hierarchy",

@@ -174,14 +174,6 @@ class FreeListAllocator:
         """Snapshot of live allocations (start -> size)."""
         return dict(self._allocations)
 
-    def external_fragmentation(self) -> float:
-        """``1 - largest_hole / free_bytes`` (0 when free space is one
-        hole or there is no free space)."""
-        free = self.free_bytes
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_hole / free
-
     # ------------------------------------------------------------------
     # Compaction (used by the in-place comparison scheme, E8)
     # ------------------------------------------------------------------

@@ -225,19 +225,6 @@ class ImageError(RuntimeError):
     """Raised on invalid image operations (double decompress, etc.)."""
 
 
-class CompressedCodeFault(Exception):
-    """The memory-protection exception of Section 5.
-
-    Raised when the execution thread fetches from a block that has no
-    decompressed copy; the simulator's exception handler reacts by
-    decompressing the block (on-demand decompression).
-    """
-
-    def __init__(self, block_id: int) -> None:
-        super().__init__(f"fetch from compressed block B{block_id}")
-        self.block_id = block_id
-
-
 @dataclass
 class BlockImage:
     """Per-block storage state inside a code image."""
@@ -374,11 +361,6 @@ class CodeImage(abc.ABC):
     def is_resident(self, block_id: int) -> bool:
         """True when ``block_id`` has a decompressed copy."""
         return self.blocks[block_id].is_resident
-
-    def fetch_check(self, block_id: int) -> None:
-        """Raise :class:`CompressedCodeFault` when fetching compressed code."""
-        if not self.is_resident(block_id):
-            raise CompressedCodeFault(block_id)
 
     def resident_blocks(self) -> Set[int]:
         """Ids of all currently decompressed blocks."""

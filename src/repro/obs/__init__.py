@@ -28,7 +28,7 @@ sweeps is pinned by integration tests.
 """
 
 from .chrome import chrome_trace, chrome_trace_json, sink_chrome_trace
-from .prometheus import render_prometheus, validate_exposition
+from .prometheus import render_prometheus
 from .spans import SpanRecorder, current_recorder, span, span_event, span_scope
 from .tracer import (
     NULL_TRACER,
@@ -57,5 +57,4 @@ __all__ = [
     "span_event",
     "span_scope",
     "tracing_scope",
-    "validate_exposition",
 ]

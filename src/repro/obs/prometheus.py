@@ -1,4 +1,4 @@
-"""Prometheus text exposition for the sweep service, plus a validator.
+"""Prometheus text exposition for the sweep service.
 
 :func:`render_prometheus` turns the ``GET /metrics`` JSON payload (the
 ``{"service": ..., "queue_depth": ..., "jobs": ..., "store": ...}``
@@ -9,36 +9,12 @@ whose cumulative ``le``-labelled buckets reuse the existing
 ``BUCKET_BOUNDS_MS`` bounds — read back out of each histogram's
 ``buckets_ms`` keys, so this module never imports the service layer
 (the core imports :mod:`repro.obs`, which must stay leaf-only).
-
-:func:`validate_exposition` is the syntax check ``make obs-smoke`` and
-the unit tests run against the scraped text: metric/label name grammar,
-float-parseable values, known TYPE keywords, and histogram coherence
-(cumulative buckets, ``+Inf`` bucket equal to ``_count``).
+``benchmarks/perf/obs_smoke.py`` syntax-checks the scraped text.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from typing import Any, Dict, List, Mapping, Tuple
-
-_METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-# The label block is matched greedily to the *last* '}' on the line:
-# quoted label values may themselves contain '}' (e.g. the endpoint
-# label "GET /jobs/{id}"), and the sample value after it is numeric,
-# never brace-bearing.
-_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>\S+)$"
-)
-_LABEL_PAIR = re.compile(
-    r'(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"'
-    r"(?:,|$)"
-)
-
-_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
+from typing import Any, List, Mapping
 
 
 def _escape(value: str) -> str:
@@ -160,138 +136,3 @@ def render_prometheus(payload: Mapping[str, Any]) -> str:
         out.sample(name, {}, value)
 
     return out.text()
-
-
-def _parse_labels(raw: str) -> Dict[str, str]:
-    """Parse a label block; quoted values may hold ',' '{' '}' '='."""
-    labels: Dict[str, str] = {}
-    raw = raw.strip()
-    if not raw:
-        return labels
-    position = 0
-    while position < len(raw):
-        match = _LABEL_PAIR.match(raw, position)
-        if match is None:
-            raise ValueError(
-                f"malformed label pair: {raw[position:]!r}"
-            )
-        labels[match.group("name")] = match.group("value")
-        position = match.end()
-    return labels
-
-
-def validate_exposition(text: str) -> Dict[str, Any]:
-    """Syntax-check Prometheus exposition text.
-
-    Returns ``{"metrics": <count>, "samples": <count>}`` on success and
-    raises :class:`ValueError` with a line-numbered message on the
-    first violation.  Checks: name/label grammar, float values, known
-    TYPE keywords, TYPE-before-samples ordering, and histogram
-    coherence (cumulative non-decreasing buckets whose ``+Inf`` count
-    equals ``_count``).
-    """
-    types: Dict[str, str] = {}
-    samples: List[Tuple[str, Dict[str, str], float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
-                raise ValueError(
-                    f"line {lineno}: malformed comment: {line!r}"
-                )
-            if not _METRIC_NAME.match(parts[2]):
-                raise ValueError(
-                    f"line {lineno}: bad metric name {parts[2]!r}"
-                )
-            if parts[1] == "TYPE":
-                if len(parts) != 4 or parts[3] not in _TYPES:
-                    raise ValueError(
-                        f"line {lineno}: bad TYPE: {line!r}"
-                    )
-                types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE.match(line)
-        if match is None:
-            raise ValueError(f"line {lineno}: malformed sample {line!r}")
-        name = match.group("name")
-        if not _METRIC_NAME.match(name):
-            raise ValueError(f"line {lineno}: bad metric name {name!r}")
-        try:
-            value = float(match.group("value"))
-        except ValueError as exc:
-            raise ValueError(
-                f"line {lineno}: non-numeric value "
-                f"{match.group('value')!r}"
-            ) from exc
-        try:
-            labels = _parse_labels(match.group("labels") or "")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in types:
-                family = name[: -len(suffix)]
-                break
-        if family not in types:
-            raise ValueError(
-                f"line {lineno}: sample {name!r} has no preceding "
-                f"# TYPE"
-            )
-        samples.append((name, labels, value))
-
-    _check_histograms(types, samples)
-    return {"metrics": len(types), "samples": len(samples)}
-
-
-def _check_histograms(
-    types: Mapping[str, str],
-    samples: List[Tuple[str, Dict[str, str], float]],
-) -> None:
-    for family, kind in types.items():
-        if kind != "histogram":
-            continue
-        by_series: Dict[Tuple[Tuple[str, str], ...], Dict] = {}
-        for name, labels, value in samples:
-            if not name.startswith(family):
-                continue
-            rest = {k: v for k, v in labels.items() if k != "le"}
-            key = tuple(sorted(rest.items()))
-            series = by_series.setdefault(
-                key, {"buckets": [], "count": None}
-            )
-            if name == f"{family}_bucket":
-                if "le" not in labels:
-                    raise ValueError(
-                        f"{family}_bucket sample missing 'le' label"
-                    )
-                series["buckets"].append(
-                    (labels["le"], value)
-                )
-            elif name == f"{family}_count":
-                series["count"] = value
-        for key, series in by_series.items():
-            bounds = series["buckets"]
-            if not bounds:
-                continue
-            values = [v for _, v in bounds]
-            if any(
-                later < earlier
-                for earlier, later in zip(values, values[1:])
-            ):
-                raise ValueError(
-                    f"{family}{dict(key)}: buckets not cumulative"
-                )
-            inf = [v for le, v in bounds if le in ("+Inf", "inf")]
-            if not inf:
-                raise ValueError(
-                    f"{family}{dict(key)}: missing +Inf bucket"
-                )
-            if series["count"] is not None and not math.isclose(
-                inf[-1], series["count"]
-            ):
-                raise ValueError(
-                    f"{family}{dict(key)}: +Inf bucket "
-                    f"{inf[-1]} != _count {series['count']}"
-                )

@@ -185,23 +185,6 @@ class PreparedTrace:
             return self
         return PreparedTrace(self.cfg, self.trace[:length])
 
-    @classmethod
-    def from_result(cls, cfg: ProgramCFG, result) -> "PreparedTrace":
-        """Prepare the trace a :class:`SimulationResult` recorded.
-
-        Refuses (with a clear error) results whose trace was truncated
-        by the recording cap — a truncated trace would replay a shorter
-        run than the one that produced the metrics.
-        """
-        if result.trace_truncated:
-            raise ValueError(
-                "refusing to prepare a truncated trace: the recording "
-                "hit the block-trace cap, so replaying it would "
-                "silently simulate a shorter run; re-record with a "
-                "higher cap or run the program without a recorded trace"
-            )
-        return cls(cfg, result.block_trace)
-
 
 def simulate_trace(
     cfg: ProgramCFG,

@@ -373,7 +373,9 @@ class CachingExecutor(Executor):
         run: Optional[SweepRun] = None
         if record is not None:
             try:
-                run = record_to_run(record, cell.cell_config)
+                run = record_to_run(
+                    record, cell.cell_config, cell.fingerprint
+                )
             except StoreError:
                 run = None
         span_event("store.hit" if run is not None else "store.miss",

@@ -185,12 +185,15 @@ def run_to_record(run: SweepRun, fingerprint: str) -> Dict[str, Any]:
 
 
 def record_to_run(
-    record: Dict[str, Any], config: SimulationConfig
+    record: Dict[str, Any], config: SimulationConfig, fingerprint: str
 ) -> SweepRun:
-    """Rebuild a live :class:`SweepRun` from a stored record.
+    """Rebuild a live :class:`SweepRun` from the record stored under
+    ``fingerprint``.
 
-    Raises :class:`StoreError` on any shape or type mismatch; callers
-    treat that as a cache miss and recompute.
+    Raises :class:`StoreError` on any shape or type mismatch, or when
+    the record was written for another cell (its ``fingerprint`` field
+    is not ``fingerprint``); callers treat that as a cache miss and
+    recompute.
     """
     try:
         _typed(record, _RECORD)
@@ -198,6 +201,10 @@ def record_to_run(
             raise ValueError(f"schema {record['schema']!r}")
         if record["version"] != RECORD_VERSION:
             raise ValueError(f"version {record['version']!r}")
+        if record["fingerprint"] != fingerprint:
+            raise ValueError(
+                f"record of cell {record['fingerprint'][:12]}"
+            )
         data = _typed(record["result"], _RESULT)
         footprint = _typed(data["footprint"], _FOOTPRINT)
         cycles = _unpack(footprint["cycles"])

@@ -13,7 +13,7 @@ the CFG, residency, and the access pattern, without owning any mechanism.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Protocol, Set
+from typing import List, Protocol, Set
 
 from ..cfg.builder import ProgramCFG
 from ..cfg.profile import EdgeProfile

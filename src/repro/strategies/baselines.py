@@ -12,8 +12,6 @@ objects so benchmarks and examples build comparisons declaratively.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.config import SimulationConfig
 
 

@@ -12,7 +12,7 @@ decompressed copies), matching the paper's memory-space metric.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 
 class BudgetError(RuntimeError):

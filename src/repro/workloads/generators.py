@@ -19,7 +19,7 @@ baseline (the integration tests rely on this).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..isa import instructions as ins

@@ -14,12 +14,12 @@ exploits (Section 6's "large fraction of the code is rarely touched").
 from __future__ import annotations
 
 import re
-from typing import Callable, List
+from typing import List
 
 from ...isa.assembler import assemble
 from ...runtime.machine import Machine
 from ..suite import Workload, register_workload
-from . import coding, linalg, sorting, strings
+from . import linalg, sorting, strings
 
 _LABEL_DEF = re.compile(r"^\s*([A-Za-z_.$][\w.$]*):", re.MULTILINE)
 

@@ -13,7 +13,7 @@ These three target the paper's motivation directly:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ...isa import instructions as ins
 from ...isa.assembler import assemble

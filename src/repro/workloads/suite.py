@@ -15,7 +15,7 @@ many-function modular application.  Every kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 from ..isa.program import Program
 from ..registry import Registry

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.cfg import build_cfg
 from repro.isa import assemble
+
+#: The bench and the smoke gates are scripts in ``benchmarks/perf/``,
+#: outside the package; their tests import them as top-level modules.
+sys.path.insert(
+    0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf")
+)
 
 #: Small two-loop program mirroring the paper's Figure 1 shape:
 #: entry -> branch -> (left loop | right block) -> join -> back edge.

@@ -39,8 +39,12 @@ class TestCliDocsSync:
     def test_every_subcommand_documented(self):
         text = render_cli_docs()
         for command in ("list", "inspect", "run", "sweep", "compare",
-                        "exp", "store", "bench", "docs"):
+                        "exp", "store", "serve", "trace", "docs"):
             assert f"## `repro {command}`" in text, command
+        # The bench and the smoke gates are benchmarks/perf/ scripts.
+        for command in ("bench", "obs"):
+            assert f"## `repro {command}`" not in text, command
+        assert "--smoke" not in text
 
     def test_assignment_flag_documented(self):
         text = render_cli_docs()

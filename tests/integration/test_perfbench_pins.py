@@ -75,9 +75,9 @@ def test_warm_store_sweep_matches_its_pin(warm_store):
 def test_stored_statistics_match_their_columns(warm_store):
     store = ExperimentStore(warm_store.store_dir)
     results = [
-        record_to_run(store.get_cell(os.path.basename(path)),
-                      SimulationConfig()).result
-        for path in store._walk_refs("cells")
+        record_to_run(store.get_cell(fingerprint), SimulationConfig(),
+                      fingerprint).result
+        for fingerprint in map(os.path.basename, store._walk_refs("cells"))
     ]
     assert len(results) == len(warm_store.spec.configs()) * 15 == 315
     for result in results:

@@ -109,7 +109,6 @@ def _workers(manager):
 def _end_state(manager):
     """Everything a replay leaves on its manager, dict orders included."""
     residency = manager.residency
-    remember = residency.remember
     image = residency.image
     return {
         "clock": (manager.now, manager.execution_cycles),
@@ -119,10 +118,9 @@ def _end_state(manager):
         "k_counters": list(
             getattr(manager.compression, "_counters", {}).items()
         ),
-        "site_target": list(remember._site_target.items()),
+        "site_target": list(residency.site_target.items()),
         "by_target": [(target, sorted(sites))
-                      for target, sites in remember._by_target.items()],
-        "total_patches": remember.total_patches,
+                      for target, sites in residency.by_target.items()],
         "image": (image.decompress_count, image.release_count,
                   sorted(image.resident_blocks())),
         "profile": (list(manager.profile.edge_counts.items()),
@@ -134,7 +132,6 @@ def _oracle_view(manager):
     """The end state the layered oracle keeps too: its branch sites are
     (block, instruction) pairs, compared by block."""
     residency = manager.residency
-    remember = residency.remember
     image = residency.image
 
     def block_of(site):
@@ -146,11 +143,10 @@ def _oracle_view(manager):
         "used_since": dict(residency._used_since_decompress),
         "k_counters": dict(getattr(manager.compression, "_counters", {})),
         "site_target": {block_of(site): target for site, target
-                        in remember._site_target.items()},
+                        in residency.site_target.items()},
         "by_target": {target: sorted(map(block_of, sites))
-                      for target, sites in remember._by_target.items()
+                      for target, sites in residency.by_target.items()
                       if sites},
-        "total_patches": remember.total_patches,
         "image": (image.decompress_count, image.release_count,
                   sorted(image.resident_blocks())),
     }

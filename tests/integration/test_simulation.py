@@ -9,7 +9,6 @@ and (b) that registers and block trace match the uncompressed baseline.
 
 import pytest
 
-from repro.analysis import run_one
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig, simulate
 from repro.core.manager import CodeCompressionManager

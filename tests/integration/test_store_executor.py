@@ -11,6 +11,7 @@ it.
 import copy
 import multiprocessing
 import os
+import shutil
 import struct
 import sys
 import threading
@@ -210,6 +211,30 @@ class TestUndecodableRecords:
         assert counting.cells_computed == 2 * len(uncached.runs)
         assert executor.hits == 0
         assert rerun.canonical_json() == uncached.canonical_json()
+
+    def test_a_record_under_another_cells_fingerprint_is_a_miss(
+        self, tmp_path
+    ):
+        # Copying gcd k=inf's ref over k=1's hands the k=1 cell a valid
+        # record of another cell.  A record is adopted only under its
+        # own fingerprint, so k=1 is recomputed (836 cycles, not k=inf's
+        # 445) and its ref rewritten.
+        spec = _spec(workloads=["gcd"])
+        uncached, store, counting, executor, fingerprints = \
+            _fill_store(tmp_path, spec)
+        by_k = {store.get_cell(fingerprint)["result"]["k_compress"]:
+                fingerprint for fingerprint in fingerprints}
+        shutil.copyfile(store._fan_path("cells", by_k[None]),
+                        store._fan_path("cells", by_k[1]))
+        assert store.get_cell(by_k[1])["fingerprint"] == by_k[None]
+        hits = executor.hits
+
+        rerun = api.run_experiment(spec, executor=executor)
+        assert counting.cells_computed == len(uncached.runs) + 1
+        assert executor.hits == hits + 1
+        assert rerun.canonical_json() == uncached.canonical_json()
+        assert [run.result.total_cycles for run in rerun.runs] == [836, 445]
+        assert store.get_cell(by_k[1])["fingerprint"] == by_k[1]
 
     def test_a_v3_column_record_is_recomputed_and_rewritten_as_v4(
         self, tmp_path

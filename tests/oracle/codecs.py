@@ -1,16 +1,17 @@
 """The bit-writer encoders as they ran before they packed their fields
 into one integer, frozen as a differential oracle.
 
-Every encoder here writes each field through
-:class:`~repro.compress.bitio.BitWriter` (one ``write_bits`` call per
-symbol, word or token), as the shared-model, dictionary, LZW and LZ77
-codecs did; the pipeline trains its entropy stage on a forward-
-transformed corpus and forward-transforms every block again when it
-compresses it.  The model fitting is copied too, so a production model
-change shows up as a payload difference.  ``tests/properties/
-test_encoder_oracle.py`` holds every production payload byte-equal to
-these, plus golden digests so a change made to both sides at once
-cannot slip through.  Nothing under ``src/`` imports this module.
+Every encoder here writes each field through :class:`BitWriter`, a
+frozen copy of the writer the product deleted once nothing wrote
+through it (one ``write_bits`` call per symbol, word or token), as the
+shared-model, dictionary, LZW and LZ77 codecs did; the pipeline trains
+its entropy stage on a forward-transformed corpus and forward-
+transforms every block again when it compresses it.  The model fitting
+is copied too, so a production model change shows up as a payload
+difference.  ``tests/properties/test_encoder_oracle.py`` holds every
+production payload byte-equal to these, plus golden digests so a change
+made to both sides at once cannot slip through.  Nothing under ``src/``
+imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Sequence
 
-from repro.compress.bitio import BitWriter
+from repro.compress.bitio import BitIOError
 from repro.compress.codec import CODECS
 from repro.compress.huffman import (
     _canonical_codes,
@@ -31,12 +32,49 @@ from repro.compress.pipeline import (
     PipelineError,
     parse_pipeline_spec,
 )
-from repro.compress.reference import reference_huffman_compress
 from repro.compress.transforms import TRANSFORMS
+
+from .reference import reference_huffman_compress
 
 _TAG_RAW = 0
 _TAG_CODED = 1
 _WORD = 4
+
+
+class BitWriter:
+    """The per-field bit writer the encoders used: accumulates bits
+    MSB-first, drains completed bytes on every write and pads the last
+    byte with zero bits."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self._acc = 0
+        self._filled = 0  # bits currently in _acc (0..7)
+
+    def write_bits(self, value: int, width: int) -> None:
+        """Append ``width`` bits of ``value`` (most significant first)."""
+        if width < 0:
+            raise BitIOError(f"width must be non-negative, got {width}")
+        if value < 0 or value >> width:
+            raise BitIOError(
+                f"value {value} does not fit in {width} bits"
+            )
+        acc = (self._acc << width) | value
+        filled = self._filled + width
+        if filled >= 8:
+            whole = filled >> 3
+            filled -= whole << 3
+            self._buffer += (acc >> filled).to_bytes(whole, "big")
+            acc &= (1 << filled) - 1
+        self._acc = acc
+        self._filled = filled
+
+    def getvalue(self) -> bytes:
+        """The bit stream padded with zero bits to a whole byte."""
+        if not self._filled:
+            return bytes(self._buffer)
+        tail = self._acc << (8 - self._filled)
+        return bytes(self._buffer) + bytes((tail,))
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +432,7 @@ _FLAT = {
     "dictionary": dictionary_compress,
     "lzw": lzw_compress,
     "lz77": lz77_compress,
-    # The seed Huffman compressor (src/repro/compress/reference.py).
+    # The seed Huffman compressor (oracle/reference.py).
     "huffman": reference_huffman_compress,
 }
 

@@ -35,7 +35,6 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 import repro.core.manager as manager_module
 from repro.core.manager import CodeCompressionManager
 from repro.core.residency import ResidencySubsystem as _Residency
-from repro.memory.remember_set import RememberSets as _RememberSets
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.events import EventKind
 from repro.runtime.machine import MachineError
@@ -223,8 +222,55 @@ class BranchSite(NamedTuple):
     instr_index: int
 
 
-class RememberSets(_RememberSets):
-    """The remember sets with their per-call mutators."""
+class RememberSets:
+    """The remember sets as a class of their own: the targets' sets of
+    branch sites with their queries, invariant check and per-call
+    mutators (the production residency keeps two plain dicts, which the
+    kernel patches inline).
+
+    Invariant kept for the property tests: a branch site appears in at
+    most one target's remember set — a branch instruction holds one
+    address.
+    """
+
+    def __init__(self) -> None:
+        self._by_target: Dict[int, Set[BranchSite]] = {}
+        self._site_target: Dict[BranchSite, int] = {}
+        self.total_patches = 0
+
+    def references_to(self, target_block: int) -> Set[BranchSite]:
+        """Sites currently pointing at ``target_block``'s copy."""
+        return set(self._by_target.get(target_block, set()))
+
+    def target_of(self, site: BranchSite) -> int:
+        """Block the given site currently points to (KeyError if unknown)."""
+        return self._site_target[site]
+
+    def points_to(self, site: BranchSite, target_block: int) -> bool:
+        """True if ``site`` is currently patched to ``target_block``."""
+        return self._site_target.get(site) == target_block
+
+    @property
+    def tracked_sites(self) -> int:
+        """Total number of tracked branch sites."""
+        return len(self._site_target)
+
+    def validate(self) -> List[str]:
+        """Return invariant violations (empty when consistent)."""
+        problems: List[str] = []
+        for target, sites in self._by_target.items():
+            for site in sites:
+                if self._site_target.get(site) != target:
+                    problems.append(
+                        f"site {site} in set of B{target} but maps to "
+                        f"{self._site_target.get(site)}"
+                    )
+        for site, target in self._site_target.items():
+            if site not in self._by_target.get(target, set()):
+                problems.append(
+                    f"site {site} maps to B{target} but missing from its set"
+                )
+        return problems
 
     def add_reference(self, target_block: int, site: BranchSite) -> None:
         """Record that ``site`` now jumps to ``target_block``'s copy."""
@@ -408,6 +454,9 @@ class ResidencySubsystem(_Residency):
         self.counters = counters
         self.log = log
         self.remember = RememberSets()
+        # The end state under the production residency's names.
+        self.site_target = self.remember._site_target
+        self.by_target = self.remember._by_target
         if config.memory_budget is not None:
             self.budget = MemoryBudget(
                 config.memory_budget, config.eviction

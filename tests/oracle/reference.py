@@ -7,19 +7,18 @@ preserves those originals verbatim (modulo naming) so that
 
 * the property tests can assert equivalence against the real seed code
   rather than against a re-derivation of it, and
-* the ``bench`` CLI can measure the fast path's speedup over the seed
-  implementation PR-over-PR.
+* ``benchmarks/perf/run_bench.py`` can measure the fast path's speedup
+  over the seed implementation change over change.
 
-Nothing here is exported through the package API and nothing in the
-runtime imports it; it is a test/benchmark artifact.  Do not "optimise"
-this module — its entire value is staying slow and obviously correct.
+Nothing under ``src/`` imports it.  Do not "optimise" this module — its
+entire value is staying slow and obviously correct.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .bitio import BitIOError
+from repro.compress.bitio import BitIOError
 
 
 class ReferenceBitWriter:
@@ -136,7 +135,7 @@ def reference_huffman_compress(data: bytes) -> bytes:
     bit-at-a-time writer."""
     from collections import Counter
 
-    from .huffman import _canonical_codes, _code_lengths
+    from repro.compress.huffman import _canonical_codes, _code_lengths
 
     if not data:
         return bytes((_TAG_RAW, 0, 0, 0, 0))
@@ -168,8 +167,8 @@ def reference_huffman_compress(data: bytes) -> bytes:
 def reference_huffman_decompress(payload: bytes) -> bytes:
     """Seed ``HuffmanCodec.decompress``: per-bit ``(code, length)`` dict
     probing."""
-    from .codec import CodecError
-    from .huffman import _canonical_codes
+    from repro.compress.codec import CodecError
+    from repro.compress.huffman import _canonical_codes
 
     if not payload:
         raise CodecError("empty huffman payload")

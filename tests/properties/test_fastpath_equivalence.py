@@ -1,8 +1,8 @@
 """Equivalence of the batched fast paths with the frozen seed code.
 
-The batched :class:`~repro.compress.bitio.BitWriter`/``BitReader`` and
+:func:`~repro.compress.bitio.pack_bits`, the batched ``BitReader`` and
 the table-driven Huffman codec must produce *byte-identical* streams to
-the seed implementations preserved in :mod:`repro.compress.reference`.
+the seed implementations preserved in :mod:`oracle.reference`.
 These tests drive both sides with the same (hypothesis-generated)
 inputs and assert equality, plus golden payload digests so that a
 simultaneous change to both implementations cannot slip through.
@@ -14,19 +14,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress.bitio import BitIOError, BitReader, BitWriter
+from oracle.reference import (
+    ReferenceBitReader,
+    ReferenceBitWriter,
+    reference_huffman_compress,
+    reference_huffman_decompress,
+)
+from repro.compress.bitio import BitIOError, BitReader, pack_bits
 from repro.compress.codec import CodecError
 from repro.compress.huffman import (
     CanonicalDecoder,
     HuffmanCodec,
     _canonical_codes,
     _code_lengths,
-)
-from repro.compress.reference import (
-    ReferenceBitReader,
-    ReferenceBitWriter,
-    reference_huffman_compress,
-    reference_huffman_decompress,
 )
 
 # ----------------------------------------------------------------------
@@ -39,64 +39,57 @@ _write_ops = st.one_of(
     st.tuples(
         st.integers(min_value=0, max_value=(1 << 70) - 1),
         st.integers(min_value=0, max_value=70),
-    ),
+    ).map(lambda op: (op[0] & ((1 << op[1]) - 1), op[1])),
 )
 
 
-def _apply(writer, op):
-    value, width = op
-    writer.write_bits(value & ((1 << width) - 1), width)
+def _seed_stream(ops):
+    seed = ReferenceBitWriter()
+    for value, width in ops:
+        seed.write_bits(value, width)
+    assert seed.bit_length == sum(width for _, width in ops)
+    return seed.getvalue()
 
 
 class TestBitWriterEquivalence:
     @given(st.lists(_write_ops, max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_streams_byte_identical(self, ops):
-        fast = BitWriter()
-        seed = ReferenceBitWriter()
-        for op in ops:
-            _apply(fast, op)
-            _apply(seed, op)
-            assert fast.bit_length == seed.bit_length
-        assert fast.getvalue() == seed.getvalue()
+        assert pack_bits(ops) == _seed_stream(ops)
 
     @given(st.lists(_write_ops, max_size=40), st.data())
     @settings(max_examples=150, deadline=None)
     def test_reader_values_match(self, ops, data):
-        seed_writer = ReferenceBitWriter()
-        for op in ops:
-            _apply(seed_writer, op)
-        stream = seed_writer.getvalue()
+        stream = _seed_stream(ops)
         fast = BitReader(stream)
         seed = ReferenceBitReader(stream)
         # One zero-width read per stream; the drawn widths start at 1 so
         # every draw makes progress (zero widths drawn in a loop could
         # exhaust hypothesis's per-example buffer on a long stream).
         assert fast.read_bits(0) == seed.read_bits(0)
-        assert fast.bit_position == seed.bit_position
+        assert fast.bits_remaining == seed.bits_remaining
         while seed.bits_remaining:
             width = data.draw(
                 st.integers(1, min(70, seed.bits_remaining)),
                 label="width",
             )
             assert fast.read_bits(width) == seed.read_bits(width)
-            assert fast.bit_position == seed.bit_position
             assert fast.bits_remaining == seed.bits_remaining
 
     def test_wide_value_range_check_closed(self):
-        # The seed skipped validation for width >= 64; the batched
-        # writer validates every width.
-        writer = BitWriter()
+        # The seed skipped validation for width >= 64; pack_bits
+        # validates every width.
         with pytest.raises(BitIOError, match="does not fit"):
-            writer.write_bits(1 << 64, 64)
+            pack_bits([(1 << 64, 64)])
         with pytest.raises(BitIOError, match="does not fit"):
-            writer.write_bits(1 << 100, 100)
-        writer.write_bits((1 << 64) - 1, 64)  # boundary still accepted
-        assert writer.bit_length == 64
+            pack_bits([(1 << 100, 100)])
+        # The boundary is still accepted.
+        assert pack_bits([((1 << 64) - 1, 64)]) == b"\xff" * 8
 
     def test_reference_writer_had_the_gap(self):
-        # Documents the seed bug the fast path fixes: the reference
-        # implementation silently accepts an oversized 64-bit value.
+        # The seed writer skips the range check for width >= 64, so the
+        # generated fields are masked to their width before both sides
+        # see them.
         seed = ReferenceBitWriter()
         seed.write_bits(1 << 64, 64)  # no exception — the seed gap
         assert seed.bit_length == 64
@@ -113,14 +106,13 @@ class TestBitWriterEquivalence:
                 # Padding bits beyond the end read as zero.
                 tail = reader.bits_remaining
                 expected = BitReader(data)
-                expected.skip_bits(reader.bit_position)
+                expected.skip_bits(lead)
                 value = expected.read_bits(tail) << (width - tail)
                 assert reader.peek_bits(width) == value
             else:
                 peeked = reader.peek_bits(width)
-                position = reader.bit_position
                 assert peeked == reader.read_bits(width)
-                reader._position = position  # rewind for the next width
+                reader._position = lead  # rewind for the next width
 
 
 # ----------------------------------------------------------------------
@@ -161,16 +153,13 @@ class TestHuffmanEquivalence:
         probe = {(code, length): symbol
                  for symbol, (code, length) in codes.items()}
         # Encode every symbol once, decode with both algorithms.
-        writer = BitWriter()
         symbols = sorted(codes)
-        for symbol in symbols:
-            code, length = codes[symbol]
-            writer.write_bits(code, length)
-        reader = BitReader(writer.getvalue())
+        stream = pack_bits([codes[symbol] for symbol in symbols])
+        reader = BitReader(stream)
         for symbol in symbols:
             assert decoder.read_symbol(reader) == symbol
         # Dict probing (the seed decode loop) agrees bit for bit.
-        reference = ReferenceBitReader(writer.getvalue())
+        reference = ReferenceBitReader(stream)
         for expected in symbols:
             code = 0
             length = 0

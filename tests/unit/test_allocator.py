@@ -73,20 +73,25 @@ class TestCoalescing:
         assert alloc.hole_count == 1
         assert alloc.largest_hole == 48
 
-    def test_fragmentation_metric(self):
+    def test_separated_holes_stay_apart(self):
         alloc = FreeListAllocator()
         slots = [alloc.allocate(16) for _ in range(6)]
         for index in (0, 2, 4):
             alloc.free(slots[index])
         assert alloc.hole_count == 3
-        assert 0 < alloc.external_fragmentation() < 1
+        # Fragmented: the free space is larger than any one hole.
+        assert (alloc.free_bytes, alloc.largest_hole) == (48, 16)
+        assert [(h.start, h.size) for h in alloc.holes()] == [
+            (slots[index], 16) for index in (0, 2, 4)
+        ]
 
-    def test_single_hole_no_external_fragmentation(self):
+    def test_single_hole_holds_all_free_space(self):
         alloc = FreeListAllocator()
         a = alloc.allocate(16)
         alloc.allocate(16)
         alloc.free(a)
-        assert alloc.external_fragmentation() == 0.0
+        assert alloc.hole_count == 1
+        assert alloc.largest_hole == alloc.free_bytes == 16
 
 
 class TestBoundedAllocator:

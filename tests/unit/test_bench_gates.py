@@ -1,11 +1,10 @@
-"""Unit tests for the ``repro bench`` gates: how ``--repeat`` samples
-merge, and how failing gates are named."""
+"""Unit tests for ``benchmarks/perf/run_bench.py``: how ``--repeat``
+samples merge, how failing gates are named, and its command line."""
 
-from repro.analysis.bench import (
-    bench_selection_search,
-    failed_gates,
-    merge_section,
-)
+import json
+
+import run_bench
+from run_bench import bench_selection_search, failed_gates, merge_section
 
 
 def _chaos(overhead):
@@ -16,6 +15,7 @@ def _chaos(overhead):
 def _bitio(speedup, identical=True):
     return {"fields": 10, "width": 11, "bulk_s": 1.0,
             "scalar_s": speedup, "speedup": speedup,
+            "write_speedup": speedup, "read_speedup": speedup,
             "identical": identical}
 
 
@@ -124,3 +124,59 @@ class TestSelectionSearch:
         for name in ("cold_paths", "generated"):
             assert 0 < section[name]["codec_lookups"] <= section["options"]
         assert failed_gates("selection_search", section) == []
+
+
+class TestBenchCLI:
+    def test_only_runs_a_single_benchmark(self, capsys, tmp_path,
+                                          monkeypatch):
+        report = tmp_path / "BENCH_core.json"
+        monkeypatch.setattr(run_bench, "DEFAULT_REPORT", report)
+        assert run_bench.main(["--smoke", "--only", "bitio_bulk"]) == 0
+        out = capsys.readouterr().out
+        assert "bitio bulk" in out
+        assert "codec round-trips" not in out
+        assert "ok: True" in out
+        # A filtered run is partial: the default report file must not
+        # be clobbered with it.
+        assert not report.exists()
+
+    def test_only_with_explicit_output_writes_partial_report(
+            self, capsys, tmp_path):
+        path = tmp_path / "partial.json"
+        assert run_bench.main(["--smoke", "--only", "bitio_bulk",
+                               "--output", str(path)]) == 0
+        capsys.readouterr()
+        report = json.loads(path.read_text())
+        assert "bitio_bulk" in report
+        assert "e1_sweep" not in report
+        assert report["ok"] is True
+
+    def test_repeat_reports_the_median(self, capsys):
+        assert run_bench.main(["--smoke", "--only", "bitio_bulk",
+                               "--repeat", "3", "--no-write"]) == 0
+        assert "bitio bulk" in capsys.readouterr().out
+
+    def test_unknown_benchmark_name_rejected(self, capsys):
+        assert run_bench.main(["--only", "nope", "--no-write"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark 'nope'" in err
+        assert "bitio_bulk" in err
+
+    def test_zero_repeat_rejected(self, capsys):
+        assert run_bench.main(["--only", "bitio_bulk", "--repeat", "0",
+                               "--no-write"]) == 2
+        assert "repeat" in capsys.readouterr().err
+
+    def test_failure_names_each_gate_and_value(self, capsys, monkeypatch):
+        monkeypatch.setitem(run_bench.BENCHMARKS, "bitio_bulk",
+                            lambda smoke: {
+                                **_bitio(1.5, identical=False),
+                                "write_speedup": 3.0,
+                            })
+        assert run_bench.main(["--only", "bitio_bulk", "--no-write"]) == 1
+        err = capsys.readouterr().err
+        assert "bitio_bulk.identical = False" in err
+        assert "bitio_bulk.speedup = 1.5 (gate >= 2)" in err
+        assert "bitio_bulk.read_speedup = 1.5 (gate >= 2)" in err
+        assert "write_speedup" not in err
+        assert "diverged from the seed" not in err

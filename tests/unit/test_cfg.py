@@ -23,11 +23,6 @@ class TestBasicBlock:
     def test_terminator_classification(self):
         halt_block = BasicBlock(0, 0, [ins.halt()])
         assert halt_block.is_exit
-        assert not halt_block.falls_through
-        jmp_block = BasicBlock(1, 0, [ins.jmp("x").with_imm(0)])
-        assert not jmp_block.falls_through
-        cond_block = BasicBlock(2, 0, [ins.beq(1, 2, "x").with_imm(0)])
-        assert cond_block.falls_through
 
     def test_cycle_cost_sums_instructions(self):
         block = BasicBlock(0, 0, [ins.mul(1, 2, 3), ins.halt()])
@@ -172,21 +167,16 @@ class TestGraphQueries:
         exit_id = loop_cfg.exit_ids[0]
         assert loop_cfg.forward_neighbourhood(exit_id, 3) == set()
 
-    def test_backward_neighbourhood(self, loop_cfg):
+    def test_exit_reached_through_the_call(self, loop_cfg):
         exit_id = loop_cfg.exit_ids[0]
-        back = loop_cfg.backward_neighbourhood(exit_id, 1)
-        assert back  # the fn block returns into it
-        assert exit_id not in back
-
-    def test_edge_distance(self, loop_cfg):
-        assert loop_cfg.edge_distance(
-            loop_cfg.entry_id, loop_cfg.entry_id
-        ) == 0
-        exit_id = loop_cfg.exit_ids[0]
-        distance = loop_cfg.edge_distance(loop_cfg.entry_id, exit_id)
-        assert distance is not None and distance >= 1
-        # nothing is reachable from the exit
-        assert loop_cfg.edge_distance(exit_id, loop_cfg.entry_id) is None
+        fn_id = next(b.block_id for b in loop_cfg.blocks
+                     if b.label == "fn")
+        # main -> loop -> call -> fn -> exit: the fn block returns
+        # into the exit, its only predecessor.
+        assert loop_cfg.predecessors(exit_id) == [fn_id]
+        distances = loop_cfg.blocks_within(loop_cfg.entry_id, 8)
+        assert distances[exit_id] == distances[fn_id] + 1 == 4
+        assert exit_id not in loop_cfg.blocks_within(loop_cfg.entry_id, 3)
 
     def test_reverse_postorder_starts_at_entry(self, figure1_cfg):
         order = figure1_cfg.reverse_postorder()

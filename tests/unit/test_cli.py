@@ -496,13 +496,6 @@ class TestStoreCLI:
         assert main(["store", "stats", "--store", str(store)]) == 0
         assert "cells:     0" in capsys.readouterr().out
 
-    def test_store_smoke(self, capsys, tmp_path):
-        assert main(["store", "smoke", "--store",
-                     str(tmp_path / "smoke")]) == 0
-        out = capsys.readouterr().out
-        assert "store smoke OK" in out
-        assert "byte-identical: yes" in out
-
 
 class TestRetryFlags:
     def test_sweep_accepts_retry_flags(self, capsys):
@@ -584,57 +577,18 @@ class TestStoreVerifyCLI:
         assert "corrupt miss(es)" in capsys.readouterr().out
 
 
-class TestBenchCLI:
-    def test_only_runs_a_single_benchmark(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--smoke", "--only", "bitio_bulk"]) == 0
-        out = capsys.readouterr().out
-        assert "bitio bulk" in out
-        assert "codec round-trips" not in out
-        assert "ok: True" in out
-        # A filtered run is partial: the default report file must not
-        # be clobbered with it.
-        assert not (tmp_path / "BENCH_core.json").exists()
+class TestGateHarnessesAreScripts:
+    """The bench and the smoke gates run from ``benchmarks/perf/``: the
+    product CLI keeps no command, flag or alias for them."""
 
-    def test_only_with_explicit_output_writes_partial_report(
-            self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "partial.json"
-        assert main(["bench", "--smoke", "--only", "bitio_bulk",
-                     "--output", str(path)]) == 0
-        capsys.readouterr()
-        report = json.loads(path.read_text())
-        assert "bitio_bulk" in report
-        assert "e1_sweep" not in report
-        assert report["ok"] is True
-
-    def test_repeat_reports_the_median(self, capsys):
-        assert main(["bench", "--smoke", "--only", "bitio_bulk",
-                     "--repeat", "3", "--no-write"]) == 0
-        assert "bitio bulk" in capsys.readouterr().out
-
-    def test_unknown_benchmark_name_rejected(self, capsys):
-        assert main(["bench", "--only", "nope", "--no-write"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown benchmark 'nope'" in err
-        assert "bitio_bulk" in err
-
-    def test_zero_repeat_rejected(self, capsys):
-        assert main(["bench", "--only", "bitio_bulk", "--repeat", "0",
-                     "--no-write"]) == 2
-        assert "repeat" in capsys.readouterr().err
-
-    def test_failure_names_each_gate_and_value(self, capsys, monkeypatch):
-        from repro.analysis import bench
-
-        monkeypatch.setitem(bench.BENCHMARKS, "bitio_bulk", lambda smoke: {
-            "fields": 10, "width": 11, "bulk_s": 1.0, "scalar_s": 1.5,
-            "speedup": 1.5, "identical": False,
-        })
-        assert main(["bench", "--only", "bitio_bulk", "--no-write"]) == 1
-        err = capsys.readouterr().err
-        assert "bitio_bulk.identical = False" in err
-        assert "bitio_bulk.speedup = 1.5 (gate >= 2)" in err
-        assert "diverged from the seed" not in err
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--smoke"], "invalid choice: 'bench'"),
+        (["obs", "smoke"], "invalid choice: 'obs'"),
+        (["store", "smoke"], "invalid choice: 'smoke'"),
+        (["serve", "--smoke"], "unrecognized arguments: --smoke"),
+    ], ids=["bench", "obs-smoke", "store-smoke", "serve-smoke"])
+    def test_gate_is_not_a_cli_command(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err

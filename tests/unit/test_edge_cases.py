@@ -92,7 +92,6 @@ class TestCFGQueriesOnDegenerateGraphs:
         assert cfg.exit_ids == [0]
         assert cfg.blocks_within(0, 5) == {0: 0}
         assert cfg.forward_neighbourhood(0, 3) == set()
-        assert cfg.backward_neighbourhood(0, 3) == set()
 
     def test_unreachable_code_detected(self):
         program = assemble(

@@ -9,7 +9,6 @@ from repro.isa.encoding import (
     decode_program,
     encode_instruction,
     encode_program,
-    roundtrips,
 )
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction, Opcode
 
@@ -87,6 +86,16 @@ class TestDecode:
         assert decoded[0].rd == 0
 
 
+def _roundtrips(program):
+    """True when encode -> decode reproduces ``program``'s fields;
+    ``target`` labels are ignored: the binary stores resolved
+    addresses only."""
+    def fields(instructions):
+        return [(i.opcode, i.rd, i.rs1, i.rs2, i.imm) for i in instructions]
+
+    return fields(decode_program(encode_program(program))) == fields(program)
+
+
 class TestProgramRoundtrip:
     def test_mixed_program_roundtrips(self):
         program = [
@@ -101,7 +110,7 @@ class TestProgramRoundtrip:
             ins.ret(),
             ins.halt(),
         ]
-        assert roundtrips(program)
+        assert _roundtrips(program)
 
     def test_every_opcode_roundtrips(self):
         program = []
@@ -124,7 +133,7 @@ class TestProgramRoundtrip:
                 program.append(Instruction(opcode, rd=1, imm=0xBEEF))
             else:
                 program.append(Instruction(opcode, rd=1, rs1=2))
-        assert roundtrips(program)
+        assert _roundtrips(program)
 
     def test_encode_program_length(self):
         program = [ins.nop()] * 7

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import EnergyModel, TrafficReport, compare_traffic
+from repro.analysis import EnergyModel, compare_traffic
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
@@ -70,13 +70,6 @@ class TestTrafficCounters:
 
 
 class TestTrafficReport:
-    def test_reduction_fraction(self):
-        report = TrafficReport(baseline_bytes=1000, compressed_bytes=400)
-        assert report.reduction == pytest.approx(0.6)
-
-    def test_zero_baseline(self):
-        assert TrafficReport(0, 0).reduction == 0.0
-
     def test_compare_traffic(self, composite_cfg):
         base = _run(composite_cfg, decompression="none")
         compressed = _run(composite_cfg, decompression="ondemand",
@@ -84,7 +77,9 @@ class TestTrafficReport:
         report = compare_traffic(base, compressed)
         assert report.baseline_bytes == \
             base.counters.target_memory_bytes
-        assert 0.0 < report.reduction <= 1.0
+        assert report.compressed_bytes == \
+            compressed.counters.target_memory_bytes
+        assert 0 <= report.compressed_bytes < report.baseline_bytes
 
 
 class TestEnergyModel:

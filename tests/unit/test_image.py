@@ -10,7 +10,6 @@ from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
 from repro.memory import (
     AllocationError,
-    CompressedCodeFault,
     ImageError,
     InPlaceImage,
     SeparateAreaImage,
@@ -40,15 +39,9 @@ class TestSeparateAreaImage:
             loop_cfg.total_size_bytes(), image.compressed_image_size
         )
 
-    def test_fetch_compressed_faults(self, image):
-        with pytest.raises(CompressedCodeFault) as excinfo:
-            image.fetch_check(0)
-        assert excinfo.value.block_id == 0
-
     def test_decompress_makes_resident(self, image):
         image.decompress(0)
         assert image.is_resident(0)
-        image.fetch_check(0)  # no fault now
 
     def test_decompress_grows_footprint(self, image, loop_cfg):
         before = image.footprint_bytes

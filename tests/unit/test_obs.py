@@ -1,10 +1,12 @@
-"""Unit tests for :mod:`repro.obs` — tracer, spans, chrome, prometheus."""
+"""Unit tests for :mod:`repro.obs` — tracer, spans, chrome, prometheus
+— and the exposition validator of ``benchmarks/perf/obs_smoke.py``."""
 
 import json
 import threading
 
 import pytest
 
+from obs_smoke import validate_exposition
 from repro import api
 from repro.obs import (
     NULL_TRACER,
@@ -21,7 +23,6 @@ from repro.obs import (
     span_event,
     span_scope,
     tracing_scope,
-    validate_exposition,
 )
 from repro.obs.chrome import EXECUTION_TRACK, execution_track_events
 

@@ -4,10 +4,8 @@ import pytest
 
 from repro.isa import (
     INSTRUCTION_SIZE,
-    Program,
     ProgramBuilder,
     ProgramError,
-    assemble,
 )
 from repro.isa import instructions as ins
 

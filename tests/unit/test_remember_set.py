@@ -1,8 +1,8 @@
 """Unit tests for remember sets (branch-patch tracking, paper Section 5).
 
-The queries and the invariant check are the production ones; the
-per-call mutators live on the frozen layered oracle (``tests/oracle``),
-since the replay kernel patches the sets' dicts inline.
+They run against the frozen layered oracle's remember sets
+(``tests/oracle/layered.py``): the production residency keeps the sets
+as two plain dicts, which the replay kernel patches inline.
 """
 
 from oracle.layered import BranchSite, RememberSets

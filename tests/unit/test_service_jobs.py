@@ -180,7 +180,7 @@ class TestUndecodableRecords:
         record["version"] = RECORD_VERSION + 1
         store.put_cell(fingerprint, record)
         with pytest.raises(StoreError):
-            record_to_run(record, cell_config)
+            record_to_run(record, cell_config, fingerprint)
 
         manager = JobManager(store=str(tmp_path), workers=1)
         try:

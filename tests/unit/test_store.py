@@ -266,7 +266,7 @@ class TestRecords:
         record = run_to_record(run, fingerprint)
         # The record must survive a JSON round-trip (what the CAS does).
         record = json.loads(canonical_dumps(record))
-        rebuilt = record_to_run(record, run.config)
+        rebuilt = record_to_run(record, run.config, fingerprint)
         assert rebuilt.workload == run.workload
         assert rebuilt.validation == run.validation
         assert run_metrics(rebuilt) == run_metrics(run)
@@ -297,7 +297,7 @@ class TestRecords:
         run.result.footprint = FootprintTimeline(column, column[::-1])
         record = json.loads(canonical_dumps(run_to_record(run, "0" * 64)))
         assert len(record["result"]["footprint"]["cycles"]) == 16 * 5
-        rebuilt = record_to_run(record, run.config).result
+        rebuilt = record_to_run(record, run.config, "0" * 64).result
         assert rebuilt.footprint.samples == list(zip(column, column[::-1]))
         assert rebuilt.footprint_stats == run.result.footprint_stats
 
@@ -310,7 +310,7 @@ class TestRecords:
         for name in ("record", "average"):
             monkeypatch.setattr(FootprintTimeline, name,
                                 lambda *args: calls.append(args))
-        rebuilt = record_to_run(record, run.config).result
+        rebuilt = record_to_run(record, run.config, "0" * 64).result
         summary = rebuilt.summary()
         monkeypatch.undo()
         assert calls == []
@@ -323,7 +323,14 @@ class TestRecords:
 
     def test_malformed_record_raises_store_error(self):
         with pytest.raises(StoreError):
-            record_to_run({"schema": "nope"}, _config())
+            record_to_run({"schema": "nope"}, _config(), "0" * 64)
+
+    def test_a_record_of_another_cell_raises_store_error(self):
+        run = run_one(get_workload("gcd"), _config())
+        record = json.loads(canonical_dumps(run_to_record(run, "a" * 64)))
+        record_to_run(record, run.config, "a" * 64)
+        with pytest.raises(StoreError, match="record of cell aaaa"):
+            record_to_run(record, run.config, "b" * 64)
 
     def test_error_runs_are_not_cacheable(self):
         from repro.analysis.sweep import _failed_run

@@ -200,26 +200,35 @@ class TestTraceTruncation:
         assert len(result.block_trace) == \
             result.counters.blocks_executed
 
-    def test_prepared_trace_refuses_truncated_result(self, tiny_cap,
-                                                     loop_cfg):
-        from repro.runtime import PreparedTrace
+    def test_sweep_prepares_no_truncated_recording(self, tiny_cap):
+        # A truncated trace would replay a shorter run than the one
+        # that produced the metrics: the sweep keeps no prepared trace.
+        from repro.analysis.sweep import _recorded_trace
 
-        result = self._truncated_result(loop_cfg)
-        with pytest.raises(ValueError, match="truncated"):
-            PreparedTrace.from_result(loop_cfg, result)
+        workload = get_workload("fib")
+        graph = build_cfg(workload.program)
+        prepared, validation, reason = _recorded_trace(
+            workload, graph, SimulationConfig(), None
+        )
+        assert (prepared, reason) == (None, "truncated")
+        assert validation == []  # the run itself completed
 
-    def test_prepared_trace_accepts_complete_result(self,
-                                                    traced_workload):
-        from repro.runtime import PreparedTrace
+    def test_sweep_prepares_a_complete_recording(self):
+        from repro.analysis.sweep import _recorded_trace
 
-        cfg, _ = traced_workload
-        result = CodeCompressionManager(
-            cfg,
+        workload = get_workload("fib")
+        graph = build_cfg(workload.program)
+        prepared, validation, reason = _recorded_trace(
+            workload, graph, SimulationConfig(), None
+        )
+        assert (reason, validation) == (None, [])
+        alone = CodeCompressionManager(
+            graph,
             SimulationConfig(decompression="none", trace_events=False,
                              record_trace=True),
         ).run()
-        prepared = PreparedTrace.from_result(cfg, result)
-        assert prepared.trace == result.block_trace
+        assert prepared.cfg is graph
+        assert prepared.trace == alone.block_trace
 
     def test_sweep_falls_back_on_truncated_recording(self, tiny_cap):
         from repro.analysis.sweep import run_one, sweep

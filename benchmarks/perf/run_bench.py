@@ -69,7 +69,8 @@ from repro.workloads import generate_sized_program, get_workload  # noqa: E402
 #: Where the full report goes unless ``--output`` names another path.
 DEFAULT_REPORT = REPO_ROOT / "BENCH_core.json"
 
-#: Codecs timed by the round-trip benchmark (self-contained formats).
+#: Codecs timed by the round-trip benchmark (each input's code-image
+#: payload, decoded against its length).
 BENCH_CODECS = ("huffman", "lzw", "lz77", "rle", "dictionary",
                 "shared-dict", "shared-huffman")
 
@@ -147,24 +148,32 @@ def _time(action: Callable[[], object], repeats: int) -> float:
     return best
 
 
+def _roundtrip(codec, data: bytes) -> bytes:
+    """``data`` through ``codec``'s payload and back, decoded against
+    its length as a code image decodes it."""
+    return codec.decompress_block(codec.compress_block(data), len(data))
+
+
 def bench_huffman_roundtrip(smoke: bool = False) -> Dict[str, object]:
     """Huffman round-trip: batched/table-driven vs. the seed code.
 
-    Also asserts the compressed payloads are byte-identical; a mismatch
-    is reported in the result and fails the benchmark run.
+    Times ``compress_block``/``decompress_block`` against the seed's
+    compress/decompress pair.  Also asserts the payloads are
+    byte-identical to the seed's; a mismatch is reported in the result
+    and fails the benchmark run.
     """
     corpus = _corpus(smoke)
     codec = get_codec("huffman")
     payloads_equal = all(
-        codec.compress(data) == reference_huffman_compress(data)
-        and codec.decompress(codec.compress(data)) == data
+        codec.compress_block(data) == reference_huffman_compress(data)
+        and _roundtrip(codec, data) == data
         for data in corpus
     )
     repeats = 2 if smoke else 5
 
     def fast() -> None:
         for data in corpus:
-            codec.decompress(codec.compress(data))
+            _roundtrip(codec, data)
 
     def reference() -> None:
         for data in corpus:
@@ -183,7 +192,8 @@ def bench_huffman_roundtrip(smoke: bool = False) -> Dict[str, object]:
 
 
 def bench_codec_roundtrips(smoke: bool = False) -> Dict[str, Dict[str, float]]:
-    """Round-trip throughput for every benchmarked codec."""
+    """Round-trip throughput for every benchmarked codec's payload
+    format."""
     corpus = _corpus(smoke)
     total_bytes = sum(len(d) for d in corpus)
     repeats = 1 if smoke else 3
@@ -193,7 +203,7 @@ def bench_codec_roundtrips(smoke: bool = False) -> Dict[str, Dict[str, float]]:
 
         def roundtrip() -> None:
             for data in corpus:
-                codec.decompress(codec.compress(data))
+                _roundtrip(codec, data)
 
         seconds = _time(roundtrip, repeats)
         out[name] = {
@@ -582,19 +592,17 @@ def bench_pipeline(smoke: bool = False) -> Dict[str, object]:
     through flat ``huffman``: the transform layer must be lossless on
     every input, and the composed encode+decode wall clock must stay
     within 2.5x of the flat codec (``within_budget``) — the layering
-    machinery (transport header, transform passes) is bookkeeping, not
-    a second compressor, and this floor keeps it that way.
+    machinery (tag byte, transform passes) is bookkeeping, not a second
+    compressor, and this floor keeps it that way.
     """
     corpus = _corpus(smoke)
     flat = get_codec("huffman")
     pipe = get_codec("delta|huffman")
-    identical = all(
-        pipe.decompress(pipe.compress(data)) == data for data in corpus
-    )
+    identical = all(_roundtrip(pipe, data) == data for data in corpus)
 
     def roundtrip(codec) -> None:
         for data in corpus:
-            codec.decompress(codec.compress(data))
+            _roundtrip(codec, data)
 
     repeats = 3 if smoke else 5
     flat_s = _time(lambda: roundtrip(flat), repeats)

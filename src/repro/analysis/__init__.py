@@ -1,6 +1,6 @@
 """Analysis helpers: parameter sweeps and table/series reporting."""
 
-from .energy import EnergyModel, TrafficReport, compare_traffic
+from .energy import EnergyModel
 from .plot import plot_series, plot_timeline, sparkline
 from .report import Series, Table, percent
 from .sweep import (
@@ -18,8 +18,6 @@ __all__ = [
     "SweepResult",
     "SweepRun",
     "Table",
-    "TrafficReport",
-    "compare_traffic",
     "geometric_mean",
     "mean",
     "percent",

@@ -96,20 +96,3 @@ class EnergyModel:
             + self.decompress_energy(decompress_cycles)
         )
 
-
-@dataclass(frozen=True)
-class TrafficReport:
-    """Target-memory traffic comparison between two runs."""
-
-    baseline_bytes: int
-    compressed_bytes: int
-
-
-def compare_traffic(
-    baseline: SimulationResult, compressed: SimulationResult
-) -> TrafficReport:
-    """Build a :class:`TrafficReport` from two runs of the same program."""
-    return TrafficReport(
-        baseline_bytes=baseline.counters.target_memory_bytes,
-        compressed_bytes=compressed.counters.target_memory_bytes,
-    )

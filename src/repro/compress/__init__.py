@@ -28,7 +28,6 @@ from .pipeline import (
     PipelineError,
     PipelineSpec,
     available_pipelines,
-    parse_pipeline_payload,
     parse_pipeline_spec,
 )
 from .rle import MTFRLECodec, RLECodec
@@ -84,7 +83,6 @@ __all__ = [
     "is_pipeline_spec",
     "measure_block",
     "measure_image",
-    "parse_pipeline_payload",
     "parse_pipeline_spec",
     "register_codec",
     "resolve_codec_spec",

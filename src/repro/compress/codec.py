@@ -6,6 +6,13 @@ use Huffman-style entropy coders (CodePack [14]) and dictionary schemes
 (Lefurgy et al. [16, 17]).  We provide several codecs behind one interface
 so the E4 ablation can compare them, and a per-byte cycle-cost model so the
 runtime can charge realistic (de)compression latencies.
+
+Each codec has one payload format, the one a code image stores.  The paper
+decompresses each block into a separate area whose size the block table
+records (Section 5), so :meth:`Codec.decompress_block` decodes a payload
+against that size: it returns exactly that many bytes or raises
+:class:`CodecError`.  :class:`FramedCodec` gives the per-block codecs their
+common ``[tag][u32 length]`` frame and raw passthrough.
 """
 
 from __future__ import annotations
@@ -48,10 +55,18 @@ class CodecCosts:
 
 
 class Codec(abc.ABC):
-    """Abstract lossless codec over byte strings.
+    """Abstract lossless codec over the blocks of a code image.
 
-    Subclasses must guarantee ``decompress(compress(data)) == data`` for all
-    byte strings (the property-based tests enforce this).
+    A payload is decoded against its block's size, which the image's
+    block table already records (paper Section 5), so
+    ``decompress_block(compress_block(data), len(data)) == data`` for
+    every byte string (the property-based tests enforce this), and any
+    other payload decodes to exactly the size asked for or raises
+    :class:`CodecError`.
+
+    Codecs with a program-wide model (:mod:`repro.compress.shared`,
+    pipelines over them) override the model protocol: :meth:`train`,
+    :attr:`is_trained` and :attr:`model_overhead_bytes`.
     """
 
     #: Registry key; subclasses override.
@@ -62,19 +77,39 @@ class Codec(abc.ABC):
         decompress_cycles_per_byte=4.0, compress_cycles_per_byte=8.0
     )
 
-    @abc.abstractmethod
-    def compress(self, data: bytes) -> bytes:
-        """Compress ``data``; must be invertible by :meth:`decompress`."""
+    #: A per-block codec has no model to train or to store.
+    is_trained: bool = True
+    model_overhead_bytes: int = 0
+
+    def train(self, samples: Sequence[bytes]) -> None:
+        """Fit the program-wide model on ``samples`` (no model here)."""
+
+    def build_image(self, blocks: Sequence[bytes]) -> List[bytes]:
+        """Every block's payload, an untrained model trained on
+        ``blocks`` first."""
+        if not self.is_trained:
+            self.train(blocks)
+        return [self.compress_block(block) for block in blocks]
 
     @abc.abstractmethod
-    def decompress(self, payload: bytes) -> bytes:
-        """Invert :meth:`compress`; raises :class:`CodecError` on bad input."""
+    def compress_block(self, data: bytes) -> bytes:
+        """Compress one block; inverted by :meth:`decompress_block`."""
 
-    def ratio(self, data: bytes) -> float:
-        """Compressed/original size ratio for ``data`` (lower is better)."""
-        if not data:
-            return 1.0
-        return len(self.compress(data)) / len(data)
+    def decompress_block(self, payload: bytes, length: int) -> bytes:
+        """The ``length`` bytes ``payload`` codes; raises
+        :class:`CodecError` when it decodes to anything else."""
+        data = self._decode(payload, length)
+        if len(data) != length:
+            raise CodecError(
+                f"{self.name} payload decoded to {len(data)} bytes, the "
+                f"block holds {length}"
+            )
+        return data
+
+    @abc.abstractmethod
+    def _decode(self, payload: bytes, length: int) -> bytes:
+        """Decode hook: ``payload``'s plaintext, for a block of
+        ``length`` bytes (:meth:`decompress_block` checks its size)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -92,47 +127,66 @@ class NullCodec(Codec):
         decompress_cycles_per_byte=0.0, compress_cycles_per_byte=0.0, fixed=0
     )
 
-    def compress(self, data: bytes) -> bytes:
+    def compress_block(self, data: bytes) -> bytes:
         return bytes(data)
 
-    def decompress(self, payload: bytes) -> bytes:
+    def _decode(self, payload: bytes, length: int) -> bytes:
         return bytes(payload)
 
 
-def compress_for_image(codec: Codec, data: bytes) -> bytes:
-    """Compress a block for storage in a code image.
+#: Tag of a :class:`FramedCodec`'s raw passthrough payload.
+_TAG_RAW = 0
 
-    Codecs that support *sized* payloads (the block table already records
-    each block's uncompressed size, so the payload need not repeat it)
-    expose ``compress_block``; others fall back to the self-contained
-    format.
+
+def check_declared(payload: bytes, offset: int, length: int) -> None:
+    """Raise :class:`CodecError` unless ``payload`` holds ``length`` as
+    a big-endian u32 at ``offset``."""
+    field = payload[offset : offset + 4]
+    if len(field) < 4:
+        raise CodecError("payload truncated in its length field")
+    declared = int.from_bytes(field, "big")
+    if declared != length:
+        raise CodecError(
+            f"payload declares {declared} bytes, the block holds {length}"
+        )
+
+
+class FramedCodec(Codec):
+    """A per-block codec whose payload declares its block's length.
+
+    A payload is ``[tag][u32 BE length][body]``: the coded body
+    :meth:`_encode` returns, or the block itself under
+    :data:`_TAG_RAW` when the body saves nothing.  A payload declaring
+    any length other than the block's raises :class:`CodecError`
+    before anything is decoded.
     """
-    compress_block = getattr(codec, "compress_block", None)
-    if compress_block is not None:
-        return compress_block(data)
-    return codec.compress(data)
 
+    #: Tag of a coded payload.
+    tag = 1
 
-def build_image(codec: Codec, blocks: Sequence[bytes]) -> List[bytes]:
-    """Every block's :func:`compress_for_image` payload, an untrained
-    shared model trained on ``blocks`` first (a pipeline transforms each
-    block once for both)."""
-    build = getattr(codec, "build_image", None)
-    if build is not None:
-        return build(blocks)
-    if hasattr(codec, "train") and not getattr(codec, "is_trained", True):
-        codec.train(blocks)
-    return [compress_for_image(codec, block) for block in blocks]
+    def compress_block(self, data: bytes) -> bytes:
+        body = self._encode(data) if data else data
+        tag = self.tag
+        if len(body) >= len(data):
+            tag, body = _TAG_RAW, data
+        return bytes((tag,)) + len(data).to_bytes(4, "big") + body
 
+    def _decode(self, payload: bytes, length: int) -> bytes:
+        check_declared(payload, 1, length)
+        tag, body = payload[0], payload[5:]
+        if tag == _TAG_RAW:
+            return body
+        if tag != self.tag:
+            raise CodecError(f"unknown {self.name} payload tag {tag}")
+        return self._decode_body(body, length)
 
-def decompress_for_image(
-    codec: Codec, payload: bytes, uncompressed_size: int
-) -> bytes:
-    """Invert :func:`compress_for_image` given the known block size."""
-    decompress_block = getattr(codec, "decompress_block", None)
-    if decompress_block is not None:
-        return decompress_block(payload, uncompressed_size)
-    return codec.decompress(payload)
+    @abc.abstractmethod
+    def _encode(self, data: bytes) -> bytes:
+        """The coded body of non-empty ``data``."""
+
+    @abc.abstractmethod
+    def _decode_body(self, body: bytes, length: int) -> bytes:
+        """Decode a coded body of a ``length``-byte block."""
 
 
 #: The codec family, in the unified component catalog.

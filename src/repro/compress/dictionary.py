@@ -23,10 +23,7 @@ from collections import Counter
 from typing import Dict, List, Tuple
 
 from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
-from .codec import Codec, CodecCosts, CodecError, register_codec
-
-_TAG_RAW = 0
-_TAG_DICT = 1
+from .codec import CodecCosts, CodecError, FramedCodec, register_codec
 
 _WORD = 4
 _MAX_INDEX_BITS = 12
@@ -62,7 +59,7 @@ def pack_words(data: bytes, hits: Dict[int, int], hit_width: int) -> bytes:
 
 
 @register_codec("dictionary")
-class DictionaryCodec(Codec):
+class DictionaryCodec(FramedCodec):
     """Frequent-word dictionary coder over 4-byte instruction words."""
 
     costs = CodecCosts(
@@ -89,9 +86,7 @@ class DictionaryCodec(Codec):
         ]
         return profitable
 
-    def compress(self, data: bytes) -> bytes:
-        if not data:
-            return bytes((_TAG_RAW, 0, 0, 0, 0))
+    def _encode(self, data: bytes) -> bytes:
         words = words_of(data)
         dictionary = self._build_dictionary(words)
         index_bits = max(1, (max(1, len(dictionary)) - 1).bit_length())
@@ -100,46 +95,30 @@ class DictionaryCodec(Codec):
             word: hit_flag | index for index, word in enumerate(dictionary)
         }
 
-        header = bytearray((_TAG_DICT,))
-        header += len(data).to_bytes(4, "big")
-        header.append(index_bits)
+        header = bytearray((index_bits,))
         header += len(dictionary).to_bytes(2, "big")
         header += struct.pack(f">{len(dictionary)}I", *dictionary)
-        payload = bytes(header) + pack_words(data, hits, index_bits + 1)
-        if len(payload) >= len(data) + 5:
-            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
-        return payload
+        return bytes(header) + pack_words(data, hits, index_bits + 1)
 
-    def decompress(self, payload: bytes) -> bytes:
-        if len(payload) < 5:
+    def _decode_body(self, body: bytes, length: int) -> bytes:
+        if len(body) < 3:
             raise CodecError("truncated dictionary header")
-        tag = payload[0]
-        original_length = int.from_bytes(payload[1:5], "big")
-        if tag == _TAG_RAW:
-            body = payload[5:]
-            if len(body) < original_length:
-                raise CodecError("raw body truncated")
-            return body[:original_length]
-        if tag != _TAG_DICT:
-            raise CodecError(f"unknown dictionary payload tag {tag}")
-        if len(payload) < 8:
-            raise CodecError("truncated dictionary header")
-        index_bits = payload[5]
+        index_bits = body[0]
         if not 1 <= index_bits <= _MAX_INDEX_BITS:
             raise CodecError(f"bad index width {index_bits}")
-        entry_count = int.from_bytes(payload[6:8], "big")
-        table_end = 8 + entry_count * _WORD
-        if len(payload) < table_end:
+        entry_count = int.from_bytes(body[1:3], "big")
+        table_end = 3 + entry_count * _WORD
+        if len(body) < table_end:
             raise CodecError("dictionary table truncated")
         dictionary = [
-            payload[8 + i * _WORD : 8 + (i + 1) * _WORD]
+            body[3 + i * _WORD : 3 + (i + 1) * _WORD]
             for i in range(entry_count)
         ]
 
-        reader = BitReader(payload[table_end:])
+        reader = BitReader(body[table_end:])
         out = bytearray()
-        word_count = original_length // _WORD
-        tail_length = original_length % _WORD
+        word_count = length // _WORD
+        tail_length = length % _WORD
         try:
             for _ in range(word_count):
                 if reader.read_bit():

@@ -13,8 +13,8 @@ layout is::
                                     [bit stream]
 
 Raw passthrough keeps the codec safe on incompressible input (the header
-costs 5 bytes but correctness is preserved — ``decompress(compress(x)) ==
-x`` always).
+costs 5 bytes).  Every declared length, the single-symbol count included,
+must equal the block's size (:func:`~repro.compress.codec.check_declared`).
 """
 
 from __future__ import annotations
@@ -25,14 +25,16 @@ from itertools import cycle
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
-from .codec import Codec, CodecCosts, CodecError, register_codec
+from .codec import (
+    CodecCosts,
+    CodecError,
+    FramedCodec,
+    check_declared,
+    register_codec,
+)
 
-_TAG_RAW = 0
 _TAG_SINGLE = 1
 _TAG_HUFFMAN = 2
-
-#: Format tag -> offset of the payload's 4-byte declared output length.
-_DECLARED_LENGTH = {_TAG_RAW: 1, _TAG_SINGLE: 2, _TAG_HUFFMAN: 1}
 
 
 def byte_frequencies(chunks: Iterable[bytes]) -> Counter:
@@ -132,7 +134,7 @@ class CanonicalDecoder:
 
     Instead of probing a ``(code, length)`` dict one bit at a time, the
     decoder peeks ``max_length`` bits and walks the per-length first-code
-    /offset tables (the classic CodePack/zlib idiom): a canonical code of
+    /offset tables (the classic CodePack/inflate idiom): a canonical code of
     length ``L`` decodes as ``symbols[base[L] + top_L_bits - first[L]]``
     where ``first[L]`` is the smallest code of that length.  One peek and
     a handful of integer compares replace up to 15 dict probes per symbol.
@@ -270,7 +272,7 @@ class CanonicalDecoder:
 
 
 @register_codec("huffman")
-class HuffmanCodec(Codec):
+class HuffmanCodec(FramedCodec):
     """Canonical Huffman over individual bytes."""
 
     costs = CodecCosts(
@@ -279,91 +281,54 @@ class HuffmanCodec(Codec):
         fixed=60,
     )
 
-    def compress(self, data: bytes) -> bytes:
-        if not data:
-            return bytes((_TAG_RAW, 0, 0, 0, 0))
-        frequencies = byte_frequencies((data,))
-        if len(frequencies) == 1:
-            symbol = data[0]
-            return bytes((_TAG_SINGLE, symbol)) + len(data).to_bytes(4, "big")
+    tag = _TAG_HUFFMAN
+
+    def compress_block(self, data: bytes) -> bytes:
+        if data and data.count(data[0]) == len(data):
+            count = len(data).to_bytes(4, "big")
+            return bytes((_TAG_SINGLE, data[0])) + count
+        return super().compress_block(data)
+
+    def _encode(self, data: bytes) -> bytes:
         if len(data) + (-len(data) // 8) <= 128:
             # Every code is at least a bit: the payload would be at
             # least 133 + ceil(n / 8) bytes, never under raw's n + 5.
-            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
-
-        lengths = _code_lengths(frequencies)
+            return data
+        lengths = _code_lengths(byte_frequencies((data,)))
         codes = _canonical_codes(lengths)
-        # Absent symbols (None entries) never occur in ``data``.
-        bitstream = pack_symbols(data, ([codes.get(s) for s in range(256)],))
-
-        header = bytearray((_TAG_HUFFMAN,))
-        header += len(data).to_bytes(4, "big")
+        header = bytearray()
         for pair_start in range(0, 256, 2):
             high = lengths.get(pair_start, 0)
             low = lengths.get(pair_start + 1, 0)
             header.append((high << 4) | low)
-        payload = bytes(header) + bitstream
-        if len(payload) >= len(data) + 5:
-            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
-        return payload
+        # Absent symbols (None entries) never occur in ``data``.
+        return bytes(header) + pack_symbols(
+            data, ([codes.get(s) for s in range(256)],)
+        )
 
-    def decompress_block(self, payload: bytes, length: int) -> bytes:
-        """Decode a code-image payload of a block known to be ``length``
-        bytes long.
+    def _decode(self, payload: bytes, length: int) -> bytes:
+        if payload[:1] == bytes((_TAG_SINGLE,)):
+            check_declared(payload, 2, length)
+            return payload[1:2] * length
+        return super()._decode(payload, length)
 
-        The payload is the :meth:`compress` format.  Its declared length
-        (the raw length, the single-symbol count or the original
-        length) must equal ``length``; a payload declaring anything
-        else raises :class:`CodecError` before any output is allocated.
-        """
-        offset = _DECLARED_LENGTH.get(payload[0]) if payload else None
-        if offset is not None and len(payload) >= offset + 4:
-            declared = int.from_bytes(payload[offset : offset + 4], "big")
-            if declared != length:
-                raise CodecError(
-                    f"huffman payload declares {declared} bytes, the "
-                    f"block holds {length}"
-                )
-        return self.decompress(payload)
-
-    def decompress(self, payload: bytes) -> bytes:
-        if not payload:
-            raise CodecError("empty huffman payload")
-        tag = payload[0]
-        if tag == _TAG_RAW:
-            if len(payload) < 5:
-                raise CodecError("truncated raw header")
-            length = int.from_bytes(payload[1:5], "big")
-            body = payload[5 : 5 + length]
-            if len(body) != length:
-                raise CodecError(
-                    f"raw body truncated: expected {length}, got {len(body)}"
-                )
-            return body
-        if tag == _TAG_SINGLE:
-            if len(payload) < 6:
-                raise CodecError("truncated single-symbol header")
-            return bytes((payload[1],)) * int.from_bytes(payload[2:6], "big")
-        if tag != _TAG_HUFFMAN:
-            raise CodecError(f"unknown huffman payload tag {tag}")
-        if len(payload) < 5 + 128:
+    def _decode_body(self, body: bytes, length: int) -> bytes:
+        if len(body) < 128:
             raise CodecError("truncated huffman header")
-
-        original_length = int.from_bytes(payload[1:5], "big")
         lengths: Dict[int, int] = {}
         for pair_start in range(0, 256, 2):
-            packed = payload[5 + pair_start // 2]
+            packed = body[pair_start // 2]
             if packed >> 4:
                 lengths[pair_start] = packed >> 4
             if packed & 0xF:
                 lengths[pair_start + 1] = packed & 0xF
-        if original_length == 0:
+        if length == 0:
             return b""
         if not lengths:
             raise CodecError("invalid huffman code in stream")
         decoder = CanonicalDecoder(lengths)
         try:
-            return decoder.decode_block(payload[5 + 128 :], original_length)
+            return decoder.decode_block(body[128:], length)
         except BitIOError as exc:
             raise CodecError(f"huffman stream truncated: {exc}") from exc
         except ValueError:

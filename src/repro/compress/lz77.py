@@ -7,7 +7,8 @@ window, 3..66 byte matches, hash-chain match finder.  Token stream:
 * match:    flag bit 1, then 12-bit offset-1, then 6-bit (length-3).
 
 Payload layout: ``[1 byte tag][4 bytes original length][bit stream]`` with
-the usual raw-passthrough fallback.
+the usual raw-passthrough fallback
+(:class:`~repro.compress.codec.FramedCodec`).
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
-from .codec import Codec, CodecCosts, CodecError, register_codec
-
-_TAG_RAW = 0
-_TAG_LZ = 1
+from .codec import CodecCosts, CodecError, FramedCodec, register_codec
 
 _WINDOW = 4096
 _MIN_MATCH = 3
@@ -28,7 +26,7 @@ _LENGTH_BITS = 6
 
 
 @register_codec("lz77")
-class LZ77Codec(Codec):
+class LZ77Codec(FramedCodec):
     """Sliding-window LZ77 with greedy hash-chain matching."""
 
     costs = CodecCosts(
@@ -37,9 +35,7 @@ class LZ77Codec(Codec):
         fixed=30,
     )
 
-    def compress(self, data: bytes) -> bytes:
-        if not data:
-            return bytes((_TAG_RAW, 0, 0, 0, 0))
+    def _encode(self, data: bytes) -> bytes:
         pieces = []
         acc = bits = 0
         piece_end = PACK_CHUNK
@@ -94,32 +90,13 @@ class LZ77Codec(Codec):
             position += advance
 
         pieces.append((acc, bits))
-        payload = (
-            bytes((_TAG_LZ,))
-            + len(data).to_bytes(4, "big")
-            + pack_bits(pieces)
-        )
-        if len(payload) >= len(data) + 5:
-            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
-        return payload
+        return pack_bits(pieces)
 
-    def decompress(self, payload: bytes) -> bytes:
-        if len(payload) < 5:
-            raise CodecError("truncated lz77 header")
-        tag = payload[0]
-        original_length = int.from_bytes(payload[1:5], "big")
-        body = payload[5:]
-        if tag == _TAG_RAW:
-            if len(body) < original_length:
-                raise CodecError("raw body truncated")
-            return body[:original_length]
-        if tag != _TAG_LZ:
-            raise CodecError(f"unknown lz77 payload tag {tag}")
-
+    def _decode_body(self, body: bytes, length: int) -> bytes:
         reader = BitReader(body)
         out = bytearray()
         try:
-            while len(out) < original_length:
+            while len(out) < length:
                 if reader.read_bit():
                     offset = reader.read_bits(_OFFSET_BITS) + 1
                     match_length = reader.read_bits(_LENGTH_BITS) + _MIN_MATCH

@@ -7,7 +7,8 @@ dictionary freezes at 65536 entries, appropriate for basic-block-sized
 inputs).
 
 Payload layout: ``[1 byte tag][4 bytes original length][bit stream]`` with a
-raw-passthrough tag for incompressible input.
+raw-passthrough tag for incompressible input
+(:class:`~repro.compress.codec.FramedCodec`).
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .bitio import PACK_CHUNK, BitIOError, BitReader, pack_bits
-from .codec import Codec, CodecCosts, CodecError, register_codec
-
-_TAG_RAW = 0
-_TAG_LZW = 1
+from .codec import CodecCosts, CodecError, FramedCodec, register_codec
 
 _INITIAL_WIDTH = 9
 _MAX_WIDTH = 16
@@ -29,7 +27,7 @@ _SEED_ENTRIES = tuple(bytes((i,)) for i in range(256))
 
 
 @register_codec("lzw")
-class LZWCodec(Codec):
+class LZWCodec(FramedCodec):
     """Variable-width LZW over bytes."""
 
     costs = CodecCosts(
@@ -38,9 +36,7 @@ class LZWCodec(Codec):
         fixed=40,
     )
 
-    def compress(self, data: bytes) -> bytes:
-        if not data:
-            return bytes((_TAG_RAW, 0, 0, 0, 0))
+    def _encode(self, data: bytes) -> bytes:
         # Entry ``(prefix code << 8) | byte`` -> code; a single byte is
         # its own code, so the table starts empty.
         table: Dict[int, int] = {}
@@ -68,33 +64,9 @@ class LZWCodec(Codec):
                         width += 1
                 code = byte
         pieces.append(((acc << width) | code, bits + width))
+        return pack_bits(pieces)
 
-        payload = (
-            bytes((_TAG_LZW,))
-            + len(data).to_bytes(4, "big")
-            + pack_bits(pieces)
-        )
-        if len(payload) >= len(data) + 5:
-            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
-        return payload
-
-    def decompress(self, payload: bytes) -> bytes:
-        if not payload:
-            raise CodecError("empty lzw payload")
-        tag = payload[0]
-        if len(payload) < 5:
-            raise CodecError("truncated lzw header")
-        original_length = int.from_bytes(payload[1:5], "big")
-        body = payload[5:]
-        if tag == _TAG_RAW:
-            if len(body) < original_length:
-                raise CodecError("raw body truncated")
-            return body[:original_length]
-        if tag != _TAG_LZW:
-            raise CodecError(f"unknown lzw payload tag {tag}")
-        if original_length == 0:
-            return b""
-
+    def _decode_body(self, body: bytes, length: int) -> bytes:
         table = list(_SEED_ENTRIES)
         width = _INITIAL_WIDTH
         reader = BitReader(body)
@@ -114,7 +86,7 @@ class LZWCodec(Codec):
         # codes is known in advance and each run is one read_run call.
         codes: List[int] = []
         cursor = 0
-        while len(out) < original_length:
+        while len(out) < length:
             # Mirror the encoder's width growth: at the encoder's matching
             # emission its next_code equals our len(table) + 1, and it has
             # bumped the width whenever that exceeds the current capacity.
@@ -145,9 +117,4 @@ class LZWCodec(Codec):
             if len(table) < (1 << _MAX_WIDTH):
                 table.append(previous + entry[:1])
             previous = entry
-        if len(out) != original_length:
-            raise CodecError(
-                f"lzw length mismatch: expected {original_length}, got "
-                f"{len(out)}"
-            )
         return bytes(out)

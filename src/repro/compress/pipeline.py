@@ -20,49 +20,28 @@ pre-registered in the catalogued :data:`PIPELINES` registry at import
 (deterministically, so store fingerprints stay stable) and drives the
 ``pipeline-search`` assignment policy.
 
-Two payload formats, mirroring the shared-model codecs:
-
-* the self-contained **transport format** (:meth:`PipelineCodec.compress`)
-  carries a versioned tagged header — magic, version, CRC-32 of the
-  original bytes, then each layer's kind and parameters and the entropy
-  codec's name — so decode is self-describing and truncation or
-  corruption raises :class:`PipelineError` instead of returning
-  garbage (the onion-container idea of the related framework's
-  versioned kind-tagged encodings);
-* the sized **image format** (:meth:`PipelineCodec.compress_block`) is
-  one tag byte (version + flags) plus the entropy stage's sized body —
-  the block table already knows each block's size, and the image knows
-  its codec, exactly like the shared-model codecs' 1-byte format.
+A payload (:meth:`PipelineCodec.compress_block`) is one tag byte
+(version + flags) plus the entropy stage's payload: the block table
+already knows each block's size, and the image knows its codec, exactly
+like the shared-model codecs' 1-byte format.
 
 Shared-model entropy stages are allowed (``"delta|shared-dict"``):
 training forwards the transformed corpus to the entropy stage, and the
-model overhead/digest delegate to it — which is what makes pipelines
+model overhead delegates to it — which is what makes pipelines
 competitive at basic-block sizes, where per-block headers dominate.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple, Union
 
 from ..registry import Registry
-from .codec import (
-    CODECS,
-    Codec,
-    CodecCosts,
-    CodecError,
-    build_image,
-    decompress_for_image,
-)
+from .codec import CODECS, Codec, CodecCosts, CodecError
 from .transforms import TRANSFORMS, Transform
 
-#: Transport-format framing.
-_MAGIC = 0xD5
-_VERSION = 1
-
-#: Sized-format framing: high nibble version, low nibble flags.
+#: Payload framing: high nibble version, low nibble flags.
 _BLOCK_VERSION = 1
 _FLAG_EXPLICIT_LENGTH = 0x01
 
@@ -171,13 +150,6 @@ def _validate(
             f"available: {CODECS.names()}"
         )
     for kind, params in layers:
-        if kind not in TRANSFORMS:
-            # Reached from payload headers; spec parsing rejects the
-            # name earlier with the same message.
-            raise PipelineError(
-                f"unknown transform '{kind}'; "
-                f"available: {TRANSFORMS.names()}"
-            )
         try:
             TRANSFORMS.create(kind, *params)
         except (TypeError, ValueError) as exc:
@@ -251,9 +223,9 @@ class PipelineCodec(Codec):
 
     Instances behave exactly like any registered codec — ``name`` is
     the canonical compact spec, ``costs`` sums the stages' cost models,
-    and the shared-model protocol (``train``/``is_trained``/
-    ``model_overhead_bytes``/``model_digest``) delegates to the entropy
-    stage (training on forward-transformed samples).
+    and the model protocol (``train``/``is_trained``/
+    ``model_overhead_bytes``) delegates to the entropy stage (training
+    on forward-transformed samples).
     """
 
     def __init__(
@@ -286,37 +258,23 @@ class PipelineCodec(Codec):
         )
 
     # ------------------------------------------------------------------
-    # Shared-model protocol (delegated to the entropy stage)
+    # Model protocol (delegated to the entropy stage)
     # ------------------------------------------------------------------
 
     @property
     def is_trained(self) -> bool:
         """True unless the entropy stage still needs training."""
-        return bool(getattr(self.entropy, "is_trained", True))
+        return self.entropy.is_trained
 
     @property
     def model_overhead_bytes(self) -> int:
         """The entropy stage's shared-model bytes (0 for per-block
         entropy codecs)."""
-        return int(getattr(self.entropy, "model_overhead_bytes", 0))
+        return self.entropy.model_overhead_bytes
 
     def train(self, samples: Sequence[bytes]) -> None:
-        """Train a shared-model entropy stage on the *transformed*
-        corpus (no-op for per-block entropy codecs)."""
-        train = getattr(self.entropy, "train", None)
-        if train is not None:
-            train([self._forward(sample) for sample in samples])
-
-    def model_digest(self) -> str:
-        """Content digest of the trained pipeline: the spec plus the
-        entropy stage's model digest."""
-        import hashlib
-
-        hasher = hashlib.sha256(self.name.encode("utf-8"))
-        digest = getattr(self.entropy, "model_digest", None)
-        if digest is not None:
-            hasher.update(digest().encode("ascii"))
-        return hasher.hexdigest()
+        """Train the entropy stage on the *transformed* corpus."""
+        self.entropy.train([self._forward(sample) for sample in samples])
 
     # ------------------------------------------------------------------
     # The stage chain
@@ -333,60 +291,11 @@ class PipelineCodec(Codec):
         return data
 
     # ------------------------------------------------------------------
-    # Self-contained transport format (versioned tagged header)
-    # ------------------------------------------------------------------
-
-    def compress(self, data: bytes) -> bytes:
-        transformed = self._forward(data)
-        body = self.entropy.compress(transformed)
-        header = bytearray((_MAGIC, _VERSION))
-        header += (zlib.crc32(data) & 0xFFFFFFFF).to_bytes(4, "big")
-        header.append(len(self.spec.layers))
-        for kind, params in self.spec.layers:
-            encoded = kind.encode("ascii")
-            header.append(len(encoded))
-            header += encoded
-            header.append(len(params))
-            for param in params:
-                if not 0 <= param <= 0xFFFF:
-                    raise PipelineError(
-                        f"transform parameter {param} does not fit "
-                        f"the payload header (u16)"
-                    )
-                header += param.to_bytes(2, "big")
-        encoded = self.spec.entropy.encode("ascii")
-        header.append(len(encoded))
-        header += encoded
-        return bytes(header) + body
-
-    def decompress(self, payload: bytes) -> bytes:
-        spec, crc, body = parse_pipeline_payload(payload)
-        if spec == self.spec:
-            entropy, transforms = self.entropy, self.transforms
-        else:
-            # Self-describing decode: rebuild the stages the header
-            # names.  A shared-model entropy stage rebuilt this way is
-            # untrained and raises CodecError below, like the flat
-            # shared codecs do for foreign instances.
-            other = PipelineCodec(spec)
-            entropy, transforms = other.entropy, other.transforms
-        transformed = entropy.decompress(body)
-        data = transformed
-        for transform in reversed(transforms):
-            data = transform.inverse(data)
-        if (zlib.crc32(data) & 0xFFFFFFFF) != crc:
-            raise PipelineError(
-                f"pipeline '{spec.compact}' payload corrupted "
-                f"(CRC mismatch)"
-            )
-        return data
-
-    # ------------------------------------------------------------------
-    # Sized image format (the block table knows the length)
+    # The payload format (the block table knows the length)
     # ------------------------------------------------------------------
 
     def compress_block(self, data: bytes) -> bytes:
-        """Compress for a code image: ``[tag][entropy sized body]``.
+        """Compress for a code image: ``[tag][entropy payload]``.
 
         The tag byte carries the format version and, for pipelines with
         a non-length-preserving layer, a flag that a 2-byte transformed
@@ -396,21 +305,21 @@ class PipelineCodec(Codec):
         return self.build_image([data])[0]
 
     def build_image(self, blocks: Sequence[bytes]) -> List[bytes]:
-        """:func:`~repro.compress.codec.build_image` for a pipeline: each
-        transform runs once per block, and the entropy stage trains on
-        and encodes the transformed blocks."""
+        """:meth:`Codec.build_image` for a pipeline: each transform runs
+        once per block, and the entropy stage trains on and encodes the
+        transformed blocks."""
         transformed = [self._forward(block) for block in blocks]
-        bodies = build_image(self.entropy, transformed)
+        bodies = self.entropy.build_image(transformed)
         return list(map(self._frame, transformed, bodies))
 
     def _frame(self, transformed: bytes, body: bytes) -> bytes:
-        """The sized payload of entropy ``body`` coding ``transformed``."""
+        """The payload of entropy ``body`` coding ``transformed``."""
         if self.length_preserving:
             return bytes(((_BLOCK_VERSION << 4),)) + body
         if len(transformed) > 0xFFFF:
             raise PipelineError(
                 f"pipeline block transforms to {len(transformed)} "
-                f"bytes, beyond the sized format's 64 KiB limit"
+                f"bytes, beyond the payload format's 64 KiB limit"
             )
         return (
             bytes(((_BLOCK_VERSION << 4) | _FLAG_EXPLICIT_LENGTH,))
@@ -418,8 +327,7 @@ class PipelineCodec(Codec):
             + body
         )
 
-    def decompress_block(self, payload: bytes, length: int) -> bytes:
-        """Invert :meth:`compress_block` given the block's known size."""
+    def _decode(self, payload: bytes, length: int) -> bytes:
         if not payload:
             raise PipelineError("empty pipeline block payload")
         tag = payload[0]
@@ -437,75 +345,11 @@ class PipelineCodec(Codec):
             position = 3
         else:
             transformed_length = length
-        transformed = decompress_for_image(
-            self.entropy, payload[position:], transformed_length
-        )
-        data = self._inverse(transformed)
-        if len(data) != length:
-            raise PipelineError(
-                f"pipeline block decoded to {len(data)} bytes, "
-                f"expected {length}"
+        return self._inverse(
+            self.entropy.decompress_block(
+                payload[position:], transformed_length
             )
-        return data
-
-
-def parse_pipeline_payload(
-    payload: bytes,
-) -> Tuple[PipelineSpec, int, bytes]:
-    """Parse a transport-format payload's tagged header.
-
-    Returns ``(spec, crc32, entropy body)``; raises
-    :class:`PipelineError` on truncation, a bad magic/version, or an
-    unknown layer/entropy name — never returns garbage.
-    """
-    view = bytes(payload)
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal position
-        if position + n > len(view):
-            raise PipelineError(
-                f"pipeline payload truncated in {what}"
-            )
-        chunk = view[position:position + n]
-        position += n
-        return chunk
-
-    position = 0
-    magic, version = take(2, "framing")
-    if magic != _MAGIC:
-        raise PipelineError(
-            f"not a pipeline payload (magic {magic:#x})"
         )
-    if version != _VERSION:
-        raise PipelineError(
-            f"unsupported pipeline payload version {version}"
-        )
-    crc = int.from_bytes(take(4, "checksum"), "big")
-    (layer_count,) = take(1, "layer count")
-    layers: List[Tuple[str, Tuple[int, ...]]] = []
-    for _ in range(layer_count):
-        (kind_length,) = take(1, "layer kind length")
-        try:
-            kind = take(kind_length, "layer kind").decode("ascii")
-        except UnicodeDecodeError:
-            raise PipelineError(
-                "pipeline payload layer kind is not ASCII"
-            ) from None
-        (param_count,) = take(1, "layer parameter count")
-        params = tuple(
-            int.from_bytes(take(2, "layer parameter"), "big")
-            for _ in range(param_count)
-        )
-        layers.append((kind, params))
-    (entropy_length,) = take(1, "entropy name length")
-    try:
-        entropy = take(entropy_length, "entropy name").decode("ascii")
-    except UnicodeDecodeError:
-        raise PipelineError(
-            "pipeline payload entropy name is not ASCII"
-        ) from None
-    spec = _validate(layers, entropy)
-    return spec, crc, view[position:]
 
 
 # ----------------------------------------------------------------------

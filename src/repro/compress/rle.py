@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from typing import List
 
-from .codec import Codec, CodecCosts, CodecError, register_codec
-
-_TAG_RAW = 0
-_TAG_RLE = 1
+from .codec import Codec, CodecCosts, CodecError, FramedCodec, register_codec
 
 
 @register_codec("rle")
-class RLECodec(Codec):
+class RLECodec(FramedCodec):
     """Byte run-length coding: ``[byte][count]`` pairs.
 
     Runs cap at 255; the raw-passthrough tag keeps run-free inputs from
@@ -30,11 +27,8 @@ class RLECodec(Codec):
         fixed=10,
     )
 
-    def compress(self, data: bytes) -> bytes:
-        if not data:
-            return bytes((_TAG_RAW, 0, 0, 0, 0))
-        out = bytearray((_TAG_RLE,))
-        out += len(data).to_bytes(4, "big")
+    def _encode(self, data: bytes) -> bytes:
+        out = bytearray()
         position = 0
         while position < len(data):
             byte = data[position]
@@ -48,22 +42,9 @@ class RLECodec(Codec):
             out.append(byte)
             out.append(run)
             position += run
-        if len(out) >= len(data) + 5:
-            return bytes((_TAG_RAW,)) + len(data).to_bytes(4, "big") + data
         return bytes(out)
 
-    def decompress(self, payload: bytes) -> bytes:
-        if len(payload) < 5:
-            raise CodecError("truncated rle header")
-        tag = payload[0]
-        original_length = int.from_bytes(payload[1:5], "big")
-        body = payload[5:]
-        if tag == _TAG_RAW:
-            if len(body) < original_length:
-                raise CodecError("raw body truncated")
-            return body[:original_length]
-        if tag != _TAG_RLE:
-            raise CodecError(f"unknown rle payload tag {tag}")
+    def _decode_body(self, body: bytes, length: int) -> bytes:
         if len(body) % 2:
             raise CodecError("rle body must be (byte, count) pairs")
         out = bytearray()
@@ -72,11 +53,6 @@ class RLECodec(Codec):
             if run == 0:
                 raise CodecError("zero-length rle run")
             out += bytes((byte,)) * run
-        if len(out) != original_length:
-            raise CodecError(
-                f"rle length mismatch: expected {original_length}, got "
-                f"{len(out)}"
-            )
         return bytes(out)
 
 
@@ -119,8 +95,8 @@ class MTFRLECodec(Codec):
             alphabet.insert(0, byte)
         return bytes(out)
 
-    def compress(self, data: bytes) -> bytes:
-        return self._rle.compress(self._mtf_encode(data))
+    def compress_block(self, data: bytes) -> bytes:
+        return self._rle.compress_block(self._mtf_encode(data))
 
-    def decompress(self, payload: bytes) -> bytes:
-        return self._mtf_decode(self._rle.decompress(payload))
+    def _decode(self, payload: bytes, length: int) -> bytes:
+        return self._mtf_decode(self._rle.decompress_block(payload, length))

@@ -1,22 +1,17 @@
 """Shared-model codecs: one program-wide model, tiny per-block payloads.
 
-Per-block self-contained payloads (see :mod:`repro.compress.huffman`,
-:mod:`repro.compress.dictionary`) pay a header per block, which dominates at
-basic-block sizes (tens of bytes).  Real embedded decompressors — IBM
-CodePack [14 in the paper], the dictionary schemes of Lefurgy et al.
-[16, 17] — therefore keep **one global model** (Huffman tables / word
-dictionary) for the whole program, built at link time and stored once.
+Per-block codecs that carry their model in every payload (see
+:mod:`repro.compress.huffman`, :mod:`repro.compress.dictionary`) pay a
+header per block, which dominates at basic-block sizes (tens of
+bytes).  Real embedded decompressors — IBM CodePack [14 in the paper],
+the dictionary schemes of Lefurgy et al. [16, 17] — therefore keep
+**one global model** (Huffman tables / word dictionary) for the whole
+program, built at link time and stored once.
 
 These codecs do the same: :meth:`SharedModelCodec.train` fits the model on
-the whole code image.  Two payload formats exist:
-
-* the self-contained :meth:`~repro.compress.codec.Codec.compress` format
-  (``tag + 2-byte length + body``), so the generic codec contract and its
-  property tests hold;
-* the *sized* :meth:`SharedModelCodec.compress_block` format used by code
-  images (``tag + body``, 1 byte of overhead): the block table already
-  records every block's uncompressed size, exactly like the line/block
-  address tables of real decompression hardware.
+the whole code image.  A payload is ``tag + body``, 1 byte of overhead: the
+block table already records every block's uncompressed size, exactly like
+the line/block address tables of real decompression hardware.
 
 The model's own size is reported via :attr:`model_overhead_bytes` and
 charged once to the compressed image.
@@ -83,51 +78,21 @@ class SharedModelCodec(Codec, abc.ABC):
     def _decode_body(self, body: bytes, length: int) -> bytes:
         """Decode a body produced by :meth:`_encode_body`."""
 
-    def _ensure_trained(self, data: bytes) -> None:
-        if not self._trained:
-            self.train([data])
-
-    @abc.abstractmethod
-    def _model_state(self) -> bytes:
-        """Subclass hook: a canonical byte serialisation of the model."""
-
-    def model_digest(self) -> str:
-        """SHA-256 over the trained model's canonical serialisation.
-
-        Training is deterministic, so two codecs trained on the same
-        corpus agree here — the experiment store uses this to assert
-        that payloads reloaded from disk decode under a freshly
-        retrained model exactly as they did under the original.
-        """
-        import hashlib
-
-        if not self._trained:
-            raise CodecError(
-                f"codec '{self.name}' must be trained before digesting"
-            )
-        return hashlib.sha256(self._model_state()).hexdigest()
-
-    # ------------------------------------------------------------------
-    # Sized format (1-byte overhead; length lives in the block table)
-    # ------------------------------------------------------------------
-
     def compress_block(self, data: bytes) -> bytes:
         """Compress for a code image: ``[tag][body]``."""
-        self._ensure_trained(data)
+        if not self._trained:
+            self.train([data])
         body = self._encode_body(data)
         if len(body) >= len(data):
             return bytes((_TAG_RAW,)) + data
         return bytes((_TAG_CODED,)) + body
 
-    def decompress_block(self, payload: bytes, length: int) -> bytes:
-        """Invert :meth:`compress_block` given the block's known size."""
+    def _decode(self, payload: bytes, length: int) -> bytes:
         if not payload:
             raise CodecError("empty shared-codec block payload")
         tag, body = payload[0], payload[1:]
         if tag == _TAG_RAW:
-            if len(body) < length:
-                raise CodecError("raw block body truncated")
-            return body[:length]
+            return body
         if tag != _TAG_CODED:
             raise CodecError(f"unknown shared-codec tag {tag}")
         if not self._trained:
@@ -135,24 +100,6 @@ class SharedModelCodec(Codec, abc.ABC):
                 f"codec '{self.name}' must be trained before decompression"
             )
         return self._decode_body(body, length)
-
-    # ------------------------------------------------------------------
-    # Self-contained format (generic Codec contract)
-    # ------------------------------------------------------------------
-
-    def compress(self, data: bytes) -> bytes:
-        if len(data) > 0xFFFF:
-            raise CodecError(
-                f"shared-model codecs accept inputs up to 64 KiB, got "
-                f"{len(data)}"
-            )
-        return len(data).to_bytes(2, "big") + self.compress_block(data)
-
-    def decompress(self, payload: bytes) -> bytes:
-        if len(payload) < 3:
-            raise CodecError("truncated shared-codec payload")
-        length = int.from_bytes(payload[:2], "big")
-        return self.decompress_block(payload[2:], length)
 
 
 @register_codec("shared-dict")
@@ -197,12 +144,6 @@ class SharedDictionaryCodec(SharedModelCodec):
         self._hits = {
             word: hit_flag | index for index, word in enumerate(entries)
         }
-
-    def _model_state(self) -> bytes:
-        return (
-            self._index_bits.to_bytes(2, "big")
-            + b"".join(self._dictionary)
-        )
 
     @property
     def model_overhead_bytes(self) -> int:
@@ -272,15 +213,6 @@ class _ByteHuffmanModel:
         entries = len(self.codes)
         return entries + (entries + 1) // 2 + 2
 
-    def state_bytes(self) -> bytes:
-        """Canonical serialisation: (symbol, code, length) sorted rows."""
-        return b"".join(
-            symbol.to_bytes(2, "big")
-            + code.to_bytes(4, "big")
-            + length.to_bytes(1, "big")
-            for symbol, (code, length) in sorted(self.codes.items())
-        )
-
     def read_symbol(self, reader: BitReader) -> int:
         try:
             symbol = self._decoder.read_symbol(reader)
@@ -310,9 +242,6 @@ class SharedHuffmanCodec(SharedModelCodec):
 
     def _fit(self, samples: Sequence[bytes]) -> None:
         self._model = _ByteHuffmanModel(byte_frequencies(samples))
-
-    def _model_state(self) -> bytes:
-        return self._model.state_bytes()
 
     @property
     def model_overhead_bytes(self) -> int:
@@ -372,9 +301,6 @@ class SharedFieldsCodec(SharedModelCodec):
             )
             for position in range(_WORD)
         ]
-
-    def _model_state(self) -> bytes:
-        return b"\0".join(model.state_bytes() for model in self._models)
 
     @property
     def model_overhead_bytes(self) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 from ..cfg.basic_block import BasicBlock
-from .codec import Codec, compress_for_image, get_codec
+from .codec import Codec, get_codec
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,19 @@ def block_bytes(block: BasicBlock) -> bytes:
 
 def measure_block(block: BasicBlock, codec: Codec) -> BlockCompressionStats:
     """Compress one block and record sizes plus modelled latencies."""
-    data = block_bytes(block)
-    compressed = compress_for_image(codec, data)
+    return _measured(block, codec.compress_block(block_bytes(block)), codec)
+
+
+def _measured(
+    block: BasicBlock, payload: bytes, codec: Codec
+) -> BlockCompressionStats:
+    size = len(block_bytes(block))
     return BlockCompressionStats(
         block_id=block.block_id,
-        original_size=len(data),
-        compressed_size=len(compressed),
-        decompress_cycles=codec.costs.decompress_latency(len(data)),
-        compress_cycles=codec.costs.compress_latency(len(data)),
+        original_size=size,
+        compressed_size=len(payload),
+        decompress_cycles=codec.costs.decompress_latency(size),
+        compress_cycles=codec.costs.compress_latency(size),
     )
 
 
@@ -89,15 +94,18 @@ def measure_image(
 ) -> ImageCompressionStats:
     """Compress every block independently (the paper's granularity).
 
-    Shared-model codecs are trained on the whole corpus first, and their
-    model size is counted via :attr:`ImageCompressionStats.model_overhead`.
+    Shared-model codecs are trained on the whole corpus first
+    (:meth:`Codec.build_image`), and their model size is counted via
+    :attr:`ImageCompressionStats.model_overhead`.
     """
-    if hasattr(codec, "train") and not getattr(codec, "is_trained", True):
-        codec.train([block_bytes(block) for block in blocks])
+    payloads = codec.build_image([block_bytes(block) for block in blocks])
     return ImageCompressionStats(
         codec_name=codec.name,
-        per_block=[measure_block(block, codec) for block in blocks],
-        model_overhead=int(getattr(codec, "model_overhead_bytes", 0)),
+        per_block=[
+            _measured(block, payload, codec)
+            for block, payload in zip(blocks, payloads)
+        ],
+        model_overhead=codec.model_overhead_bytes,
     )
 
 

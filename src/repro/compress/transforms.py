@@ -62,7 +62,7 @@ class Transform(abc.ABC):
     length_preserving: bool = True
 
     def params(self) -> Tuple[int, ...]:
-        """The constructor parameters, for specs and payload headers."""
+        """The constructor parameters, for specs."""
         return ()
 
     @property

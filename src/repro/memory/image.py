@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfg.builder import ProgramCFG
-from ..compress.codec import (
-    Codec,
-    CodecError,
-    build_image,
-    decompress_for_image,
-    get_codec,
-)
+from ..compress.codec import Codec, CodecError, get_codec
 from ..compress.stats import block_bytes
 from ..obs.tracer import NULL_TRACER
 from .allocator import AllocationError, FreeListAllocator
@@ -205,13 +199,13 @@ def compression_artifacts(
         except Exception:
             payloads = None
     if payloads is None:
-        payloads = build_image(codec, block_data)
+        payloads = codec.build_image(block_data)
         if provider is not None:
             try:
                 provider.save(codec_name, block_data, payloads)
             except Exception:
                 pass  # persistence is best-effort, never fatal
-    elif not getattr(codec, "is_trained", True):
+    elif not codec.is_trained:
         # Stored payloads still need the trained model to decompress.
         codec.train(block_data)
     artifacts = CompressionArtifacts(
@@ -287,12 +281,12 @@ class CodeImage(abc.ABC):
         # at link time; the model's size is charged once per distinct
         # codec storing payloads, below.
         if artifacts is None:
-            payloads = build_image(
-                codec, [block_bytes(block) for block in cfg.blocks]
+            payloads = codec.build_image(
+                [block_bytes(block) for block in cfg.blocks]
             )
         else:
             payloads = artifacts.payloads
-            if not getattr(codec, "is_trained", True):
+            if not codec.is_trained:
                 codec.train([block_bytes(block) for block in cfg.blocks])
         if self._codec_map is not None:
             # One model per *distinct codec name* (flat or canonical
@@ -300,18 +294,12 @@ class CodeImage(abc.ABC):
             # would share one decoder model in a real image, while two
             # pipelines differing only in parameters are distinct
             # models and both charge.
-            distinct = {
-                getattr(c, "name", repr(c)): c
-                for c in self._codec_map.values()
-            }
+            distinct = {c.name: c for c in self._codec_map.values()}
             self.model_overhead = sum(
-                int(getattr(c, "model_overhead_bytes", 0))
-                for c in distinct.values()
+                c.model_overhead_bytes for c in distinct.values()
             )
         else:
-            self.model_overhead = int(
-                getattr(codec, "model_overhead_bytes", 0)
-            )
+            self.model_overhead = codec.model_overhead_bytes
         #: Compressed payloads by block id (precomputed when shared).
         self._payloads: List[bytes] = payloads
 
@@ -396,15 +384,13 @@ class CodeImage(abc.ABC):
         data = self._plaintext.get(block_id)
         if data is None:
             codec = self.codec_for(block_id)
-            data = decompress_for_image(
-                codec, self._payloads[block_id],
+            data = codec.decompress_block(
+                self._payloads[block_id],
                 self.cfg.blocks[block_id].size_bytes,
             )
             self._plaintext[block_id] = data
             if self.tracer.enabled:
-                self.tracer.decode(
-                    block_id, getattr(codec, "name", "?"), len(data)
-                )
+                self.tracer.decode(block_id, codec.name, len(data))
         return data
 
     def verify_block(self, block_id: int) -> bool:
@@ -416,9 +402,8 @@ class CodeImage(abc.ABC):
         block = self.blocks[block_id]
         original = block_bytes(self.cfg.block(block_id))
         try:
-            recovered = decompress_for_image(
-                self.codec_for(block_id), block.compressed_payload,
-                block.uncompressed_size,
+            recovered = self.codec_for(block_id).decompress_block(
+                block.compressed_payload, block.uncompressed_size
             )
         except CodecError:
             return False

@@ -265,7 +265,7 @@ class AssignmentContext:
         overhead = self._overheads.get(codec_name)
         if overhead is None:
             codec = compression_artifacts(self.cfg, codec_name).codec
-            overhead = int(getattr(codec, "model_overhead_bytes", 0))
+            overhead = codec.model_overhead_bytes
             self._overheads[codec_name] = overhead
         return overhead
 

@@ -438,18 +438,17 @@ _FLAT = {
 
 
 def oracle_codec(name: str):
-    """A fresh oracle codec for ``name``: its ``compress_block`` is what
-    :func:`~repro.compress.codec.compress_for_image` returned, its
-    ``train``/``is_trained`` what the artifact build used.  Codecs that
-    never wrote through ``BitWriter`` (``rle``, ``mtf-rle``, ``null``)
-    are their production classes."""
+    """A fresh oracle codec for ``name``: its ``compress_block`` is the
+    payload the artifact build stored, its ``train``/``is_trained``
+    what the build used.  Codecs that never wrote through ``BitWriter``
+    (``rle``, ``mtf-rle``, ``null``) are their production classes."""
     if "|" in name:
         return OraclePipeline(name)
     if name in _SHARED:
         return _SHARED[name]()
     if name in _FLAT:
         return _OracleFlat(_FLAT[name])
-    return _OracleFlat(CODECS.create(name).compress)
+    return _OracleFlat(CODECS.create(name).compress_block)
 
 
 def oracle_payloads(name: str, blocks: Sequence[bytes]) -> List[bytes]:

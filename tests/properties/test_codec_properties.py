@@ -1,10 +1,15 @@
-"""Property-based tests: every codec is lossless on arbitrary bytes."""
+"""Property-based tests: every codec is lossless on arbitrary bytes, and
+a damaged payload decodes to exactly its block's size or raises."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import available_codecs, get_codec
-from repro.compress.codec import compress_for_image, decompress_for_image
+from repro.compress import (
+    CodecError,
+    available_codecs,
+    available_pipelines,
+    get_codec,
+)
 
 _BYTES = st.binary(min_size=0, max_size=2048)
 
@@ -26,27 +31,30 @@ class TestLossless:
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_arbitrary_bytes(self, name, data):
         codec = get_codec(name)
-        assert codec.decompress(codec.compress(data)) == data
+        payload = codec.compress_block(data)
+        assert codec.decompress_block(payload, len(data)) == data
 
     @given(data=_WORDS)
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_instruction_like(self, name, data):
         codec = get_codec(name)
-        assert codec.decompress(codec.compress(data)) == data
+        payload = codec.compress_block(data)
+        assert codec.decompress_block(payload, len(data)) == data
 
-    @given(data=_BYTES)
+    @given(blocks=st.lists(_BYTES, min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
-    def test_image_format_roundtrip(self, name, data):
+    def test_image_format_roundtrip(self, name, blocks):
         codec = get_codec(name)
-        payload = compress_for_image(codec, data)
-        assert decompress_for_image(codec, payload, len(data)) == data
+        payloads = codec.build_image(blocks)
+        for data, payload in zip(blocks, payloads):
+            assert codec.decompress_block(payload, len(data)) == data
 
     @given(data=_BYTES)
     @settings(max_examples=25, deadline=None)
     def test_expansion_bounded(self, name, data):
         # raw fallback: blow-up never exceeds a small constant header
         codec = get_codec(name)
-        assert len(codec.compress(data)) <= len(data) + 8
+        assert len(codec.compress_block(data)) <= len(data) + 8
 
 
 class TestSharedModelCrossTraining:
@@ -63,3 +71,43 @@ class TestSharedModelCrossTraining:
             codec.train(corpus)
             payload = codec.compress_block(sample)
             assert codec.decompress_block(payload, len(sample)) == sample
+
+
+def _decodes_to_size_or_raises(codec, payload, length):
+    """A damaged payload may decode to wrong bytes (an image carries no
+    checksum), but never to a plaintext of another size, and it may
+    raise nothing but :class:`CodecError`."""
+    try:
+        decoded = codec.decompress_block(payload, length)
+    except CodecError:
+        return
+    assert len(decoded) == length, payload.hex()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(available_codecs()) + available_pipelines()
+)
+class TestDamagedPayloads:
+    @given(data=st.one_of(_BYTES, _WORDS).filter(len))
+    @settings(max_examples=20, deadline=None)
+    def test_truncation(self, name, data):
+        codec = get_codec(name)
+        payload = codec.compress_block(data)
+        for cut in range(len(payload)):
+            _decodes_to_size_or_raises(codec, payload[:cut], len(data))
+
+    @given(
+        data=st.one_of(_BYTES, _WORDS).filter(len),
+        index=st.integers(0, 10**6),
+        mask=st.integers(1, 255),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_single_byte_flip(self, name, data, index, mask):
+        codec = get_codec(name)
+        payload = codec.compress_block(data)
+        # Each of the first 8 bytes, where the tags and declared
+        # lengths live, and one byte anywhere.
+        for position in {*range(min(8, len(payload))), index % len(payload)}:
+            damaged = bytearray(payload)
+            damaged[position] ^= mask
+            _decodes_to_size_or_raises(codec, bytes(damaged), len(data))

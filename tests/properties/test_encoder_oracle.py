@@ -108,11 +108,7 @@ class TestImageBuilds:
         assert built.payloads == oracle_payloads(codec, _blocks(corpus))
         # The trained codec decodes every block it built.
         for data, payload in zip(_blocks(corpus), built.payloads):
-            decompress = getattr(built.codec, "decompress_block", None)
-            if decompress is not None:
-                assert decompress(payload, len(data)) == data
-            else:
-                assert built.codec.decompress(payload) == data
+            assert built.codec.decompress_block(payload, len(data)) == data
 
 
 _short = st.one_of(
@@ -131,8 +127,8 @@ class TestShortInputs:
     @settings(max_examples=60, deadline=None)
     def test_compress_equals_the_oracle(self, codec, data):
         # Shared models train themselves on the one input.
-        assert get_codec(codec).compress(data) == \
-            oracle_codec(codec).compress(data)
+        assert get_codec(codec).compress_block(data) == \
+            oracle_codec(codec).compress_block(data)
 
     @pytest.mark.parametrize("codec", CODECS)
     @given(data=_short)
@@ -144,14 +140,14 @@ class TestShortInputs:
         oracle = oracle_codec(codec)
         if hasattr(oracle, "train") and not oracle.is_trained:
             oracle.train(_training_corpus())
-        block = getattr(production, "compress_block", production.compress)
-        assert block(data) == oracle.compress_block(data)
+        assert production.compress_block(data) == \
+            oracle.compress_block(data)
 
 
 @lru_cache(maxsize=None)
 def _trained(codec):
     instance = get_codec(codec)
-    if hasattr(instance, "train") and not instance.is_trained:
+    if not instance.is_trained:
         instance.train(_training_corpus())
     return instance
 
@@ -171,8 +167,8 @@ class TestLargeInputs:
     @pytest.mark.parametrize("codec", FLAT)
     def test_64k_compress_equals_the_oracle(self, codec):
         for name, data in _large_buffers().items():
-            assert get_codec(codec).compress(data) == \
-                oracle_codec(codec).compress(data), (codec, name)
+            assert get_codec(codec).compress_block(data) == \
+                oracle_codec(codec).compress_block(data), (codec, name)
 
     @pytest.mark.parametrize("codec", ["shared-dict", "shared-huffman",
                                        "shared-fields"])
@@ -190,8 +186,7 @@ class TestLargeInputs:
 
 #: SHA-256 over every payload (4-byte length, then the bytes) of the
 #: ``composite``, ``crc32`` and ``gen0`` images, then of the two
-#: :func:`_golden_inputs` coded by a codec trained on the suite (its
-#: ``compress_block``, or ``compress`` for a per-block codec).
+#: :func:`_golden_inputs` coded by a codec trained on the suite.
 GOLDEN = {
     "dictionary":
         "4f702df15046a70339b7107b6a909cc7eb779b4ee8e5d5600b19aef2fe3d0f98",
@@ -262,8 +257,7 @@ def _golden_payloads(build, codec):
         for corpus in ("composite", "crc32", "gen0")
         for payload in build(corpus)
     ]
-    encode = getattr(codec, "compress_block", None) or codec.compress
-    return payloads + [encode(data) for data in _golden_inputs()]
+    return payloads + [codec.compress_block(d) for d in _golden_inputs()]
 
 
 class TestGoldenDigests:
@@ -352,8 +346,8 @@ class TestFastPathRan:
             data += rng.randbytes(rng.randrange(0, 512))
         data = bytes(data[:1 << 20])
         codec = get_codec("lzw" if module is lzw else "lz77")
-        payload = codec.compress(data)
+        payload = codec.compress_block(data)
         assert len(widths) > 1000
         assert max(widths) <= PIECE_BOUND_BITS
-        assert codec.decompress(payload) == data
+        assert codec.decompress_block(payload, len(data)) == data
 

@@ -131,14 +131,14 @@ class TestHuffmanEquivalence:
     @given(_byte_data)
     @settings(max_examples=150, deadline=None)
     def test_compress_byte_identical(self, data):
-        assert HuffmanCodec().compress(data) == \
+        assert HuffmanCodec().compress_block(data) == \
             reference_huffman_compress(data)
 
     @given(_byte_data)
     @settings(max_examples=150, deadline=None)
     def test_decoders_agree_and_invert(self, data):
         payload = reference_huffman_compress(data)
-        assert HuffmanCodec().decompress(payload) == data
+        assert HuffmanCodec().decompress_block(payload, len(data)) == data
         assert reference_huffman_decompress(payload) == data
 
     @given(st.dictionaries(st.integers(0, 255), st.integers(1, 10000),
@@ -184,7 +184,7 @@ class TestHuffmanEquivalence:
                              for _ in range(n))
             else:
                 data = bytes(rng.choice(b"ab") for _ in range(n))
-            payload = HuffmanCodec().compress(data)
+            payload = HuffmanCodec().compress_block(data)
             assert payload == reference_huffman_compress(data), (kind, n)
             if n <= 147 and len(set(data)) > 1:
                 assert payload[0] == 0, (kind, n)
@@ -193,7 +193,7 @@ class TestHuffmanEquivalence:
         payload = reference_huffman_compress(b"abracadabra" * 60)
         assert payload[0] == 2  # actually huffman-coded
         with pytest.raises(CodecError, match="truncated"):
-            HuffmanCodec().decompress(payload[:-8])
+            HuffmanCodec().decompress_block(payload[:-8], 660)
 
 
 class TestGoldenPayloads:
@@ -229,13 +229,15 @@ class TestGoldenPayloads:
     def test_huffman_payload_digests(self):
         corpus = self._corpus()
         for name, (tag, digest) in self._GOLDEN.items():
-            payload = HuffmanCodec().compress(corpus[name])
+            data = corpus[name]
+            payload = HuffmanCodec().compress_block(data)
             assert payload[0] == tag, name
             assert hashlib.sha256(payload).hexdigest() == digest, name
-            assert HuffmanCodec().decompress(payload) == corpus[name]
+            assert HuffmanCodec().decompress_block(payload, len(data)) \
+                == data
 
     def test_degenerate_payloads_exact(self):
         codec = HuffmanCodec()
-        assert codec.compress(b"") == bytes.fromhex("0000000000")
-        assert codec.compress(b"\x07" * 300) == \
+        assert codec.compress_block(b"") == bytes.fromhex("0000000000")
+        assert codec.compress_block(b"\x07" * 300) == \
             bytes.fromhex("01070000012c")

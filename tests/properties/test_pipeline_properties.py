@@ -1,30 +1,22 @@
 """Property-based tests for layered codec pipelines.
 
-Three families of invariants:
+Two families of invariants:
 
 * every registered pipeline (the curated ``pipeline-search`` pool plus
   a few hand-picked deep compositions) round-trips arbitrary bytes and
-  instruction-like words losslessly, in both the self-describing
-  transport format and the sized per-block image format;
-* composition identities — an ``identity|X`` pipeline decodes to
-  exactly the bytes flat ``X`` decodes to, and parsing is canonical
-  across the compact and JSON spellings;
-* a truncated or corrupted tagged payload always raises
-  :class:`~repro.compress.CodecError` (never returns garbage bytes).
+  instruction-like words losslessly through its per-block payload;
+* composition identities — an ``identity|X`` pipeline's payload is flat
+  ``X``'s behind one tag byte, and parsing is canonical across the
+  compact and JSON spellings.
+
+Damaged payloads are covered with every codec's in
+``test_codec_properties.py``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import (
-    CodecError,
-    PipelineError,
-    available_pipelines,
-    get_codec,
-    parse_pipeline_payload,
-    parse_pipeline_spec,
-)
-from repro.compress.codec import compress_for_image, decompress_for_image
+from repro.compress import available_pipelines, get_codec
 
 _BYTES = st.binary(min_size=0, max_size=1024)
 
@@ -53,47 +45,36 @@ class TestLossless:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_arbitrary_bytes(self, spec, data):
         codec = get_codec(spec)
-        assert codec.decompress(codec.compress(data)) == data
+        payload = codec.compress_block(data)
+        assert codec.decompress_block(payload, len(data)) == data
 
     @given(data=_WORDS)
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_instruction_like(self, spec, data):
         codec = get_codec(spec)
-        assert codec.decompress(codec.compress(data)) == data
+        payload = codec.compress_block(data)
+        assert codec.decompress_block(payload, len(data)) == data
 
-    @given(data=_BYTES)
+    @given(blocks=st.lists(_WORDS, min_size=1, max_size=4))
     @settings(max_examples=20, deadline=None)
-    def test_image_format_roundtrip(self, spec, data):
+    def test_image_format_roundtrip(self, spec, blocks):
         codec = get_codec(spec)
-        payload = compress_for_image(codec, data)
-        assert decompress_for_image(codec, payload, len(data)) == data
-
-    @given(data=_WORDS)
-    @settings(max_examples=20, deadline=None)
-    def test_self_describing_decode(self, spec, data):
-        # Any pipeline instance can decode any pipeline's transport
-        # payload: the header carries the full spec.
-        codec = get_codec(spec)
-        other = get_codec("identity|rle")
-        payload = codec.compress(data)
-        parsed, _, _ = parse_pipeline_payload(payload)
-        assert parsed == parse_pipeline_spec(spec)
-        if codec.is_trained or spec == "identity|rle":
-            return  # shared entropy models don't travel with payloads
-        assert other.decompress(payload) == data
+        payloads = codec.build_image(blocks)
+        for data, payload in zip(blocks, payloads):
+            assert codec.decompress_block(payload, len(data)) == data
 
 
 class TestCompositionIdentity:
     @given(data=_BYTES)
     @settings(max_examples=30, deadline=None)
     def test_identity_layer_is_flat_codec(self, data):
-        # identity|X's entropy *body* is byte-identical to flat X's
-        # payload, and both decode to the same bytes.
+        # identity|X's payload is flat X's behind the pipeline's tag
+        # byte, and both decode to the same bytes.
         flat = get_codec("huffman")
         piped = get_codec("identity|huffman")
-        _, _, body = parse_pipeline_payload(piped.compress(data))
-        assert body == flat.compress(data)
-        assert piped.decompress(piped.compress(data)) == data
+        payload = piped.compress_block(data)
+        assert payload[1:] == flat.compress_block(data)
+        assert piped.decompress_block(payload, len(data)) == data
 
     @given(data=_BYTES)
     @settings(max_examples=20, deadline=None)
@@ -103,37 +84,4 @@ class TestCompositionIdentity:
             '{"layers": ["delta", "stride:2"], "entropy": "rle"}'
         )
         assert compact.name == as_json.name
-        assert compact.compress(data) == as_json.compress(data)
-
-
-class TestCorruption:
-    @given(data=_WORDS)
-    @settings(max_examples=15, deadline=None)
-    def test_truncation_raises(self, data):
-        codec = get_codec("delta|huffman")
-        payload = codec.compress(data)
-        for cut in range(len(payload)):
-            with pytest.raises(CodecError):
-                codec.decompress(payload[:cut])
-
-    @given(data=_WORDS, index=st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_corruption_never_returns_garbage(self, data, index):
-        codec = get_codec("delta|huffman")
-        payload = bytearray(codec.compress(data))
-        pos = index % len(payload)
-        payload[pos] ^= 0x5A
-        try:
-            decoded = codec.decompress(bytes(payload))
-        except CodecError:
-            return  # clean, typed failure
-        # A flip the entropy stage absorbed must still be caught by
-        # the pipeline CRC unless the decode is genuinely identical.
-        assert decoded == data
-
-    def test_bad_magic_raises(self):
-        codec = get_codec("delta|huffman")
-        payload = bytearray(codec.compress(b"abcd" * 8))
-        payload[0] ^= 0xFF
-        with pytest.raises(PipelineError):
-            codec.decompress(bytes(payload))
+        assert compact.compress_block(data) == as_json.compress_block(data)

@@ -10,12 +10,7 @@ from repro.compress import (
     available_codecs,
     get_codec,
 )
-from repro.compress.codec import (
-    CodecCosts,
-    NullCodec,
-    compress_for_image,
-    decompress_for_image,
-)
+from repro.compress.codec import CodecCosts, NullCodec
 
 SAMPLES = [
     b"",
@@ -39,17 +34,19 @@ class TestRoundtrip:
     @pytest.mark.parametrize("sample_index", range(len(SAMPLES)))
     def test_roundtrip(self, codec, sample_index):
         data = SAMPLES[sample_index]
-        assert codec.decompress(codec.compress(data)) == data
+        payload = codec.compress_block(data)
+        assert codec.decompress_block(payload, len(data)) == data
 
     def test_image_format_roundtrip(self, codec):
-        data = b"\x01\x12\x00\x05" * 40
-        payload = compress_for_image(codec, data)
-        assert decompress_for_image(codec, payload, len(data)) == data
+        blocks = [b"\x01\x12\x00\x05" * 40, b"\x30\x41\x00\x10" * 3]
+        payloads = codec.build_image(blocks)
+        for data, payload in zip(blocks, payloads):
+            assert codec.decompress_block(payload, len(data)) == data
 
     def test_ratio_bounded_for_incompressible(self, codec):
         # raw fallback caps blow-up at a small constant header
         data = bytes((i * 101 + 17) & 0xFF for i in range(400))
-        assert len(codec.compress(data)) <= len(data) + 8
+        assert len(codec.compress_block(data)) <= len(data) + 8
 
 
 class TestRegistry:
@@ -75,8 +72,8 @@ class TestRegistry:
 class TestNullCodec:
     def test_identity(self):
         codec = NullCodec()
-        assert codec.compress(b"xyz") == b"xyz"
-        assert codec.ratio(b"xyz") == 1.0
+        assert codec.compress_block(b"xyz") == b"xyz"
+        assert codec.decompress_block(b"xyz", 3) == b"xyz"
 
     def test_zero_latency(self):
         codec = NullCodec()
@@ -106,61 +103,90 @@ class TestCorruptionHandling:
     def test_bad_tag_rejected(self, name):
         codec = get_codec(name)
         with pytest.raises(CodecError):
-            codec.decompress(bytes((0x7F,)) + b"\x00" * 8)
+            codec.decompress_block(bytes((0x7F,)) + b"\x00" * 8, 0)
 
     @pytest.mark.parametrize("name", ["huffman", "lzw", "lz77"])
     def test_truncated_stream_rejected(self, name):
         codec = get_codec(name)
-        payload = codec.compress(b"hello world, hello world, hello")
+        data = b"hello world, hello world, hello"
+        payload = codec.compress_block(data)
         if payload[0] == 0:  # raw fallback: truncation detected too
             with pytest.raises(CodecError):
-                codec.decompress(payload[:4])
+                codec.decompress_block(payload[:4], len(data))
         else:
             with pytest.raises(CodecError):
-                codec.decompress(payload[: len(payload) // 2])
+                codec.decompress_block(
+                    payload[: len(payload) // 2], len(data)
+                )
 
     def test_empty_payload_rejected(self):
         for name in ("huffman", "lzw"):
             with pytest.raises(CodecError):
-                get_codec(name).decompress(b"")
+                get_codec(name).decompress_block(b"", 4)
 
 
-class TestHuffmanSizedDecode:
-    """The code-image decode checks each payload's declared length
-    against the block size it already knows, before allocating."""
+#: The codecs whose payload is ``[tag][u32 BE length][body]``.
+FRAMED = ["huffman", "lzw", "lz77", "rle", "dictionary"]
 
-    def test_single_symbol_count_bounded_by_block_size(self):
-        # Tag 1 declaring 1 MiB of one symbol, stored for a 64-byte
-        # block: the flat decode would materialise all of it.
-        payload = bytes((1, 0x07)) + (1 << 20).to_bytes(4, "big")
+#: A block every framed codec codes rather than passing through raw.
+CODED = bytes(300) + b"abcd" * 25
+
+
+@pytest.mark.parametrize("name", FRAMED)
+class TestSizedDecode:
+    """A payload's declared length must equal the block size the image
+    already knows; anything else raises before the body is decoded."""
+
+    def test_declared_length_checked_before_decoding(
+        self, name, monkeypatch
+    ):
+        # A coded header declaring 1 MiB, stored for a 64-byte block:
+        # the decoder must neither trust it nor start decoding.
+        codec = get_codec(name)
+        tag = codec.compress_block(CODED)[0]
+        payload = bytes((tag,)) + (1 << 20).to_bytes(4, "big") + bytes(64)
+
+        def decode_body(*args):
+            raise AssertionError("decoded a mis-sized payload")
+
+        monkeypatch.setattr(type(codec), "_decode_body", decode_body)
         with pytest.raises(CodecError, match="declares 1048576 bytes"):
-            decompress_for_image(get_codec("huffman"), payload, 64)
+            codec.decompress_block(payload, 64)
 
-    def test_raw_length_must_match_block_size(self):
+    def test_raw_length_must_match_block_size(self, name):
         payload = bytes((0,)) + (3).to_bytes(4, "big") + b"abc"
         with pytest.raises(CodecError, match="declares 3 bytes"):
-            decompress_for_image(get_codec("huffman"), payload, 8)
+            get_codec(name).decompress_block(payload, 8)
 
-    def test_coded_length_must_match_block_size(self):
-        codec = get_codec("huffman")
-        data = b"abcd" * 100
-        payload = codec.compress(data)
-        assert payload[0] == 2
+    def test_coded_length_must_match_block_size(self, name):
+        codec = get_codec(name)
+        payload = codec.compress_block(CODED)
+        assert payload[0] != 0
         with pytest.raises(CodecError, match="declares 400 bytes"):
-            decompress_for_image(codec, payload, len(data) - 1)
+            codec.decompress_block(payload, len(CODED) - 1)
 
-    @pytest.mark.parametrize("data", SAMPLES)
-    def test_matching_sizes_decode(self, data):
-        codec = get_codec("huffman")
-        payload = compress_for_image(codec, data)
-        assert payload == codec.compress(data)
-        assert decompress_for_image(codec, payload, len(data)) == data
-
-    def test_truncated_headers_stay_typed(self):
-        codec = get_codec("huffman")
+    def test_truncated_headers_stay_typed(self, name):
+        codec = get_codec(name)
         for payload in (b"", b"\x00\x00", b"\x01\x07\x00", b"\x02\x00"):
             with pytest.raises(CodecError):
-                decompress_for_image(codec, payload, 4)
+                codec.decompress_block(payload, 4)
+
+
+class TestHuffmanSingleSymbol:
+    def test_single_symbol_count_bounded_by_block_size(self):
+        # Tag 1 declaring 1 MiB of one symbol, stored for a 64-byte
+        # block.
+        payload = bytes((1, 0x07)) + (1 << 20).to_bytes(4, "big")
+        with pytest.raises(CodecError, match="declares 1048576 bytes"):
+            get_codec("huffman").decompress_block(payload, 64)
+
+
+def test_lz77_overlong_match_rejected():
+    # Declares 2 bytes and holds a literal then a 66-byte match at
+    # offset 1: the decoded 67 bytes are not the 2-byte block.
+    payload = bytes.fromhex("010000000230c003f0")
+    with pytest.raises(CodecError, match="decoded to 67 bytes"):
+        get_codec("lz77").decompress_block(payload, 2)
 
 
 class TestSharedModelCodecs:
@@ -182,7 +208,8 @@ class TestSharedModelCodecs:
     def test_untrained_auto_trains_on_first_input(self):
         codec = SharedHuffmanCodec()
         data = b"hello hello hello"
-        assert codec.decompress(codec.compress(data)) == data
+        payload = codec.compress_block(data)
+        assert codec.decompress_block(payload, len(data)) == data
         assert codec.is_trained
 
     def test_unseen_bytes_use_escape(self):
@@ -192,19 +219,16 @@ class TestSharedModelCodecs:
         payload = codec.compress_block(exotic)
         assert codec.decompress_block(payload, len(exotic)) == exotic
 
-    def test_sized_payload_smaller_than_self_contained(self):
+    def test_payload_overhead_is_one_tag_byte(self):
+        # The block table holds the length: a raw payload is the block
+        # behind one tag byte.
         codec = SharedDictionaryCodec()
-        data = b"\x01\x12\x00\x05" * 10
-        codec.train([data])
-        assert len(codec.compress_block(data)) < len(codec.compress(data))
+        codec.train([b"\x01\x12\x00\x05" * 10])
+        data = bytes(range(40))
+        assert codec.compress_block(data) == b"\x00" + data
 
     def test_decompress_block_unknown_tag(self):
         codec = SharedDictionaryCodec()
         codec.train([b"\x00" * 8])
         with pytest.raises(CodecError, match="tag"):
             codec.decompress_block(b"\x09\x00", 4)
-
-    def test_oversized_input_rejected(self):
-        codec = SharedHuffmanCodec()
-        with pytest.raises(CodecError, match="64 KiB"):
-            codec.compress(bytes(0x10001))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import EnergyModel, compare_traffic
+from repro.analysis import EnergyModel
 from repro.cfg import build_cfg
 from repro.core import SimulationConfig
 from repro.core.manager import CodeCompressionManager
@@ -69,17 +69,13 @@ class TestTrafficCounters:
             lazy.counters.target_memory_bytes
 
 
-class TestTrafficReport:
-    def test_compare_traffic(self, composite_cfg):
+class TestTrafficReduction:
+    def test_compressed_run_reads_less_target_memory(self, composite_cfg):
         base = _run(composite_cfg, decompression="none")
         compressed = _run(composite_cfg, decompression="ondemand",
                           k_compress=16)
-        report = compare_traffic(base, compressed)
-        assert report.baseline_bytes == \
+        assert 0 <= compressed.counters.target_memory_bytes < \
             base.counters.target_memory_bytes
-        assert report.compressed_bytes == \
-            compressed.counters.target_memory_bytes
-        assert 0 <= report.compressed_bytes < report.baseline_bytes
 
 
 class TestEnergyModel:

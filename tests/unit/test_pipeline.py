@@ -13,7 +13,6 @@ from repro.compress import (
     get_codec,
     is_known_codec,
     is_pipeline_spec,
-    parse_pipeline_payload,
     parse_pipeline_spec,
     resolve_codec_spec,
 )
@@ -121,11 +120,6 @@ class TestPipelineCodec:
         assert piped.costs.decompress_cycles_per_byte > \
             flat.costs.decompress_cycles_per_byte
         assert piped.costs.fixed > flat.costs.fixed
-
-    def test_payload_header_is_self_describing(self):
-        codec = get_codec("delta|stride:3|rle")
-        spec, _, _ = parse_pipeline_payload(codec.compress(b"abc" * 9))
-        assert spec == codec.spec
 
     def test_shared_entropy_delegates_training(self):
         codec = get_codec("stride:4|shared-dict")

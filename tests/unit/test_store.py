@@ -396,8 +396,8 @@ class TestArtifactCacheLRU:
         assert compression_artifacts(graph, "shared-dict") is first
 
 
-class TestSharedModelDigest:
-    def test_retrained_model_digest_matches(self):
+class TestSharedModelRetraining:
+    def test_retrained_models_build_identical_images(self):
         from repro.compress import get_codec
         from repro.compress.stats import block_bytes
 
@@ -407,13 +407,13 @@ class TestSharedModelDigest:
             one, two = get_codec(name), get_codec(name)
             one.train(corpus)
             two.train(corpus)
-            assert one.model_digest() == two.model_digest(), name
+            assert one.build_image(corpus) == two.build_image(corpus), name
 
-    def test_untrained_digest_rejected(self):
+    def test_untrained_decode_rejected(self):
         from repro.compress import CodecError, get_codec
 
         with pytest.raises(CodecError, match="trained"):
-            get_codec("shared-dict").model_digest()
+            get_codec("shared-dict").decompress_block(b"\x01\x00", 4)
 
 
 class TestBlobIntegrity:
